@@ -11,23 +11,15 @@ let read_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(** What the schedule compiler would make of the script: compiled or
-    degraded to interpretation, instruction/fallback/slot counts, the
-    content-address, and any static use-after-consume diagnostics. Takes
-    the already-computed schedule so [--schedule] and [--flow] describe
-    the same lowering decision. *)
+(** What the schedule compiler makes of the script: instruction and
+    handle-slot counts, the content-address, and any static
+    use-after-consume diagnostics. *)
 let pp_schedule_report s =
   Fmt.pr "@.// -----// schedule compilation //----- //@.";
   Fmt.pr "fingerprint:   %s@."
     (Ir.Fingerprint.to_hex (Transform.Schedule.fingerprint s));
-  (match Transform.Schedule.interpreted_reason s with
-  | None ->
-    Fmt.pr "form:          compiled@.";
-    Fmt.pr "instructions:  %d (%d interpreter fallbacks)@."
-      (Transform.Schedule.instr_count s)
-      (Transform.Schedule.fallback_count s);
-    Fmt.pr "handle slots:  %d@." (Transform.Schedule.slot_count s)
-  | Some reason -> Fmt.pr "form:          interpreted (%s)@." reason);
+  Fmt.pr "instructions:  %d@." (Transform.Schedule.instr_count s);
+  Fmt.pr "handle slots:  %d@." (Transform.Schedule.slot_count s);
   match Transform.Schedule.static_diags s with
   | [] -> ()
   | ds ->
@@ -36,15 +28,10 @@ let pp_schedule_report s =
 
 (** Annotation-flow check of a transform script: per-handle property
     propagation ([requires]/[ensures] of every registered transform)
-    threaded with the op-kind layer. The degradation line is derived from
-    the same schedule as [--schedule], so the two flags agree on it by
-    construction. *)
-let pp_flow_report s ~initial ~final script =
+    threaded with the op-kind layer. *)
+let pp_flow_report ~initial ~final script =
   let r = Transform.Flowcheck.check ~initial ~final script in
   Fmt.pr "@.// -----// annotation flow //----- //@.";
-  (match Transform.Schedule.interpreted_reason s with
-  | None -> Fmt.pr "schedule form: compiled@."
-  | Some reason -> Fmt.pr "schedule form: interpreted (%s)@." reason);
   (match r.Transform.Flowcheck.fr_final with
   | Some present -> Fmt.pr "final op kinds: %a@." Ir.Opset.pp present
   | None -> ());
@@ -159,27 +146,19 @@ let run pipeline script_file initial final schedule flow provenance
   | Error e -> `Error (false, e)
   | Ok (report, script) ->
     Fmt.pr "%a" Transform.Conditions.pp_report report;
-    (* one schedule shared by --schedule and --flow, so the two sections
-       cannot disagree about degradation to interpreted form *)
-    let sched =
-      match script with
-      | Some script when schedule || flow ->
-        Some (Transform.Schedule.of_script ctx script)
-      | _ -> None
-    in
-    (match (schedule, sched) with
-    | true, Some s -> pp_schedule_report s
+    (match (schedule, script) with
+    | true, Some script ->
+      pp_schedule_report (Transform.Schedule.of_script ctx script)
     | true, None ->
       Fmt.epr "note: --schedule needs a transform script, not a pipeline@."
     | false, _ -> ());
     let flow_report =
-      match (flow, script, sched) with
-      | true, Some script, Some s ->
-        Some (pp_flow_report s ~initial ~final script)
-      | true, _, _ ->
+      match (flow, script) with
+      | true, Some script -> Some (pp_flow_report ~initial ~final script)
+      | true, None ->
         Fmt.epr "note: --flow needs a transform script, not a pipeline@.";
         None
-      | false, _, _ -> None
+      | false, _ -> None
     in
     let flow_ok =
       match flow_report with
@@ -222,10 +201,10 @@ let schedule =
     value & flag
     & info [ "schedule" ]
         ~doc:"Also report how the schedule compiler lowers the script: \
-              compiled or degraded to interpretation, instruction and \
-              interpreter-fallback counts, statically numbered handle \
-              slots, and the content-address (structural fingerprint) \
-              under which applications would be cached.")
+              instruction count, statically numbered handle slots, static \
+              use-after-consume diagnostics, and the content-address \
+              (structural fingerprint) under which applications would be \
+              cached.")
 
 let flow =
   Arg.(

@@ -101,29 +101,6 @@ let run_flow_diff ctx config seed cases out_dir quiet =
     `Error
       (false, "static annotation-flow checker diverged from the dynamic one")
 
-let run_schedule_diff ctx config seed cases quiet =
-  let on_case i ~failed =
-    if not quiet then
-      if failed then Fmt.epr "case %d: DIVERGENCE@." i
-      else if i mod 50 = 0 then Fmt.epr "case %d...@." i
-  in
-  let stats =
-    Fuzz.Driver.run_schedule_diff ~config ~on_case ctx ~seed ~cases ()
-  in
-  let nfail = List.length stats.Fuzz.Driver.s_failures in
-  Fmt.pr
-    "otd-fuzz schedule-diff: %d cases, %d divergence%s, %.1f s (seed %d)@."
-    stats.Fuzz.Driver.s_cases nfail
-    (if nfail = 1 then "" else "s")
-    stats.Fuzz.Driver.s_seconds seed;
-  List.iter
-    (fun r ->
-      Fmt.pr "  case %d: %a@." r.Fuzz.Driver.r_case Fuzz.Oracle.pp_failure
-        r.Fuzz.Driver.r_failure)
-    stats.Fuzz.Driver.s_failures;
-  if nfail = 0 then `Ok ()
-  else `Error (false, "compiled and interpreted schedules diverged")
-
 (* [Some 0] auto-sizes; [None] keeps OTD_JOBS (or sequential) *)
 let apply_jobs = function
   | None -> Ok ()
@@ -132,8 +109,7 @@ let apply_jobs = function
   | Some n -> Error (Fmt.str "--jobs must be >= 0 (got %d)" n)
 
 let run seed cases max_ops max_depth pipeline no_shrink no_bisect out_dir
-    print_case quiet profile faults schedule_diff flow_diff server_faults
-    jobs =
+    print_case quiet profile faults flow_diff server_faults jobs =
   Printexc.record_backtrace true;
   (* SIGINT raises Sys.Break: campaigns stop at the next case boundary
      with a clean diagnostic (reproducers written so far stay on disk)
@@ -154,7 +130,6 @@ let run seed cases max_ops max_depth pipeline no_shrink no_bisect out_dir
     `Ok ()
   | None ->
     if flow_diff then run_flow_diff ctx config seed cases out_dir quiet
-    else if schedule_diff then run_schedule_diff ctx config seed cases quiet
     else (
     match faults with
     | Some prob when prob < 0.0 || prob > 1.0 ->
@@ -218,17 +193,6 @@ let run seed cases max_ops max_depth pipeline no_shrink no_bisect out_dir
   with Sys.Break ->
     `Error (false, "interrupted (SIGINT): campaign stopped cleanly")
 
-let schedule_diff =
-  Arg.(
-    value & flag
-    & info [ "schedule-diff" ]
-        ~doc:
-          "Run the schedule-differential campaign instead of the oracle \
-           suite: each case applies a transform script to the generated \
-           module both through the sequential interpreter and through a \
-           freshly compiled schedule, and requires identical outcomes and \
-           byte-identical payload IR.")
-
 let flow_diff =
   Arg.(
     value & flag
@@ -238,7 +202,7 @@ let flow_diff =
            each case generates a random transform script alongside the \
            payload module and checks that any script the static \
            annotation-flow checker accepts never fails a dynamic \
-           annotation-requirement check, interpreted or compiled. \
+           annotation-requirement check. \
            Divergence reproducers (the scripts) go to $(b,--out).")
 
 let server_faults =
@@ -361,13 +325,13 @@ let cmd =
       ret
         (const
            (fun seed cases max_ops max_depth pipeline no_shrink _shrink
-                no_bisect out_dir print_case quiet profile faults
-                schedule_diff flow_diff server_faults jobs ->
+                no_bisect out_dir print_case quiet profile faults flow_diff
+                server_faults jobs ->
              run seed cases max_ops max_depth pipeline no_shrink no_bisect
-               out_dir print_case quiet profile faults schedule_diff
-               flow_diff server_faults jobs)
+               out_dir print_case quiet profile faults flow_diff server_faults
+               jobs)
         $ seed $ cases $ max_ops $ max_depth $ pipeline $ no_shrink $ shrink
         $ no_bisect $ out_dir $ print_case $ quiet $ profile $ faults
-        $ schedule_diff $ flow_diff $ server_faults $ jobs))
+        $ flow_diff $ server_faults $ jobs))
 
 let () = exit (Cmd.eval cmd)

@@ -90,7 +90,7 @@ let split_tags s =
   String.split_on_char ',' s |> List.map String.trim
   |> List.filter (fun t -> t <> "")
 
-let run input pipeline transform_file no_compile flow_check no_verify list_passes timing
+let run input pipeline transform_file flow_check no_verify list_passes timing
     print_ir_after_all trace diagnostics_format reproducer_path pretty profile
     stats remarks remarks_filter max_steps deadline_ms jobs debug_counters
     action_journal print_ir_after_change snapshot_after_change provenance_path
@@ -232,7 +232,6 @@ let run input pipeline transform_file no_compile flow_check no_verify list_passe
             | Error e -> Error (Fmt.str "transform script parse error: %s" e)
             | Ok script -> (
               let t0 = Unix.gettimeofday () in
-              let mode = if no_compile then `Interpret else `Compile in
               let config =
                 if flow_check then
                   {
@@ -242,7 +241,7 @@ let run input pipeline transform_file no_compile flow_check no_verify list_passe
                 else Transform.State.default_config
               in
               match
-                Transform.Schedule.run ~flow:flow_check ~mode ~config ctx
+                Transform.Schedule.run ~flow:flow_check ~config ctx
                   ~script ~payload:m
               with
               | Ok steps ->
@@ -474,18 +473,9 @@ let transform_file =
     value
     & opt (some string) None
     & info [ "transform" ] ~docv:"FILE"
-        ~doc:"Transform script to interpret against the payload.")
-
-let no_compile =
-  Arg.(
-    value & flag
-    & info [ "no-compile" ]
-        ~doc:"Apply the transform script with the sequential interpreter \
-              instead of compiling it to a cached schedule. Compiled \
-              schedules (the default) pre-resolve transform-op dispatch, \
-              includes and pattern sets, and are cached content-addressed \
-              by the script's structural fingerprint; see the \
-              $(b,schedule/*) counters under $(b,--stats).")
+        ~doc:"Transform script to apply to the payload. It is compiled to \
+              a schedule cached by the script's structural fingerprint; see \
+              the $(b,schedule/*) counters under $(b,--stats).")
 
 let flow_check =
   Arg.(
@@ -691,8 +681,7 @@ let cmd =
     (Cmd.info "otd-opt" ~doc)
     Term.(
       ret
-        (const run $ input $ pipeline $ transform_file $ no_compile
-       $ flow_check $ no_verify
+        (const run $ input $ pipeline $ transform_file $ flow_check $ no_verify
        $ list_passes $ timing $ print_ir_after_all $ trace
        $ diagnostics_format $ reproducer_path $ pretty $ profile $ stats
        $ remarks $ remarks_filter $ max_steps $ deadline_ms $ jobs

@@ -6,7 +6,7 @@
     transforms and demanded by their [requires] clauses. The same
     declarations drive two checkers:
 
-    - dynamically, {!Interp} checks [requires] against the accumulated
+    - dynamically, {!Dispatch} checks [requires] against the accumulated
       property set of each consumed operand before dispatch and records
       [ensures] after a successful application;
     - statically, {!Flowcheck} propagates abstract property sets along the

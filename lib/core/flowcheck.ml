@@ -629,7 +629,7 @@ let check ?initial ?final (script : Ircore.op) : report =
   in
   let env0 = { vals = Imap.empty; consumed = Imap.empty; present = initial } in
   let env_final =
-    match Interp.find_entry script with
+    match Dispatch.find_entry script with
     | None ->
       add_problem actx
         (Unsupported

@@ -2,9 +2,9 @@
     traits) and interpreter implementations registered in {!Treg}.
 
     Structural ops ([sequence], [named_sequence], [include], [alternatives],
-    [foreach], [yield]) are interpreted directly by {!Interp}; all other
-    transforms dispatch through the {!Treg} registry — the extensibility
-    point of Section 3.2. *)
+    [foreach], [yield]) compile to their own {!Schedule} instructions; all
+    other transforms dispatch through the {!Treg} registry — the
+    extensibility point of Section 3.2. *)
 
 open Ir
 open Dialects

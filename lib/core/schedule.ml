@@ -1,34 +1,33 @@
-(** Compiled transform schedules: the unified entry point for applying a
-    transform script to payload IR.
+(** Compiled transform schedules: the one way to apply a transform script
+    to payload IR (Section 3).
 
-    The sequential interpreter ({!Interp}) re-walks the script IR on every
-    application: every op re-matches its name against the structural
-    constructs, re-resolves its implementation through {!Treg}, re-resolves
-    [include] targets through symbol lookup and re-freezes the pattern sets
-    of [apply_patterns]. A schedule performs all of that resolution {e once}
-    at compile time and lowers the entry sequence into a flat instruction
-    array:
+    A schedule performs all script-level resolution once, at compile time,
+    and lowers the entry into instruction arrays:
 
-    - registered transform ops become [Dispatch] instructions carrying the
-      resolved {!Treg.def} and the precomputed consumed-operand list;
-    - [transform.apply_patterns] is compiled to a dispatch of a specialized
-      definition closing over the pattern set frozen once
-      ({!Ir.Frozen_patterns});
-    - [transform.include] is resolved and its callee body compiled inline
-      ([Include]), so calls no longer pay symbol lookup;
-    - dynamic constructs — [foreach], [alternatives], nested sequences,
-      unresolvable includes — compile to [Fallback] thunks that re-enter the
-      sequential interpreter op by op, on the same {!State};
+    - a registered transform op becomes [Dispatch], carrying the resolved
+      {!Treg.def} and its consumed-operand list; [transform.apply_patterns]
+      dispatches a specialized definition closing over the pattern set
+      frozen once ({!Ir.Frozen_patterns});
+    - [transform.sequence] (entry or nested, with or without
+      [failures(suppress)]), [transform.alternatives] and
+      [transform.foreach] become [Sequence], [Alternatives] and [Foreach],
+      whose bodies are instruction arrays;
+    - each [transform.named_sequence] reached by a [transform.include] is
+      compiled once into the schedule's callee table, and [Include] refers
+      to its entry by index, so recursive includes need no special case;
+    - an op that cannot run — unknown, an unresolvable include, an include
+      arity mismatch, a malformed region — becomes [Fail], which reports
+      its diagnostic when execution reaches it;
     - every SSA value of the script is numbered statically, so the state's
       side tables become flat slot arrays ({!State.install_slots}).
 
-    Execution semantics are identical to interpretation by construction:
-    both paths share {!Interp.dispatch_registered} (pre/post-condition
-    checks, consumption snapshot/commit, the exception barrier, tracing) and
-    the per-op budget/statistics/profiler preamble. Scripts that the static
-    use-after-consume analysis ({!Invalidation}) flags are not compiled at
-    all — they degrade to whole-script interpretation so the dynamic
-    checker reports the exact same errors.
+    Every instruction charges one step, one [transform/ops_executed] tick,
+    one unit of the ambient {!Ir.Budget} and one profiler span; registered
+    ops all run through {!Dispatch.dispatch_registered} (pre/post-condition
+    checks, consumption snapshot/commit, the exception barrier, tracing).
+    Scripts that the static use-after-consume analysis ({!Invalidation})
+    flags compile like any other: the diagnostics are kept for [otd_check],
+    and the run fails where {!State.lookup_handle} finds the consumed slot.
 
     Schedules are cached content-addressed: {!of_script} keys the cache by
     the script's structural fingerprint ({!Ir.Fingerprint}), so re-applying
@@ -45,11 +44,6 @@ let ( let* ) = Result.bind
 (* global statistics (Ir.Stats), namespaced under component "schedule" *)
 let stat_cache_hits = Stats.counter ~component:"schedule" "cache_hits"
 let stat_cache_misses = Stats.counter ~component:"schedule" "cache_misses"
-
-let stat_fallbacks =
-  Stats.counter ~component:"schedule" "fallbacks"
-    ~desc:"interpreter fallback thunks executed by compiled schedules"
-
 let stat_compiles = Stats.counter ~component:"schedule" "compiles"
 
 let stat_evictions =
@@ -70,43 +64,48 @@ type instr =
     }
   | Include of {
       i_op : Ircore.op;  (** the [transform.include] op *)
-      i_callee : string;
-      i_args : Ircore.value list;  (** callee block arguments *)
-      i_body : instr array;
-      i_yield : Ircore.op option;  (** callee terminator, when present *)
+      i_callee : int;  (** index into the schedule's callee table *)
     }
-  | Fallback of Ircore.op
-      (** re-enter the sequential interpreter for this op *)
+  | Sequence of {
+      i_op : Ircore.op;
+      i_root : Ircore.value option;  (** bound to the payload root *)
+      i_suppress : bool;  (** [failures(suppress)]: run as a transaction *)
+      i_body : instr array;
+    }
+  | Alternatives of { i_op : Ircore.op; i_regions : instr array list }
+  | Foreach of {
+      i_op : Ircore.op;
+      i_arg : Ircore.value option;  (** the iteration variable *)
+      i_body : instr array option;  (** [None]: the region has no block *)
+    }
+  | Fail of { i_op : Ircore.op; i_msg : string }
+      (** a definite error, raised when execution reaches the op *)
 
-type entry_kind =
-  | Entry_named of Ircore.value option
-      (** named_sequence entry; payload root bound to the argument *)
-  | Entry_seq of { e_op : Ircore.op; e_root : Ircore.value option }
-      (** plain [transform.sequence] entry with propagate semantics: the
-          sequence op itself charges one step, like interpretation *)
-  | Entry_top  (** body only (e.g. a single whole-entry fallback thunk) *)
-
-type compiled = {
-  c_kind : entry_kind;
-  c_body : instr array;
-  c_index : (int, int) Hashtbl.t;  (** script value id -> slot *)
-  c_slot_count : int;
-  c_instrs : int;  (** compiled instructions, includes nested *)
-  c_static_fallbacks : int;  (** Fallback instructions, includes nested *)
+(** A [named_sequence] compiled once per schedule. *)
+type callee = {
+  cl_args : Ircore.value list;  (** bound to the include's operands *)
+  mutable cl_body : instr array;
+      (** set after the table entry exists, so recursive includes resolve *)
+  cl_yield : Ircore.op option;  (** bound to the include's results *)
 }
 
-type form =
-  | Compiled of compiled
-  | Interpreted of string  (** reason the script is not compiled *)
+type compiled = {
+  c_entry : Ircore.op;
+  c_root : Ircore.value option;
+      (** named_sequence entry argument, bound to the payload root *)
+  c_body : instr array;
+  c_callees : callee array;
+  c_index : (int, int) Hashtbl.t;  (** script value id -> slot *)
+  c_slot_count : int;
+  c_instrs : int;  (** instructions, nested bodies and callees included *)
+}
 
 type t = {
   s_ctx : Context.t;
-  s_script : Ircore.op;
   s_fingerprint : Fingerprint.t;
-  s_entry : Ircore.op option;
   s_diags : Invalidation.diagnostic list;
       (** static use-after-consume diagnostics found at compile time *)
-  s_form : form;
+  s_compiled : compiled option;  (** [None]: the script has no entry *)
   s_flow : Flowcheck.report option;
       (** annotation-flow report, when [of_script ~flow:true] was asked
           for; a failing report gates {!apply} before any payload is
@@ -115,26 +114,15 @@ type t = {
           so it is recomputed fresh per [of_script] call. *)
 }
 
-type mode = [ `Compile | `Interpret ]
-
 let fingerprint s = s.s_fingerprint
-let is_compiled s = match s.s_form with Compiled _ -> true | _ -> false
 let static_diags s = s.s_diags
 let flow_report s = s.s_flow
 
-(** Why the schedule interprets instead of dispatching compiled code;
-    [None] when compiled. *)
-let interpreted_reason s =
-  match s.s_form with Compiled _ -> None | Interpreted r -> Some r
-
 let instr_count s =
-  match s.s_form with Compiled c -> c.c_instrs | Interpreted _ -> 0
-
-let fallback_count s =
-  match s.s_form with Compiled c -> c.c_static_fallbacks | Interpreted _ -> 0
+  match s.s_compiled with Some c -> c.c_instrs | None -> 0
 
 let slot_count s =
-  match s.s_form with Compiled c -> c.c_slot_count | Interpreted _ -> 0
+  match s.s_compiled with Some c -> c.c_slot_count | None -> 0
 
 (* ------------------------------------------------------------------ *)
 (* Compilation                                                         *)
@@ -162,185 +150,213 @@ let build_slot_index script =
         op.Ircore.regions);
   (index, !next)
 
-exception Not_compilable of string
-
 let script_root op =
   let rec up o =
     match Ircore.parent_op o with None -> o | Some p -> up p
   in
   up op
 
-(* resolve an include target exactly like Interp.run_include, but at
-   compile time; None = let the interpreter produce the (identical) error
-   or handle the dynamic case at apply time *)
+(* compile-time context: the script root includes resolve against, and the
+   callee table built so far, in reverse index order *)
+type cx = { root : Ircore.op; mutable callees : (Ircore.op * callee) list }
+
+let fail op fmt = Fmt.kstr (fun m -> Fail { i_op = op; i_msg = m }) fmt
+
+(* an include target is looked up in the script root's symbol table, then
+   among all its named sequences *)
 let resolve_include root op =
   match Ircore.attr op "target" with
   | Some (Attr.Symbol_ref (callee, _)) -> (
     match Symbol.lookup_in ~table:root callee with
-    | Some t -> Some (callee, t)
+    | Some t -> Ok (callee, t)
     | None -> (
       match
         Symbol.collect root ~f:(fun o ->
             o.Ircore.op_name = Ops.named_sequence_op
             && Symbol.symbol_name o = Some callee)
       with
-      | t :: _ -> Some (callee, t)
-      | [] -> None))
-  | _ -> None
+      | t :: _ -> Ok (callee, t)
+      | [] -> Error (Fmt.str "include: no named_sequence @%s" callee)))
+  | _ -> Error "transform.include requires a target symbol"
 
-let rec compile_block ~root ~stack (ops : Ircore.op list) : instr list =
-  match ops with
-  | [] -> []
-  | op :: rest ->
-    if op.Ircore.op_name = Ops.yield_op then []
-    else
-      let instrs = compile_op ~root ~stack op in
-      instrs @ compile_block ~root ~stack rest
+(* [apply_patterns] with resolvable pattern names dispatches a definition
+   closing over the set frozen once; unresolvable names are left to the
+   registered implementation, which reports them *)
+let specialize (op : Ircore.op) (def : Treg.def) =
+  if op.Ircore.op_name <> Ops.apply_patterns_op then def
+  else
+    match Ops.collect_patterns op with
+    | patterns, [] ->
+      let frozen = Frozen_patterns.freeze patterns in
+      {
+        def with
+        Treg.t_apply = (fun st op -> Ops.apply_frozen_patterns st op frozen);
+      }
+    | _ -> def
 
-and compile_op ~root ~stack (op : Ircore.op) : instr list =
+let suppresses op =
+  match Ircore.attr op "failure_propagation" with
+  | Some (Attr.String "suppress") -> true
+  | _ -> false
+
+(* a block runs up to its terminator *)
+let rec compile_block cx (block : Ircore.block) : instr array =
+  let rec go acc = function
+    | [] -> acc
+    | op :: _ when op.Ircore.op_name = Ops.yield_op -> acc
+    | op :: rest -> (
+      match compile_op cx op with
+      | Some i -> go (i :: acc) rest
+      | None -> go acc rest)
+  in
+  Array.of_list (List.rev (go [] (Ircore.block_ops block)))
+
+and compile_region cx r =
+  match Ircore.region_first_block r with
+  | None -> [||]
+  | Some b -> compile_block cx b
+
+and compile_op cx (op : Ircore.op) : instr option =
   match op.Ircore.op_name with
   | "transform.named_sequence" ->
-    (* declaration: skipped during sequential execution *)
-    []
-  | "transform.sequence" | "transform.alternatives" | "transform.foreach" ->
-    (* dynamic control flow (iteration, transactional regions): executed by
-       the interpreter on the shared state *)
-    [ Fallback op ]
-  | "transform.include" -> (
-    match resolve_include root op with
-    | None -> [ Fallback op ] (* unresolved: interpreter reports it *)
-    | Some (callee, target) ->
-      if List.memq target stack then
-        (* recursive include: no finite unrolling; leave it dynamic *)
-        [ Fallback op ]
-      else (
-        match target.Ircore.regions with
-        | [ r ] -> (
-          match Ircore.region_first_block r with
-          | None -> [ Fallback op ]
-          | Some body ->
-            let args = Ircore.block_args body in
-            if List.length args <> Ircore.num_operands op then
-              [ Fallback op ] (* arity mismatch: interpreter reports it *)
-            else
-              let yield =
-                match Ircore.block_last_op body with
-                | Some y when y.Ircore.op_name = Ops.yield_op -> Some y
-                | _ -> None
-              in
-              let body_instrs =
-                compile_block ~root ~stack:(target :: stack)
-                  (Ircore.block_ops body)
-              in
-              [
-                Include
-                  {
-                    i_op = op;
-                    i_callee = callee;
-                    i_args = args;
-                    i_body = Array.of_list body_instrs;
-                    i_yield = yield;
-                  };
-              ])
-        | _ -> [ Fallback op ]))
-  | name -> (
-    match Treg.lookup name with
-    | None -> [ Fallback op ] (* unknown op: interpreter reports it *)
-    | Some def ->
-      if name = Ops.apply_patterns_op then
-        let patterns, missing = Ops.collect_patterns op in
-        if missing <> [] then [ Fallback op ]
-        else
-          (* pre-freeze the pattern set once; applications dispatch a
-             specialized definition through the normal registered path, so
-             interceptors, tracing and the exception barrier still apply *)
-          let frozen = Frozen_patterns.freeze patterns in
-          let fast_def =
-            {
-              def with
-              Treg.t_apply =
-                (fun st op -> Ops.apply_frozen_patterns st op frozen);
-            }
+    (* a declaration: runs only through include *)
+    None
+  | "transform.sequence" -> Some (compile_sequence cx op)
+  | "transform.alternatives" ->
+    Some
+      (Alternatives
+         {
+           i_op = op;
+           i_regions = List.map (compile_region cx) op.Ircore.regions;
+         })
+  | "transform.foreach" ->
+    Some
+      (match op.Ircore.regions with
+      | [ r ] -> (
+        match Ircore.region_first_block r with
+        | None -> Foreach { i_op = op; i_arg = None; i_body = None }
+        | Some b ->
+          let arg =
+            match Ircore.block_args b with [ a ] -> Some a | _ -> None
           in
-          [ Dispatch { i_op = op; i_def = fast_def; i_consumed = [] } ]
-      else
-        [ Dispatch { i_op = op; i_def = def; i_consumed = Treg.consumes def op } ]
-  )
+          Foreach
+            { i_op = op; i_arg = arg; i_body = Some (compile_block cx b) })
+      | _ -> fail op "transform.foreach must have one region")
+  | "transform.include" -> Some (compile_include cx op)
+  | name ->
+    Some
+      (match Treg.lookup name with
+      | None -> fail op "unknown transform operation %s (not registered)" name
+      | Some def ->
+        Dispatch
+          {
+            i_op = op;
+            i_def = specialize op def;
+            i_consumed = Treg.consumes def op;
+          })
 
-let count_instrs body =
-  let rec go (total, fallbacks) = function
-    | Dispatch _ -> (total + 1, fallbacks)
-    | Fallback _ -> (total + 1, fallbacks + 1)
-    | Include { i_body; _ } ->
-      Array.fold_left go (total + 1, fallbacks) i_body
+and compile_sequence cx op =
+  match op.Ircore.regions with
+  | [ r ] -> (
+    match Ircore.region_first_block r with
+    | None ->
+      Sequence { i_op = op; i_root = None; i_suppress = false; i_body = [||] }
+    | Some b ->
+      let root = match Ircore.block_args b with [ v ] -> Some v | _ -> None in
+      Sequence
+        {
+          i_op = op;
+          i_root = root;
+          i_suppress = suppresses op;
+          i_body = compile_block cx b;
+        })
+  | _ -> fail op "transform.sequence must have one region"
+
+and compile_include cx op =
+  match resolve_include cx.root op with
+  | Error msg -> Fail { i_op = op; i_msg = msg }
+  | Ok (name, target) -> (
+    match target.Ircore.regions with
+    | [ r ] -> (
+      let arity = Option.map Ircore.block_args (Ircore.region_first_block r) in
+      match arity with
+      | Some args when List.length args <> Ircore.num_operands op ->
+        fail op "include @%s: expected %d arguments, got %d" name
+          (List.length args) (Ircore.num_operands op)
+      | _ -> Include { i_op = op; i_callee = callee_index cx target r })
+    | _ -> fail op "named_sequence must have one region")
+
+(* the table index of [target], compiling its body on first use; the entry
+   exists before its body compiles, so a recursive include finds it *)
+and callee_index cx target r =
+  let rec find = function
+    | [] -> None
+    | (op, _) :: rest ->
+      if op == target then Some (List.length rest) else find rest
   in
-  Array.fold_left go (0, 0) body
+  match find cx.callees with
+  | Some i -> i
+  | None ->
+    let block = Ircore.region_first_block r in
+    let callee =
+      {
+        cl_args = (match block with Some b -> Ircore.block_args b | None -> []);
+        cl_body = [||];
+        cl_yield =
+          (match Option.bind block Ircore.block_last_op with
+          | Some y when y.Ircore.op_name = Ops.yield_op -> Some y
+          | _ -> None);
+      }
+    in
+    let index = List.length cx.callees in
+    cx.callees <- (target, callee) :: cx.callees;
+    callee.cl_body <- compile_region cx r;
+    index
 
-let compile ctx script =
-  ignore ctx;
-  let diags = Invalidation.analyze script in
-  if diags <> [] then
-    (* the static checker flagged a use-after-consume: interpret, so the
-       dynamic checker produces exactly the errors callers already expect *)
-    (diags, Interpreted "static use-after-consume diagnostics")
-  else
-    match Interp.find_entry script with
-    | None -> (diags, Interpreted "no entry point")
-    | Some entry -> (
-      let root = script_root entry in
-      let index, slot_count = build_slot_index script in
-      let finish kind body =
-        let instrs, fallbacks = count_instrs body in
-        ( diags,
-          Compiled
-            {
-              c_kind = kind;
-              c_body = body;
-              c_index = index;
-              c_slot_count = slot_count;
-              c_instrs = instrs;
-              c_static_fallbacks = fallbacks;
-            } )
-      in
-      match entry.Ircore.op_name with
-      | "transform.sequence" -> (
-        let suppress =
-          match Ircore.attr entry "failure_propagation" with
-          | Some (Attr.String "suppress") -> true
-          | _ -> false
-        in
-        if suppress then
-          (* transactional entry: keep the interpreter's checkpoint logic,
-             but still run on slot storage *)
-          finish Entry_top [| Fallback entry |]
-        else
-          match entry.Ircore.regions with
-          | [ r ] -> (
-            match Ircore.region_first_block r with
-            | None -> finish Entry_top [||]
-            | Some b ->
-              let e_root =
-                match Ircore.block_args b with [ v ] -> Some v | _ -> None
-              in
-              let body =
-                compile_block ~root ~stack:[] (Ircore.block_ops b)
-              in
-              finish
-                (Entry_seq { e_op = entry; e_root })
-                (Array.of_list body))
-          | _ -> (diags, Interpreted "malformed sequence entry"))
-      | _ -> (
-        match entry.Ircore.regions with
-        | [ r ] -> (
-          match Ircore.region_first_block r with
-          | None -> finish (Entry_named None) [||]
-          | Some b ->
-            let arg =
-              match Ircore.block_args b with v :: _ -> Some v | [] -> None
-            in
-            let body = compile_block ~root ~stack:[] (Ircore.block_ops b) in
-            finish (Entry_named arg) (Array.of_list body))
-        | _ -> (diags, Interpreted "malformed named_sequence entry")))
+let rec count_instrs body =
+  Array.fold_left (fun n i -> n + 1 + nested_instrs i) 0 body
+
+and nested_instrs = function
+  | Sequence { i_body; _ } | Foreach { i_body = Some i_body; _ } ->
+    count_instrs i_body
+  | Alternatives { i_regions; _ } ->
+    List.fold_left (fun n r -> n + count_instrs r) 0 i_regions
+  | Dispatch _ | Include _ | Foreach _ | Fail _ -> 0
+
+let compile_entry script entry =
+  let cx = { root = script_root entry; callees = [] } in
+  let root, body =
+    match entry.Ircore.op_name with
+    | "transform.sequence" -> (None, [| compile_sequence cx entry |])
+    | _ -> (
+      (* named_sequence entry: its first argument is the payload root *)
+      match entry.Ircore.regions with
+      | [ r ] -> (
+        match Ircore.region_first_block r with
+        | None -> (None, [||])
+        | Some b ->
+          ( (match Ircore.block_args b with v :: _ -> Some v | [] -> None),
+            compile_block cx b ))
+      | _ -> (None, [| fail entry "named_sequence must have one region" |]))
+  in
+  let callees = Array.of_list (List.rev_map snd cx.callees) in
+  let index, slot_count = build_slot_index script in
+  {
+    c_entry = entry;
+    c_root = root;
+    c_body = body;
+    c_callees = callees;
+    c_index = index;
+    c_slot_count = slot_count;
+    c_instrs =
+      Array.fold_left
+        (fun n c -> n + count_instrs c.cl_body)
+        (count_instrs body) callees;
+  }
+
+let compile script =
+  ( Invalidation.analyze script,
+    Option.map (compile_entry script) (Dispatch.find_entry script) )
 
 (* ------------------------------------------------------------------ *)
 (* Content-addressed cache                                             *)
@@ -364,155 +380,207 @@ let cache_capacity = ref 512
 let cache_size () = with_cache (fun () -> Hashtbl.length cache)
 let clear_cache () = with_cache (fun () -> Hashtbl.reset cache)
 
-let schedule_of ?(mode : mode = `Compile) ctx (script : Ircore.op) : t =
-  match mode with
-  | `Interpret ->
-    {
-      s_ctx = ctx;
-      s_script = script;
-      s_fingerprint = Fingerprint.op script;
-      s_entry = Interp.find_entry script;
-      s_diags = [];
-      s_form = Interpreted "interpretation requested";
-      s_flow = None;
-    }
-  | `Compile -> (
-    let fp = Fingerprint.op script in
-    match with_cache (fun () -> Hashtbl.find_opt cache fp) with
-    | Some cached ->
-      Stats.incr stat_cache_hits;
-      (* structurally identical script: the cached schedule (compiled
-         against its own copy of the script IR) applies unchanged *)
-      { cached with s_ctx = ctx }
-    | None ->
-      Stats.incr stat_cache_misses;
-      Stats.incr stat_compiles;
-      let t0 = Unix.gettimeofday () in
-      (* schedule compilation is itself an action: a vetoed compile (debug
-         counter) degrades to interpretation instead of running miscompiled
-         code half-built — and is never cached, so later uncounted runs
-         still compile *)
-      let skipped_reason = "schedule compilation skipped by action handler" in
-      let diags, form =
-        Action.run ~tag:"schedule.compile"
-          ~desc:(Fingerprint.to_hex fp) ~loc:script.Ircore.op_loc
-          ~root:script
-          ~skipped:([], Interpreted skipped_reason)
-          (fun () ->
-            Profiler.span ~cat:"schedule" "schedule.compile" @@ fun () ->
-            compile ctx script)
-      in
-      Stats.observe stat_compile_ms ((Unix.gettimeofday () -. t0) *. 1e3);
-      let action_skipped =
-        match form with
-        | Interpreted r -> String.equal r skipped_reason
-        | Compiled _ -> false
-      in
-      let s =
-        {
-          s_ctx = ctx;
-          s_script = script;
-          s_fingerprint = fp;
-          s_entry = Interp.find_entry script;
-          s_diags = diags;
-          s_form = form;
-          s_flow = None;
-        }
-      in
-      if not action_skipped then
-        with_cache (fun () ->
-            if Hashtbl.length cache >= !cache_capacity then begin
-              Stats.incr stat_evictions;
-              Hashtbl.reset cache
-            end;
-            Hashtbl.replace cache fp s);
-      s)
+let schedule_of ctx (script : Ircore.op) : t =
+  let fp = Fingerprint.op script in
+  match with_cache (fun () -> Hashtbl.find_opt cache fp) with
+  | Some cached ->
+    Stats.incr stat_cache_hits;
+    (* structurally identical script: the cached schedule (compiled
+       against its own copy of the script IR) applies unchanged *)
+    { cached with s_ctx = ctx }
+  | None ->
+    Stats.incr stat_cache_misses;
+    Stats.incr stat_compiles;
+    let t0 = Unix.gettimeofday () in
+    let diags, compiled =
+      Profiler.span ~cat:"schedule" "schedule.compile" @@ fun () ->
+      compile script
+    in
+    Stats.observe stat_compile_ms ((Unix.gettimeofday () -. t0) *. 1e3);
+    let s =
+      {
+        s_ctx = ctx;
+        s_fingerprint = fp;
+        s_diags = diags;
+        s_compiled = compiled;
+        s_flow = None;
+      }
+    in
+    with_cache (fun () ->
+        if Hashtbl.length cache >= !cache_capacity then begin
+          Stats.incr stat_evictions;
+          Hashtbl.reset cache
+        end;
+        Hashtbl.replace cache fp s);
+    s
 
-(** Lower [script] to a schedule. [`Compile] (default) consults the
-    content-addressed cache and compiles on miss; [`Interpret] returns an
-    uncached schedule whose {!apply} is exactly sequential interpretation.
-    [~flow:true] additionally runs the static annotation-flow checker
-    ({!Flowcheck.check}) over the script; a failing report makes {!apply}
-    return its structured diagnostics as a definite error before any
-    payload is touched. The flow report is attached fresh to the returned
-    schedule and never enters the schedule cache. *)
-let of_script ?(flow = false) ?mode ctx (script : Ircore.op) : t =
-  let s = schedule_of ?mode ctx script in
+(** Lower [script] to a schedule, consulting the content-addressed cache
+    and compiling on miss. [~flow:true] additionally runs the static
+    annotation-flow checker ({!Flowcheck.check}) over the script; a failing
+    report makes {!apply} return its structured diagnostics as a definite
+    error before any payload is touched. The flow report is attached fresh
+    to the returned schedule and never enters the schedule cache. *)
+let of_script ?(flow = false) ctx (script : Ircore.op) : t =
+  let s = schedule_of ctx script in
   if not flow then s else { s with s_flow = Some (Flowcheck.check script) }
 
 (* ------------------------------------------------------------------ *)
 (* Execution                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* per-instruction preamble, identical to Interp.run_op's: one step, one
-   ops_executed tick, one budget unit, one profiler span *)
+(* per-instruction preamble: one step, one ops_executed tick, one budget
+   unit, one profiler span *)
 let with_preamble st (op : Ircore.op) f =
   st.State.steps <- st.State.steps + 1;
-  Stats.incr Interp.stat_ops_executed;
+  Stats.incr Dispatch.stat_ops_executed;
   match Budget.step () with
   | Some reason ->
     Terror.silenceable ~loc:op.Ircore.op_loc
       "transform interpreter stopped: %s" reason
   | None -> Profiler.span ~cat:"transform" op.Ircore.op_name f
 
-let rec exec_instr st = function
-  | Fallback op ->
-    Stats.incr stat_fallbacks;
-    Interp.run_op st op
+(* copy the handle or parameter association of [src] to [dst], and its
+   annotations when they are checked (even when the lookup fails) *)
+let bind st ~src ~dst =
+  let bound =
+    if State.is_param_typ (Ircore.value_typ src) then
+      Result.map (State.set_params st dst) (State.lookup_params st src)
+    else Result.map (State.set_handle st dst) (State.lookup_handle st src)
+  in
+  if st.State.config.State.check_annotations then
+    State.copy_annots st ~src ~dst;
+  bound
+
+(* run [body] as a transaction: a silenceable failure rolls payload and
+   handles back to the checkpoint, re-marks the undone actions reverted
+   (the journal records what happened) and is counted and traced as
+   suppressed by [construct]; a definite error aborts without rollback *)
+let rec transaction callees st ~construct body =
+  let acur = Action.cursor () in
+  let ck = State.checkpoint st in
+  match exec_body callees st body with
+  | Ok () ->
+    State.discard_checkpoint ck;
+    Ok ()
+  | Error (Terror.Silenceable d) as e ->
+    State.rollback st ck;
+    Action.revert_since acur;
+    Stats.incr Dispatch.stat_suppressed;
+    Trace.record (Trace.Suppressed { su_construct = construct; su_diag = d });
+    e
+  | Error (Terror.Definite _) as e ->
+    State.discard_checkpoint ck;
+    e
+
+and exec_instr callees st = function
   | Dispatch { i_op; i_def; i_consumed } ->
     with_preamble st i_op @@ fun () ->
-    Interp.dispatch_registered ~consumed:i_consumed st i_def i_op
-  | Include { i_op; i_args; i_body; i_yield; i_callee = _ } ->
+    Dispatch.dispatch_registered ~consumed:i_consumed st i_def i_op
+  | Include { i_op; i_callee } ->
     with_preamble st i_op @@ fun () ->
-    (* bind arguments: copy handle/param associations, like run_include *)
-    let rec bind i = function
+    let callee = callees.(i_callee) in
+    let rec bind_args i = function
       | [] -> Ok ()
       | arg :: rest ->
-        let operand = Ircore.operand ~index:i i_op in
-        let* () =
-          if State.is_param_typ (Ircore.value_typ operand) then
-            let* ps = State.lookup_params st operand in
-            State.set_params st arg ps;
-            Ok ()
-          else
-            let* ops = State.lookup_handle st operand in
-            State.set_handle st arg ops;
-            Ok ()
-        in
-        if st.State.config.State.check_annotations then
-          State.copy_annots st ~src:operand ~dst:arg;
-        bind (i + 1) rest
+        let* () = bind st ~src:(Ircore.operand ~index:i i_op) ~dst:arg in
+        bind_args (i + 1) rest
     in
-    let* () = bind 0 i_args in
-    let* () = exec_body st i_body in
-    (* bind yielded values to include results *)
-    (match i_yield with
-    | Some y ->
-      List.iteri
-        (fun i yielded ->
-          if i < Ircore.num_results i_op then begin
-            (if State.is_param_typ (Ircore.value_typ yielded) then
-               match State.lookup_params st yielded with
-               | Ok ps -> State.set_params st (Ircore.result ~index:i i_op) ps
-               | Error _ -> ()
-             else
-               match State.lookup_handle st yielded with
-               | Ok ops -> State.set_handle st (Ircore.result ~index:i i_op) ops
-               | Error _ -> ());
-            if st.State.config.State.check_annotations then
-              State.copy_annots st ~src:yielded
-                ~dst:(Ircore.result ~index:i i_op)
-          end)
-        (Ircore.operands y)
-    | None -> ());
+    let* () = bind_args 0 callee.cl_args in
+    let* () = exec_body callees st callee.cl_body in
+    (* a yielded value that cannot be looked up leaves its result unbound *)
+    Option.iter
+      (fun y ->
+        List.iteri
+          (fun i yielded ->
+            if i < Ircore.num_results i_op then
+              ignore (bind st ~src:yielded ~dst:(Ircore.result ~index:i i_op)))
+          (Ircore.operands y))
+      callee.cl_yield;
     Ok ()
+  | Sequence { i_op; i_root; i_suppress; i_body } -> (
+    with_preamble st i_op @@ fun () ->
+    Option.iter
+      (fun root -> State.set_handle st root [ st.State.payload_root ])
+      i_root;
+    if not i_suppress then exec_body callees st i_body
+    else
+      match transaction callees st ~construct:Ops.sequence_op i_body with
+      | Error (Terror.Silenceable d) ->
+        (* failures(suppress): the rolled-back failure becomes a warning *)
+        Context.emit_diag st.State.ctx
+          (Diag.warning ~loc:(Diag.loc d)
+             ~notes:
+               (Diag.notes d
+               @ [
+                   Diag.note
+                     "suppressed by failures(suppress); payload rolled back";
+                 ])
+             "%s" (Diag.message d));
+        Ok ()
+      | r -> r)
+  | Alternatives { i_op; i_regions } -> (
+    with_preamble st i_op @@ fun () ->
+    (* regions in order until one succeeds; each starts from the payload
+       the op found, since a failed region is rolled back *)
+    let rec try_regions last = function
+      | [] ->
+        let notes =
+          match last with
+          | None -> []
+          | Some d ->
+            [ Diag.note "last alternative failed: %s" (Diag.message d) ]
+        in
+        Terror.silenceable_diag
+          (Diag.error ~loc:i_op.Ircore.op_loc ~notes "all alternatives failed")
+      | body :: rest -> (
+        match transaction callees st ~construct:Ops.alternatives_op body with
+        | Error (Terror.Silenceable d) -> try_regions (Some d) rest
+        | r -> r)
+    in
+    match i_regions with [] -> Ok () | _ -> try_regions None i_regions)
+  | Foreach { i_op; i_arg; i_body } -> (
+    with_preamble st i_op @@ fun () ->
+    (* iterate over a snapshot of the handle's payload list: the body may
+       rewrite the handle (via the tracking listener) while we iterate *)
+    let handle = Ircore.operand ~index:0 i_op in
+    let* payload = State.lookup_handle st handle in
+    match i_body with
+    | None -> Ok ()
+    | Some body ->
+      let rec go i = function
+        | [] -> Ok ()
+        | p :: rest ->
+          (* a previous iteration may have erased or invalidated this
+             payload op; fail cleanly instead of transforming a dangling
+             op *)
+          if not (State.payload_alive st p) then
+            Terror.silenceable ~loc:i_op.Ircore.op_loc
+              "transform.foreach: payload op #%d (%s) was erased or \
+               invalidated by a previous iteration"
+              i p.Ircore.op_name
+          else begin
+            Option.iter
+              (fun arg ->
+                State.set_handle st arg [ p ];
+                (* the iteration variable inherits the iterated handle's
+                   properties afresh each round *)
+                if st.State.config.State.check_annotations then
+                  State.copy_annots st ~src:handle ~dst:arg)
+              i_arg;
+            let* () = exec_body callees st body in
+            go (i + 1) rest
+          end
+      in
+      go 0 payload)
+  | Fail { i_op; i_msg } ->
+    with_preamble st i_op @@ fun () -> Terror.definite "%s" i_msg
 
-and exec_body st (body : instr array) =
+and exec_body callees st (body : instr array) =
   let n = Array.length body in
   let rec go i =
     if i >= n then Ok ()
     else
-      let* () = exec_instr st body.(i) in
+      let* () = exec_instr callees st body.(i) in
       go (i + 1)
   in
   go 0
@@ -521,53 +589,34 @@ let apply_compiled ~config ctx c ~payload =
   let st = State.create ~config ctx payload in
   State.install_slots st ~index:c.c_index ~count:c.c_slot_count;
   let result =
-    (* forced budget check at entry, mirroring Interp.apply_interpreted *)
+    (* forced budget check at entry: scripts too short for the amortized
+       deadline sampling still honor an expired deadline *)
     match Budget.checkpoint () with
     | Some reason ->
-      Terror.silenceable "transform interpreter stopped: %s" reason
-    | None -> (
-      match c.c_kind with
-      | Entry_top -> exec_body st c.c_body
-      | Entry_named arg ->
-        (match arg with
-        | Some root -> State.set_handle st root [ payload ]
-        | None -> ());
-        exec_body st c.c_body
-      | Entry_seq { e_op; e_root } ->
-        (* the sequence op itself is one interpreted step *)
-        with_preamble st e_op @@ fun () ->
-        (match e_root with
-        | Some root -> State.set_handle st root [ payload ]
-        | None -> ());
-        exec_body st c.c_body)
+      Terror.silenceable ~loc:c.c_entry.Ircore.op_loc
+        "transform interpreter stopped: %s" reason
+    | None ->
+      Option.iter (fun root -> State.set_handle st root [ payload ]) c.c_root;
+      exec_body c.c_callees st c.c_body
   in
-  match result with
-  | Ok () -> Ok st.State.steps
-  | Error e -> Error e
+  Result.map (fun () -> st.State.steps) result
 
-(** Apply a schedule to [payload]. Same contract as the interpreter:
-    returns the number of executed transform steps, or the first
-    silenceable/definite error. *)
+(** Apply a schedule to [payload]: returns the number of executed
+    transform steps, or the first silenceable/definite error. *)
 let apply ?(config = State.default_config) (s : t) ~payload :
     (int, Terror.t) result =
   Profiler.span ~cat:"schedule" "schedule.apply" @@ fun () ->
-  match s.s_flow with
-  | Some r when not (Flowcheck.ok r) ->
+  match (s.s_flow, s.s_compiled) with
+  | Some r, _ when not (Flowcheck.ok r) ->
     (* flow gate: statically unsound schedules never touch the payload *)
     Terror.definite_diag (Flowcheck.to_diag r)
-  | _ -> (
-    match s.s_form with
-    | Interpreted _ ->
-      Interp.apply_interpreted ~config s.s_ctx ~script:s.s_script ~payload
-    | Compiled c -> apply_compiled ~config s.s_ctx c ~payload)
+  | _, None ->
+    Terror.definite
+      "no transform entry point (sequence or @__transform_main) found"
+  | _, Some c -> apply_compiled ~config s.s_ctx c ~payload
 
-(** One-shot facade: compile (against the cache) and apply. Drop-in
-    replacement for the deprecated [Interp.apply];
-    [run ~mode:`Interpret] is exactly sequential interpretation, and
-    [run ~flow:true] rejects statically unsound annotation flow before
-    touching the payload. *)
-let run ?flow ?mode ?config ctx ~script ~payload =
-  apply ?config (of_script ?flow ?mode ctx script) ~payload
-
-(** Entry op of the script, as the interpreter would select it. *)
-let entry s = s.s_entry
+(** One-shot facade: compile (against the cache) and apply; [run
+    ~flow:true] rejects statically unsound annotation flow before touching
+    the payload. *)
+let run ?flow ?config ctx ~script ~payload =
+  apply ?config (of_script ?flow ctx script) ~payload

@@ -29,9 +29,8 @@ let default_config =
     SSA value of the transform script is numbered statically at compile
     time, so on the hot path the handle/param/consumed side tables become a
     single int→int probe (the slot index) plus array reads, instead of
-    separate hashtable probes per table. Values outside the index (none, for
-    a fully compiled script) fall back to the hashtables, so interpreter
-    fallback thunks and compiled instructions share one coherent state. *)
+    separate hashtable probes per table. Values outside the index fall back
+    to the hashtables. *)
 type slots = {
   sl_index : (int, int) Hashtbl.t;
       (** transform value id -> slot; owned by the schedule, read-only here *)

@@ -34,9 +34,10 @@ let run_one ctx ~simplify ~config_name ~iconfig () =
     | Ok _ -> ()
     | Error e -> failwith e);
   let md = Workloads.Matmul.build_module ~m:32 ~n:32 ~k:16 () in
+  Transform.Schedule.clear_cache ();
   let result, seconds =
     time (fun () ->
-        Transform.Schedule.run ~mode:`Interpret ~config:iconfig ctx ~script ~payload:md)
+        Transform.Schedule.run ~config:iconfig ctx ~script ~payload:md)
   in
   match result with
   | Ok steps -> { config = config_name; steps; seconds; ok = true }
@@ -84,9 +85,10 @@ let dynamic_check_overhead ctx =
         Transform.State.check_conditions = checks }
     in
     Gc.major ();
+    Transform.Schedule.clear_cache ();
     let (), t =
       time (fun () ->
-          match Transform.Schedule.run ~mode:`Interpret ~config ctx ~script ~payload:md with
+          match Transform.Schedule.run ~config ctx ~script ~payload:md with
           | Ok _ -> ()
           | Error e -> failwith (Transform.Terror.to_string e))
     in

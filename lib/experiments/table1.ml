@@ -1,14 +1,15 @@
 (** Experiment E1/E2 (Table 1, Figure 6): compile-time overhead of driving
-    the TOSA→Linalg pipeline through the transform interpreter instead of
-    the pass manager, on five synthetic ML models with the paper's op
-    counts. *)
+    the TOSA→Linalg pipeline through a transform script instead of the
+    pass manager, on five synthetic ML models with the paper's op counts.
+    The script's schedule cache is cleared before every run, so each run
+    pays script processing (fingerprint and compilation) too. *)
 
 
 type row = {
   model : string;
   num_ops : int;
   pm_seconds : float;  (** pass-manager compile time *)
-  tf_seconds : float;  (** transform-interpreter compile time *)
+  tf_seconds : float;  (** transform-script compile time *)
   overhead_pct : float;
   identical_ir : bool;
       (** both paths produced byte-identical final IR — the "identical
@@ -51,9 +52,10 @@ let run_model ?(reps = 5) ctx spec =
     let md = Workloads.Models.build spec in
     let script = Transform.From_pipeline.script_of_pipeline passes in
     Gc.major ();
+    Transform.Schedule.clear_cache ();
     let (), t =
       time (fun () ->
-          match Transform.Schedule.run ~mode:`Interpret ctx ~script ~payload:md with
+          match Transform.Schedule.run ctx ~script ~payload:md with
           | Ok _ -> ()
           | Error e ->
             failwith

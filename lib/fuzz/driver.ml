@@ -175,12 +175,6 @@ let run ?config ?(pipelines = Oracle.default_pipelines) ?(shrink = true)
     s_seconds = Unix.gettimeofday () -. t0;
   }
 
-(** Schedule-differential campaign: each case generates a fresh payload
-    module and applies one of the script variants
-    ({!Oracle.schedule_script}) both interpreted and compiled, requiring
-    identical outcomes and payload IR. Divergences are emitted as
-    diagnostics on [ctx]'s engine; no shrinking (the script, not the
-    module, is usually the culprit). *)
 (* flow-diff campaign tallies, visible under --stats and to tests *)
 let stat_flow_accepted =
   Ir.Stats.counter ~component:"fuzz" "flow_accepted"
@@ -233,39 +227,6 @@ let run_flow_diff ?config ?out_dir ?(max_failures = 10)
       failures :=
         { r_seed = seed; r_case = i; r_failure = f;
           r_minimized = f.Oracle.f_module; r_path = path; r_culprit = None }
-        :: !failures;
-      on_case i ~failed:true);
-    incr case
-  done;
-  {
-    s_cases = !case;
-    s_failures = List.rev !failures;
-    s_seconds = Unix.gettimeofday () -. t0;
-  }
-
-let run_schedule_diff ?config ?(max_failures = 10)
-    ?(on_case = fun _ ~failed:_ -> ()) ctx ~seed ~cases () =
-  let t0 = Unix.gettimeofday () in
-  let failures = ref [] in
-  let case = ref 0 in
-  while !case < cases && List.length !failures < max_failures do
-    let i = !case in
-    let m = module_for ?config ~seed ~case:i () in
-    let script = Oracle.schedule_script ~variant:i in
-    (match Oracle.schedule_differential ctx ~script m with
-    | Ok () -> on_case i ~failed:false
-    | Error f ->
-      Diag.emit (Context.diag_engine ctx)
-        (Diag.error
-           ~notes:
-             [
-               Diag.note "seed %d, case %d, script variant %d" seed i
-                 (i mod Oracle.schedule_script_variants);
-             ]
-           "fuzz oracle '%s' failed: %s" f.Oracle.f_oracle f.Oracle.f_detail);
-      failures :=
-        { r_seed = seed; r_case = i; r_failure = f;
-          r_minimized = f.Oracle.f_module; r_path = None; r_culprit = None }
         :: !failures;
       on_case i ~failed:true);
     incr case

@@ -199,16 +199,16 @@ let run_all ctx ?(pipelines = default_pipelines) m =
     (Ok ()) pipelines
 
 (* ------------------------------------------------------------------ *)
-(* Schedule differential: compiled vs interpreted transform execution   *)
+(* Schedule scripts: one per slice of the schedule compiler               *)
 (* ------------------------------------------------------------------ *)
 
-(** Transform scripts the schedule differential cycles through. Each
-    variant targets a distinct slice of the schedule compiler: pure
-    compiled dispatch, handle fan-out, consuming pass application,
-    interpreter-fallback constructs ([alternatives], nested suppress
-    sequences), compile-time [include] inlining, pre-frozen pattern sets
-    and loop transforms that fail silenceably on loop-free payloads —
-    failure parity is part of the contract. *)
+(** Transform scripts the golden outcome corpus
+    ([test/golden/schedule_outcomes.expected]) applies to generated
+    payloads. Each variant targets a distinct slice of the schedule
+    compiler: straight-line dispatch, handle fan-out, consuming pass
+    application, transactional constructs ([alternatives], nested suppress
+    sequences), [include] of a named sequence, pre-frozen pattern sets and
+    loop transforms that fail silenceably on loop-free payloads. *)
 let schedule_script_variants = 8
 
 let schedule_script ~variant =
@@ -224,7 +224,7 @@ let schedule_script ~variant =
         B.annotate rw ~name:"fuzz.arith" all)
   | 1 ->
     (* handle fan-out: split a two-op match; fails silenceably when the
-       payload has a different arith.addi count — parity either way *)
+       payload has a different arith.addi count *)
     B.script (fun rw root ->
         let adds = B.match_op rw ~name:"arith.addi" root in
         match B.split_handle rw ~n:2 adds with
@@ -236,7 +236,7 @@ let schedule_script ~variant =
         let next = B.apply_registered_pass rw ~pass_name:"canonicalize" root in
         ignore (B.apply_registered_pass rw ~pass_name:"cse" next))
   | 3 ->
-    (* interpreter fallback: transactional alternatives *)
+    (* transactional alternatives *)
     B.script (fun rw root ->
         B.alternatives rw
           [
@@ -245,7 +245,7 @@ let schedule_script ~variant =
             (fun brw -> ignore (B.match_op brw ~name:"func.func" root));
           ])
   | 4 ->
-    (* interpreter fallback: nested suppress sequence *)
+    (* nested suppress sequence *)
     B.script (fun rw _root ->
         ignore
           (B.nested_sequence rw ~failure_propagation:"suppress"
@@ -254,7 +254,7 @@ let schedule_script ~variant =
                  (B.apply_registered_pass brw ~pass_name:"canonicalize"
                     seq_root))))
   | 5 ->
-    (* compile-time include inlining with a yielded handle *)
+    (* include of a named sequence yielding a handle *)
     let m =
       B.script (fun rw root ->
           let inc = B.include_ rw ~target:"helper" [ root ] ~results:1 in
@@ -279,48 +279,6 @@ let schedule_script ~variant =
         let loops = B.match_op rw ~name:"scf.for" root in
         B.loop_unroll rw ~factor:2 loops)
 
-let schedule_outcome_to_string = function
-  | Ok steps -> Fmt.str "ok after %d steps" steps
-  | Error e ->
-    Fmt.str "%s error: %s"
-      (if Transform.Terror.is_silenceable e then "silenceable" else "definite")
-      (Transform.Terror.to_string e)
-
-(** Apply [script] to two clones of [m], once interpreted and once through
-    a freshly compiled (uncached) schedule, and require identical outcomes
-    — same success/error and step count — and byte-identical payload IR. *)
-let schedule_differential ctx ~script m =
-  let module_text = Printer.op_to_string m in
-  let m_interp = Ircore.clone_op m and m_compiled = Ircore.clone_op m in
-  let r_interp =
-    Transform.Schedule.run ~mode:`Interpret ctx ~script ~payload:m_interp
-  in
-  let schedule = Transform.Schedule.of_script ctx script in
-  let r_compiled = Transform.Schedule.apply schedule ~payload:m_compiled in
-  let outcomes_agree =
-    match (r_interp, r_compiled) with
-    | Ok a, Ok b -> a = b
-    | Error a, Error b ->
-      Transform.Terror.is_silenceable a = Transform.Terror.is_silenceable b
-      && String.equal (Transform.Terror.to_string a)
-           (Transform.Terror.to_string b)
-    | _ -> false
-  in
-  if not outcomes_agree then
-    fail ~oracle:"schedule-differential" ~module_text
-      "outcomes diverge: interpreted %s, compiled %s"
-      (schedule_outcome_to_string r_interp)
-      (schedule_outcome_to_string r_compiled)
-  else
-    let s_interp = Printer.op_to_string m_interp in
-    let s_compiled = Printer.op_to_string m_compiled in
-    if String.equal s_interp s_compiled then Ok ()
-    else
-      fail ~oracle:"schedule-differential" ~module_text
-        "payload IR diverges after %s\ninterpreted:\n%s\ncompiled:\n%s"
-        (schedule_outcome_to_string r_interp)
-        s_interp s_compiled
-
 (* ------------------------------------------------------------------ *)
 (* Flow differential: static annotation-flow checker vs the dynamic one *)
 (* ------------------------------------------------------------------ *)
@@ -328,8 +286,8 @@ let schedule_differential ctx ~script m =
 type flow_outcome =
   | Flow_rejected  (** statically rejected: nothing to compare *)
   | Flow_agreed
-      (** statically accepted, and neither execution mode raised a
-          definite annotation-requirement error *)
+      (** statically accepted, and the run raised no definite
+          annotation-requirement error *)
 
 let annot_config =
   {
@@ -353,34 +311,24 @@ let dynamic_requirement_error = function
 
 (** The differential property of the annotation-flow checker: a script the
     static checker accepts must never fail a {e dynamic} annotation
-    requirement, in either execution mode. One case = one (script,
-    payload) pair; the reproducer text is the script, not the payload. *)
+    requirement. One case = one (script, payload) pair; the reproducer
+    text is the script, not the payload. *)
 let flow_diff ctx ~script m : (flow_outcome, failure) result =
   let script_text = Printer.op_to_string script in
   let r = Transform.Flowcheck.check script in
   if not (Transform.Flowcheck.ok r) then Ok Flow_rejected
   else
-    let check_mode label outcome =
-      match dynamic_requirement_error outcome with
-      | None -> Ok ()
-      | Some detail ->
-        fail ~oracle:"flow-diff" ~module_text:script_text
-          "statically accepted script failed a dynamic annotation \
-           requirement (%s execution): %s"
-          label detail
-    in
-    let ( let* ) = Result.bind in
-    let* () =
-      check_mode "interpreted"
-        (Transform.Schedule.run ~mode:`Interpret ~config:annot_config ctx
-           ~script ~payload:(Ircore.clone_op m))
-    in
-    let* () =
-      check_mode "compiled"
-        (Transform.Schedule.run ~mode:`Compile ~config:annot_config ctx
-           ~script ~payload:(Ircore.clone_op m))
-    in
-    Ok Flow_agreed
+    match
+      dynamic_requirement_error
+        (Transform.Schedule.run ~config:annot_config ctx ~script
+           ~payload:(Ircore.clone_op m))
+    with
+    | None -> Ok Flow_agreed
+    | Some detail ->
+      fail ~oracle:"flow-diff" ~module_text:script_text
+        "statically accepted script failed a dynamic annotation \
+         requirement: %s"
+        detail
 
 (** Re-runnable check for the shrinker: does [m] still exhibit a failure of
     the same oracle (and pipeline, if any)? *)

@@ -134,7 +134,7 @@ type engine = { mutable handlers : handler list }
 
 let engine () = { handlers = [] }
 
-(** Fallback when no handler is installed: print to stderr. *)
+(** Default when no handler is installed: print to stderr. *)
 let default_handler d = Fmt.epr "%a@." pp d
 
 (* Domain-local capture, consulted before the engine's handler stack. The

@@ -17,7 +17,7 @@ let outcome = function
          (String.split_on_char '\n' (Transform.Terror.to_string e)))
 
 let record id ~seed ~case script payload =
-  let r = Transform.Schedule.run ~mode:`Interpret ctx ~script ~payload in
+  let r = Transform.Schedule.run ctx ~script ~payload in
   Fmt.pr "%s %s %s %s %s@." id seed case (outcome r)
     (Fingerprint.to_hex (Fingerprint.op payload))
 

@@ -126,29 +126,6 @@ let test_smoke_corpus () =
       Fuzz.Oracle.pp_failure f.Fuzz.Driver.r_failure f.Fuzz.Driver.r_minimized);
   check ci "all cases ran" 200 stats.Fuzz.Driver.s_cases
 
-(* ---------------- schedule differential ---------------- *)
-
-let test_schedule_diff_clean_case () =
-  (* one case per script variant: compiled and interpreted execution must
-     agree on every variant shape even before the big campaign runs *)
-  for v = 0 to Fuzz.Oracle.schedule_script_variants - 1 do
-    let m = Fuzz.Driver.module_for ~seed:7 ~case:v () in
-    let script = Fuzz.Oracle.schedule_script ~variant:v in
-    match Fuzz.Oracle.schedule_differential ctx ~script m with
-    | Ok () -> ()
-    | Error f ->
-      Alcotest.failf "variant %d: %a" v Fuzz.Oracle.pp_failure f
-  done
-
-let test_schedule_diff_campaign () =
-  let stats = Fuzz.Driver.run_schedule_diff ctx ~seed:42 ~cases:500 () in
-  (match stats.Fuzz.Driver.s_failures with
-  | [] -> ()
-  | f :: _ ->
-    Alcotest.failf "case %d: %a" f.Fuzz.Driver.r_case Fuzz.Oracle.pp_failure
-      f.Fuzz.Driver.r_failure);
-  check ci "all cases ran" 500 stats.Fuzz.Driver.s_cases
-
 (* ---------------- flow differential ---------------- *)
 
 let test_script_gen_deterministic () =
@@ -205,12 +182,6 @@ let () =
           Alcotest.test_case "reproducer-replayable" `Quick
             test_reproducer_replayable;
           Alcotest.test_case "smoke-corpus-200" `Slow test_smoke_corpus;
-        ] );
-      ( "schedule-diff",
-        [
-          Alcotest.test_case "one-case-per-variant" `Quick
-            test_schedule_diff_clean_case;
-          Alcotest.test_case "campaign-500" `Slow test_schedule_diff_campaign;
         ] );
       ( "flow-diff",
         [

@@ -60,28 +60,22 @@ let test_alloca_has_size_operand () =
    loop nested inside it survived State.prune as a detached corpse (its
    op_parent still pointed into the erased region). The next transform on
    the same handle then indexed operand 0 of the corpse and raised
-   Invalid_argument. Both schedule forms must now run the script cleanly
-   and keep only the genuinely live loop in the payload. *)
+   Invalid_argument. The script must now run cleanly and keep only the
+   genuinely live loop in the payload. *)
 let test_stale_loop_handle () =
-  let script () =
+  let script =
     parse_file "regressions/flowdiff-seed7-stale-loop-handle-script.mlir"
   in
-  let payload () =
-    parse_file "regressions/flowdiff-seed7-stale-loop-handle.mlir"
-  in
-  List.iter
-    (fun mode ->
-      let m = payload () in
-      (match Transform.Schedule.run ~mode ctx ~script:(script ()) ~payload:m with
-      | Ok _ -> ()
-      | Error e ->
-        Alcotest.failf "stale-handle script failed: %s"
-          (Transform.Terror.to_string e));
-      (* the single-trip middle loop must be gone, and its spliced body
-         (plus tiling) accounts for every remaining loop *)
-      check cb "canonicalize erased the single-trip loop" true
-        (count "scf.for" m >= 2))
-    [ `Interpret; `Compile ]
+  let m = parse_file "regressions/flowdiff-seed7-stale-loop-handle.mlir" in
+  (match Transform.Schedule.run ctx ~script ~payload:m with
+  | Ok _ -> ()
+  | Error e ->
+    Alcotest.failf "stale-handle script failed: %s"
+      (Transform.Terror.to_string e));
+  (* the single-trip middle loop must be gone, and its spliced body (plus
+     tiling) accounts for every remaining loop *)
+  check cb "canonicalize erased the single-trip loop" true
+    (count "scf.for" m >= 2)
 
 let () =
   Alcotest.run "regressions"

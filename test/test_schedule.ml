@@ -1,170 +1,66 @@
-(* Compiled transform schedules (Transform.Schedule): compiled-vs-interpreted
-   parity on realistic scripts, degradation to interpretation on statically
-   invalid scripts (error parity with the dynamic checker), the
-   content-addressed cache keyed by Ir.Fingerprint, and the fingerprint's
-   stability across textual roundtrips. *)
+(* Transform.Schedule: use-after-consume and transactional scripts, the
+   cache keyed by Ir.Fingerprint and the fingerprint's roundtrip stability.
+   Script outcomes are pinned by test/golden/schedule_outcomes.expected. *)
 
 open Ir
 open Testutil
+module B = Transform.Build
 
 let cs = Alcotest.string
 
-let counter name =
-  match Stats.find_counter ~component:"schedule" name with
+let counter ?(component = "schedule") name =
+  match Stats.find_counter ~component name with
   | Some c -> c
-  | None -> Alcotest.failf "no schedule/%s counter" name
+  | None -> Alcotest.failf "no %s/%s counter" component name
 
-(* apply [script] to clones of [payload] through both modes; return the two
-   outcomes and printed payloads *)
-let both_modes script payload =
-  let mi = Ircore.clone_op payload and mc = Ircore.clone_op payload in
-  let ri = Transform.Schedule.run ~mode:`Interpret ctx ~script ~payload:mi in
-  let rc = Transform.Schedule.run ~mode:`Compile ctx ~script ~payload:mc in
-  ((ri, Printer.op_to_string mi), (rc, Printer.op_to_string mc))
+(* ---------------- degradation ---------------- *)
 
-let check_parity what script payload =
-  let (ri, si), (rc, sc) = both_modes script payload in
-  (match (ri, rc) with
-  | Ok a, Ok b -> check ci (what ^ ": same steps") a b
-  | Error a, Error b ->
-    check cs
-      (what ^ ": same error")
-      (Transform.Terror.to_string a)
-      (Transform.Terror.to_string b)
-  | Ok _, Error e ->
-    Alcotest.failf "%s: interpreted ok, compiled failed: %s" what
-      (Transform.Terror.to_string e)
-  | Error e, Ok _ ->
-    Alcotest.failf "%s: compiled ok, interpreted failed: %s" what
-      (Transform.Terror.to_string e));
-  check cs (what ^ ": same payload IR") si sc
-
-(* ---------------- parity on realistic scripts ---------------- *)
-
-let test_parity_cs2_pipeline () =
-  (* Case Study 2's lowering expressed as a transform script (the
-     From_pipeline conversion): a chain of consuming pass applications *)
-  let script =
-    match
-      Transform.From_pipeline.script_of_pipeline_str
-        (String.concat "," Workloads.Subview_kernel.naive_pipeline)
-    with
-    | Ok s -> s
-    | Error e -> Alcotest.failf "pipeline conversion: %s" (Diag.to_string e)
+let test_consumed_script () =
+  (* statically flagged, still compiled: the run stops at the reuse *)
+  let s =
+    Transform.Schedule.of_script ctx
+      (B.script (fun rw root ->
+           let loop = B.match_op rw ~name:"scf.for" root in
+           ignore (B.loop_tile rw ~sizes:[ 4 ] loop);
+           B.loop_unroll rw ~factor:2 loop))
   in
-  check_parity "cs2" script
-    (Workloads.Subview_kernel.build Workloads.Subview_kernel.Static_offset)
-
-let test_parity_loop_script () =
-  (* tile + unroll on the matmul workload, Case-Study-4 style *)
-  let script =
-    Transform.Build.script (fun rw root ->
-        let loop =
-          Transform.Build.match_op rw ~select:"first" ~name:"scf.for" root
-        in
-        let outer, _inner = Transform.Build.loop_tile rw ~sizes:[ 4 ] loop in
-        Transform.Build.loop_unroll rw ~factor:2 outer)
-  in
-  check_parity "tile+unroll" script (matmul ())
-
-let test_parity_patterns () =
-  (* apply_patterns: the compiled form pre-freezes the pattern set *)
-  let script =
-    Transform.Build.script (fun rw root ->
-        Transform.Build.apply_patterns rw root
-          (match Dialects.Shlo_patterns.names () with
-          | a :: b :: c :: _ -> [ a; b; c ]
-          | names -> names))
-  in
-  check_parity "patterns" script (matmul ())
-
-let test_parity_include () =
-  (* include is inlined at compile time; handle-yield binding must match
-     the interpreter's *)
-  let script =
-    Transform.Build.script (fun rw root ->
-        let inc =
-          Transform.Build.include_ rw ~target:"helper" [ root ] ~results:1
-        in
-        Transform.Build.annotate rw ~name:"test.outer"
-          (Ircore.result ~index:0 inc))
-  in
-  ignore
-    (Transform.Build.named_sequence script ~name:"helper" ~num_args:1
-       (fun rw args ->
-         let loops =
-           Transform.Build.match_op rw ~name:"scf.for" (List.hd args)
-         in
-         Transform.Build.annotate rw ~name:"test.inner" loops;
-         [ loops ]));
-  let s = Transform.Schedule.of_script ctx script in
-  check cb "include script compiles" true (Transform.Schedule.is_compiled s);
-  check cb "include body is inlined, not a fallback" true
-    (Transform.Schedule.fallback_count s = 0);
-  check_parity "include" script (matmul ())
-
-let test_parity_silenceable_failure () =
-  (* split_handle with the wrong arity fails silenceably; both modes must
-     produce the identical error *)
-  let script =
-    Transform.Build.script (fun rw root ->
-        let adds = Transform.Build.match_op rw ~name:"arith.addi" root in
-        ignore (Transform.Build.split_handle rw ~n:7 adds))
-  in
-  check_parity "split-mismatch" script (matmul ())
-
-(* ---------------- degradation and error parity ---------------- *)
-
-let test_consumed_script_interprets () =
-  (* the static checker flags reuse-after-consume; the schedule must refuse
-     to compile and report exactly what the dynamic checker reports *)
-  let script =
-    Transform.Build.script (fun rw root ->
-        let loop = Transform.Build.match_op rw ~name:"scf.for" root in
-        ignore (Transform.Build.loop_tile rw ~sizes:[ 4 ] loop);
-        (* loop was consumed by tile *)
-        Transform.Build.loop_unroll rw ~factor:2 loop)
-  in
-  let s = Transform.Schedule.of_script ctx script in
-  check cb "degrades to interpretation" false (Transform.Schedule.is_compiled s);
-  check cb "static diagnostics surface" true
-    (Transform.Schedule.static_diags s <> []);
-  check_parity "use-after-consume" script (matmul ())
+  check cb "static diagnostics" true (Transform.Schedule.static_diags s <> []);
+  match Transform.Schedule.apply s ~payload:(matmul ()) with
+  | Ok _ -> Alcotest.fail "use after consume succeeded"
+  | Error e ->
+    check cb "consumed-handle error" true
+      (contains (Transform.Terror.message e) "(handle consumed)")
 
 let test_fallback_constructs () =
-  (* alternatives and nested suppress sequences execute as interpreter
-     fallbacks inside an otherwise compiled schedule *)
-  let script =
-    Transform.Build.script (fun rw root ->
-        let funcs = Transform.Build.match_op rw ~name:"func.func" root in
-        Transform.Build.annotate rw ~name:"test.pre" funcs;
-        Transform.Build.alternatives rw
-          [
-            (fun brw ->
-              ignore
-                (Transform.Build.apply_registered_pass brw
-                   ~pass_name:"canonicalize" root));
-          ])
+  (* alternatives and failures(suppress) compile to nested bodies; their
+     failed parts fall back to the next region or a warning *)
+  let split7 brw root = ignore (B.split_handle brw ~n:7 root) in
+  let s =
+    Transform.Schedule.of_script ctx
+      (B.script (fun rw root ->
+           B.alternatives rw
+             [
+               (fun brw -> split7 brw root);
+               (fun brw -> B.annotate brw ~name:"b" root);
+             ];
+           ignore (B.nested_sequence rw ~failure_propagation:"suppress" split7)))
   in
-  let s = Transform.Schedule.of_script ctx script in
-  check cb "compiles" true (Transform.Schedule.is_compiled s);
-  check cb "has a fallback instr" true (Transform.Schedule.fallback_count s > 0);
-  let fallbacks_before = Stats.value (counter "fallbacks") in
+  check ci "instructions, nested included" 5 (Transform.Schedule.instr_count s);
+  let suppressed = counter ~component:"transform" "silenceable_suppressed" in
+  let before = Stats.value suppressed in
   (match Transform.Schedule.apply s ~payload:(matmul ()) with
-  | Ok _ -> ()
+  | Ok steps -> check ci "one step per instruction" 5 steps
   | Error e -> Alcotest.failf "apply: %s" (Transform.Terror.to_string e));
-  check cb "fallback counter ticks" true
-    (Stats.value (counter "fallbacks") > fallbacks_before);
-  check_parity "alternatives" script (matmul ())
+  check ci "two failures suppressed" (before + 2) (Stats.value suppressed)
 
 (* ---------------- cache ---------------- *)
 
 let test_cache_hit_on_reapply () =
   Transform.Schedule.clear_cache ();
   let script =
-    Transform.Build.script (fun rw root ->
-        let funcs = Transform.Build.match_op rw ~name:"func.func" root in
-        Transform.Build.annotate rw ~name:"test.cached" funcs)
+    B.script (fun rw root ->
+        let funcs = B.match_op rw ~name:"func.func" root in
+        B.annotate rw ~name:"test.cached" funcs)
   in
   let hits0 = Stats.value (counter "cache_hits") in
   let misses0 = Stats.value (counter "cache_misses") in
@@ -183,9 +79,9 @@ let test_cache_hit_on_reapply () =
 let test_cache_hits_across_reparse () =
   Transform.Schedule.clear_cache ();
   let script =
-    Transform.Build.script (fun rw root ->
-        let funcs = Transform.Build.match_op rw ~name:"func.func" root in
-        Transform.Build.annotate rw ~name:"test.reparsed" funcs)
+    B.script (fun rw root ->
+        let funcs = B.match_op rw ~name:"func.func" root in
+        B.annotate rw ~name:"test.reparsed" funcs)
   in
   ignore (Transform.Schedule.of_script ctx script);
   let hits0 = Stats.value (counter "cache_hits") in
@@ -233,33 +129,17 @@ let test_fingerprint_roundtrip_stable () =
   stable "payload" (matmul ())
 
 let test_fingerprint_discriminates () =
-  let s1 =
-    Transform.Build.script (fun rw root ->
-        Transform.Build.annotate rw ~name:"a" root)
-  in
-  let s2 =
-    Transform.Build.script (fun rw root ->
-        Transform.Build.annotate rw ~name:"b" root)
-  in
+  let s1 = B.script (fun rw root -> B.annotate rw ~name:"a" root) in
+  let s2 = B.script (fun rw root -> B.annotate rw ~name:"b" root) in
   check cb "different scripts, different fingerprints" false
     (Fingerprint.equal (Fingerprint.op s1) (Fingerprint.op s2))
 
 let () =
   Alcotest.run "schedule"
     [
-      ( "parity",
-        [
-          Alcotest.test_case "cs2-pipeline" `Quick test_parity_cs2_pipeline;
-          Alcotest.test_case "tile-unroll" `Quick test_parity_loop_script;
-          Alcotest.test_case "apply-patterns" `Quick test_parity_patterns;
-          Alcotest.test_case "include-inlined" `Quick test_parity_include;
-          Alcotest.test_case "silenceable-failure" `Quick
-            test_parity_silenceable_failure;
-        ] );
       ( "degradation",
         [
-          Alcotest.test_case "use-after-consume" `Quick
-            test_consumed_script_interprets;
+          Alcotest.test_case "use-after-consume" `Quick test_consumed_script;
           Alcotest.test_case "fallback-constructs" `Quick
             test_fallback_constructs;
         ] );
