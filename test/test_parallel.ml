@@ -4,7 +4,7 @@
    - the five Table-1 models lower to byte-identical IR at any job count;
    - diagnostics from per-function failures replay in source order, and
      the reported failure is the first failing function in source order,
-     regardless of domain interleaving;
+     regardless of domain interleaving; so do remarks and trace events;
    - a shared budget binds globally: exhaustion on one domain stops the
      whole fan-out with the same diagnostic the sequential run reports;
    - a 64-function canonicalize stress survives the fuzz oracle families
@@ -149,6 +149,73 @@ let test_deterministic_diags () =
   (* and the merge is reproducible run-to-run *)
   let _, par_diags' = run_with_captured_diags 4 pass (eight_funcs ()) in
   check Alcotest.(list string) "replay is reproducible" par_diags par_diags'
+
+(* ------------------------------------------------------------------ *)
+(* deterministic remark and trace streams                               *)
+(* ------------------------------------------------------------------ *)
+
+(* a variant of [visiting_pass] that reports one Passed remark per
+   function and then canonicalizes what it was handed, so every worker
+   emits both remarks and greedy trace events *)
+let remarking_pass =
+  Passes.Pass.make ~name:"test-remark" ~function_parallel:true
+    (fun ctx op ->
+      let funcs =
+        if op.Ircore.op_name = "func.func" then [ op ]
+        else Symbol.collect_ops ~op_name:"func.func" op
+      in
+      List.iter
+        (fun f ->
+          Remark.emit
+            (Remark.passed ~pass:"test-remark" "visited %s"
+               (Dialects.Func.name f)))
+        funcs;
+      (Passes.Pass.lookup_exn "canonicalize").Passes.Pass.run ctx op)
+
+(* run [remarking_pass] on [eight_funcs] at [jobs]; returns the remark
+   messages in emission order and the rendered trace *)
+let run_streams jobs =
+  let ctx = Transform.Register.full_context () in
+  let md = eight_funcs () in
+  let sink = Trace.create () and remarks = ref [] in
+  (match
+     with_jobs jobs (fun () ->
+         Remark.with_handler
+           (fun r -> remarks := r :: !remarks)
+           (fun () ->
+             Trace.with_sink sink (fun () ->
+                 Passes.Pass.run_pipeline ctx [ remarking_pass ] md)))
+   with
+  | Ok _ -> ()
+  | Error d -> Alcotest.fail (Diag.to_string d));
+  ( List.rev_map (fun r -> r.Remark.r_message) !remarks,
+    Trace.to_json sink )
+
+let test_deterministic_streams () =
+  let source_order = List.init 8 (Printf.sprintf "visited m_%d") in
+  let traces =
+    List.map
+      (fun jobs ->
+        let remarks, trace = run_streams jobs in
+        check
+          Alcotest.(list string)
+          (Fmt.str "remarks in source order at jobs=%d" jobs)
+          source_order remarks;
+        Json.to_string trace)
+      [ 1; 2; 4; 4 ]
+  in
+  (* jobs=1 hands canonicalize the whole module (one greedy event); the
+     parallel schedules run it once per function and replay the events
+     in source order *)
+  match traces with
+  | [ _; t2; t4; t4' ] ->
+    check cs "trace at jobs=2 = trace at jobs=4" t2 t4;
+    check cs "trace at jobs=4 is reproducible" t4 t4';
+    (match Json.parse t4 with
+    | Ok (Json.List events) ->
+      check ci "one greedy event per function" 8 (List.length events)
+    | _ -> Alcotest.fail "trace is not a JSON list")
+  | _ -> assert false
 
 (* ------------------------------------------------------------------ *)
 (* shared budget: exhaustion on one domain stops all workers            *)
@@ -306,6 +373,8 @@ let () =
       ( "determinism",
         [
           Alcotest.test_case "diag-order" `Quick test_deterministic_diags;
+          Alcotest.test_case "remark-trace-streams" `Quick
+            test_deterministic_streams;
           Alcotest.test_case "fuzz-campaign-parity" `Quick
             test_fuzz_campaign_parity;
         ] );
