@@ -12,8 +12,8 @@
       (stderr); the default [changed] mode skips passes that left the
       module fingerprint-identical, [always] restores unconditional dumps;
     - [--action-journal[=PATH]] records every transformation unit (pass,
-      pattern, fold, DCE, transform dispatch, schedule compilation) routed
-      through {!Ir.Action} as one JSONL line;
+      pattern, fold, DCE, transform dispatch) routed through {!Ir.Action}
+      as one JSONL line;
     - [--debug-counter=TAG:SKIP,COUNT] skips the first SKIP actions of TAG,
       executes the next COUNT and skips the rest (MLIR DebugCounter
       semantics) — the manual bisection knob for "which rewrite broke it";
@@ -25,11 +25,11 @@
       [otd-check --provenance]);
     - [--trace[=text|json]] prints the execution trace (transform ops with
       handle payload sizes, suppressed silenceable errors, greedy-driver
-      stats, per-pass events) — both forms go to stderr: [--trace] /
-      [--trace=text] renders the human-readable listing, [--trace=json]
-      reuses the {!Ir.Trace.to_json} rendering;
+      stats) — both forms go to stderr: [--trace] / [--trace=text] renders
+      the human-readable listing, [--trace=json] reuses the
+      {!Ir.Trace.to_json} rendering;
     - [--profile[=PATH]] records nested profiler spans (pipeline → pass →
-      greedy driver, transform-interpreter ops) and writes Chrome
+      greedy driver, transform ops) and writes Chrome
       trace-event JSON to $(i,PATH) (default [profile.json]) — load it at
       [ui.perfetto.dev] or [chrome://tracing];
     - [--stats[=text|json]] prints the global statistics registry
@@ -43,7 +43,11 @@
       JSON object carrying diagnostics, trace, timing, remarks, stats and
       the final IR;
     - [--reproducer PATH] writes a crash reproducer on pass failure; a
-      reproducer file fed back to otd-opt replays its embedded pipeline. *)
+      reproducer file fed back to otd-opt replays its embedded pipeline.
+
+    Trace events and remarks are notes in the {!Ir.Action} context, so
+    [--trace], [--remarks] and [--diagnostics=json] install one like the
+    action flags do; a run with none of them pays no action journal. *)
 
 open Cmdliner
 
@@ -275,21 +279,11 @@ let run input pipeline transform_file flow_check no_verify list_passes timing
                      (if Transform.Terror.is_silenceable e then "silenceable"
                       else "definite"))))
         in
-        let sink = Ir.Trace.create () in
         let profiler = Option.map (fun _ -> Ir.Profiler.create ()) profile in
-        let captured_remarks = ref [] in
         let with_profiler f =
           match profiler with
           | None -> f ()
           | Some p -> Ir.Profiler.with_profiler p f
-        in
-        let with_remarks f =
-          match remark_kinds with
-          | None -> f ()
-          | Some _ ->
-            Ir.Remark.with_handler
-              (fun r -> captured_remarks := r :: !captured_remarks)
-              f
         in
         let with_budget f =
           if max_steps = None && deadline_ms = None then f ()
@@ -298,10 +292,12 @@ let run input pipeline transform_file flow_check no_verify list_passes timing
               (Ir.Budget.create ?max_steps ?deadline_ms ())
               f
         in
-        (* action context: built when any action-framework flag is given *)
+        (* action context: built when any action-framework flag is given
+           or something reads the trace or remarks it records *)
         let actx =
           if
-            counters = [] && action_journal = None
+            trace = None && remark_kinds = None && (not json_mode)
+            && counters = [] && action_journal = None
             && print_ir_after_change = None
             && snapshot_after_change = None
             && provenance_path = None
@@ -341,14 +337,10 @@ let run input pipeline transform_file flow_check no_verify list_passes timing
           try
             with_budget (fun () ->
                 with_profiler (fun () ->
-                    with_remarks (fun () ->
-                        with_action (fun () ->
-                            Ir.Trace.with_sink sink (fun () ->
-                                Result.bind (verify ()) (fun () ->
-                                    Result.bind (apply_pipeline ())
-                                      (fun () ->
-                                        Result.bind (apply_transform ())
-                                          verify)))))))
+                    with_action (fun () ->
+                        Result.bind (verify ()) (fun () ->
+                            Result.bind (apply_pipeline ()) (fun () ->
+                                Result.bind (apply_transform ()) verify)))))
           with Sys.Break ->
             Error
               "interrupted (SIGINT): partial action journals, traces and \
@@ -363,12 +355,16 @@ let run input pipeline transform_file flow_check no_verify list_passes timing
         (match (profiler, profile) with
         | Some p, Some path -> Ir.Profiler.write p ~path
         | _ -> ());
-        let selected_remarks =
-          match remark_kinds with
-          | None -> []
-          | Some kinds ->
-            Ir.Remark.filter ~kinds ?filter:remark_re
-              (List.rev !captured_remarks)
+        let traces, selected_remarks =
+          match actx with
+          | None -> ([], [])
+          | Some t ->
+            ( Ir.Action.traces t,
+              match remark_kinds with
+              | None -> []
+              | Some kinds ->
+                Ir.Remark.filter ~kinds ?filter:remark_re
+                  (Ir.Action.remarks t) )
         in
         (* human-readable reports on stderr *)
         if not json_mode then begin
@@ -382,9 +378,9 @@ let run input pipeline transform_file flow_check no_verify list_passes timing
                 Passes.Pass.pp_op_deltas deltas
           | _ -> ());
           (match trace with
-          | Some "json" -> Fmt.epr "%a@." Ir.Json.pp (Ir.Trace.to_json sink)
+          | Some "json" -> Fmt.epr "%a@." Ir.Json.pp (Ir.Trace.to_json traces)
           | Some _ ->
-            Fmt.epr "// -----// trace //----- //@.%a@." Ir.Trace.pp sink
+            Fmt.epr "// -----// trace //----- //@.%a@." Ir.Trace.pp traces
           | None -> ());
           List.iter (fun r -> Fmt.epr "%a@." Ir.Remark.pp r) selected_remarks
         end;
@@ -402,7 +398,7 @@ let run input pipeline transform_file flow_check no_verify list_passes timing
                    ( "diagnostics",
                      Ir.Json.List
                        (List.map Ir.Diag.to_json report.j_diagnostics) );
-                   ("trace", Ir.Trace.to_json sink);
+                   ("trace", Ir.Trace.to_json traces);
                  ]
                 @ (match !timing_tree with
                   | Some t when timing ->
@@ -530,10 +526,10 @@ let action_journal =
     & info [ "action-journal" ] ~docv:"PATH"
         ~doc:"Write the structured action journal to $(docv) as JSONL: one \
               line per transformation unit (pass, pattern application, \
-              fold, DCE, transform dispatch, schedule compilation) with \
-              tag, per-tag index, location, outcome \
-              (executed/skipped/failed/reverted), duration and profiler \
-              timestamp. Deterministic at any $(b,--jobs) degree.")
+              fold, DCE, transform dispatch) with tag, per-tag index, \
+              location, outcome (executed/skipped/failed/reverted), \
+              duration and profiler timestamp. Deterministic at any \
+              $(b,--jobs) degree.")
 
 let print_ir_after_change =
   Arg.(
@@ -575,9 +571,9 @@ let trace =
         None
     & info [ "trace" ] ~docv:"FORMAT"
         ~doc:"Print the execution trace (transform ops, suppressed errors, \
-              greedy-driver statistics, per-pass events) to stderr. \
-              $(b,--trace) or $(b,--trace=text) renders the listing; \
-              $(b,--trace=json) emits the trace's JSON rendering.")
+              greedy-driver statistics) to stderr. $(b,--trace) or \
+              $(b,--trace=text) renders the listing; $(b,--trace=json) \
+              emits the trace's JSON rendering.")
 
 let profile =
   Arg.(
@@ -585,9 +581,8 @@ let profile =
     & opt ~vopt:(Some "profile.json") (some string) None
     & info [ "profile" ] ~docv:"PATH"
         ~doc:"Record profiler spans (pipeline, passes, greedy driver, \
-              transform-interpreter ops) and write Chrome trace-event JSON \
-              to $(docv) — loadable in Perfetto (ui.perfetto.dev) or \
-              chrome://tracing.")
+              transform ops) and write Chrome trace-event JSON to $(docv) \
+              — loadable in Perfetto (ui.perfetto.dev) or chrome://tracing.")
 
 let stats =
   Arg.(

@@ -101,10 +101,8 @@ let () =
     mlir_path profile_path;
 
   (* --- 2. optimization remarks from the microkernel script ----------- *)
-  let remarks = ref [] in
-  Remark.with_handler
-    (fun r -> remarks := r :: !remarks)
-    (fun () ->
+  let actions = Action.create () in
+  Action.with_context actions (fun () ->
       List.iter
         (fun path ->
           let payload = parse_payload path in
@@ -118,7 +116,7 @@ let () =
           "examples/scripts/payload_matmul_large.mlir";
         ]);
   Fmt.pr "=== optimization remarks (otd_opt --remarks=all) ===@.";
-  List.iter (fun r -> Fmt.pr "%a@." Remark.pp r) (List.rev !remarks);
+  List.iter (fun r -> Fmt.pr "%a@." Remark.pp r) (Action.remarks actions);
   Fmt.pr
     "@.the microkernel's decline is a silenceable error the alternatives op \
      suppressed — visible above as the [missed] remark and in the \

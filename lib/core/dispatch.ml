@@ -142,7 +142,7 @@ let check_preconditions st def op =
           "dynamic pre-condition failed for %s: payload contains none of %a"
           def.Treg.t_name Opset.pp pre
 
-let dispatch_impl ~consumed st (def : Treg.def) (op : Ircore.op) :
+let dispatch_impl ~tracing ~consumed st (def : Treg.def) (op : Ircore.op) :
     (unit, Terror.t) result =
   let name = def.Treg.t_name in
   (* annotation requires-clauses come first: using a handle that lacks a
@@ -189,9 +189,7 @@ let dispatch_impl ~consumed st (def : Treg.def) (op : Ircore.op) :
   let handle_sizes values =
     List.filter_map (fun v -> State.handle_size st v) values
   in
-  let in_sizes =
-    if Trace.tracing () then handle_sizes (Ircore.operands op) else []
-  in
+  let in_sizes = if tracing then handle_sizes (Ircore.operands op) else [] in
   let* () =
     (* exception barrier: a raised OCaml exception becomes a definite
        error with the backtrace attached, instead of unwinding through
@@ -207,8 +205,8 @@ let dispatch_impl ~consumed st (def : Treg.def) (op : Ircore.op) :
            (Diag.of_exn ~loc:op.Ircore.op_loc
               ~context:(Fmt.str "transform %s" name) e bt))
   in
-  if Trace.tracing () then
-    Trace.record
+  if tracing then
+    Action.trace
       (Trace.Transform
          {
            tr_op = name;
@@ -253,11 +251,11 @@ let dispatch_registered ~consumed st (def : Treg.def) (op : Ircore.op) :
      skipped dispatch succeeds vacuously (its result handles stay empty),
      like a transform whose pre-condition matched nothing. *)
   match Action.active () with
-  | None -> dispatch_impl ~consumed st def op
+  | None -> dispatch_impl ~tracing:false ~consumed st def op
   | Some a ->
     Action.run_on a ~tag:"transform" ~desc:def.Treg.t_name
       ~loc:op.Ircore.op_loc ~root:op ~skipped:(Ok ()) (fun () ->
-        dispatch_impl ~consumed st def op)
+        dispatch_impl ~tracing:true ~consumed st def op)
 
 (** Find the main entry of a transform script: either the op itself if it is
     a sequence/named_sequence, or a [@__transform_main] named sequence

@@ -466,7 +466,7 @@ let rec transaction callees st ~construct body =
     State.rollback st ck;
     Action.revert_since acur;
     Stats.incr Dispatch.stat_suppressed;
-    Trace.record (Trace.Suppressed { su_construct = construct; su_diag = d });
+    Action.trace (Trace.Suppressed { su_construct = construct; su_diag = d });
     e
   | Error (Terror.Definite _) as e ->
     State.discard_checkpoint ck;

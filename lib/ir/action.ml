@@ -2,18 +2,19 @@
 
     Every transformation unit in the system — a pass run, a greedy pattern
     application or fold, a DCE erasure, a constant materialization, a
-    transform-op dispatch (interpreted or compiled), a schedule compilation
-    — is routed through this module before executing. Like {!Profiler} and
-    {!Trace} the framework is ambient and domain-local: {!with_context}
-    installs a context for a dynamic extent, and with no context installed
-    every action site is a single domain-local read followed by a direct
-    call (the cost is measured by [bench … action] into
-    [BENCH_action.json]).
+    transform-op dispatch — is routed through this module before
+    executing. Like {!Profiler} the framework is ambient and domain-local:
+    {!with_context} installs a context for a dynamic extent, and with no
+    context installed every action site is a single domain-local read
+    followed by a direct call (the cost is measured by [bench … action]
+    into [BENCH_action.json]).
 
     A context always records a structured journal of the actions that
     flowed through it (rendered as JSONL via {!Json}, correlated with
     {!Profiler} timestamps and surfaced as [action/*] counters in
-    {!Stats}), and optionally:
+    {!Stats}) and the {e notes} its units report: {!Trace} events and
+    optimization {!Remark}s, in emission order ({!trace}, {!remark}). It
+    optionally also:
 
     - consults a stack of {!handler}s. Handlers can veto execution
       ({!counters_handler} implements MLIR DebugCounter semantics:
@@ -31,11 +32,12 @@
 
     Handlers observe (and steer) the globally ordered action stream, so
     when any handler is installed the pass manager declines to fan out
-    across domains ({!sequential_only}). Journal and provenance recording
-    are order-independent per task: the parallel pass manager gives each
-    task a {!capture} child context and {!replay}s them in source order
-    after the barrier, so journals and provenance dumps are deterministic
-    at any [--jobs=N] — the same discipline diagnostics use.
+    across domains ({!sequential_only}). Journal, note and provenance
+    recording are order-independent per task: the parallel pass manager
+    gives each task a {!capture} child context and {!replay}s them in
+    source order after the barrier, so journals, traces, remarks and
+    provenance dumps are deterministic at any [--jobs=N] — the same
+    discipline diagnostics use.
 
     Interaction with transactional execution: when the transform
     interpreter rolls a payload back ([transform.alternatives],
@@ -90,8 +92,12 @@ type precord = {
   mutable pr_events : pevent list;  (** newest first *)
 }
 
+(** What a unit reports besides its journal entry. *)
+type note = Traced of Trace.event | Remarked of Remark.t
+
 type t = {
   mutable a_entries : entry list;  (** journal, newest first *)
+  mutable a_notes : note list;  (** newest first *)
   mutable a_next : int;
   a_tag_counts : (string, int ref) Hashtbl.t;
   mutable a_stack : entry list;  (** currently open actions, innermost first *)
@@ -345,6 +351,7 @@ let create ?(counters = []) ?snapshot ?(provenance = false) () =
   in
   {
     a_entries = [];
+    a_notes = [];
     a_next = 0;
     a_tag_counts = Hashtbl.create 8;
     a_stack = [];
@@ -368,6 +375,9 @@ let current : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 (** This domain's ambient context, if any. *)
 let active () = Domain.DLS.get current
 
+(** True when a context is installed. Emission sites guard trace-event
+    and remark construction with this so the disabled path allocates
+    nothing. *)
 let enabled () = Domain.DLS.get current <> None
 
 (** Handlers steer a globally ordered action stream: when any is
@@ -505,6 +515,34 @@ let run ~tag ~desc ~loc ~root ~skipped f =
   | Some t -> run_on t ~tag ~desc ~loc ~root ~skipped f
 
 (* ------------------------------------------------------------------ *)
+(* Notes                                                               *)
+(* ------------------------------------------------------------------ *)
+
+(** Append a trace event to the ambient context; a no-op without one. *)
+let trace e =
+  match Domain.DLS.get current with
+  | None -> ()
+  | Some t -> t.a_notes <- Traced e :: t.a_notes
+
+(** Append a remark to the ambient context; a no-op without one. *)
+let remark r =
+  match Domain.DLS.get current with
+  | None -> ()
+  | Some t -> t.a_notes <- Remarked r :: t.a_notes
+
+(** Trace events recorded in [t], oldest first. *)
+let traces t =
+  List.fold_left
+    (fun acc -> function Traced e -> e :: acc | Remarked _ -> acc)
+    [] t.a_notes
+
+(** Remarks recorded in [t], oldest first. *)
+let remarks t =
+  List.fold_left
+    (fun acc -> function Remarked r -> r :: acc | Traced _ -> acc)
+    [] t.a_notes
+
+(* ------------------------------------------------------------------ *)
 (* Checkpoint-rollback interaction                                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -537,12 +575,13 @@ let revert_since c =
 
 (** A per-task child context for the parallel pass manager: workers record
     into their own capture and the parent {!replay}s them in source order,
-    so journals and provenance are deterministic at any job count. *)
+    so journals, notes and provenance are deterministic at any job count. *)
 type capture = t
 
 let capture parent : capture =
   {
     a_entries = [];
+    a_notes = [];
     a_next = 0;
     a_tag_counts = Hashtbl.create 8;
     a_stack = [];
@@ -558,9 +597,9 @@ let capture parent : capture =
 (** Install capture [c] as the worker's ambient context while [f] runs. *)
 let with_capture (c : capture) f = with_context c f
 
-(** Merge [c]'s journal and provenance into [parent], re-assigning global
-    and per-tag indices in arrival order. Call once per task, in source
-    order, after the parallel barrier. *)
+(** Merge [c]'s journal, notes and provenance into [parent], re-assigning
+    global and per-tag indices in arrival order. Call once per task, in
+    source order, after the parallel barrier. *)
 let replay parent (c : capture) =
   (* captured entries ran with an empty stack; re-base their depth under
      whatever the parent has open (the enclosing pass action), so replayed
@@ -574,6 +613,8 @@ let replay parent (c : capture) =
       e.e_depth <- e.e_depth + base;
       parent.a_entries <- e :: parent.a_entries)
     (List.rev c.a_entries);
+  (* both newest first: the task's notes follow the parent's *)
+  parent.a_notes <- c.a_notes @ parent.a_notes;
   match (parent.a_prov, c.a_prov) with
   | Some ptbl, Some ctbl ->
     Hashtbl.iter
@@ -662,8 +703,6 @@ let pevent_to_json pe =
         ("desc", Json.String e.e_desc);
         ("outcome", Json.String (outcome_to_string e.e_outcome));
       ]))
-
-let has_provenance t = t.a_prov <> None
 
 (** The provenance of every op reachable from [root], plus the record of
     ops that no longer exist there ([erased]). Every live op resolves: ops

@@ -4,7 +4,7 @@
     a runaway script or non-terminating rewrite set degrades into a clean,
     diagnosable failure instead of hanging the compiler.
 
-    Like {!Profiler} and {!Remark}, the budget is ambient: {!with_budget}
+    Like {!Profiler} and {!Action}, the budget is ambient: {!with_budget}
     installs one for a dynamic extent and the check entry points are no-ops
     (a single domain-local read) when none is installed. The ambient slot
     is domain-local but one budget instance may be installed on many

@@ -153,19 +153,20 @@ let record_trace root stats converged =
   Stats.add stat_worklist_pushes stats.worklist_pushes;
   Stats.observe stat_iterations (float_of_int stats.iterations);
   if not converged then Stats.incr stat_non_converged;
-  (* report through the ambient trace channel (no-op when not tracing) *)
-  Trace.record
-    (Trace.Greedy
-       {
-         gr_root = root.Ircore.op_name;
-         gr_rewrites = stats.rewrites;
-         gr_folds = stats.folds;
-         gr_dce = stats.dce;
-         gr_iterations = stats.iterations;
-         gr_converged = converged;
-         gr_match_attempts = stats.match_attempts;
-         gr_pushes = stats.worklist_pushes;
-       })
+  (* a note in the ambient action context, built only when one is there *)
+  if Action.enabled () then
+    Action.trace
+      (Trace.Greedy
+         {
+           gr_root = root.Ircore.op_name;
+           gr_rewrites = stats.rewrites;
+           gr_folds = stats.folds;
+           gr_dce = stats.dce;
+           gr_iterations = stats.iterations;
+           gr_converged = converged;
+           gr_match_attempts = stats.match_attempts;
+           gr_pushes = stats.worklist_pushes;
+         })
 
 let stat_exceptions_contained =
   Stats.counter ~component:"greedy" "exceptions_contained"

@@ -16,7 +16,7 @@
     behavior is exactly the status quo.
 
     The pool is deliberately ambient-agnostic: ambient observability state
-    ({!Budget}, {!Profiler}, {!Trace}, {!Remark}, {!Diag} captures) is
+    ({!Budget}, {!Profiler}, {!Action}, {!Diag} captures) is
     domain-local, so schedulers that fan out must re-install what their
     tasks need (see [Passes.Pass] for the canonical propagation). *)
 

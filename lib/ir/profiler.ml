@@ -2,7 +2,7 @@
     counter samples, exported as Chrome trace-event JSON loadable in
     Perfetto ([ui.perfetto.dev]) or [chrome://tracing].
 
-    Like {!Trace}, the profiler is ambient: {!with_profiler} installs one
+    Like {!Action}, the profiler is ambient: {!with_profiler} installs one
     for a dynamic extent and deeply nested components (a greedy rewrite
     inside a canonicalize pass inside a transform script) report spans
     without threading the profiler through every signature. The ambient
@@ -20,7 +20,7 @@
     runs its body and emits the matching [E] (end) event even on
     exceptions, so each shard's stream is always balanced and Perfetto
     renders each lane as a flame graph: pass pipeline → pass → greedy
-    driver, and transform-interpreter op spans. {!counter} emits a [C]
+    driver, and transform op spans. {!counter} emits a [C]
     (counter sample) event. *)
 
 type arg = Aint of int | Afloat of float | Astr of string
@@ -100,16 +100,6 @@ let max_depth p =
     bodies. *)
 let balanced p =
   List.for_all (fun s -> s.sh_depth = 0) (sorted_shards p)
-
-let clear p =
-  (* reset shards in place: domain-local caches may still point at them *)
-  List.iter
-    (fun s ->
-      s.sh_rev_events <- [];
-      s.sh_depth <- 0;
-      s.sh_max_depth <- 0;
-      s.sh_spans <- 0)
-    (sorted_shards p)
 
 (* ------------------------------------------------------------------ *)
 (* Ambient profiler (domain-local)                                     *)

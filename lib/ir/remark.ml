@@ -4,11 +4,10 @@
     payload {!Loc.t} attribution and structured key/value arguments of the
     serialized remark format.
 
-    Like {!Trace} and {!Profiler}, emission is ambient: {!with_handler}
-    installs a callback for a dynamic extent, and with no handler
-    installed {!emit} is a no-op after one ref read. Emission sites guard
-    message formatting behind {!enabled} so the disabled path allocates
-    nothing. *)
+    Remarks are notes in the ambient {!Action} context ({!Action.remark}),
+    next to the trace events and the journal of the actions that produced
+    them. Emission sites guard message formatting behind
+    {!Action.enabled} so the disabled path allocates nothing. *)
 
 type kind = Passed | Missed | Analysis
 
@@ -46,30 +45,6 @@ let make ?(loc = Loc.Unknown) ?(args = []) kind ~pass fmt =
 let passed ?loc ?args ~pass fmt = make ?loc ?args Passed ~pass fmt
 let missed ?loc ?args ~pass fmt = make ?loc ?args Missed ~pass fmt
 let analysis ?loc ?args ~pass fmt = make ?loc ?args Analysis ~pass fmt
-
-(* ------------------------------------------------------------------ *)
-(* Ambient handler                                                     *)
-(* ------------------------------------------------------------------ *)
-
-type handler = t -> unit
-
-(* domain-local: parallel schedulers install a per-task collector on each
-   worker and replay the collected remarks in source order *)
-let current : handler option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
-
-(** Install [h] as this domain's ambient remark handler while [f] runs. *)
-let with_handler h f =
-  let saved = Domain.DLS.get current in
-  Domain.DLS.set current (Some h);
-  Fun.protect ~finally:(fun () -> Domain.DLS.set current saved) f
-
-(** True when a handler is installed. Emission sites should guard remark
-    construction with this so the disabled path does not format messages. *)
-let enabled () = Domain.DLS.get current <> None
-
-let emit r =
-  match Domain.DLS.get current with Some h -> h r | None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Filtering                                                           *)

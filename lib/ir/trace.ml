@@ -1,11 +1,11 @@
-(** Execution tracing for the three engines: the transform interpreter, the
-    pass manager and the greedy pattern driver all report what they did
-    through a single event channel, consumable as text or JSON.
+(** Execution trace events: transform-op dispatches, suppressed silenceable
+    errors and greedy-driver runs, rendered as text or JSON.
 
-    A {!sink} accumulates events; {!with_sink} installs one as the ambient
-    sink for a dynamic extent so that deeply nested components (a greedy
-    rewrite inside a canonicalize pass inside a transform script) can report
-    without the sink being threaded through every signature. *)
+    Events are notes in the ambient {!Action} context ({!Action.trace}), so
+    deeply nested components (a greedy rewrite inside a canonicalize pass
+    inside a transform script) report without a sink being threaded through
+    every signature, and parallel runs replay them in source order with the
+    rest of the action stream. *)
 
 type event =
   | Transform of {
@@ -31,37 +31,6 @@ type event =
 (* the deprecated [Pass] flat-timing event was removed: pass timing flows
    through {!Profiler} spans (pipeline → pass → greedy / transform op),
    which carry timestamps and nest *)
-
-type sink = { mutable rev_events : event list }
-
-let create () = { rev_events = [] }
-let emit sink e = sink.rev_events <- e :: sink.rev_events
-let events sink = List.rev sink.rev_events
-let clear sink = sink.rev_events <- []
-
-(* ------------------------------------------------------------------ *)
-(* Ambient sink                                                        *)
-(* ------------------------------------------------------------------ *)
-
-(* domain-local: a sink is single-domain state, so parallel schedulers give
-   each worker task its own sink and merge the events in source order *)
-let current : sink option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
-
-(** Install [sink] as this domain's ambient sink while [f] runs. *)
-let with_sink sink f =
-  let saved = Domain.DLS.get current in
-  Domain.DLS.set current (Some sink);
-  Fun.protect ~finally:(fun () -> Domain.DLS.set current saved) f
-
-(** Emit to the ambient sink, if one is installed. Cheap no-op otherwise. *)
-let record e =
-  match Domain.DLS.get current with Some s -> emit s e | None -> ()
-
-let tracing () = Domain.DLS.get current <> None
-
-(** This domain's ambient sink, for schedulers that need to know whether
-    the parent extent is tracing before fanning out. *)
-let active () = Domain.DLS.get current
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)
@@ -89,10 +58,10 @@ let pp_event fmt = function
       gr_pushes
       (if gr_converged then "" else " (no fixpoint)")
 
-let pp fmt sink =
-  List.iter (fun e -> Fmt.pf fmt "// trace: %a@," pp_event e) (events sink)
-
-let pp fmt sink = Fmt.pf fmt "@[<v>%a@]" pp sink
+let pp fmt events =
+  Fmt.pf fmt "@[<v>%a@]"
+    (fun fmt -> List.iter (fun e -> Fmt.pf fmt "// trace: %a@," pp_event e))
+    events
 
 let event_to_json = function
   | Transform { tr_op; tr_loc; tr_in; tr_out } ->
@@ -127,4 +96,4 @@ let event_to_json = function
         ("pushes", Json.Int gr_pushes);
       ]
 
-let to_json sink = Json.List (List.map event_to_json (events sink))
+let to_json events = Json.List (List.map event_to_json events)

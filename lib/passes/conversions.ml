@@ -36,8 +36,8 @@ let stat_casts_reconciled =
     [to_]); also bumps the conversion statistics. *)
 let remark_converted ?(pass = "conversion") (op : Ircore.op) ~to_ =
   Stats.incr stat_ops_converted;
-  if Remark.enabled () then
-    Remark.emit
+  if Action.enabled () then
+    Action.remark
       (Remark.passed ~pass ~loc:op.Ircore.op_loc
          ~args:[ ("to", Remark.String to_) ]
          "converted %s" op.Ircore.op_name)
@@ -901,8 +901,8 @@ let run_reconcile_unrealized_casts _ctx top =
   match remaining with
   | [] -> Ok ()
   | first :: _ ->
-    if Remark.enabled () then
-      Remark.emit
+    if Action.enabled () then
+      Action.remark
         (Remark.missed ~pass:"reconcile-unrealized-casts"
            ~loc:first.Ircore.op_loc
            ~args:[ ("remaining", Remark.Int (List.length remaining)) ]

@@ -15,12 +15,13 @@ let err fmt = Fmt.kstr (fun m -> Error m) fmt
 (** Report a loop transform's outcome as an optimization remark attributed
     to [loc] (capture the payload loc *before* transforming — success may
     erase the op): [Passed] with [args] on [Ok], [Missed] with the decline
-    reason on [Error]. No-op (and no formatting) without a remark handler. *)
+    reason on [Error]. No-op (and no formatting) without an action
+    context. *)
 let remarked ~pass ~loc ?(args = []) ~applied result =
-  (if Remark.enabled () then
+  (if Action.enabled () then
      match result with
-     | Ok _ -> Remark.emit (Remark.passed ~pass ~loc ~args "%s" applied)
-     | Error reason -> Remark.emit (Remark.missed ~pass ~loc "%s" reason));
+     | Ok _ -> Action.remark (Remark.passed ~pass ~loc ~args "%s" applied)
+     | Error reason -> Action.remark (Remark.missed ~pass ~loc "%s" reason));
   result
 
 let int_list_arg sizes =

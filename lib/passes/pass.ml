@@ -344,35 +344,31 @@ let run_sequential ~track p ctx op =
 
 (** Fan [p] across [funcs] on the domain pool, one task per function.
 
-    Determinism: each task runs with its own ambient capture — a per-task
-    diagnostic buffer ({!Diag.with_domain_capture}), trace sink and remark
-    buffer — while sharing the parent's budget (atomic counters, so limits
-    bind globally and exhaustion on one domain stops the others at their
-    next check) and the parent's profiler (domain-sharded, so spans land
-    in per-domain Perfetto lanes). After the barrier, the captured
-    diagnostics, trace events and remarks are replayed in source order on
-    the calling domain, and the reported failure is the first failing
-    function in source order — byte-identical output to the sequential
-    schedule regardless of interleaving. *)
+    Determinism: each task runs with its own ambient captures — a per-task
+    diagnostic buffer ({!Diag.with_domain_capture}) and, under a parent
+    action context, an {!Action.capture} holding its journal, trace events
+    and remarks — while sharing the parent's budget (atomic counters, so
+    limits bind globally and exhaustion on one domain stops the others at
+    their next check) and the parent's profiler (domain-sharded, so spans
+    land in per-domain Perfetto lanes). After the barrier, the captured
+    diagnostics and actions are replayed in source order on the calling
+    domain, and the reported failure is the first failing function in
+    source order — byte-identical output to the sequential schedule
+    regardless of interleaving. *)
 let run_parallel ~track p ctx funcs =
   Stats.incr stat_parallel_fanouts;
   let arr = Array.of_list funcs in
   let n = Array.length arr in
   let results = Array.make n (Ok ()) in
   let diags = Array.make n [] in
-  let remarks = Array.make n [] in
-  let sinks = Array.make n None in
   let changed = Array.make n false in
   let captures = Array.make n None in
   let parent_budget = Budget.active () in
   let parent_profiler = Profiler.active () in
-  let parent_tracing = Trace.tracing () in
-  let parent_remarking = Remark.enabled () in
   let parent_action = Action.active () in
   Pool.run n (fun i ->
       let func = arr.(i) in
-      let dbuf = ref [] and rbuf = ref [] in
-      let sink = if parent_tracing then Some (Trace.create ()) else None in
+      let dbuf = ref [] in
       let with_budget f =
         match parent_budget with
         | None -> f ()
@@ -383,17 +379,9 @@ let run_parallel ~track p ctx funcs =
         | None -> f ()
         | Some pr -> Profiler.with_profiler pr f
       in
-      let with_trace f =
-        match sink with None -> f () | Some s -> Trace.with_sink s f
-      in
-      let with_remark f =
-        if parent_remarking then
-          Remark.with_handler (fun r -> rbuf := r :: !rbuf) f
-        else f ()
-      in
       let with_action f =
-        (* like diagnostics: record actions and provenance into a per-task
-           capture, replayed in source order after the barrier *)
+        (* like diagnostics: record actions, notes and provenance into a
+           per-task capture, replayed in source order after the barrier *)
         match parent_action with
         | None -> f ()
         | Some a ->
@@ -419,24 +407,16 @@ let run_parallel ~track p ctx funcs =
         Diag.with_domain_capture (fun d -> dbuf := d :: !dbuf) @@ fun () ->
         with_budget @@ fun () ->
         with_prof @@ fun () ->
-        with_trace @@ fun () ->
-        with_remark @@ fun () ->
         with_action @@ fun () ->
         with_track @@ fun () -> run_contained p ctx func
       in
       results.(i) <- r;
-      diags.(i) <- List.rev !dbuf;
-      remarks.(i) <- List.rev !rbuf;
-      sinks.(i) <- sink);
+      diags.(i) <- List.rev !dbuf);
   (* ordered merge: replay what each function captured, in source order *)
   let eng = Context.diag_engine ctx in
   let first_error = ref None in
   for i = 0 to n - 1 do
     List.iter (Diag.emit eng) diags.(i);
-    (match sinks.(i) with
-    | Some s -> List.iter Trace.record (Trace.events s)
-    | None -> ());
-    List.iter Remark.emit remarks.(i);
     (match (parent_action, captures.(i)) with
     | Some a, Some c -> Action.replay a c
     | _ -> ());

@@ -15,21 +15,10 @@ let ( let* ) = Result.bind
 
 let err fmt = Fmt.kstr (fun m -> Error m) fmt
 
-(** Report the outcome of a structured transform as an optimization remark
-    attributed to the payload op's location: [Passed] with [args] on [Ok],
-    [Missed] carrying the decline reason on [Error]. The remark is built
-    only when a handler is installed. [loc] must be captured before the
-    transform runs — a successful rewrite erases the payload op. *)
-let remarked ~pass ~loc ?(args = []) ~applied result =
-  (if Remark.enabled () then
-     match result with
-     | Ok _ -> Remark.emit (Remark.passed ~pass ~loc ~args "%s" applied)
-     | Error reason -> Remark.emit (Remark.missed ~pass ~loc "%s" reason));
-  result
-
-let int_list_arg sizes =
-  Remark.String
-    (Fmt.str "[%a]" (Fmt.list ~sep:(Fmt.any ",") Fmt.int) sizes)
+(* remarks share the loop transforms' reporting: [loc] must be captured
+   before the transform runs — a successful rewrite erases the payload op *)
+let remarked = Loop_utils.remarked
+let int_list_arg = Loop_utils.int_list_arg
 
 let is_matmul op = op.Ircore.op_name = Linalg.matmul_op
 

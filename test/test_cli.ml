@@ -157,6 +157,36 @@ let test_text_reports_on_stderr () =
   check cb "timing header" true (contains stderr "// -----// timing //----- //");
   check cb "trace lines" true (contains stderr "// trace: greedy on")
 
+(* an action context is installed only when something reads it: a plain
+   run journals nothing, a traced run journals every action *)
+let test_plain_run_no_journal () =
+  let executed extra =
+    let code, _, stderr =
+      run_otd_opt ([ payload; "-p"; "canonicalize"; "--stats=json" ] @ extra)
+    in
+    check Alcotest.int "exit code" 0 code;
+    let row r =
+      Json.member "component" r = Some (Json.String "action")
+      && Json.member "name" r = Some (Json.String "executed")
+    in
+    (* the text trace precedes the stats JSON on stderr *)
+    let json =
+      String.split_on_char '\n' stderr
+      |> List.filter (fun l -> not (String.starts_with ~prefix:"//" l))
+      |> String.concat "\n"
+    in
+    match Json.parse (String.trim json) with
+    | Ok (Json.List rows) -> (
+      match List.find_opt row rows with
+      | Some r -> Option.bind (Json.member "value" r) Json.to_int_opt
+      | None -> None)
+    | _ -> Alcotest.failf "stderr is not a JSON stats list:\n%s" stderr
+  in
+  check Alcotest.(option int) "plain run: action/executed" (Some 0)
+    (executed []);
+  check cb "traced run: action/executed > 0" true
+    (match executed [ "--trace" ] with Some n -> n > 0 | None -> false)
+
 (* ---------------- otd-check: --schedule / --flow agreement ---------------- *)
 
 let otd_check = Filename.concat ".." (Filename.concat "bin" "otd_check.exe")
@@ -230,6 +260,8 @@ let () =
           Alcotest.test_case "reproducer-roundtrip" `Quick
             test_reproducer_roundtrip;
           Alcotest.test_case "text-reports" `Quick test_text_reports_on_stderr;
+          Alcotest.test_case "plain-run-no-journal" `Quick
+            test_plain_run_no_journal;
         ] );
       ( "otd-check",
         [

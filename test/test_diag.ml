@@ -269,18 +269,19 @@ let test_parse_pipeline_accumulates () =
 
 let test_trace_pass_and_greedy () =
   let md = Workloads.Matmul.build_module ~m:4 ~n:4 ~k:2 () in
-  let sink = Trace.create () in
+  let actions = Action.create () in
   let passes = List.map Passes.Pass.lookup_exn [ "canonicalize"; "cse" ] in
   (match
-     Trace.with_sink sink (fun () -> Passes.Pass.run_pipeline ctx passes md)
+     Action.with_context actions (fun () ->
+         Passes.Pass.run_pipeline ctx passes md)
    with
   | Ok _ -> ()
   | Error d -> Alcotest.fail (Diag.to_string d));
-  let events = Trace.events sink in
+  let events = Action.traces actions in
   check cb "greedy driver reported" true
     (List.exists (function Trace.Greedy _ -> true | _ -> false) events);
-  check cb "no sink, no recording" false (Trace.tracing ());
-  match Json.parse (Json.to_string (Trace.to_json sink)) with
+  check cb "no context, no recording" false (Action.enabled ());
+  match Json.parse (Json.to_string (Trace.to_json events)) with
   | Ok _ -> ()
   | Error e -> Alcotest.fail e
 
@@ -288,9 +289,9 @@ let test_trace_transform_ops () =
   let md = Workloads.Matmul.build_module ~m:4 ~n:4 ~k:2 () in
   let passes = List.map Passes.Pass.lookup_exn [ "canonicalize" ] in
   let script = Transform.From_pipeline.script_of_pipeline passes in
-  let sink = Trace.create () in
+  let actions = Action.create () in
   (match
-     Trace.with_sink sink (fun () ->
+     Action.with_context actions (fun () ->
          Transform.Schedule.run ctx ~script ~payload:md)
    with
   | Ok _ -> ()
@@ -301,7 +302,7 @@ let test_trace_transform_ops () =
         | Trace.Transform { tr_op; tr_in; tr_out; _ } ->
           Some (tr_op, tr_in, tr_out)
         | _ -> None)
-      (Trace.events sink)
+      (Action.traces actions)
   in
   check cb "transform events recorded" true (transforms <> []);
   check cb "apply_registered_pass traced" true

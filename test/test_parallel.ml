@@ -166,7 +166,7 @@ let remarking_pass =
       in
       List.iter
         (fun f ->
-          Remark.emit
+          Action.remark
             (Remark.passed ~pass:"test-remark" "visited %s"
                (Dialects.Func.name f)))
         funcs;
@@ -177,19 +177,16 @@ let remarking_pass =
 let run_streams jobs =
   let ctx = Transform.Register.full_context () in
   let md = eight_funcs () in
-  let sink = Trace.create () and remarks = ref [] in
+  let actions = Action.create () in
   (match
      with_jobs jobs (fun () ->
-         Remark.with_handler
-           (fun r -> remarks := r :: !remarks)
-           (fun () ->
-             Trace.with_sink sink (fun () ->
-                 Passes.Pass.run_pipeline ctx [ remarking_pass ] md)))
+         Action.with_context actions (fun () ->
+             Passes.Pass.run_pipeline ctx [ remarking_pass ] md))
    with
   | Ok _ -> ()
   | Error d -> Alcotest.fail (Diag.to_string d));
-  ( List.rev_map (fun r -> r.Remark.r_message) !remarks,
-    Trace.to_json sink )
+  ( List.map (fun r -> r.Remark.r_message) (Action.remarks actions),
+    Trace.to_json (Action.traces actions) )
 
 let test_deterministic_streams () =
   let source_order = List.init 8 (Printf.sprintf "visited m_%d") in

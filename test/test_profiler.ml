@@ -326,16 +326,16 @@ let test_remark_filtering () =
           rs))
 
 let test_handler_scoping () =
-  check cb "disabled outside" false (Remark.enabled ());
-  (* emission without a handler is a silent no-op *)
-  Remark.emit (Remark.passed ~pass:"nobody" "dropped");
+  check cb "disabled outside" false (Action.enabled ());
+  (* emission without an action context is a silent no-op *)
+  Action.remark (Remark.passed ~pass:"nobody" "dropped");
   let (), remarks =
     with_captured_remarks (fun () ->
-        check cb "enabled inside" true (Remark.enabled ());
-        Remark.emit (Remark.passed ~pass:"x" "one"))
+        check cb "enabled inside" true (Action.enabled ());
+        Action.remark (Remark.passed ~pass:"x" "one"))
   in
   check ci "captured exactly the inner emission" 1 (List.length remarks);
-  check cb "disabled restored" false (Remark.enabled ())
+  check cb "disabled restored" false (Action.enabled ())
 
 let () =
   Alcotest.run "profiler"

@@ -63,12 +63,12 @@ let matmul () = Workloads.Matmul.build_module ~m:8 ~n:8 ~k:4 ()
 
 (* ---------------- remarks ---------------- *)
 
-(** Run [f] with an optimization-remark handler installed; returns [f]'s
-    result and the remarks in emission order. *)
+(** Run [f] under a fresh action context; returns [f]'s result and the
+    remarks it recorded, in emission order. *)
 let with_captured_remarks f =
-  let acc = ref [] in
-  let result = Remark.with_handler (fun r -> acc := r :: !acc) f in
-  (result, List.rev !acc)
+  let actions = Action.create () in
+  let result = Action.with_context actions f in
+  (result, Action.remarks actions)
 
 (* ---------------- files ---------------- *)
 
