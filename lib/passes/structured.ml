@@ -15,11 +15,6 @@ let ( let* ) = Result.bind
 
 let err fmt = Fmt.kstr (fun m -> Error m) fmt
 
-(* remarks share the loop transforms' reporting: [loc] must be captured
-   before the transform runs — a successful rewrite erases the payload op *)
-let remarked = Loop_utils.remarked
-let int_list_arg = Loop_utils.int_list_arg
-
 let is_matmul op = op.Ircore.op_name = Linalg.matmul_op
 
 (** Static (m, n, k) of a memref-semantics [linalg.matmul]. *)
@@ -131,8 +126,8 @@ let tile_matmul_impl rw op ~sizes =
 
 let tile_matmul rw op ~sizes =
   let loc = op.Ircore.op_loc in
-  remarked ~pass:"structured-tile" ~loc
-    ~args:[ ("tile_sizes", int_list_arg sizes) ]
+  Loop_utils.remarked ~pass:"structured-tile" ~loc
+    ~args:[ ("tile_sizes", Loop_utils.int_list_arg sizes) ]
     ~applied:"tiled linalg.matmul into an scf loop nest over subviews"
     (tile_matmul_impl rw op ~sizes)
 
@@ -157,7 +152,7 @@ let matmul_to_library_impl rw op ~library =
     {!Loop_utils.replace_with_library_call}. *)
 let matmul_to_library rw op ~library =
   let loc = op.Ircore.op_loc in
-  remarked ~pass:"structured-to-library" ~loc
+  Loop_utils.remarked ~pass:"structured-to-library" ~loc
     ~args:[ ("library", Remark.String library) ]
     ~applied:"replaced linalg.matmul with a microkernel library call"
     (matmul_to_library_impl rw op ~library)
@@ -166,7 +161,7 @@ let matmul_to_library rw op ~library =
     convert-linalg-to-loops pass). *)
 let matmul_to_loops rw op =
   let loc = op.Ircore.op_loc in
-  remarked ~pass:"structured-to-loops" ~loc
+  Loop_utils.remarked ~pass:"structured-to-loops" ~loc
     ~applied:"lowered linalg.matmul to an scf loop nest"
     (let* _ = matmul_dims op in
      Result.map_error Fun.id (Linalg_to_loops.lower_matmul rw op))
