@@ -109,6 +109,36 @@ let test_alternatives_handles_usable_after_rollback () =
        (Symbol.collect md ~f:(fun o -> Ircore.has_attr o "survivor")));
   check ci "first region's mutation rolled back" 0 (mutated_count md)
 
+(* The first region commits a consumption (loop_tile consumes [loop] and
+   invalidates [inner]'s payload) and only then fails; the rollback must
+   undo the committed consumption along with the payload, so the fallback
+   region can still use both handles. *)
+let test_alternatives_rolls_back_committed_consumption () =
+  let md = matmul () in
+  let script =
+    T.Build.script (fun rw root ->
+        let loop = T.Build.match_op rw ~select:"first" ~name:"scf.for" root in
+        let inner = T.Build.match_op rw ~name:"arith.addf" loop in
+        T.Build.alternatives rw
+          [
+            (fun brw ->
+              ignore (T.Build.loop_tile brw ~sizes:[ 4 ] loop);
+              ignore
+                (T.Build.split_handle brw ~n:7
+                   (T.Build.match_op brw ~name:"arith.addi" root)));
+            (fun brw ->
+              T.Build.annotate brw ~name:"survivor" loop;
+              T.Build.annotate brw ~name:"inner" inner);
+          ])
+  in
+  let steps = apply_ok script md in
+  let annotated name =
+    List.length (Symbol.collect md ~f:(fun o -> Ircore.has_attr o name))
+  in
+  check ci "steps" 8 steps;
+  check ci "loop handle usable after rollback" 1 (annotated "survivor");
+  check ci "inner handle usable after rollback" 1 (annotated "inner")
+
 let test_alternatives_definite_aborts_immediately () =
   let md = matmul () in
   let script =
@@ -359,6 +389,8 @@ let () =
             test_alternatives_rollback_byte_identical;
           Alcotest.test_case "handles usable after rollback" `Quick
             test_alternatives_handles_usable_after_rollback;
+          Alcotest.test_case "committed consumption rolled back" `Quick
+            test_alternatives_rolls_back_committed_consumption;
           Alcotest.test_case "definite error aborts immediately" `Quick
             test_alternatives_definite_aborts_immediately;
         ] );
