@@ -94,11 +94,11 @@ let ablations () =
     (Experiments.Ablations.ilist_ablation ())
 
 (* ------------------------------------------------------------------ *)
-(* Greedy engine: legacy sweep driver vs worklist driver                *)
+(* Greedy engine input                                                  *)
 (* ------------------------------------------------------------------ *)
 
 (** Squeezenet lowered to the canonicalize input: the Table-1 TOSA pipeline
-    with its trailing [canonicalize,cse] stripped, so both engines see the
+    with its trailing [canonicalize,cse] stripped, so the driver sees the
     exact IR the canonicalize pass runs on. *)
 let greedy_setup () =
   let squeezenet =
@@ -124,99 +124,6 @@ let greedy_setup () =
     @ Dialects.Arith.canonicalization_patterns ()
   in
   (lowered, patterns)
-
-let greedy () =
-  banner "E9 - Greedy rewrite engine: sweep driver vs worklist driver"
-    "root-indexed worklist + uniqued fold constants; the compile-time \
-     substrate of Table 1";
-  let lowered, patterns = greedy_setup () in
-  let frozen = Ir.Frozen_patterns.freeze patterns in
-  let reps = 30 in
-  let measure apply =
-    let stats = Ir.Greedy.create_stats () in
-    let times = Array.make reps 0.0 in
-    let out = ref "" in
-    (* warmup outside the measured reps *)
-    for _ = 1 to 5 do
-      let md = Ir.Ircore.clone_op lowered in
-      ignore (apply ~stats:(Ir.Greedy.create_stats ()) md)
-    done;
-    for i = 0 to reps - 1 do
-      let md = Ir.Ircore.clone_op lowered in
-      let t0 = Unix.gettimeofday () in
-      ignore (apply ~stats md);
-      times.(i) <- Unix.gettimeofday () -. t0;
-      out := Ir.Printer.op_to_string md
-    done;
-    Array.sort compare times;
-    (stats, times.(reps / 2), !out)
-  in
-  let sweep_stats, sweep_t, sweep_ir =
-    measure (fun ~stats md ->
-        Ir.Greedy.apply_sweep ~config:Dialects.Dutil.greedy_config ~stats ctx
-          ~patterns md)
-  in
-  let work_stats, work_t, work_ir =
-    measure (fun ~stats md ->
-        Ir.Greedy.apply ~config:Dialects.Dutil.greedy_config ~stats ctx
-          ~patterns:frozen md)
-  in
-  let ir_equal = String.equal sweep_ir work_ir in
-  let per_rep s = float_of_int s /. float_of_int reps in
-  let attempts_sweep = per_rep sweep_stats.Ir.Greedy.match_attempts in
-  let attempts_work = per_rep work_stats.Ir.Greedy.match_attempts in
-  let ratio = if attempts_work > 0.0 then attempts_sweep /. attempts_work else 0.0 in
-  let speedup = if work_t > 0.0 then sweep_t /. work_t else 0.0 in
-  Fmt.pr "canonicalize(squeezenet lowered), median of %d reps:@." reps;
-  Fmt.pr "  %-28s %12s %12s@." "" "sweep" "worklist";
-  Fmt.pr "  %-28s %12.0f %12.0f@." "pattern match attempts" attempts_sweep
-    attempts_work;
-  Fmt.pr "  %-28s %12.3f %12.3f@." "wall time (ms)" (sweep_t *. 1000.)
-    (work_t *. 1000.);
-  Fmt.pr "  %-28s %12d %12d@." "iterations"
-    sweep_stats.Ir.Greedy.iterations work_stats.Ir.Greedy.iterations;
-  Fmt.pr "  attempt reduction: %.1fx   speedup: %.2fx   same output IR: %b@."
-    ratio speedup ir_equal;
-  let json =
-    Ir.Json.Obj
-      [
-        ("benchmark", Ir.Json.String "canonicalize-squeezenet-lowered");
-        ("reps", Ir.Json.Int reps);
-        ("patterns", Ir.Json.Int (Ir.Frozen_patterns.size frozen));
-        ( "sweep",
-          Ir.Json.Obj
-            [
-              ("match_attempts", Ir.Json.Float attempts_sweep);
-              ("wall_ms", Ir.Json.Float (sweep_t *. 1000.));
-              ("rewrites", Ir.Json.Int (sweep_stats.Ir.Greedy.rewrites / reps));
-              ("folds", Ir.Json.Int (sweep_stats.Ir.Greedy.folds / reps));
-              ("dce", Ir.Json.Int (sweep_stats.Ir.Greedy.dce / reps));
-            ] );
-        ( "worklist",
-          Ir.Json.Obj
-            [
-              ("match_attempts", Ir.Json.Float attempts_work);
-              ("wall_ms", Ir.Json.Float (work_t *. 1000.));
-              ("rewrites", Ir.Json.Int (work_stats.Ir.Greedy.rewrites / reps));
-              ("folds", Ir.Json.Int (work_stats.Ir.Greedy.folds / reps));
-              ("dce", Ir.Json.Int (work_stats.Ir.Greedy.dce / reps));
-              ( "worklist_pushes",
-                Ir.Json.Int (work_stats.Ir.Greedy.worklist_pushes / reps) );
-            ] );
-        ("attempt_reduction", Ir.Json.Float ratio);
-        ("speedup", Ir.Json.Float speedup);
-        ("ir_equal", Ir.Json.Bool ir_equal);
-      ]
-  in
-  let oc = open_out "BENCH_greedy.json" in
-  output_string oc (Ir.Json.to_string json);
-  output_string oc "\n";
-  close_out oc;
-  Fmt.pr "wrote BENCH_greedy.json@.";
-  if not ir_equal then
-    failwith "greedy bench: sweep and worklist fixpoints differ";
-  if ratio < 5.0 then
-    Fmt.pr "WARNING: attempt reduction %.1fx below the 5x target@." ratio
 
 (* ------------------------------------------------------------------ *)
 (* Profiler overhead: span cost with and without an ambient profiler    *)
@@ -951,12 +858,6 @@ let micro () =
     @ (let lowered, patterns = greedy_setup () in
        let frozen = Ir.Frozen_patterns.freeze patterns in
        [
-         Test.make ~name:"greedy/sweep(squeezenet-lowered)"
-           (Staged.stage (fun () ->
-                let md = Ir.Ircore.clone_op lowered in
-                ignore
-                  (Ir.Greedy.apply_sweep ~config:Dialects.Dutil.greedy_config
-                     ctx ~patterns md)));
          Test.make ~name:"greedy/worklist(squeezenet-lowered)"
            (Staged.stage (fun () ->
                 let md = Ir.Ircore.clone_op lowered in
@@ -1060,7 +961,6 @@ let () =
     if want "cs5-structured" then cs5s ();
     if want "s34" then s34 ();
     if want "ablations" then ablations ();
-    if want "greedy" then greedy ();
     if want "profiler" then profiler ();
     if want "action" then action_bench ();
     if want "checkpoint" then checkpoint ();

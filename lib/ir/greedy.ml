@@ -9,13 +9,12 @@
     ops — instead of re-walking the module. Patterns come pre-indexed by
     root op name ({!Frozen_patterns}), so visiting an op only touches its
     candidate patterns, and folded constants are uniqued per block through
-    an {!Op_folder}. The legacy fixpoint-of-full-sweeps driver is kept as
-    {!apply_sweep} so benchmarks can track the win. *)
+    an {!Op_folder}. *)
 
 type config = {
   max_iterations : int;
       (** work budget: at most [max_iterations * (seeded op count)] op
-          visits (the sweep driver's total work for the same setting) *)
+          visits *)
   fold : bool;  (** use registered {!Context.folder} hooks *)
   remove_dead : bool;  (** erase pure ops with no uses *)
   materialize_constant :
@@ -424,87 +423,5 @@ let apply ?(config = default_config) ?stats ?rewriter ctx ~patterns root =
   | None ->
     if not converged then
       warn_no_fixpoint ctx config root (List.length pending));
-  record_trace root stats converged;
-  converged
-
-(* ------------------------------------------------------------------ *)
-(* Legacy sweep driver                                                  *)
-(* ------------------------------------------------------------------ *)
-
-(** The previous engine: fixpoint of full post-order sweeps, trying every
-    pattern of the (benefit-sorted) list against every op. Kept so the
-    benchmark harness can measure the worklist engine against it; new code
-    should use {!apply}. *)
-let apply_sweep ?(config = default_config) ?stats ?rewriter ctx ~patterns root
-    =
-  Profiler.span ~cat:"greedy"
-    ~args:[ ("root", Profiler.Astr root.Ircore.op_name) ]
-    "greedy.apply_sweep"
-  @@ fun () ->
-  let patterns =
-    List.stable_sort
-      (fun a b -> compare b.Pattern.benefit a.Pattern.benefit)
-      patterns
-  in
-  let stats = match stats with Some s -> s | None -> create_stats () in
-  let rewriter =
-    match rewriter with Some rw -> rw | None -> Rewriter.create ()
-  in
-  let folder = Op_folder.create () in
-  let erased = Itbl.create 64 in
-  (* track erasure so stale worklist entries are skipped *)
-  let listener =
-    {
-      Rewriter.null_listener with
-      Rewriter.on_erased =
-        (fun op -> Itbl.replace erased op.Ircore.op_id ());
-      on_replaced = (fun op _ -> Itbl.replace erased op.Ircore.op_id ());
-    }
-  in
-  Rewriter.add_listener rewriter listener;
-  let changed_overall = ref true in
-  let iterations = ref 0 in
-  while !changed_overall && !iterations < config.max_iterations do
-    incr iterations;
-    changed_overall := false;
-    (* re-collect the current ops in post-order *)
-    let worklist = List.rev (rev_post_order root) in
-    List.iter
-      (fun op ->
-        if not (Itbl.mem erased op.Ircore.op_id) then begin
-          if config.remove_dead && is_trivially_dead ctx op then begin
-            Rewriter.erase_op rewriter op;
-            stats.dce <- stats.dce + 1;
-            changed_overall := true
-          end
-          else if
-            config.fold && fold_contained ctx rewriter config folder stats op
-          then begin
-            stats.folds <- stats.folds + 1;
-            changed_overall := true
-          end
-          else
-            let rec try_patterns = function
-              | [] -> ()
-              | p :: rest ->
-                stats.match_attempts <- stats.match_attempts + 1;
-                if Pattern.applicable p op then begin
-                  Rewriter.set_ip rewriter (Builder.Before op);
-                  if rewrite_contained ctx rewriter p op then begin
-                    stats.rewrites <- stats.rewrites + 1;
-                    changed_overall := true
-                  end
-                  else try_patterns rest
-                end
-                else try_patterns rest
-            in
-            try_patterns patterns
-        end)
-      worklist
-  done;
-  Rewriter.remove_listener rewriter listener;
-  stats.iterations <- !iterations;
-  let converged = not !changed_overall in
-  if not converged then warn_no_fixpoint ctx config root 0;
   record_trace root stats converged;
   converged

@@ -14,9 +14,6 @@ type t = {
 
 let make ?(benefit = 1) ?root ~name rewrite = { name; benefit; root; rewrite }
 
-let applicable p (op : Ircore.op) =
-  match p.root with None -> true | Some r -> String.equal r op.Ircore.op_name
-
 (* ------------------------------------------------------------------ *)
 (* Registry                                                            *)
 (* ------------------------------------------------------------------ *)
