@@ -18,8 +18,9 @@
     - an op that cannot run — unknown, an unresolvable include, an include
       arity mismatch, a malformed region — becomes [Fail], which reports
       its diagnostic when execution reaches it;
-    - every SSA value of the script is numbered statically, so the state's
-      side tables become flat slot arrays ({!State.install_slots}).
+    - every SSA value of the script and of its callees is numbered
+      statically; the numbering addresses the state's slot arrays
+      ({!State.create}).
 
     Every instruction charges one step, one [transform/ops_executed] tick,
     one unit of the ambient {!Ir.Budget} and one profiler span; registered
@@ -128,10 +129,12 @@ let slot_count s =
 (* Compilation                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* statically number every SSA value of the script: block arguments and op
-   results, in traversal order; the numbering is the slot index shared by
-   every application of this schedule *)
-let build_slot_index script =
+(* statically number every SSA value of the script and of its callees (an
+   include may resolve outside [script] when it is nested in a larger
+   module): block arguments and op results, in traversal order; the
+   numbering is the slot index shared by every application of this
+   schedule *)
+let build_slot_index script callees =
   let index = Hashtbl.create 64 in
   let next = ref 0 in
   let number (v : Ircore.value) =
@@ -140,14 +143,17 @@ let build_slot_index script =
       incr next
     end
   in
-  Ircore.walk_op script ~pre:(fun op ->
-      Array.iter number op.Ircore.results;
-      List.iter
-        (fun r ->
+  List.iter
+    (fun root ->
+      Ircore.walk_op root ~pre:(fun op ->
+          Array.iter number op.Ircore.results;
           List.iter
-            (fun b -> List.iter number (Ircore.block_args b))
-            (Ircore.region_blocks r))
-        op.Ircore.regions);
+            (fun r ->
+              List.iter
+                (fun b -> List.iter number (Ircore.block_args b))
+                (Ircore.region_blocks r))
+            op.Ircore.regions))
+    (script :: callees);
   (index, !next)
 
 let script_root op =
@@ -340,7 +346,9 @@ let compile_entry script entry =
       | _ -> (None, [| fail entry "named_sequence must have one region" |]))
   in
   let callees = Array.of_list (List.rev_map snd cx.callees) in
-  let index, slot_count = build_slot_index script in
+  let index, slot_count =
+    build_slot_index script (List.rev_map fst cx.callees)
+  in
   {
     c_entry = entry;
     c_root = root;
@@ -375,9 +383,8 @@ let with_cache f =
 
 (** Bound on distinct cached schedules; exceeding it drops the whole cache
     (autotuning loops generate unbounded families of one-shot scripts). *)
-let cache_capacity = ref 512
+let cache_capacity = 512
 
-let cache_size () = with_cache (fun () -> Hashtbl.length cache)
 let clear_cache () = with_cache (fun () -> Hashtbl.reset cache)
 
 let schedule_of ctx (script : Ircore.op) : t =
@@ -407,7 +414,7 @@ let schedule_of ctx (script : Ircore.op) : t =
       }
     in
     with_cache (fun () ->
-        if Hashtbl.length cache >= !cache_capacity then begin
+        if Hashtbl.length cache >= cache_capacity then begin
           Stats.incr stat_evictions;
           Hashtbl.reset cache
         end;
@@ -586,8 +593,9 @@ and exec_body callees st (body : instr array) =
   go 0
 
 let apply_compiled ~config ctx c ~payload =
-  let st = State.create ~config ctx payload in
-  State.install_slots st ~index:c.c_index ~count:c.c_slot_count;
+  let st =
+    State.create ~config ~index:c.c_index ~count:c.c_slot_count ctx payload
+  in
   let result =
     (* forced budget check at entry: scripts too short for the amortized
        deadline sampling still honor an expired deadline *)

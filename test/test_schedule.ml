@@ -53,6 +53,31 @@ let test_fallback_constructs () =
   | Error e -> Alcotest.failf "apply: %s" (Transform.Terror.to_string e));
   check ci "two failures suppressed" (before + 2) (Stats.value suppressed)
 
+(* The script may be the entry sequence itself; an include then resolves
+   to a sibling outside it, whose values need slots too. *)
+let test_include_outside_script () =
+  let m =
+    B.script (fun rw root ->
+        let inc = B.include_ rw ~target:"helper" [ root ] ~results:1 in
+        B.annotate rw ~name:"test.outer" (Ircore.result inc))
+  in
+  ignore
+    (B.named_sequence m ~name:"helper" ~num_args:1 (fun rw args ->
+         let loops = B.match_op rw ~name:"scf.for" (List.hd args) in
+         B.annotate rw ~name:"test.inner" loops;
+         [ loops ]));
+  let entry =
+    match Transform.Dispatch.find_entry m with
+    | Some e -> e
+    | None -> Alcotest.fail "no entry"
+  in
+  let md = matmul () in
+  (match Transform.Schedule.run ctx ~script:entry ~payload:md with
+  | Ok steps -> check ci "include, its callee's two steps, annotate" 4 steps
+  | Error e -> Alcotest.failf "apply: %s" (Transform.Terror.to_string e));
+  check cb "callee result reached the caller" true
+    (Symbol.collect md ~f:(fun o -> Ircore.has_attr o "test.outer") <> [])
+
 (* ---------------- cache ---------------- *)
 
 let test_cache_hit_on_reapply () =
@@ -142,6 +167,8 @@ let () =
           Alcotest.test_case "use-after-consume" `Quick test_consumed_script;
           Alcotest.test_case "fallback-constructs" `Quick
             test_fallback_constructs;
+          Alcotest.test_case "include-outside-script" `Quick
+            test_include_outside_script;
         ] );
       ( "cache",
         [
