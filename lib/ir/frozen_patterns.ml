@@ -45,7 +45,6 @@ let freeze patterns =
   { by_root; any_root = by_benefit (List.rev !any_root); size = List.length patterns }
 
 let empty = freeze []
-let size t = t.size
 let is_empty t = t.size = 0
 
 (** All patterns in the set (no meaningful order). *)

@@ -220,13 +220,6 @@ let fold_contained ctx rewriter config folder stats (op : Ircore.op) =
          e bt);
     false
 
-let warn_no_fixpoint ctx config (root : Ircore.op) pending =
-  Context.emit_diag ctx
-    (Diag.warning ~loc:root.Ircore.op_loc
-       "greedy rewrite on '%s' failed to converge within %d iterations (%d \
-        ops still pending)"
-       root.Ircore.op_name config.max_iterations pending)
-
 (** Apply [patterns] greedily to the subtree rooted at [root] (the root op
     itself is not rewritten). Returns [true] if the IR converged — the
     worklist drained — within the [config.max_iterations] work budget; a
@@ -422,6 +415,10 @@ let apply ?(config = default_config) ?stats ?rewriter ctx ~patterns root =
          reason)
   | None ->
     if not converged then
-      warn_no_fixpoint ctx config root (List.length pending));
+      Context.emit_diag ctx
+        (Diag.warning ~loc:root.Ircore.op_loc
+           "greedy rewrite on '%s' failed to converge within %d iterations \
+            (%d ops still pending)"
+           root.Ircore.op_name config.max_iterations (List.length pending)));
   record_trace root stats converged;
   converged
