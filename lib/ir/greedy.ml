@@ -252,8 +252,7 @@ let apply ?(config = default_config) ?stats ?rewriter ctx ~patterns root =
   in
   let push_users (op : Ircore.op) =
     Array.iter
-      (fun r ->
-        List.iter (fun u -> push u.Ircore.u_op) r.Ircore.v_uses)
+      (Ircore.iter_uses (fun u -> push u.Ircore.u_op))
       op.Ircore.results
   in
   let push_operand_defs (op : Ircore.op) =

@@ -1,25 +1,42 @@
-(** The mutable IR graph: values, operations, blocks and regions, with
-    use-def chains and intrusive doubly-linked lists of operations within
-    blocks and blocks within regions — mirroring MLIR's in-memory design so
-    that insertion, erasure and replacement are O(1) during rewrites. *)
+(** The mutable IR graph: values, operations, blocks and regions, mirroring
+    MLIR's in-memory design so that rewrites cost O(1) per edit:
+    - ops within a block and blocks within a region are intrusive
+      doubly-linked lists, so insertion, erasure and moves are O(1);
+    - every operand slot owns one use node (upstream [IROperand]) threaded
+      into an intrusive doubly-linked use list on its value, so linking,
+      unlinking and retargeting a use is O(1) and allocates nothing;
+    - each block keeps a lazily renumbered op order index (upstream
+      [Operation::isBeforeInBlock]), so {!is_before_in_block} is two int
+      compares after at most one O(n) renumber per edited block. *)
 
 type value = {
   v_id : int;
   mutable v_typ : Typ.t;
   v_def : vdef;
-  mutable v_uses : use list;  (** unordered list of (user op, operand idx) *)
+  mutable v_uses : use;
+      (** head of this value's use list, newest use first; [nil_use] when
+          the value is unused *)
 }
 
 and vdef =
   | Op_result of op * int
   | Block_arg of block * int
 
-and use = { u_op : op; u_index : int }
+(** The use node of operand slot [u_index] of [u_op]. [nil_use] stands for
+    "no node" in the links, so linking allocates no option box. *)
+and use = {
+  u_op : op;
+  u_index : int;
+  mutable u_value : value;  (** the value this slot holds *)
+  mutable u_prev : use;  (** newer use of [u_value] *)
+  mutable u_next : use;  (** older use of [u_value] *)
+}
 
 and op = {
   op_id : int;
   op_name : string;
   mutable operands : value array;
+  mutable op_uses : use array;  (** one use node per operand slot *)
   mutable results : value array;
   mutable attrs : Attr.dict;
   mutable regions : region list;
@@ -27,6 +44,9 @@ and op = {
   mutable op_parent : block option;
   mutable op_prev : op option;
   mutable op_next : op option;
+  mutable op_order : int;
+      (** position in the parent block; meaningful while the block's
+          [b_order_valid] is set *)
   mutable op_loc : Loc.t;
 }
 
@@ -38,6 +58,9 @@ and block = {
   mutable b_parent : region option;
   mutable b_prev : block option;
   mutable b_next : block option;
+  mutable b_order_valid : bool;
+      (** the [op_order] of this block's ops increases along the list;
+          cleared by every insertion *)
 }
 
 and region = {
@@ -48,14 +71,31 @@ and region = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Values                                                              *)
+(* Values and use lists                                                *)
 (* ------------------------------------------------------------------ *)
+
+(* The list sentinel. It is shared by every domain, so nothing may ever
+   write to it: the link code below tests for it before each write. *)
+let rec nil_use =
+  { u_op = nil_op; u_index = -1; u_value = nil_value; u_prev = nil_use;
+    u_next = nil_use }
+
+and nil_op =
+  { op_id = -1; op_name = ""; operands = [||]; op_uses = [||];
+    results = [||]; attrs = []; regions = []; successors = [||];
+    op_parent = None; op_prev = None; op_next = None; op_order = 0;
+    op_loc = Loc.unknown }
+
+and nil_value =
+  { v_id = -1; v_typ = Typ.i1; v_def = Op_result (nil_op, 0);
+    v_uses = nil_use }
 
 let value_typ v = v.v_typ
 let value_id v = v.v_id
 
 let new_result op index typ =
-  { v_id = Util.fresh_id (); v_typ = typ; v_def = Op_result (op, index); v_uses = [] }
+  { v_id = Util.fresh_id (); v_typ = typ; v_def = Op_result (op, index);
+    v_uses = nil_use }
 
 let defining_op v =
   match v.v_def with Op_result (op, _) -> Some op | Block_arg _ -> None
@@ -63,19 +103,61 @@ let defining_op v =
 let defining_block v =
   match v.v_def with Block_arg (b, _) -> Some b | Op_result _ -> None
 
-let value_uses v = v.v_uses
-let has_uses v = v.v_uses <> []
+(** Apply [f] to the uses of [v], newest first. [f] must not edit the use
+    list; iterate a {!value_uses} snapshot to do that. *)
+let iter_uses f v =
+  let rec go u =
+    if u != nil_use then begin
+      f u;
+      go u.u_next
+    end
+  in
+  go v.v_uses
+
+(** The uses of [v], newest first. *)
+let value_uses v =
+  let[@tail_mod_cons] rec go u =
+    if u == nil_use then [] else u :: go u.u_next
+  in
+  go v.v_uses
+
+let has_uses v = v.v_uses != nil_use
 
 (** Exactly one use — O(1), unlike counting with {!num_uses}. *)
-let has_one_use v = match v.v_uses with [ _ ] -> true | _ -> false
+let has_one_use v = v.v_uses != nil_use && v.v_uses.u_next == nil_use
 
-let num_uses v = List.length v.v_uses
+let num_uses v =
+  let rec go n u = if u == nil_use then n else go (n + 1) u.u_next in
+  go 0 v.v_uses
 
-let add_use v ~op ~index = v.v_uses <- { u_op = op; u_index = index } :: v.v_uses
+(** Link the node [u] at the head of [v]'s use list. *)
+let add_use v u =
+  u.u_value <- v;
+  u.u_prev <- nil_use;
+  u.u_next <- v.v_uses;
+  if v.v_uses != nil_use then v.v_uses.u_prev <- u;
+  v.v_uses <- u
 
-let remove_use v ~op ~index =
-  v.v_uses <-
-    List.filter (fun u -> not (u.u_op == op && u.u_index = index)) v.v_uses
+(** Unlink [u] from its value's use list, keeping the order of the rest;
+    a no-op on an unlinked node. *)
+let remove_use u =
+  if u.u_prev != nil_use then u.u_prev.u_next <- u.u_next
+  else if u.u_value.v_uses == u then u.u_value.v_uses <- u.u_next;
+  if u.u_next != nil_use then u.u_next.u_prev <- u.u_prev;
+  u.u_prev <- nil_use;
+  u.u_next <- nil_use
+
+(** Is [u] linked into the use list of the value it holds? *)
+let use_is_linked u =
+  if u.u_prev != nil_use then u.u_prev.u_next == u else u.u_value.v_uses == u
+
+let new_use op index v =
+  let u =
+    { u_op = op; u_index = index; u_value = v; u_prev = nil_use;
+      u_next = nil_use }
+  in
+  add_use v u;
+  u
 
 (* ------------------------------------------------------------------ *)
 (* Op creation                                                         *)
@@ -88,6 +170,7 @@ let create ?(operands = []) ?(result_types = []) ?(attrs = []) ?(regions = [])
       op_id = Util.fresh_id ();
       op_name;
       operands = Array.of_list operands;
+      op_uses = [||];
       results = [||];
       attrs;
       regions;
@@ -95,11 +178,12 @@ let create ?(operands = []) ?(result_types = []) ?(attrs = []) ?(regions = [])
       op_parent = None;
       op_prev = None;
       op_next = None;
+      op_order = 0;
       op_loc = loc;
     }
   in
   op.results <- Array.of_list (List.mapi (fun i t -> new_result op i t) result_types);
-  Array.iteri (fun index v -> add_use v ~op ~index) op.operands;
+  op.op_uses <- Array.mapi (new_use op) op.operands;
   List.iter (fun r -> r.r_parent <- Some op) op.regions;
   op
 
@@ -122,17 +206,17 @@ let remove_attr op name = op.attrs <- Attr.remove name op.attrs
 let has_attr op name = Option.is_some (attr op name)
 
 let set_operand op index v =
-  let old = op.operands.(index) in
-  if not (old == v) then begin
-    remove_use old ~op ~index;
+  if not (op.operands.(index) == v) then begin
+    let u = op.op_uses.(index) in
+    remove_use u;
     op.operands.(index) <- v;
-    add_use v ~op ~index
+    add_use v u
   end
 
 let set_operands op vs =
-  Array.iteri (fun index v -> remove_use v ~op ~index) op.operands;
+  Array.iter remove_use op.op_uses;
   op.operands <- Array.of_list vs;
-  Array.iteri (fun index v -> add_use v ~op ~index) op.operands
+  op.op_uses <- Array.mapi (new_use op) op.operands
 
 (* ------------------------------------------------------------------ *)
 (* Linking ops into blocks                                             *)
@@ -163,6 +247,7 @@ let assert_detached op =
 
 let insert_at_end b op =
   assert_detached op;
+  b.b_order_valid <- false;
   op.op_parent <- Some b;
   op.op_prev <- b.b_last;
   op.op_next <- None;
@@ -173,6 +258,7 @@ let insert_at_end b op =
 
 let insert_at_start b op =
   assert_detached op;
+  b.b_order_valid <- false;
   op.op_parent <- Some b;
   op.op_next <- b.b_first;
   op.op_prev <- None;
@@ -188,6 +274,7 @@ let insert_before ~anchor op =
     | Some b -> b
     | None -> invalid_arg "insert_before: anchor is detached"
   in
+  b.b_order_valid <- false;
   op.op_parent <- Some b;
   op.op_prev <- anchor.op_prev;
   op.op_next <- Some anchor;
@@ -203,6 +290,7 @@ let insert_after ~anchor op =
     | Some b -> b
     | None -> invalid_arg "insert_after: anchor is detached"
   in
+  b.b_order_valid <- false;
   op.op_parent <- Some b;
   op.op_next <- anchor.op_next;
   op.op_prev <- Some anchor;
@@ -211,7 +299,8 @@ let insert_after ~anchor op =
   | Some n -> n.op_prev <- Some op);
   anchor.op_next <- Some op
 
-(** Unlink [op] from its block without touching uses or nested regions. *)
+(** Unlink [op] from its block without touching uses or nested regions.
+    The block's order index stays valid: the rest keep their order. *)
 let detach op =
   match op.op_parent with
   | None -> ()
@@ -252,13 +341,15 @@ let create_block ?(args = []) () =
       b_parent = None;
       b_prev = None;
       b_next = None;
+      b_order_valid = false;
     }
   in
   b.b_args <-
     Array.of_list
       (List.mapi
          (fun i t ->
-           { v_id = Util.fresh_id (); v_typ = t; v_def = Block_arg (b, i); v_uses = [] })
+           { v_id = Util.fresh_id (); v_typ = t; v_def = Block_arg (b, i);
+             v_uses = nil_use })
          args);
   b
 
@@ -268,7 +359,10 @@ let block_parent b = b.b_parent
 
 let add_block_arg b t =
   let i = Array.length b.b_args in
-  let v = { v_id = Util.fresh_id (); v_typ = t; v_def = Block_arg (b, i); v_uses = [] } in
+  let v =
+    { v_id = Util.fresh_id (); v_typ = t; v_def = Block_arg (b, i);
+      v_uses = nil_use }
+  in
   b.b_args <- Array.append b.b_args [| v |];
   v
 
@@ -373,22 +467,29 @@ let value_defined_within ~ancestor v =
 (* Replacement and erasure                                             *)
 (* ------------------------------------------------------------------ *)
 
+(** Retarget every use of [v] to [with_]. The nodes move newest first, each
+    to the head of [with_]'s list, so they end up there in reverse order. *)
 let replace_all_uses_with v ~with_ =
   if not (v == with_) then begin
-    let uses = v.v_uses in
-    v.v_uses <- [];
-    List.iter
-      (fun { u_op; u_index } ->
-        u_op.operands.(u_index) <- with_;
-        with_.v_uses <- { u_op; u_index } :: with_.v_uses)
-      uses
+    let rec go u =
+      if u != nil_use then begin
+        let next = u.u_next in
+        u.u_op.operands.(u.u_index) <- with_;
+        add_use with_ u;
+        go next
+      end
+    in
+    let first = v.v_uses in
+    v.v_uses <- nil_use;
+    go first
   end
 
 (** Drop all operand uses held by [op] and, recursively, by its regions.
     Required before erasing a subtree that may contain forward references. *)
 let rec drop_all_references op =
-  Array.iteri (fun index v -> remove_use v ~op ~index) op.operands;
+  Array.iter remove_use op.op_uses;
   op.operands <- [||];
+  op.op_uses <- [||];
   List.iter
     (fun r ->
       List.iter
@@ -403,11 +504,9 @@ exception Has_live_uses of op
     erased subtree. *)
 let erase op =
   Array.iter
-    (fun res ->
-      List.iter
-        (fun u ->
-          if not (is_ancestor ~ancestor:op u.u_op) then raise (Has_live_uses op))
-        res.v_uses)
+    (iter_uses (fun u ->
+         if not (is_ancestor ~ancestor:op u.u_op) then
+           raise (Has_live_uses op)))
     op.results;
   (* Results of nested ops must not be used outside the subtree either. *)
   List.iter
@@ -418,12 +517,9 @@ let erase op =
             (fun nested ->
               walk_op nested ~pre:(fun n ->
                   Array.iter
-                    (fun res ->
-                      List.iter
-                        (fun u ->
-                          if not (is_ancestor ~ancestor:op u.u_op) then
-                            raise (Has_live_uses n))
-                        res.v_uses)
+                    (iter_uses (fun u ->
+                         if not (is_ancestor ~ancestor:op u.u_op) then
+                           raise (Has_live_uses n)))
                     n.results))
             (block_ops b))
         (region_blocks r))
@@ -527,13 +623,27 @@ and clone_region ~mapping r =
 
 let op_dialect op = Util.dialect_of_op_name op.op_name
 
-let is_before_in_block a b =
-  (* both must be in the same block *)
-  let rec go = function
-    | None -> false
-    | Some x -> x == b || go x.op_next
+let stat_ops_renumbered =
+  Stats.counter ~component:"ircore" "ops_renumbered"
+    ~desc:"ops given a fresh order index by a lazy block renumber"
+
+(** Number the ops of [b] in list order and mark its order index valid. *)
+let renumber b =
+  let rec go i = function
+    | None -> i
+    | Some op ->
+      op.op_order <- i;
+      go (i + 1) op.op_next
   in
-  (match (a.op_parent, b.op_parent) with
-  | Some ba, Some bb when ba == bb -> ()
-  | _ -> invalid_arg "is_before_in_block: ops not in the same block");
-  go a.op_next
+  Stats.add stat_ops_renumbered (go 0 b.b_first);
+  b.b_order_valid <- true
+
+(** Does [a] come before [b] in their common block? The first query after
+    an insertion renumbers that block, and only that block: a pool task
+    queries only blocks of the function it owns. *)
+let is_before_in_block a b =
+  match (a.op_parent, b.op_parent) with
+  | Some ba, Some bb when ba == bb ->
+    if not ba.b_order_valid then renumber ba;
+    a.op_order < b.op_order
+  | _ -> invalid_arg "is_before_in_block: ops not in the same block"

@@ -396,7 +396,7 @@ let convert_block_signature func block =
         arg.Ircore.v_typ <- new_t;
         let cast = Builtin.cast brw arg old_t in
         List.iter
-          (fun { Ircore.u_op; u_index } ->
+          (fun { Ircore.u_op; u_index; _ } ->
             if not (u_op == Option.get (Ircore.defining_op cast)) then
               Ircore.set_operand u_op u_index cast)
           (Ircore.value_uses arg);

@@ -313,6 +313,204 @@ let prop_use_def_consistent =
                (Ircore.value_uses (Ircore.result d)))
            defs)
 
+(* ------------------------------------------------------------------ *)
+(* property: the lazy order index agrees with list position            *)
+(* ------------------------------------------------------------------ *)
+
+(* A seeded random edit sequence over two blocks. After every edit,
+   [is_before_in_block] must agree with list position for every pair of
+   ops in each block, whatever the edit did to the cached order. *)
+let test_order_index_random_edits () =
+  let rng = Random.State.make [| 0x0de7 |] in
+  let blocks = [| Ircore.create_block (); Ircore.create_block () |] in
+  let fresh = ref 0 in
+  let new_op () =
+    incr fresh;
+    mkop (Fmt.str "t.o%d" !fresh)
+  in
+  let pool = Array.init 24 (fun _ -> new_op ()) in
+  let pick a = a.(Random.State.int rng (Array.length a)) in
+  let attached () =
+    Array.of_list (List.concat_map Ircore.block_ops (Array.to_list blocks))
+  in
+  let detached () =
+    Array.of_list
+      (List.filter (fun o -> Ircore.op_parent o = None) (Array.to_list pool))
+  in
+  let check_order step =
+    Array.iter
+      (fun b ->
+        let ops = Ircore.block_ops b in
+        List.iteri
+          (fun i x ->
+            List.iteri
+              (fun j y ->
+                if Ircore.is_before_in_block x y <> (i < j) then
+                  Alcotest.failf "step %d: is_before_in_block %s %s is %b" step
+                    x.Ircore.op_name y.Ircore.op_name (not (i < j)))
+              ops)
+          ops)
+      blocks
+  in
+  for step = 1 to 2000 do
+    let att = attached () and det = detached () in
+    (match Random.State.int rng 9 with
+    | 0 when det <> [||] -> Ircore.insert_at_start (pick blocks) (pick det)
+    | 1 when det <> [||] -> Ircore.insert_at_end (pick blocks) (pick det)
+    | 2 when det <> [||] && att <> [||] ->
+      Ircore.insert_before ~anchor:(pick att) (pick det)
+    | 3 when det <> [||] && att <> [||] ->
+      Ircore.insert_after ~anchor:(pick att) (pick det)
+    | 4 when Array.length att > 1 ->
+      let anchor = pick att and o = pick pool in
+      if not (o == anchor) then Ircore.move_before ~anchor o
+    | 5 when Array.length att > 1 ->
+      let anchor = pick att and o = pick pool in
+      if not (o == anchor) then Ircore.move_after ~anchor o
+    | 6 -> Ircore.move_to_end (pick blocks) (pick pool)
+    | 7 when att <> [||] -> Ircore.detach (pick att)
+    | 8 when att <> [||] ->
+      let o = pick att in
+      Ircore.erase_unchecked o;
+      let i = ref 0 in
+      while not (pool.(!i) == o) do incr i done;
+      pool.(!i) <- new_op ()
+    | _ -> ());
+    check_order step
+  done
+
+(* ------------------------------------------------------------------ *)
+(* property: use lists follow the list semantics                       *)
+(* ------------------------------------------------------------------ *)
+
+(* A seeded random sequence of use-list edits checked against a model of
+   the use-list semantics: a new use goes first, removing a use keeps the
+   order of the rest, and replace_all_uses_with moves [v]'s uses to the
+   front of [with_]'s in reverse. *)
+let test_use_lists_match_model () =
+  let rng = Random.State.make [| 0x05e5 |] in
+  (* model: value id -> (user op id, operand index), newest first *)
+  let model : (int, (int * int) list) Hashtbl.t = Hashtbl.create 64 in
+  let uses_of v =
+    Option.value ~default:[] (Hashtbl.find_opt model (Ircore.value_id v))
+  in
+  let model_add v op i =
+    Hashtbl.replace model (Ircore.value_id v)
+      ((op.Ircore.op_id, i) :: uses_of v)
+  in
+  let model_remove v op i =
+    Hashtbl.replace model (Ircore.value_id v)
+      (List.filter (fun u -> u <> (op.Ircore.op_id, i)) (uses_of v))
+  in
+  let model_rauw v with_ =
+    if not (v == with_) then begin
+      Hashtbl.replace model (Ircore.value_id with_)
+        (List.rev_append (uses_of v) (uses_of with_));
+      Hashtbl.replace model (Ircore.value_id v) []
+    end
+  in
+  let model_drop op =
+    Array.iteri (fun i v -> model_remove v op i) op.Ircore.operands
+  in
+  let args =
+    Ircore.block_args (Ircore.create_block ~args:[ Typ.i32; Typ.i32 ] ())
+  in
+  let ops = ref [] in
+  let values () = args @ List.concat_map Ircore.results !ops in
+  let pick l = List.nth l (Random.State.int rng (List.length l)) in
+  let random_operands () =
+    let vs = values () in
+    List.init (Random.State.int rng 4) (fun _ -> pick vs)
+  in
+  let create () =
+    let operands = random_operands () in
+    let op = mkop ~operands ~result_types:[ Typ.i32; Typ.i32 ] "t.op" in
+    List.iteri (fun i v -> model_add v op i) operands;
+    ops := !ops @ [ op ]
+  in
+  let forget op = ops := List.filter (fun o -> not (o == op)) !ops in
+  let outside_uses op =
+    Array.exists
+      (fun r -> List.exists (fun (id, _) -> id <> op.Ircore.op_id) (uses_of r))
+      op.Ircore.results
+  in
+  for _ = 1 to 4 do create () done;
+  for step = 1 to 3000 do
+    (match Random.State.int rng 6 with
+    | 0 -> create ()
+    | 1 ->
+      let op = pick !ops in
+      let n = Ircore.num_operands op in
+      if n > 0 then begin
+        let i = Random.State.int rng n and v = pick (values ()) in
+        let old = Ircore.operand ~index:i op in
+        if not (old == v) then begin
+          model_remove old op i;
+          model_add v op i
+        end;
+        Ircore.set_operand op i v
+      end
+    | 2 ->
+      let op = pick !ops and vs = random_operands () in
+      model_drop op;
+      List.iteri (fun i v -> model_add v op i) vs;
+      Ircore.set_operands op vs
+    | 3 ->
+      let v = pick (values ()) and with_ = pick (values ()) in
+      model_rauw v with_;
+      Ircore.replace_all_uses_with v ~with_
+    | 4 ->
+      let op = pick !ops in
+      let with_ =
+        List.filter
+          (fun v -> not (Ircore.value_defined_within ~ancestor:op v))
+          (values ())
+      in
+      if with_ <> [] && List.length !ops > 2 then begin
+        let with_ = [ pick with_; pick with_ ] in
+        List.iteri (fun i v -> model_rauw (Ircore.result ~index:i op) v) with_;
+        (* the rewiring reaches the op's own operands before it is erased *)
+        Array.iteri
+          (fun i v ->
+            let v =
+              match v.Ircore.v_def with
+              | Ircore.Op_result (d, k) when d == op -> List.nth with_ k
+              | _ -> v
+            in
+            model_remove v op i)
+          op.Ircore.operands;
+        Ircore.replace op ~with_;
+        forget op
+      end
+    | _ ->
+      let op = pick !ops in
+      if outside_uses op then begin
+        match Ircore.erase op with
+        | () -> Alcotest.failf "step %d: erased an op with live uses" step
+        | exception Ircore.Has_live_uses o when o == op -> ()
+      end
+      else if List.length !ops > 2 then begin
+        model_drop op;
+        Ircore.erase op;
+        forget op
+      end);
+    List.iter
+      (fun v ->
+        let got =
+          List.map
+            (fun u -> (u.Ircore.u_op.Ircore.op_id, u.Ircore.u_index))
+            (Ircore.value_uses v)
+        in
+        if
+          got <> uses_of v
+          || Ircore.num_uses v <> List.length got
+          || Ircore.has_one_use v <> (List.length got = 1)
+        then
+          Alcotest.failf "step %d: uses of value %d differ from the model" step
+            (Ircore.value_id v))
+      (values ())
+  done
+
 let () =
   Alcotest.run "ir-core"
     [
@@ -323,6 +521,8 @@ let () =
             test_set_operand_updates_uses;
           Alcotest.test_case "same value used twice" `Quick test_same_value_twice;
           Alcotest.test_case "replace_all_uses_with" `Quick test_rauw;
+          Alcotest.test_case "use lists match the model" `Quick
+            test_use_lists_match_model;
         ] );
       ( "blocks",
         [
@@ -331,6 +531,8 @@ let () =
             test_insert_after_and_start;
           Alcotest.test_case "detach and move" `Quick test_detach_and_move;
           Alcotest.test_case "is_before_in_block" `Quick test_is_before;
+          Alcotest.test_case "order index under random edits" `Quick
+            test_order_index_random_edits;
           Alcotest.test_case "double attach rejected" `Quick
             test_double_attach_rejected;
         ] );
