@@ -38,6 +38,7 @@ let compute r =
   let idom : (int, block) Hashtbl.t = Hashtbl.create 8 in
   (match rpo with
   | [] -> ()
+  | [ entry ] -> Hashtbl.replace idom entry.b_id entry
   | entry :: rest ->
     Hashtbl.replace idom entry.b_id entry;
     (* predecessors map *)
@@ -103,40 +104,13 @@ let block_dominates t a b =
      reachable is irrelevant; be conservative *)
   if not (Hashtbl.mem t.order b.b_id) then false else go b
 
-(** Does the program point of [def] properly dominate op [user]?
-    Both must live in blocks of the same region. *)
-let value_dominates_op doms (v : value) (user : op) =
-  (* hoist user up to the op in the same region as the def *)
-  let placement =
-    match v.v_def with
-    | Block_arg (b, _) -> Some (b, None)
-    | Op_result (op, _) -> (
-      match op.op_parent with
-      | None -> None (* detached defining op dominates nothing *)
-      | Some b -> Some (b, Some op))
-  in
-  match placement with
-  | None -> false
-  | Some (def_block, def_op) ->
-  let same_region b =
-    match (b.b_parent, def_block.b_parent) with
-    | Some r1, Some r2 -> r1 == r2
-    | None, None -> b == def_block
-    | _ -> false
-  in
-  (* walk user up through parents until its block is in the def's region *)
-  let rec hoist (o : op) =
-    match o.op_parent with
-    | None -> None
-    | Some b ->
-      if same_region b then Some (o, b)
-      else ( match parent_op o with None -> None | Some p -> hoist p)
-  in
-  match hoist user with
-  | None -> false
-  | Some (user', user_block) ->
-    if user_block == def_block then (
-      match def_op with
-      | None -> true (* block argument dominates everything in its block *)
-      | Some d -> if d == user' then false else is_before_in_block d user')
-    else block_dominates doms def_block user_block
+(** Does the definition at [def_op] of [def_block] (a block argument when
+    [def_op] is [None]) properly dominate [user], an op of [user_block]?
+    Both blocks belong to the region [doms] describes; it is forced only
+    when they differ. *)
+let dominates doms ~def_block ~def_op ~user_block user =
+  if user_block == def_block then
+    match def_op with
+    | None -> true (* a block argument dominates everything in its block *)
+    | Some d -> (not (d == user)) && is_before_in_block d user
+  else block_dominates (Lazy.force doms) def_block user_block

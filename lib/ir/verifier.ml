@@ -59,53 +59,6 @@ let verify_block_terminator ctx ~parent b errors =
         errors :=
           diag last "block must end with a terminator operation" :: !errors
 
-(** Verify dominance of operand defs over their users in [region]. *)
-let verify_region_dominance r errors =
-  let doms = Dominance.compute r in
-  List.iter
-    (fun b ->
-      List.iter
-        (fun op ->
-          walk_op op ~pre:(fun user ->
-              Array.iteri
-                (fun i v ->
-                  (* only check values defined within this same region;
-                     outer values are checked at the outer region *)
-                  let in_region b =
-                    match b.b_parent with Some rr -> rr == r | None -> false
-                  in
-                  let in_this_region =
-                    match v.v_def with
-                    | Block_arg (db, _) -> in_region db
-                    | Op_result (dop, _) -> (
-                      match dop.op_parent with
-                      | Some db -> in_region db
-                      | None -> false)
-                  in
-                  if in_this_region && not (Dominance.value_dominates_op doms v user)
-                  then
-                    errors :=
-                      diag user "operand #%d does not dominate this use" i
-                      :: !errors)
-                user.operands))
-        (block_ops b))
-    (region_blocks r)
-
-let verify_use_def_consistency op errors =
-  walk_op op ~pre:(fun o ->
-      Array.iteri
-        (fun i v ->
-          if
-            not
-              (List.exists
-                 (fun u -> u.u_op == o && u.u_index = i)
-                 (value_uses v))
-          then
-            errors :=
-              diag o "operand #%d missing from the use list of its value" i
-              :: !errors)
-        o.operands)
-
 (** Verify symbol uniqueness within symbol-table ops. *)
 let verify_symbols ctx op errors =
   if Context.op_has_trait ctx op Context.Symbol_table then begin
@@ -128,20 +81,106 @@ let verify_symbols ctx op errors =
       op.regions
   end
 
+(* A region enclosing the op being visited. Its dominance info is computed
+   at most once, and only for a use in a block other than the def's. The
+   dominance diagnostics for values it defines collect in [rs_errors],
+   newest first. *)
+type region_scope = {
+  rs_region : region;
+  rs_doms : Dominance.t Lazy.t;
+  mutable rs_errors : Diag.t list;
+}
+
+(* One step of the path down to the visited op: the op of [s_scope]'s
+   region that is or encloses it, and that op's block. *)
+type step = { s_scope : region_scope; s_block : block; s_op : op }
+
+(* The diagnostics in report order. A region's dominance diagnostics go
+   after its terminator checks and before anything nested in it. *)
+type chunk = Diags of Diag.t list | Dominance_of of region_scope
+
+(* Check each operand of [user] once: its slot's use node must hold the
+   value and be linked into the value's use list, and its definition must
+   dominate the user hoisted to the defining region. [path] lists the
+   enclosing regions innermost first; a value defined in none of them is
+   not checked here. *)
+let verify_operands path user use_def =
+  Array.iteri
+    (fun i v ->
+      let u = user.op_uses.(i) in
+      if not (u.u_value == v && use_is_linked u) then
+        use_def :=
+          diag user "operand #%d missing from the use list of its value" i
+          :: !use_def;
+      let def_block, def_op =
+        match v.v_def with
+        | Block_arg (b, _) -> (Some b, None)
+        | Op_result (d, _) -> (d.op_parent, Some d)
+      in
+      match def_block with
+      | None -> ()
+      | Some def_block -> (
+        match def_block.b_parent with
+        | None -> ()
+        | Some r -> (
+          match List.find_opt (fun s -> s.s_scope.rs_region == r) path with
+          | None -> ()
+          | Some s ->
+            if
+              not
+                (Dominance.dominates s.s_scope.rs_doms ~def_block ~def_op
+                   ~user_block:s.s_block s.s_op)
+            then
+              s.s_scope.rs_errors <-
+                diag user "operand #%d does not dominate this use" i
+                :: s.s_scope.rs_errors)))
+    user.operands
+
+(** Verify [top] and everything nested in it in one walk. Use-def
+    diagnostics come first, then the rest in walk order. *)
 let verify ctx top : (unit, Diag.t list) result =
-  let errors = ref [] in
-  verify_use_def_consistency top errors;
-  walk_op top ~pre:(fun op ->
-      verify_op_structure ctx op errors;
-      verify_symbols ctx op errors;
-      List.iter
+  let use_def = ref [] and errors = ref [] and chunks = ref [] in
+  let rec visit path op =
+    verify_operands path op use_def;
+    verify_op_structure ctx op errors;
+    verify_symbols ctx op errors;
+    let scopes =
+      List.map
         (fun r ->
           List.iter
             (fun b -> verify_block_terminator ctx ~parent:op b errors)
             (region_blocks r);
-          verify_region_dominance r errors)
-        op.regions);
-  match List.rev !errors with [] -> Ok () | errs -> Error errs
+          let scope =
+            { rs_region = r; rs_doms = lazy (Dominance.compute r);
+              rs_errors = [] }
+          in
+          chunks := Dominance_of scope :: Diags !errors :: !chunks;
+          errors := [];
+          scope)
+        op.regions
+    in
+    List.iter
+      (fun scope ->
+        List.iter
+          (fun b ->
+            List.iter
+              (fun o ->
+                visit ({ s_scope = scope; s_block = b; s_op = o } :: path) o)
+              (block_ops b))
+          (region_blocks scope.rs_region))
+      scopes
+  in
+  visit [] top;
+  let reported =
+    List.concat_map
+      (function
+        | Diags ds -> List.rev ds
+        | Dominance_of scope -> List.rev scope.rs_errors)
+      (List.rev (Diags !errors :: !chunks))
+  in
+  match List.rev_append !use_def reported with
+  | [] -> Ok ()
+  | errs -> Error errs
 
 let verify_or_fail ctx top =
   match verify ctx top with

@@ -198,6 +198,79 @@ let test_successor_on_non_terminator () =
   "func.return"() : () -> ()
 }) {sym_name = "f", function_type = () -> ()} : () -> ()|})
 
+(* ------------------------------------------------------------------ *)
+(* use nodes, the cached op order and counted renumbering              *)
+(* ------------------------------------------------------------------ *)
+
+let straightline () =
+  let m =
+    parse
+      {|"func.func"() ({
+^bb0(%a: i64):
+  %x = "arith.addi"(%a, %a) : (i64, i64) -> i64
+  %y = "arith.muli"(%x, %a) : (i64, i64) -> i64
+  "func.return"() : () -> ()
+}) {sym_name = "f", function_type = (i64) -> ()} : () -> ()|}
+  in
+  let find name =
+    let found = ref None in
+    Ircore.walk_op m ~pre:(fun o ->
+        if o.Ircore.op_name = name then found := Some o);
+    Option.get !found
+  in
+  (m, find "arith.addi", find "arith.muli")
+
+let test_unlinked_use_node () =
+  let m, _, mul = straightline () in
+  expect_ok m;
+  Ircore.remove_use mul.Ircore.op_uses.(0);
+  expect_error ~containing:"operand #0 missing from the use list of its value"
+    m
+
+let test_move_invalidates_order () =
+  (* the first verify caches the block's order; moving the def past its
+     user must invalidate it *)
+  let m, add, mul = straightline () in
+  expect_ok m;
+  Ircore.move_after ~anchor:mul add;
+  expect_error ~containing:"operand #0 does not dominate this use" m
+
+let ops_renumbered () =
+  match Stats.find_counter ~component:"ircore" "ops_renumbered" with
+  | Some c -> Stats.value c
+  | None -> Alcotest.fail "counter ircore/ops_renumbered is not registered"
+
+let test_renumber_counted_once () =
+  (* a 40k-op flat block: each op uses the previous one, so every operand
+     is a same-block dominance query *)
+  let n = 40_000 in
+  let md = Builtin.create_module () in
+  let f, entry =
+    Func.create ~name:"flat" ~arg_types:[ Typ.i64 ] ~result_types:[] ()
+  in
+  let a = Ircore.block_arg entry 0 in
+  let prev = ref a in
+  for _ = 1 to n - 1 do
+    let op =
+      Ircore.create ~operands:[ !prev; a ] ~result_types:[ Typ.i64 ]
+        "arith.addi"
+    in
+    Ircore.insert_at_end entry op;
+    prev := Ircore.result op
+  done;
+  Func.return (Dutil.rw_at_end entry) ();
+  Ircore.insert_at_end (Builtin.body_block md) f;
+  let other_ops = Ircore.block_num_ops (Builtin.body_block md) in
+  let before = ops_renumbered () in
+  expect_ok md;
+  let first = ops_renumbered () - before in
+  if first > n + other_ops then
+    Alcotest.failf "first verify renumbered %d ops, more than %d" first
+      (n + other_ops);
+  expect_ok md;
+  Alcotest.(check int) "second verify renumbers nothing" 0
+    (ops_renumbered () - before - first)
+
 let () =
   Alcotest.run "verifier"
     [
@@ -222,6 +295,14 @@ let () =
           Alcotest.test_case "diamond ok" `Quick test_dominance_cfg_ok;
           Alcotest.test_case "nested region uses outer" `Quick
             test_nested_region_uses_outer;
+          Alcotest.test_case "moved def invalidates cached order" `Quick
+            test_move_invalidates_order;
+          Alcotest.test_case "renumbering counted once per block" `Quick
+            test_renumber_counted_once;
+        ] );
+      ( "use-def",
+        [
+          Alcotest.test_case "unlinked use node" `Quick test_unlinked_use_node;
         ] );
       ( "symbols",
         [ Alcotest.test_case "redefinition" `Quick test_symbol_redefinition ] );
