@@ -1,10 +1,10 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (Section 4) on this repository's substrates, then runs a
-   Bechamel micro-benchmark per experiment kernel.
+   evaluation (Section 4) on this repository's substrates, and records the
+   profiler, action, checkpoint, schedule and parallel measurements as
+   BENCH_*.json files of one row schema.
 
    Usage:  dune exec bench/main.exe            (all sections)
-           dune exec bench/main.exe -- table1  (one section)
-           dune exec bench/main.exe -- --no-micro  (skip Bechamel) *)
+           dune exec bench/main.exe -- table1  (one section) *)
 
 let ctx = Transform.Register.full_context ()
 
@@ -94,36 +94,72 @@ let ablations () =
     (Experiments.Ablations.ilist_ablation ())
 
 (* ------------------------------------------------------------------ *)
-(* Greedy engine input                                                  *)
+(* BENCH_*.json: one schema for every measurement section              *)
 (* ------------------------------------------------------------------ *)
 
-(** Squeezenet lowered to the canonicalize input: the Table-1 TOSA pipeline
-    with its trailing [canonicalize,cse] stripped, so the driver sees the
-    exact IR the canonicalize pass runs on. *)
-let greedy_setup () =
-  let squeezenet =
-    List.find
-      (fun s -> s.Workloads.Models.sp_name = "squeezenet")
-      Workloads.Models.paper_models
+(** One measurement: [metric] of [workload] at [layer], in [unit]. *)
+let row ~workload ~layer metric value unit =
+  Ir.Json.Obj
+    [
+      ("workload", Ir.Json.String workload);
+      ("layer", Ir.Json.String layer);
+      ("metric", Ir.Json.String metric);
+      ("value", Ir.Json.Float value);
+      ("unit", Ir.Json.String unit);
+    ]
+
+(** HEAD of the checkout the bench runs in, ["unknown"] outside one. *)
+let commit () =
+  let ic = Unix.open_process_in "git rev-parse HEAD 2>/dev/null" in
+  let line = In_channel.input_line ic in
+  match (Unix.close_process_in ic, line) with
+  | Unix.WEXITED 0, Some hash -> hash
+  | _ -> "unknown"
+
+(** Write [rows] to [BENCH_<bench>.json], one row per line, stamped with
+    the commit and the core count they were measured at. *)
+let write_bench bench rows =
+  let path = Fmt.str "BENCH_%s.json" bench in
+  Out_channel.with_open_text path (fun oc ->
+      Printf.fprintf oc
+        "{\"bench\":%s,\"commit\":%s,\"cores\":%d,\"rows\":[\n%s\n]}\n"
+        (Ir.Json.to_line (Ir.Json.String bench))
+        (Ir.Json.to_line (Ir.Json.String (commit ())))
+        (Domain.recommended_domain_count ())
+        (String.concat ",\n" (List.map Ir.Json.to_line rows)));
+  Fmt.pr "wrote %s@." path
+
+(** Wall-clock seconds of one call of [f]. *)
+let wall f =
+  let t0 = Unix.gettimeofday () in
+  f ();
+  Unix.gettimeofday () -. t0
+
+(** Mean nanoseconds per call over [n] calls of [f]. *)
+let ns_per_call n f =
+  wall (fun () ->
+      for _ = 1 to n do
+        f ()
+      done)
+  /. float_of_int n *. 1e9
+
+(** Median wall-clock seconds of [reps] runs of [run (setup ())] after
+    [warmup] untimed ones, and the input of the last timed run. [setup]
+    stays outside the timed region. *)
+let median_wall ~warmup ~reps setup run =
+  for _ = 1 to warmup do
+    run (setup ())
+  done;
+  let last = ref None in
+  let times =
+    Array.init reps (fun _ ->
+        let x = setup () in
+        let t = wall (fun () -> run x) in
+        last := Some x;
+        t)
   in
-  let passes =
-    match Passes.Pass.parse_pipeline Workloads.Models.tosa_pipeline_str with
-    | Ok ps ->
-      List.filter
-        (fun p ->
-          p.Passes.Pass.name <> "canonicalize" && p.Passes.Pass.name <> "cse")
-        ps
-    | Error e -> failwith (Ir.Diag.to_string e)
-  in
-  let lowered = Workloads.Models.build squeezenet in
-  (match Passes.Pass.run_pipeline ctx passes lowered with
-  | Ok _ -> ()
-  | Error e -> failwith (Ir.Diag.to_string e));
-  let patterns =
-    Passes.Transforms.canonicalization_patterns ctx
-    @ Dialects.Arith.canonicalization_patterns ()
-  in
-  (lowered, patterns)
+  Array.sort compare times;
+  (times.(reps / 2), Option.get !last)
 
 (* ------------------------------------------------------------------ *)
 (* Profiler overhead: span cost with and without an ambient profiler    *)
@@ -134,35 +170,28 @@ let profiler () =
     "the ambient no-op path (one ref read) lets instrumentation stay on";
   let sink = ref 0 in
   let body () = incr sink in
-  let time n f =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to n do
-      f ()
-    done;
-    let dt = Unix.gettimeofday () -. t0 in
-    dt /. float_of_int n *. 1e9
-  in
   (* warm up the minor heap / branch predictors *)
-  ignore (time 10_000 body);
+  ignore (ns_per_call 10_000 body);
   let n_disabled = 2_000_000 and n_enabled = 200_000 in
-  let ns_baseline = time n_disabled body in
-  (* disabled: no ambient profiler installed (explicitly uninstall in case
-     the whole bench run is itself being profiled with --profile=FILE) *)
+  let ns_baseline = ns_per_call n_disabled body in
+  (* disabled: no ambient profiler installed, so Profiler.span is one ref
+     read plus a closure call (explicitly uninstall in case the whole bench
+     run is itself being profiled with --profile=FILE) *)
   let ns_disabled =
     Ir.Profiler.with_disabled (fun () ->
-        time n_disabled (fun () -> Ir.Profiler.span "bench.noop" body))
+        ns_per_call n_disabled (fun () -> Ir.Profiler.span "bench.noop" body))
   in
   (* enabled: every span records a begin and an end event *)
   let p = Ir.Profiler.create () in
   let ns_enabled =
     Ir.Profiler.with_profiler p (fun () ->
-        time n_enabled (fun () -> Ir.Profiler.span "bench.noop" body))
+        ns_per_call n_enabled (fun () -> Ir.Profiler.span "bench.noop" body))
   in
   assert (Ir.Profiler.balanced p);
   assert (Ir.Profiler.span_count p = n_enabled);
   let ns_counter =
     Ir.Profiler.with_profiler p (fun () ->
-        time n_enabled (fun () -> Ir.Profiler.counter "bench.count" 1.0))
+        ns_per_call n_enabled (fun () -> Ir.Profiler.counter "bench.count" 1.0))
   in
   Fmt.pr "per-span cost (body: one int incr):@.";
   Fmt.pr "  %-36s %10.1f ns@." "bare body" ns_baseline;
@@ -172,30 +201,15 @@ let profiler () =
   Fmt.pr "  disabled overhead: %.1f ns/span; enabled records %d events@."
     (ns_disabled -. ns_baseline)
     (2 * n_enabled);
-  let json =
-    Ir.Json.Obj
-      [
-        ("benchmark", Ir.Json.String "profiler-span-overhead");
-        ("spans_disabled", Ir.Json.Int n_disabled);
-        ("spans_enabled", Ir.Json.Int n_enabled);
-        ("ns_per_span_baseline", Ir.Json.Float ns_baseline);
-        ("ns_per_span_disabled", Ir.Json.Float ns_disabled);
-        ("ns_per_span_enabled", Ir.Json.Float ns_enabled);
-        ("ns_per_counter_enabled", Ir.Json.Float ns_counter);
-        ( "ns_disabled_overhead",
-          Ir.Json.Float (ns_disabled -. ns_baseline) );
-        ( "note",
-          Ir.Json.String
-            "disabled = no ambient profiler installed: Profiler.span is one \
-             ref read plus a closure call, so instrumentation can stay on in \
-             hot paths; enabled = two timestamped events per span" );
-      ]
-  in
-  let oc = open_out "BENCH_profiler.json" in
-  output_string oc (Ir.Json.to_string json);
-  output_string oc "\n";
-  close_out oc;
-  Fmt.pr "wrote BENCH_profiler.json@."
+  let r workload = row ~workload ~layer:"profiler" in
+  write_bench "profiler"
+    [
+      r "bare-body" "ns_per_call" ns_baseline "ns";
+      r "span/disabled" "ns_per_call" ns_disabled "ns";
+      r "span/enabled" "ns_per_call" ns_enabled "ns";
+      r "counter/enabled" "ns_per_call" ns_counter "ns";
+      r "span/disabled" "overhead_ns" (ns_disabled -. ns_baseline) "ns";
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Action framework: disabled-site cost, journal cost, macro overhead   *)
@@ -206,39 +220,29 @@ let action_bench () =
     "disabled = one domain-local read per site; journal = one entry/action";
   let sink = ref 0 in
   let body () = incr sink in
-  let time n f =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to n do
-      f ()
-    done;
-    let dt = Unix.gettimeofday () -. t0 in
-    dt /. float_of_int n *. 1e9
-  in
-  ignore (time 10_000 body);
+  ignore (ns_per_call 10_000 body);
   let n_disabled = 2_000_000 and n_enabled = 200_000 in
-  let ns_baseline = time n_disabled body in
+  let ns_baseline = ns_per_call n_disabled body in
   (* disabled: the hot-site shape — one Action.active () read, then the
-     direct call (explicitly uninstall any ambient context first) *)
+     direct call (explicitly uninstall any ambient context first). Every
+     instrumented site (pass, pattern, fold, dce, transform dispatch) pays
+     this read before calling through. *)
   let root = Dialects.Builtin.create_module () in
-  let ns_disabled =
-    Ir.Action.with_disabled (fun () ->
-        time n_disabled (fun () ->
-            match Ir.Action.active () with
-            | None -> body ()
-            | Some a ->
-              Ir.Action.run_on a ~tag:"bench" ~desc:"noop" ~loc:Ir.Loc.unknown
-                ~root ~skipped:() body))
+  let site () =
+    match Ir.Action.active () with
+    | None -> body ()
+    | Some a ->
+      Ir.Action.run_on a ~tag:"bench" ~desc:"noop" ~loc:Ir.Loc.unknown ~root
+        ~skipped:() body
   in
-  (* journal-only context: every site allocates and records one entry *)
+  let ns_disabled =
+    Ir.Action.with_disabled (fun () -> ns_per_call n_disabled site)
+  in
+  (* journal-only context: every site allocates and records one entry, no
+     handlers, still parallel-safe via capture/replay *)
   let t = Ir.Action.create () in
   let ns_journal =
-    Ir.Action.with_context t (fun () ->
-        time n_enabled (fun () ->
-            match Ir.Action.active () with
-            | None -> body ()
-            | Some a ->
-              Ir.Action.run_on a ~tag:"bench" ~desc:"noop" ~loc:Ir.Loc.unknown
-                ~root ~skipped:() body))
+    Ir.Action.with_context t (fun () -> ns_per_call n_enabled site)
   in
   (* macro: squeezenet canonicalize with and without the journal; the
      handlers-off run must stay byte-identical *)
@@ -251,11 +255,6 @@ let action_bench () =
     with
     | Ok (_ : Passes.Pass.run_result) -> ()
     | Error d -> failwith (Ir.Diag.to_string d)
-  in
-  let wall f =
-    let t0 = Unix.gettimeofday () in
-    f ();
-    Unix.gettimeofday () -. t0
   in
   let md_off = Workloads.Models.build spec in
   let t_off = wall (fun () -> canonicalize md_off) in
@@ -286,40 +285,18 @@ let action_bench () =
     "squeezenet canonicalize: %.1f ms bare, %.1f ms journal+provenance (%d \
      actions), IR byte-identical@."
     (t_off *. 1000.) (t_on *. 1000.) actions;
-  let json =
-    Ir.Json.Obj
-      [
-        ("benchmark", Ir.Json.String "action-site-overhead");
-        ("sites_disabled", Ir.Json.Int n_disabled);
-        ("sites_journal", Ir.Json.Int n_enabled);
-        ("ns_per_site_baseline", Ir.Json.Float ns_baseline);
-        ("ns_per_site_disabled", Ir.Json.Float ns_disabled);
-        ("ns_per_site_journal", Ir.Json.Float ns_journal);
-        ("ns_disabled_overhead", Ir.Json.Float overhead_ns);
-        ( "macro",
-          Ir.Json.Obj
-            [
-              ("model", Ir.Json.String spec.Workloads.Models.sp_name);
-              ("pipeline", Ir.Json.String "canonicalize");
-              ("wall_ms_off", Ir.Json.Float (t_off *. 1000.));
-              ("wall_ms_journal", Ir.Json.Float (t_on *. 1000.));
-              ("actions", Ir.Json.Int actions);
-              ("ir_byte_identical", Ir.Json.Bool true);
-            ] );
-        ( "note",
-          Ir.Json.String
-            "disabled = no ambient Action context: every instrumented site \
-             (pass, pattern, fold, dce, transform dispatch) pays one \
-             domain-local read before calling through; journal-only = one \
-             entry allocation per action, no handlers, still parallel-safe \
-             via capture/replay" );
-      ]
-  in
-  let oc = open_out "BENCH_action.json" in
-  output_string oc (Ir.Json.to_string json);
-  output_string oc "\n";
-  close_out oc;
-  Fmt.pr "wrote BENCH_action.json@."
+  let macro = spec.Workloads.Models.sp_name ^ "/canonicalize" in
+  let r workload = row ~workload ~layer:"action" in
+  write_bench "action"
+    [
+      r "bare-body" "ns_per_call" ns_baseline "ns";
+      r "site/disabled" "ns_per_call" ns_disabled "ns";
+      r "site/journal" "ns_per_call" ns_journal "ns";
+      r "site/disabled" "overhead_ns" overhead_ns "ns";
+      row ~workload:macro ~layer:"pass" "wall_ms" (t_off *. 1000.) "ms";
+      r (macro ^ "+journal") "wall_ms" (t_on *. 1000.) "ms";
+      r (macro ^ "+journal") "actions" (float_of_int actions) "count";
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoint: snapshot/restore cost vs payload size                    *)
@@ -345,11 +322,8 @@ let checkpoint () =
     md
   in
   let reps = 200 in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    f ();
-    Unix.gettimeofday () -. t0
-  in
+  (* take = deep clone + op/value side tables; restore = reference-drop +
+     region splice onto the live root; both linear in payload size *)
   let measure ~k =
     let md = payload ~k in
     let pre = Ir.Printer.op_to_string md in
@@ -358,11 +332,11 @@ let checkpoint () =
     let take_s = ref 0.0 and restore_s = ref 0.0 in
     for _ = 1 to reps do
       let cp = ref None in
-      take_s := !take_s +. time (fun () -> cp := Some (Ir.Checkpoint.take md));
+      take_s := !take_s +. wall (fun () -> cp := Some (Ir.Checkpoint.take md));
       let cp = Option.get !cp in
       (* mutate, then roll back: restore pays for the splice *)
       Ir.Ircore.set_attr md "bench.mutated" Ir.Attr.Unit;
-      restore_s := !restore_s +. time (fun () -> Ir.Checkpoint.restore cp)
+      restore_s := !restore_s +. wall (fun () -> Ir.Checkpoint.restore cp)
     done;
     if not (String.equal pre (Ir.Printer.op_to_string md)) then
       failwith "checkpoint bench: restore was not byte-identical";
@@ -379,37 +353,19 @@ let checkpoint () =
       Fmt.pr "  %-10d %10d %14.1f %14.1f %16.3f@." k ops take_us restore_us
         (take_us /. float_of_int ops))
     rows;
-  let json =
-    Ir.Json.Obj
-      [
-        ("benchmark", Ir.Json.String "checkpoint-take-restore");
-        ("reps", Ir.Json.Int reps);
-        ( "rows",
-          Ir.Json.List
-            (List.map
-               (fun (k, (ops, take_us, restore_us)) ->
-                 Ir.Json.Obj
-                   [
-                     ("k", Ir.Json.Int k);
-                     ("payload_ops", Ir.Json.Int ops);
-                     ("take_us", Ir.Json.Float take_us);
-                     ("restore_us", Ir.Json.Float restore_us);
-                     ( "take_us_per_op",
-                       Ir.Json.Float (take_us /. float_of_int ops) );
-                   ])
-               rows) );
-        ( "note",
-          Ir.Json.String
-            "take = deep clone + op/value side tables, linear in payload \
-             size; restore = reference-drop + region splice onto the live \
-             root, also linear; every restore is checked byte-identical" );
-      ]
-  in
-  let oc = open_out "BENCH_checkpoint.json" in
-  output_string oc (Ir.Json.to_string json);
-  output_string oc "\n";
-  close_out oc;
-  Fmt.pr "wrote BENCH_checkpoint.json@."
+  write_bench "checkpoint"
+    (List.concat_map
+       (fun (k, (ops, take_us, restore_us)) ->
+         let r =
+           row ~workload:(Fmt.str "matmul-unroll/k=%d" k) ~layer:"checkpoint"
+         in
+         [
+           r "payload_ops" (float_of_int ops) "count";
+           r "take_us" take_us "us";
+           r "restore_us" restore_us "us";
+           r "take_us_per_op" (take_us /. float_of_int ops) "us";
+         ])
+       rows)
 
 (* ------------------------------------------------------------------ *)
 (* Compiled schedules: cold compile + apply vs cached re-apply         *)
@@ -454,22 +410,15 @@ let schedule_bench () =
   (* payload clones and IR printing happen outside the timed region: only
      the schedule application itself is measured *)
   let median apply payload =
-    let times = Array.make reps 0.0 in
-    let last = ref payload in
-    for _ = 1 to 3 do
-      ignore (apply (Ir.Ircore.clone_op payload))
-    done;
-    for i = 0 to reps - 1 do
-      let md = Ir.Ircore.clone_op payload in
-      let t0 = Unix.gettimeofday () in
-      (match apply md with
-      | Ok (_ : int) -> ()
-      | Error e -> failwith (Transform.Terror.to_string e));
-      times.(i) <- Unix.gettimeofday () -. t0;
-      last := md
-    done;
-    Array.sort compare times;
-    (times.(reps / 2), Ir.Printer.op_to_string !last)
+    let t, md =
+      median_wall ~warmup:3 ~reps
+        (fun () -> Ir.Ircore.clone_op payload)
+        (fun md ->
+          match apply md with
+          | Ok (_ : int) -> ()
+          | Error e -> failwith (Transform.Terror.to_string e))
+    in
+    (t, Ir.Printer.op_to_string md)
   in
   let schedule = Transform.Schedule.of_script ctx script in
   let rows =
@@ -492,72 +441,53 @@ let schedule_bench () =
           median (fun md -> Transform.Schedule.apply schedule ~payload:md)
             payload
         in
+        if not (String.equal cold_ir cached_ir) then
+          failwith
+            (Fmt.str "schedule bench: %s output IR differs between cold and \
+                      cached runs" name);
         (* facade path: re-presenting the script pays one fingerprint walk
            plus a cache probe before the same compiled application *)
         let facade_t, _ =
           median (fun md -> Transform.Schedule.run ctx ~script ~payload:md)
             payload
         in
-        let ir_equal = String.equal cold_ir cached_ir in
         let speedup = if cached_t > 0.0 then cold_t /. cached_t else 0.0 in
-        (name, cold_t, cached_t, facade_t, speedup, ir_equal))
+        (name, cold_t, cached_t, facade_t, speedup))
       Workloads.Models.paper_models
   in
-  Fmt.pr "script: %d instructions, %d handle slots; median of %d reps@."
-    (Transform.Schedule.instr_count schedule)
-    (Transform.Schedule.slot_count schedule)
+  let instrs = Transform.Schedule.instr_count schedule
+  and slots = Transform.Schedule.slot_count schedule in
+  Fmt.pr "script: %d instructions, %d handle slots, fingerprint %s; median \
+          of %d reps@."
+    instrs slots
+    (Ir.Fingerprint.to_hex (Transform.Schedule.fingerprint schedule))
     reps;
-  Fmt.pr "  %-20s %12s %12s %12s %9s %6s@." "model" "cold (ms)"
-    "cached (ms)" "facade (ms)" "speedup" "same IR";
+  Fmt.pr "  %-20s %12s %12s %12s %9s@." "model" "cold (ms)" "cached (ms)"
+    "facade (ms)" "speedup";
   List.iter
-    (fun (name, ct, at, ft, speedup, ir_equal) ->
-      Fmt.pr "  %-20s %12.3f %12.3f %12.3f %8.2fx %6b@." name (ct *. 1000.)
-        (at *. 1000.) (ft *. 1000.) speedup ir_equal)
+    (fun (name, ct, at, ft, speedup) ->
+      Fmt.pr "  %-20s %12.3f %12.3f %12.3f %8.2fx@." name (ct *. 1000.)
+        (at *. 1000.) (ft *. 1000.) speedup)
     rows;
+  let script_row =
+    row ~workload:(Fmt.str "nav-script/k=%d" k) ~layer:"schedule"
+  in
+  write_bench "compiled"
+    (script_row "instructions" (float_of_int instrs) "count"
+    :: script_row "handle_slots" (float_of_int slots) "count"
+    :: List.concat_map
+         (fun (name, ct, at, ft, speedup) ->
+           let r = row ~workload:name ~layer:"schedule" in
+           [
+             r "cold_ms" (ct *. 1000.) "ms";
+             r "cached_ms" (at *. 1000.) "ms";
+             r "facade_ms" (ft *. 1000.) "ms";
+             r "speedup" speedup "ratio";
+           ])
+         rows);
   let ge2x =
-    List.length (List.filter (fun (_, _, _, _, s, _) -> s >= 2.0) rows)
+    List.length (List.filter (fun (_, _, _, _, s) -> s >= 2.0) rows)
   in
-  let all_ir_equal = List.for_all (fun (_, _, _, _, _, e) -> e) rows in
-  let json =
-    Ir.Json.Obj
-      [
-        ("benchmark", Ir.Json.String "compiled-schedule-reapply");
-        ("reps", Ir.Json.Int reps);
-        ("script_instrs", Ir.Json.Int (Transform.Schedule.instr_count schedule));
-        ("handle_slots", Ir.Json.Int (Transform.Schedule.slot_count schedule));
-        ( "fingerprint",
-          Ir.Json.String
-            (Ir.Fingerprint.to_hex (Transform.Schedule.fingerprint schedule)) );
-        ( "models",
-          Ir.Json.List
-            (List.map
-               (fun (name, ct, at, ft, speedup, ir_equal) ->
-                 Ir.Json.Obj
-                   [
-                     ("model", Ir.Json.String name);
-                     ("cold_ms", Ir.Json.Float (ct *. 1000.));
-                     ("cached_ms", Ir.Json.Float (at *. 1000.));
-                     ("cached_facade_ms", Ir.Json.Float (ft *. 1000.));
-                     ("speedup", Ir.Json.Float speedup);
-                     ("ir_equal", Ir.Json.Bool ir_equal);
-                   ])
-               rows) );
-        ("models_ge_2x", Ir.Json.Int ge2x);
-        ( "note",
-          Ir.Json.String
-            "cold = schedule cache cleared before every run (fingerprint + \
-             compile + apply); cached = re-applying one compiled schedule \
-             to a fresh payload clone; cached_facade also pays the per-call \
-             fingerprint + cache probe" );
-      ]
-  in
-  let oc = open_out "BENCH_compiled.json" in
-  output_string oc (Ir.Json.to_string json);
-  output_string oc "\n";
-  close_out oc;
-  Fmt.pr "wrote BENCH_compiled.json@.";
-  if not all_ir_equal then
-    failwith "schedule bench: output IR differs between cold and cached runs";
   if ge2x < 3 then
     Fmt.pr "WARNING: only %d/%d models reach 2x from cached re-apply@." ge2x
       (List.length rows)
@@ -570,8 +500,10 @@ let schedule_bench () =
     models, split into 32 [func.func]s so the module has enough
     isolated-from-above roots to balance across domains. Each degree runs
     the full Case-Study-1 lowering (canonicalize included) and the output
-    is byte-compared against the sequential run — the speedup curve is
-    only admissible where [ir_equal] holds. *)
+    is byte-compared against the sequential run: the speedup curve is
+    only admissible where they agree, so a difference fails the run. On a
+    single-core host the curve is flat (the pool adds fan-out overhead, no
+    parallelism). *)
 let parallel_bench () =
   banner "E13 - Multicore pass manager: function-at-a-time scheduling"
     "per-function passes fan over a domain pool; byte-identical output";
@@ -592,26 +524,17 @@ let parallel_bench () =
   in
   let measure spec jobs =
     Ir.Pool.set_jobs jobs;
-    let times = Array.make reps 0.0 in
-    let out = ref "" in
-    (* warmup: pools spawn lazily on the first fan-out *)
-    (let md = Workloads.Models.build ~funcs spec in
-     match Passes.Pass.run_pipeline ctx passes md with
-     | Ok _ -> ()
-     | Error e -> failwith (Ir.Diag.to_string e));
-    for i = 0 to reps - 1 do
-      let md = Workloads.Models.build ~funcs spec in
-      let t0 = Unix.gettimeofday () in
-      (match Passes.Pass.run_pipeline ctx passes md with
-      | Ok _ -> ()
-      | Error e -> failwith (Ir.Diag.to_string e));
-      times.(i) <- Unix.gettimeofday () -. t0;
-      out := Ir.Printer.op_to_string md
-    done;
-    Array.sort compare times;
-    (times.(reps / 2), !out)
+    (* one warmup: pools spawn lazily on the first fan-out *)
+    let t, md =
+      median_wall ~warmup:1 ~reps
+        (fun () -> Workloads.Models.build ~funcs spec)
+        (fun md ->
+          match Passes.Pass.run_pipeline ctx passes md with
+          | Ok _ -> ()
+          | Error e -> failwith (Ir.Diag.to_string e))
+    in
+    (t, Ir.Printer.op_to_string md)
   in
-  let cores = Domain.recommended_domain_count () in
   let rows =
     Fun.protect
       ~finally:(fun () -> Ir.Pool.set_jobs saved_jobs)
@@ -623,17 +546,21 @@ let parallel_bench () =
             let points =
               List.map
                 (fun j ->
-                  if j = 1 then (1, seq_t, 1.0, true)
+                  if j = 1 then (1, seq_t, 1.0)
                   else begin
                     let t, ir = measure spec j in
-                    let speedup = if t > 0.0 then seq_t /. t else 0.0 in
-                    (j, t, speedup, String.equal seq_ir ir)
+                    if not (String.equal seq_ir ir) then
+                      failwith
+                        (Fmt.str "parallel bench: %s output IR at jobs=%d \
+                                  differs from sequential" name j);
+                    (j, t, if t > 0.0 then seq_t /. t else 0.0)
                   end)
                 degrees
             in
             (name, points))
           specs)
   in
+  let cores = Domain.recommended_domain_count () in
   Fmt.pr
     "lowering pipeline (%s)@.%d functions per model, median of %d reps, %d \
      core%s available@."
@@ -643,246 +570,22 @@ let parallel_bench () =
     (fun (name, points) ->
       Fmt.pr "  %s:@." name;
       List.iter
-        (fun (j, t, speedup, ir_equal) ->
-          Fmt.pr "    jobs=%d %10.1f ms   speedup %5.2fx   same IR: %b@." j
-            (t *. 1000.) speedup ir_equal)
+        (fun (j, t, speedup) ->
+          Fmt.pr "    jobs=%d %10.1f ms   speedup %5.2fx@." j (t *. 1000.)
+            speedup)
         points)
     rows;
-  let all_ir_equal =
-    List.for_all
-      (fun (_, points) -> List.for_all (fun (_, _, _, e) -> e) points)
-    rows
-  in
-  let json =
-    Ir.Json.Obj
-      [
-        ("benchmark", Ir.Json.String "parallel-pass-manager");
-        ("pipeline", Ir.Json.String Workloads.Models.tosa_pipeline_str);
-        ("functions_per_model", Ir.Json.Int funcs);
-        ("reps", Ir.Json.Int reps);
-        ("cores", Ir.Json.Int cores);
-        ( "models",
-          Ir.Json.List
-            (List.map
-               (fun (name, points) ->
-                 Ir.Json.Obj
-                   [
-                     ("model", Ir.Json.String name);
-                     ( "points",
-                       Ir.Json.List
-                         (List.map
-                            (fun (j, t, speedup, ir_equal) ->
-                              Ir.Json.Obj
-                                [
-                                  ("jobs", Ir.Json.Int j);
-                                  ("wall_ms", Ir.Json.Float (t *. 1000.));
-                                  ("speedup", Ir.Json.Float speedup);
-                                  ("ir_equal", Ir.Json.Bool ir_equal);
-                                ])
-                            points) );
-                   ])
-               rows) );
-        ( "note",
-          Ir.Json.String
-            "speedup = sequential median / parallel median on the same \
-             generated module; ir_equal byte-compares the printed module \
-             against the sequential run. On a single-core host the curve \
-             is flat (the pool adds fan-out overhead, no parallelism); \
-             the CI bench-parallel job regenerates this file on multi-core \
-             runners" );
-      ]
-  in
-  let oc = open_out "BENCH_parallel.json" in
-  output_string oc (Ir.Json.to_string json);
-  output_string oc "\n";
-  close_out oc;
-  Fmt.pr "wrote BENCH_parallel.json@.";
-  if not all_ir_equal then
-    failwith "parallel bench: parallel output IR differs from sequential"
-
-(* ------------------------------------------------------------------ *)
-(* Compilation server: load generator over a unix-socket daemon        *)
-(* ------------------------------------------------------------------ *)
-
-let server_bench () =
-  banner "Compilation server: throughput, latency, cache hit-rate"
-    "repeated-job workload over the otd_server wire protocol";
-  let clients = 4 and per_client = 120 and corpus_size = 6 in
-  let policy =
-    {
-      Server.Engine.default_policy with
-      Server.Engine.p_jobs = 3;
-      p_queue_depth = clients * per_client;
-      p_backoff_ms = 0;
-    }
-  in
-  let engine = Server.Engine.create ~policy () in
-  let sock = Filename.concat (artifacts_dir ()) "bench-server.sock" in
-  let listener =
-    Server.Transport.serve_unix engine ~path:sock ~conns:clients
-  in
-  let corpus =
-    Array.init corpus_size (fun k ->
-        Ir.Printer.op_to_string (Fuzz.Driver.module_for ~seed:11 ~case:k ()))
-  in
-  let count name =
-    match Ir.Stats.find_counter ~component:"server" name with
-    | Some c -> Ir.Stats.value c
-    | None -> 0
-  in
-  let hits0 = count "cache_hits" and misses0 = count "cache_misses" in
-  let request ~client:_ ~i =
-    Ir.Json.Obj
-      [
-        ("kind", Ir.Json.String "compile");
-        ("payload", Ir.Json.String corpus.(i mod corpus_size));
-        ("pipeline", Ir.Json.String "canonicalize,cse");
-      ]
-  in
-  let report =
-    Fun.protect
-      ~finally:(fun () ->
-        Server.Transport.stop_listener listener;
-        Server.Engine.close engine)
-      (fun () ->
-        Server.Load.run ~clients ~requests_per_client:per_client
-          ~connect:(fun _ -> Server.Load.socket_conn sock)
-          ~request)
-  in
-  let hits = count "cache_hits" - hits0
-  and misses = count "cache_misses" - misses0 in
-  let lookups = hits + misses in
-  let hit_rate =
-    if lookups = 0 then 0.0 else float_of_int hits /. float_of_int lookups
-  in
-  Fmt.pr "%a@." Server.Load.pp_report report;
-  Fmt.pr
-    "result cache: %d hits / %d lookups (%.1f%% hit-rate; %d distinct jobs)@."
-    hits lookups (100. *. hit_rate) corpus_size;
-  let json =
-    Ir.Json.Obj
-      [
-        ("benchmark", Ir.Json.String "server-load");
-        ("clients", Ir.Json.Int clients);
-        ("requests_per_client", Ir.Json.Int per_client);
-        ("distinct_jobs", Ir.Json.Int corpus_size);
-        ("pipeline", Ir.Json.String "canonicalize,cse");
-        ("load", Server.Load.report_json report);
-        ("cache_hits", Ir.Json.Int hits);
-        ("cache_misses", Ir.Json.Int misses);
-        ("cache_hit_rate", Ir.Json.Float hit_rate);
-        ( "note",
-          Ir.Json.String
-            "each client replays the same small job corpus over the unix \
-             socket; after the first misses warm the content-addressed \
-             result cache every response is served from it, so hit-rate \
-             approaches (requests - distinct_jobs) / requests" );
-      ]
-  in
-  let oc = open_out "BENCH_server.json" in
-  output_string oc (Ir.Json.to_string json);
-  output_string oc "\n";
-  close_out oc;
-  Fmt.pr "wrote BENCH_server.json@.";
-  if report.Server.Load.r_ok <> report.Server.Load.r_requests then
-    failwith
-      (Fmt.str "server bench: %d of %d requests did not return ok"
-         (report.Server.Load.r_requests - report.Server.Load.r_ok)
-         report.Server.Load.r_requests);
-  if hit_rate < 0.9 then
-    failwith
-      (Fmt.str "server bench: cache hit-rate %.2f below the 0.90 floor"
-         hit_rate)
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: one Test.make per experiment kernel       *)
-(* ------------------------------------------------------------------ *)
-
-let micro () =
-  banner "Micro-benchmarks (Bechamel)" "one staged kernel per experiment";
-  let open Bechamel in
-  let squeezenet =
-    List.find
-      (fun s -> s.Workloads.Models.sp_name = "squeezenet")
-      Workloads.Models.paper_models
-  in
-  let passes =
-    match Passes.Pass.parse_pipeline Workloads.Models.tosa_pipeline_str with
-    | Ok ps -> ps
-    | Error e -> failwith (Ir.Diag.to_string e)
-  in
-  let tests =
-    [
-      Test.make ~name:"table1/pass-manager(squeezenet)"
-        (Staged.stage (fun () ->
-             let md = Workloads.Models.build squeezenet in
-             ignore (Passes.Pass.run_pipeline ctx passes md)));
-      (let script = Transform.From_pipeline.script_of_pipeline passes in
-       Test.make ~name:"table1/transform(squeezenet)"
-         (Staged.stage (fun () ->
-              let md = Workloads.Models.build squeezenet in
-              Transform.Schedule.clear_cache ();
-              ignore (Transform.Schedule.run ctx ~script ~payload:md))));
-      Test.make ~name:"table2/static-checker"
-        (Staged.stage (fun () ->
-             ignore
-               (Transform.Conditions.check_passes
-                  ~initial:Experiments.Table2.initial_opset
-                  ~final:Experiments.Table2.final_opset
-                  (List.map Passes.Pass.lookup_exn
-                     Workloads.Subview_kernel.naive_pipeline))));
-      Test.make ~name:"cs3/pattern-probe(llm)"
-        (Staged.stage (fun () ->
-             ignore
-               (Experiments.Cs3.probe ctx (Dialects.Shlo_patterns.names ()))));
-      Test.make ~name:"cs4/split+tile+to_library"
-        (Staged.stage (fun () ->
-             let md =
-               Workloads.Matmul.build_module ~m:Experiments.Cs4.m
-                 ~n:Experiments.Cs4.n ~k:Experiments.Cs4.k ()
+  write_bench "parallel"
+    (List.concat_map
+       (fun (name, points) ->
+         List.concat_map
+           (fun (j, t, speedup) ->
+             let r =
+               row ~workload:(Fmt.str "%s/jobs=%d" name j) ~layer:"pass"
              in
-             ignore
-               (Transform.Schedule.run ctx
-                  ~script:(Experiments.Cs4.microkernel_script ())
-                  ~payload:md)));
-      Test.make ~name:"cs5/one-evaluation(32^3)"
-        (Staged.stage (fun () ->
-             let md =
-               Workloads.Matmul.build_module ~order:Workloads.Matmul.Ikj ~m:32
-                 ~n:32 ~k:32 ()
-             in
-             ignore (Workloads.Matmul.run_matmul ~ir_ctx:ctx ~m:32 ~n:32 ~k:32 md)));
-      Test.make ~name:"s34/introspect+ad"
-        (Staged.stage (fun () -> ignore (Experiments.S34.run ctx)));
-    ]
-    @ (let lowered, patterns = greedy_setup () in
-       let frozen = Ir.Frozen_patterns.freeze patterns in
-       [
-         Test.make ~name:"greedy/worklist(squeezenet-lowered)"
-           (Staged.stage (fun () ->
-                let md = Ir.Ircore.clone_op lowered in
-                ignore
-                  (Ir.Greedy.apply ~config:Dialects.Dutil.greedy_config ctx
-                     ~patterns:frozen md)));
-       ])
-  in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) () in
-  let ols =
-    Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  List.iter
-    (fun test ->
-      let results =
-        Benchmark.all cfg [ Toolkit.Instance.monotonic_clock ] test
-      in
-      Hashtbl.iter
-        (fun name raw ->
-          let est = Analyze.one ols Toolkit.Instance.monotonic_clock raw in
-          match Analyze.OLS.estimates est with
-          | Some [ e ] -> Fmt.pr "  %-40s %14.1f ns/run@." name e
-          | _ -> Fmt.pr "  %-40s (no estimate)@." name)
-        results)
-    tests
+             [ r "wall_ms" (t *. 1000.) "ms"; r "speedup" speedup "ratio" ])
+           points)
+       rows)
 
 (* ------------------------------------------------------------------ *)
 (* driver                                                              *)
@@ -890,8 +593,6 @@ let micro () =
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
-  let no_micro = List.mem "--no-micro" args in
-  let args = List.filter (fun a -> a <> "--no-micro") args in
   (* --profile=FILE profiles the whole bench run into Chrome trace-event
      JSON (the sections' pipeline/greedy/interpreter spans) *)
   let profile_prefix = "--profile=" in
@@ -965,9 +666,7 @@ let () =
     if want "action" then action_bench ();
     if want "checkpoint" then checkpoint ();
     if want "schedule" then schedule_bench ();
-    if want "parallel" then parallel_bench ();
-    if want "server" then server_bench ();
-    if (not no_micro) && (args = [] || List.mem "micro" args) then micro ()
+    if want "parallel" then parallel_bench ()
   in
   (match profile_path with
   | None -> run_sections ()

@@ -13,7 +13,14 @@
     constant-like op whose (block, value, type) is already known, the op is
     deduplicated into the first occurrence. *)
 
-type key = int * Attr.t * Typ.t  (** block id, value attribute, result type *)
+(** Block id, value attribute, result type. Attributes compare with
+    {!Attr.equal}, so constants [0.0] and [-0.0] stay distinct. *)
+module Key = Hashtbl.Make (struct
+  type t = int * Attr.t * Typ.t
+
+  let equal (b, a, t) (b', a', t') = b = b' && Attr.equal a a' && t = t'
+  let hash (b, a, t) = Hashtbl.hash (b, Attr.hash a, t)
+end)
 
 type entry = {
   cv : Ircore.value;
@@ -24,12 +31,12 @@ type entry = {
 }
 
 type t = {
-  constants : (key, entry) Hashtbl.t;
+  constants : entry Key.t;
   mutable materialized : int;  (** constants actually built *)
   mutable reused : int;  (** cache hits that avoided a duplicate op *)
 }
 
-let create () = { constants = Hashtbl.create 32; materialized = 0; reused = 0 }
+let create () = { constants = Key.create 32; materialized = 0; reused = 0 }
 
 let materialized t = t.materialized
 let reused t = t.reused
@@ -67,7 +74,7 @@ let materialize t rw materialize_fn ~anchor attr typ =
     materialize_fn rw attr typ
   | Some block -> (
     let key = (block.Ircore.b_id, attr, typ) in
-    match Hashtbl.find_opt t.constants key with
+    match Key.find_opt t.constants key with
     (* only hoisted entries are safe to reuse from an arbitrary anchor: an
        in-place known constant may sit after the anchor in the block *)
     | Some e when e.hoisted && still_valid block e.cv ->
@@ -81,8 +88,8 @@ let materialize t rw materialize_fn ~anchor attr typ =
       (match v with
       | Some v ->
         t.materialized <- t.materialized + 1;
-        Hashtbl.replace t.constants key { cv = v; hoisted = true }
-      | None -> Hashtbl.remove t.constants key);
+        Key.replace t.constants key { cv = v; hoisted = true }
+      | None -> Key.remove t.constants key);
       v)
 
 (** Record the existing constant-like [op] (with value [attr] and a single
@@ -96,7 +103,7 @@ let insert_known_constant t (op : Ircore.op) attr =
   match (Ircore.op_parent op, op.Ircore.results) with
   | Some block, [| r |] -> (
     let key = (block.Ircore.b_id, attr, Ircore.value_typ r) in
-    match Hashtbl.find_opt t.constants key with
+    match Key.find_opt t.constants key with
     | Some e when still_valid block e.cv ->
       if e.cv == r then None
       else begin
@@ -104,6 +111,6 @@ let insert_known_constant t (op : Ircore.op) attr =
         Some e.cv
       end
     | _ ->
-      Hashtbl.replace t.constants key { cv = r; hoisted = false };
+      Key.replace t.constants key { cv = r; hoisted = false };
       None)
   | _ -> None

@@ -44,13 +44,16 @@ let run_canonicalize ctx top =
 (* CSE                                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(** Key identifying structurally equal pure ops within one block scope. *)
+(** Key identifying structurally equal pure ops within one block scope.
+    Attributes are keyed by their printed form, which keeps [0.0] and
+    [-0.0] apart; result types keep ops that differ only in type apart. *)
 let cse_key op =
   let operand_ids =
     List.map (fun v -> v.Ircore.v_id) (Ircore.operands op)
   in
   let attrs = List.map (fun (k, v) -> (k, Attr.to_string v)) op.Ircore.attrs in
-  (op.Ircore.op_name, operand_ids, attrs)
+  let result_types = List.map Ircore.value_typ (Ircore.results op) in
+  (op.Ircore.op_name, operand_ids, attrs, result_types)
 
 (** Dominance-aware CSE: within each region, blocks are processed in reverse
     postorder and an op may reuse an equivalent op from any *dominating*
@@ -59,9 +62,7 @@ let run_cse ctx top =
   let rw = Rewriter.create () in
   let rec do_region r =
     let doms = Dominance.compute r in
-    let tables : (int, (string * int list * (string * string) list, Ircore.op) Hashtbl.t) Hashtbl.t =
-      Hashtbl.create 8
-    in
+    let tables = Hashtbl.create 8 in
     let table_of b =
       match Hashtbl.find_opt tables b.Ircore.b_id with
       | Some t -> t

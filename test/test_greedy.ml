@@ -189,6 +189,36 @@ let test_folder_uniques_constants () =
       (Ircore.attr op "value" = Some (Attr.Int (42, Typ.i32)))
   | None -> Alcotest.fail "entry block is empty")
 
+(* MLIR compares float attributes bitwise: 0.0 and -0.0 are different
+   constants, so uniquing must not merge them. *)
+let test_folder_keeps_signed_zeros_apart () =
+  let md = Builtin.create_module () in
+  let f, entry =
+    Func.create ~name:"f" ~arg_types:[]
+      ~result_types:[ Typ.f32; Typ.f32 ] ()
+  in
+  Ircore.insert_at_end (Builtin.body_block md) f;
+  let rw = Dutil.rw_at_end entry in
+  let pos = Arith.constant rw (Attr.Float (0.0, Typ.f32)) Typ.f32 in
+  let neg = Arith.constant rw (Attr.Float (-0.0, Typ.f32)) Typ.f32 in
+  Func.return rw ~operands:[ pos; neg ] ();
+  ignore (Dutil.apply_greedy ctx ~patterns:[] md);
+  check ci "both constants kept" 2 (count_ops "arith.constant" md);
+  match Symbol.collect_ops ~op_name:"func.return" md with
+  | [ ret ] ->
+    let bits v =
+      match Ircore.defining_op v with
+      | Some def -> (
+        match Ircore.attr def "value" with
+        | Some (Attr.Float (x, _)) -> Int64.bits_of_float x
+        | _ -> Alcotest.fail "operand is not a float constant")
+      | None -> Alcotest.fail "operand has no defining op"
+    in
+    check cb "returns 0.0 then -0.0" true
+      (List.map bits (Ircore.operands ret)
+      = [ Int64.bits_of_float 0.0; Int64.bits_of_float (-0.0) ])
+  | _ -> Alcotest.fail "expected one func.return"
+
 (* ------------------------------------------------------------------ *)
 (* non-convergence diagnostic                                          *)
 (* ------------------------------------------------------------------ *)
@@ -263,6 +293,8 @@ let () =
         [
           Alcotest.test_case "constants uniqued and hoisted" `Quick
             test_folder_uniques_constants;
+          Alcotest.test_case "signed zeros kept apart" `Quick
+            test_folder_keeps_signed_zeros_apart;
         ] );
       ( "diagnostics",
         [

@@ -109,7 +109,22 @@ let test_float_attr_roundtrip () =
         Alcotest.(check (float 0.0)) (Fmt.str "%h" f) f f'
       | Ok a -> Alcotest.failf "parsed %s to %a" s Attr.pp a
       | Error e -> Alcotest.failf "%s: %s" s e)
-    [ 0.0; 1.0; -1.5; 3.14159; 1e-30; 42.0; 0.1 ]
+    [ 0.0; 1.0; -1.5; 3.14159; 1e-30; 42.0; 0.1 ];
+  (* dense elements print in the shortest form that reads back exactly, and
+     integer-looking elements keep a [.0] so the literal stays Dense_float *)
+  let t = Typ.Ranked_tensor ([ Typ.Static 2 ], Typ.f32) in
+  List.iter
+    (fun xs ->
+      let s = Attr.to_string (Attr.Dense_float (xs, t)) in
+      match Parser.parse_attr_string s with
+      | Ok a ->
+        Alcotest.(check bool) s true (Attr.equal a (Attr.Dense_float (xs, t)))
+      | Error e -> Alcotest.failf "%s: %s" s e)
+    [ [ 1.0000001; 2.0 ]; [ 0.1; 1e-30 ]; [ 0.0; -0.0 ]; [ 1e300; -42.0 ];
+      [ 0.5; 0.25 ] ];
+  Alcotest.(check string)
+    "splats print as before" "dense<[0.5, 0.25]> : tensor<2xf32>"
+    (Attr.to_string (Attr.Dense_float ([ 0.5; 0.25 ], t)))
 
 let test_locations_skipped () =
   match

@@ -431,6 +431,36 @@ let test_canonicalize_constant_if () =
   | _ -> Alcotest.fail "then branch expected"
 
 (* ------------------------------------------------------------------ *)
+(* cse                                                                 *)
+(* ------------------------------------------------------------------ *)
+
+let test_cse_keeps_result_types_apart () =
+  let md =
+    match
+      Parser.parse_module
+        {|"builtin.module"() ({
+  "func.func"() ({
+    %0 = "tensor.empty"() : () -> tensor<4x8xf32>
+    %1 = "tensor.empty"() : () -> tensor<8x4xf32>
+    "func.return"(%0, %1) : (tensor<4x8xf32>, tensor<8x4xf32>) -> ()
+  }) {sym_name = "f", function_type = () -> (tensor<4x8xf32>, tensor<8x4xf32>)} : () -> ()
+}) : () -> ()|}
+    with
+    | Ok md -> md
+    | Error e -> Alcotest.fail e
+  in
+  run_pass "cse" md;
+  check ci "both tensor.empty kept" 2 (count "tensor.empty" md);
+  match Symbol.collect_ops ~op_name:"func.return" md with
+  | [ ret ] ->
+    let types = List.map Ircore.value_typ (Ircore.operands ret) in
+    check cb "return operands keep their types" true
+      (types
+      = [ Typ.Ranked_tensor ([ Typ.Static 4; Typ.Static 8 ], Typ.f32);
+          Typ.Ranked_tensor ([ Typ.Static 8; Typ.Static 4 ], Typ.f32) ])
+  | _ -> Alcotest.fail "expected one func.return"
+
+(* ------------------------------------------------------------------ *)
 (* pipeline parsing / registry                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -504,6 +534,11 @@ let () =
           Alcotest.test_case "single-trip loop" `Quick
             test_canonicalize_single_trip_loop;
           Alcotest.test_case "constant if" `Quick test_canonicalize_constant_if;
+        ] );
+      ( "cse",
+        [
+          Alcotest.test_case "result types kept apart" `Quick
+            test_cse_keeps_result_types_apart;
         ] );
       ( "manager",
         [

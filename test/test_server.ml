@@ -7,7 +7,7 @@
    - the protocol schema: strict UTF-8 validation (overlongs, surrogates,
      out-of-range sequences), request parsing, response validation;
    - the engine: budget clamping against policy, the single-flight result
-     cache (hit/join/abandon/eviction);
+     cache (hit/join/abandon/eviction), a repeated request served from it;
    - the cell: every failure class a job can produce, with reproducers. *)
 
 open Ir
@@ -524,6 +524,37 @@ let test_daemon_compiles_end_to_end () =
           (Result.is_ok (Server.Protocol.validate_response_json j))
       | Error e -> Alcotest.fail ("compile rpc failed: " ^ e))
 
+(* the same compile request twice, in process: the second is served from
+   the result cache, byte-identical to the first *)
+let test_engine_repeat_hits_cache () =
+  let policy =
+    { Server.Engine.default_policy with Server.Engine.p_backoff_ms = 0 }
+  in
+  let engine = Server.Engine.create ~policy () in
+  let hits () =
+    match Stats.find_counter ~component:"server" "cache_hits" with
+    | Some c -> Stats.value c
+    | None -> 0
+  in
+  let req =
+    Json.Obj
+      [
+        ("kind", Json.String "compile");
+        ("payload", Json.String payload_text);
+        ("pipeline", Json.String "canonicalize,cse");
+      ]
+  in
+  Fun.protect
+    ~finally:(fun () -> Server.Engine.close engine)
+    (fun () ->
+      let h0 = hits () in
+      let r1 = Server.Engine.handle_json engine req in
+      let r2 = Server.Engine.handle_json engine req in
+      check cs "first ok" "ok" (status_of r1);
+      check cs "second ok" "ok" (status_of r2);
+      check cs "byte-identical" (Json.to_string r1) (Json.to_string r2);
+      check ci "one cache hit" (h0 + 1) (hits ()))
+
 let () =
   Alcotest.run "server"
     [
@@ -550,7 +581,11 @@ let () =
           Alcotest.test_case "eviction" `Quick test_rcache_eviction;
         ] );
       ( "engine",
-        [ Alcotest.test_case "budget-clamping" `Quick test_engine_clamping ] );
+        [
+          Alcotest.test_case "budget-clamping" `Quick test_engine_clamping;
+          Alcotest.test_case "repeat-hits-cache" `Quick
+            test_engine_repeat_hits_cache;
+        ] );
       ( "cell",
         [
           Alcotest.test_case "outcomes" `Quick test_cell_outcomes;
