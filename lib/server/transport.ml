@@ -1,7 +1,7 @@
 (** Transports for the serving engine: a per-connection frame loop usable
     over stdio or any fd pair, a Unix-domain-socket listener with a small
     set of acceptor domains, and the client helpers the tests, the fault
-    campaign and the load generator share.
+    campaign and the e2ebench server-mix workload share.
 
     The frame loop is where protocol-level faults die. The rules, exercised
     byte-by-byte in [test_server.ml]:
