@@ -253,7 +253,7 @@ let action_bench () =
         [ Passes.Pass.lookup_exn "canonicalize" ]
         md
     with
-    | Ok (_ : Passes.Pass.run_result) -> ()
+    | Ok () -> ()
     | Error d -> failwith (Ir.Diag.to_string d)
   in
   let md_off = Workloads.Models.build spec in
@@ -530,7 +530,7 @@ let parallel_bench () =
         (fun () -> Workloads.Models.build ~funcs spec)
         (fun md ->
           match Passes.Pass.run_pipeline ctx passes md with
-          | Ok _ -> ()
+          | Ok () -> ()
           | Error e -> failwith (Ir.Diag.to_string e))
     in
     (t, Ir.Printer.op_to_string md)

@@ -6,8 +6,10 @@
     sequence), and prints the result.
 
     Observability flags:
-    - [--timing] prints the hierarchical timing tree and per-pass op-count
-      deltas;
+    - [--timing] prints the pipeline → pass → verify and schedule
+      compile/apply spans as a timing tree ({!Ir.Profiler.timing}), plus
+      per-pass op-count deltas; it records into the [--profile] profiler
+      when both are given;
     - [--print-ir-after-all[=changed|always]] dumps the IR after passes
       (stderr); the default [changed] mode skips passes that left the
       module fingerprint-identical, [always] restores unconditional dumps;
@@ -56,26 +58,6 @@ let read_file path =
   Fun.protect
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
-
-(** Extract the pipeline embedded in a crash-reproducer header, if any. *)
-let reproducer_pipeline src =
-  let marker = "// configuration: --pass-pipeline=" in
-  let rec scan lines =
-    match lines with
-    | [] -> None
-    | line :: rest ->
-      let line = String.trim line in
-      if String.length line >= String.length marker
-         && String.sub line 0 (String.length marker) = marker
-      then
-        Some
-          (String.sub line (String.length marker)
-             (String.length line - String.length marker))
-      else if String.length line >= 2 && String.sub line 0 2 = "//" then
-        scan rest
-      else None
-  in
-  scan (String.split_on_char '\n' src)
 
 type json_report = {
   mutable j_diagnostics : Ir.Diag.t list;
@@ -159,7 +141,7 @@ let run input pipeline transform_file flow_check no_verify list_passes timing
       Ir.Diag.push_handler (Ir.Context.diag_engine ctx) emit_diag;
       (* a reproducer input replays its embedded pipeline *)
       let pipeline =
-        match (pipeline, reproducer_pipeline src) with
+        match (pipeline, Passes.Reproducer.pipeline src) with
         | Some p, _ -> Some p
         | None, Some embedded ->
           emit_diag
@@ -170,7 +152,6 @@ let run input pipeline transform_file flow_check no_verify list_passes timing
       match Ir.Parser.parse_module src with
       | Error e -> `Error (false, Fmt.str "parse error: %s" e)
       | Ok m ->
-        let timing_tree = ref None in
         let op_count_instr, op_deltas = Passes.Pass.op_count_deltas () in
         let snapshot_instr =
           (* capture per-pass IR snapshots for the JSON report *)
@@ -220,9 +201,7 @@ let run input pipeline transform_file flow_check no_verify list_passes timing
               match
                 Passes.Pass.run_pipeline ~instrumentations ctx passes m
               with
-              | Ok result ->
-                timing_tree := Some result.Passes.Pass.timing;
-                Ok ()
+              | Ok () -> Ok ()
               | Error d ->
                 emit_diag d;
                 Error "pass pipeline failed"))
@@ -235,7 +214,6 @@ let run input pipeline transform_file flow_check no_verify list_passes timing
             | exception Sys_error e -> Error e
             | Error e -> Error (Fmt.str "transform script parse error: %s" e)
             | Ok script -> (
-              let t0 = Unix.gettimeofday () in
               let config =
                 if flow_check then
                   {
@@ -248,30 +226,7 @@ let run input pipeline transform_file flow_check no_verify list_passes timing
                 Transform.Schedule.run ~flow:flow_check ~config ctx
                   ~script ~payload:m
               with
-              | Ok steps ->
-                if timing then begin
-                  let seconds = Unix.gettimeofday () -. t0 in
-                  let node =
-                    {
-                      Passes.Pass.t_name =
-                        Fmt.str "transform-interpreter (%d steps)" steps;
-                      t_seconds = seconds;
-                      t_children = [];
-                    }
-                  in
-                  timing_tree :=
-                    Some
-                      (match !timing_tree with
-                      | None -> node
-                      | Some t ->
-                        {
-                          t with
-                          Passes.Pass.t_children =
-                            t.Passes.Pass.t_children @ [ node ];
-                          t_seconds = t.Passes.Pass.t_seconds +. seconds;
-                        })
-                end;
-                Ok ()
+              | Ok (_ : int) -> Ok ()
               | Error e ->
                 emit_diag (Transform.Terror.diag e);
                 Error
@@ -279,7 +234,10 @@ let run input pipeline transform_file flow_check no_verify list_passes timing
                      (if Transform.Terror.is_silenceable e then "silenceable"
                       else "definite"))))
         in
-        let profiler = Option.map (fun _ -> Ir.Profiler.create ()) profile in
+        let profiler =
+          if timing || profile <> None then Some (Ir.Profiler.create ())
+          else None
+        in
         let with_profiler f =
           match profiler with
           | None -> f ()
@@ -355,6 +313,11 @@ let run input pipeline transform_file flow_check no_verify list_passes timing
         (match (profiler, profile) with
         | Some p, Some path -> Ir.Profiler.write p ~path
         | _ -> ());
+        let timing_roots =
+          match profiler with
+          | Some p when timing -> Ir.Profiler.timing p
+          | _ -> []
+        in
         let traces, selected_remarks =
           match actx with
           | None -> ([], [])
@@ -368,15 +331,14 @@ let run input pipeline transform_file flow_check no_verify list_passes timing
         in
         (* human-readable reports on stderr *)
         if not json_mode then begin
-          (match (timing, !timing_tree) with
-          | true, Some t ->
-            Fmt.epr "// -----// timing //----- //@.%a@." Passes.Pass.pp_timing
-              t;
+          if timing_roots <> [] then begin
+            Fmt.epr "// -----// timing //----- //@.%a@."
+              Ir.Profiler.pp_timing timing_roots;
             let deltas = op_deltas () in
             if List.exists (fun (_, d) -> d <> []) deltas then
               Fmt.epr "// -----// op-count deltas //----- //@.%a@."
                 Passes.Pass.pp_op_deltas deltas
-          | _ -> ());
+          end;
           (match trace with
           | Some "json" -> Fmt.epr "%a@." Ir.Json.pp (Ir.Trace.to_json traces)
           | Some _ ->
@@ -400,12 +362,9 @@ let run input pipeline transform_file flow_check no_verify list_passes timing
                        (List.map Ir.Diag.to_json report.j_diagnostics) );
                    ("trace", Ir.Trace.to_json traces);
                  ]
-                @ (match !timing_tree with
-                  | Some t when timing ->
-                    [ ("timing", Passes.Pass.timing_to_json t) ]
-                  | _ -> [])
                 @ (if timing then
                      [
+                       ("timing", Ir.Profiler.timing_to_json timing_roots);
                        ( "op_count_deltas",
                          Passes.Pass.op_deltas_to_json (op_deltas ()) );
                      ]
@@ -494,7 +453,8 @@ let timing =
   Arg.(
     value & flag
     & info [ "timing" ]
-        ~doc:"Print the hierarchical timing tree and per-pass op-count deltas.")
+        ~doc:"Print the profiler's pipeline, pass, verify and schedule \
+              spans as a timing tree, plus per-pass op-count deltas.")
 
 let print_ir_after_all =
   Arg.(

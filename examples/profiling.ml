@@ -43,7 +43,7 @@ let squeezenet_lowered () =
   in
   let md = Workloads.Models.build spec in
   (match Passes.Pass.run_pipeline ctx prefix md with
-  | Ok _ -> ()
+  | Ok () -> ()
   | Error e -> failwith (Diag.to_string e));
   md
 
@@ -86,7 +86,7 @@ let () =
       match
         Passes.Pass.run_pipeline ctx (parse_pipeline "canonicalize,cse") md
       with
-      | Ok _ -> ()
+      | Ok () -> ()
       | Error e -> failwith (Diag.to_string e));
   let profile_path =
     Filename.concat "_artifacts" "squeezenet_canonicalize_profile.json"

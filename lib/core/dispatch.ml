@@ -24,11 +24,6 @@ let stat_exceptions_contained =
   Stats.counter ~component:"transform" "exceptions_contained"
     ~desc:"OCaml exceptions converted to definite errors by the barrier"
 
-(** Exceptions that must never be swallowed by a containment barrier. *)
-let fatal_exn = function
-  | Sys.Break | Out_of_memory -> true
-  | _ -> false
-
 (** Check the declared {!Annot} requires-clauses of [def] against the
     accumulated property sets of the operand handles. Failures are definite
     and tagged with {!Annot.requirement_tag} so the differential fuzz
@@ -197,7 +192,7 @@ let dispatch_impl ~tracing ~consumed st (def : Treg.def) (op : Ircore.op) :
     match Treg.apply def st op with
     | Ok () -> Ok ()
     | Error e -> Error (Terror.map_diag with_context e)
-    | exception e when not (fatal_exn e) ->
+    | exception e when not (Diag.fatal_exn e) ->
       let bt = Printexc.get_raw_backtrace () in
       Stats.incr stat_exceptions_contained;
       Terror.definite_diag

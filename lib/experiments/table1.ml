@@ -40,10 +40,10 @@ let run_model ?(reps = 5) ctx spec =
     let md = Workloads.Models.build spec in
     num_ops := Workloads.Models.count_ops md;
     Gc.major ();
-    let (_ : Passes.Pass.run_result), t =
+    let (), t =
       time (fun () ->
           match Passes.Pass.run_pipeline ctx passes md with
-          | Ok r -> r
+          | Ok () -> ()
           | Error d -> failwith (Ir.Diag.to_string d))
     in
     (t, md)

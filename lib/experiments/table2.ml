@@ -34,7 +34,7 @@ let passes_of names = List.map Passes.Pass.lookup_exn names
 let run_dynamic ctx names variant =
   let md = Workloads.Subview_kernel.build variant in
   match Passes.Pass.run_pipeline ctx (passes_of names) md with
-  | Ok (_ : Passes.Pass.run_result) -> Ok ()
+  | Ok () -> Ok ()
   | Error d -> Error (Ir.Diag.to_string d)
 
 let run ctx =

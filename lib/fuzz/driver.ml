@@ -35,40 +35,35 @@ let module_for ?config ~seed ~case () =
   Gen.generate ?config (case_rng ~seed ~case)
 
 let reproducer_text ?culprit ~seed ~case (f : Oracle.failure) minimized =
-  let oneline s = String.map (function '\n' | '\r' -> ' ' | c -> c) s in
-  let config_line =
+  let pipeline_note =
     match f.Oracle.f_pipeline with
-    | Some p -> Fmt.str "// configuration: --pass-pipeline=%s\n" p
-    | None -> ""
+    | Some p -> [ Passes.Reproducer.pipeline_note p ]
+    | None -> []
   in
-  let bisect_line =
+  let bisect_note =
     match culprit with
     | Some c ->
       (* replay just up to the culprit with
          --debug-counter TAG:0,INDEX+1 under otd-opt *)
-      Fmt.str "// action-bisect: %a\n" Bisect.pp_culprit c
-    | None -> ""
+      [ Fmt.str "action-bisect: %a" Bisect.pp_culprit c ]
+    | None -> []
   in
-  Fmt.str
-    "// otd-fuzz crash reproducer\n\
-     // oracle: %s\n\
-     // seed: %d case: %d\n\
-     // detail: %s\n\
-     %s%s%s\n"
-    f.Oracle.f_oracle seed case
-    (oneline f.Oracle.f_detail)
-    config_line bisect_line minimized
+  Passes.Reproducer.text ~title:"otd-fuzz crash reproducer"
+    ([
+       "oracle: " ^ f.Oracle.f_oracle;
+       Fmt.str "seed: %d case: %d" seed case;
+       "detail: " ^ f.Oracle.f_detail;
+     ]
+    @ pipeline_note @ bisect_note)
+    minimized
 
 let write_reproducer ?culprit ~dir ~seed ~case f minimized =
   let path =
     Filename.concat dir
       (Fmt.str "fuzz-seed%d-case%d-%s.mlir" seed case f.Oracle.f_oracle)
   in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (reproducer_text ?culprit ~seed ~case f minimized));
+  Passes.Reproducer.write ~path
+    (reproducer_text ?culprit ~seed ~case f minimized);
   path
 
 (** Run [cases] cases from [seed]. [on_case] is a progress hook (case

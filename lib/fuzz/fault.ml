@@ -170,23 +170,18 @@ type stats = {
 
 let write_reproducer ~dir ~seed ~case (v : violation) =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  let oneline s = String.map (function '\n' | '\r' -> ' ' | c -> c) s in
   let path =
     Filename.concat dir (Fmt.str "fault-seed%d-case%d.mlir" seed case)
   in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      Printf.fprintf oc
-        "// otd-fuzz fault-injection reproducer\n\
-         // scenario: %s  mode: %s\n\
-         // seed: %d case: %d\n\
-         // detail: %s\n\
-         // configuration: --pass-pipeline=%s\n\
-         %s\n"
-        v.v_scenario v.v_mode seed case (oneline v.v_detail) v.v_pass
-        v.v_module);
+  Passes.Reproducer.write ~path
+    (Passes.Reproducer.text ~title:"otd-fuzz fault-injection reproducer"
+       [
+         Fmt.str "scenario: %s  mode: %s" v.v_scenario v.v_mode;
+         Fmt.str "seed: %d case: %d" seed case;
+         "detail: " ^ v.v_detail;
+         Passes.Reproducer.pipeline_note v.v_pass;
+       ]
+       v.v_module);
   path
 
 (** Run [cases] fault-injection cases from [seed] at probability [prob].

@@ -154,7 +154,7 @@ let differential ctx ~pipeline m =
       | Error d ->
         fail ~pipeline ~oracle:"differential" ~module_text
           "pipeline failed on valid IR: %s" (Diag.to_string d)
-      | Ok (_ : Passes.Pass.run_result) -> (
+      | Ok () -> (
         match Verifier.verify ctx m2 with
         | Error diags ->
           fail ~pipeline ~oracle:"differential" ~module_text

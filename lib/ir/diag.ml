@@ -46,6 +46,11 @@ let note ?loc fmt = Fmt.kstr (fun m -> make ?loc Note m) fmt
 let fail ?loc ?notes fmt =
   Fmt.kstr (fun m -> Stdlib.Error (make ?loc ?notes Error m)) fmt
 
+(** Exceptions that must never be swallowed by a containment barrier. *)
+let fatal_exn = function
+  | Sys.Break | Out_of_memory -> true
+  | _ -> false
+
 (** Convert a caught exception (plus its raw backtrace) into an error
     diagnostic: the exception text becomes the message, the first few
     backtrace frames become notes. Used by the exception barriers in the

@@ -171,11 +171,6 @@ let stat_exceptions_contained =
   Stats.counter ~component:"greedy" "exceptions_contained"
     ~desc:"OCaml exceptions raised by patterns/folders, contained as diags"
 
-(** Exceptions that must never be swallowed by a containment barrier. *)
-let fatal_exn = function
-  | Sys.Break | Out_of_memory -> true
-  | _ -> false
-
 (** Run a pattern behind an exception barrier: a raising pattern is reported
     as an error diagnostic (with the backtrace as notes) and treated as a
     non-match, so one broken pattern cannot unwind the whole driver. *)
@@ -191,7 +186,7 @@ let rewrite_contained ctx rewriter (p : Pattern.t) (op : Ircore.op) =
           p.Pattern.rewrite rewriter op)
   with
   | applied -> applied
-  | exception e when not (fatal_exn e) ->
+  | exception e when not (Diag.fatal_exn e) ->
     let bt = Printexc.get_raw_backtrace () in
     Stats.incr stat_exceptions_contained;
     Context.emit_diag ctx
@@ -211,7 +206,7 @@ let fold_contained ctx rewriter config folder stats (op : Ircore.op) =
           try_fold ctx rewriter config folder stats op)
   with
   | folded -> folded
-  | exception e when not (fatal_exn e) ->
+  | exception e when not (Diag.fatal_exn e) ->
     let bt = Printexc.get_raw_backtrace () in
     Stats.incr stat_exceptions_contained;
     Context.emit_diag ctx

@@ -21,7 +21,8 @@
     exceptions, so each shard's stream is always balanced and Perfetto
     renders each lane as a flame graph: pass pipeline → pass → greedy
     driver, and transform op spans. {!counter} emits a [C]
-    (counter sample) event. *)
+    (counter sample) event. {!timing} reads the pass and schedule spans
+    back as a tree. *)
 
 type arg = Aint of int | Afloat of float | Astr of string
 
@@ -260,3 +261,76 @@ let write p ~path =
     (fun () ->
       output_string oc (Json.to_string (to_json p));
       output_string oc "\n")
+
+(* ------------------------------------------------------------------ *)
+(* Timing view                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(** A node of the timing view: one span and the spans it contains. *)
+type timing = { name : string; seconds : float; children : timing list }
+
+(** The calling domain's [pass] and [schedule] spans, nested by
+    containment: pipeline → pass → verify, and schedule compile and apply.
+    Spans of other categories are skipped and their kept descendants
+    attach to the nearest kept ancestor. The pass manager records these
+    spans on the domain that runs the pipeline, while a fanned-out pass's
+    per-function tasks record only finer spans, so the view's names and
+    nesting are the same at every pool size. This is [otd-opt --timing]. *)
+let timing p =
+  let tid = (Domain.self () :> int) in
+  let events =
+    match List.find_opt (fun s -> s.sh_tid = tid) (sorted_shards p) with
+    | Some s -> List.rev s.sh_rev_events
+    | None -> []
+  in
+  let roots = ref [] in
+  (* one frame per open span; [Some (name, start, children)] if kept *)
+  let attach node frames =
+    match List.find_map Fun.id frames with
+    | Some (_, _, children) -> children := node :: !children
+    | None -> roots := node :: !roots
+  in
+  let step frames = function
+    | Begin { b_name; b_cat; b_ts; _ } ->
+      let kept = b_cat = "pass" || b_cat = "schedule" in
+      (if kept then Some (b_name, b_ts, ref []) else None) :: frames
+    | End { e_ts } -> (
+      match frames with
+      | Some (name, b_ts, children) :: rest ->
+        attach
+          { name; seconds = (e_ts -. b_ts) /. 1e6;
+            children = List.rev !children }
+          rest;
+        rest
+      | None :: rest -> rest
+      | [] -> [])
+    | Counter _ -> frames
+  in
+  ignore (List.fold_left step [] events);
+  List.rev !roots
+
+let rec pp_timing_at ~total ~depth fmt t =
+  Fmt.pf fmt "%s%8.3f ms (%5.1f%%)  %s@,"
+    (String.make (2 * depth) ' ')
+    (t.seconds *. 1000.)
+    (if total > 0. then 100. *. t.seconds /. total else 100.)
+    t.name;
+  List.iter (pp_timing_at ~total ~depth:(depth + 1) fmt) t.children
+
+(** One line per node, indented by depth, with its share of the roots'
+    total time. *)
+let pp_timing fmt roots =
+  let total = List.fold_left (fun acc t -> acc +. t.seconds) 0. roots in
+  Fmt.pf fmt "@[<v>%a@]"
+    (fun fmt -> List.iter (pp_timing_at ~total ~depth:0 fmt))
+    roots
+
+let rec timing_node_to_json t =
+  Json.Obj
+    ([ ("name", Json.String t.name); ("seconds", Json.Float t.seconds) ]
+    @
+    match t.children with
+    | [] -> []
+    | cs -> [ ("children", Json.List (List.map timing_node_to_json cs)) ])
+
+let timing_to_json roots = Json.List (List.map timing_node_to_json roots)

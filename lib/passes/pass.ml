@@ -9,8 +9,9 @@
     [before_pass]/[after_pass]/[on_failure] hooks, with built-in
     instrumentations for IR printing after each pass, per-pass op-count
     deltas, and a crash reproducer. Failures are structured {!Ir.Diag.t}
-    diagnostics rather than strings or exceptions, and timing is reported as
-    a hierarchical tree. *)
+    diagnostics rather than strings or exceptions. Time is measured only by
+    the {!Ir.Profiler} span around each pipeline, pass and verification;
+    {!Ir.Profiler.timing} renders those spans as a tree. *)
 
 open Ir
 
@@ -55,38 +56,6 @@ let all_registered () =
   |> List.sort (fun a b -> compare a.name b.name)
 
 let pipeline_str passes = String.concat "," (List.map (fun p -> p.name) passes)
-
-(* ------------------------------------------------------------------ *)
-(* Hierarchical timing                                                 *)
-(* ------------------------------------------------------------------ *)
-
-type timing = {
-  t_name : string;
-  t_seconds : float;
-  t_children : timing list;
-}
-
-let rec pp_timing_at ~total ~depth fmt t =
-  Fmt.pf fmt "%s%8.3f ms (%5.1f%%)  %s@,"
-    (String.make (2 * depth) ' ')
-    (t.t_seconds *. 1000.)
-    (if total > 0. then 100. *. t.t_seconds /. total else 100.)
-    t.t_name;
-  List.iter (pp_timing_at ~total ~depth:(depth + 1) fmt) t.t_children
-
-let pp_timing fmt t =
-  Fmt.pf fmt "@[<v>%a@]" (fun fmt -> pp_timing_at ~total:t.t_seconds ~depth:0 fmt) t
-
-let rec timing_to_json t =
-  Json.Obj
-    ([
-       ("name", Json.String t.t_name);
-       ("seconds", Json.Float t.t_seconds);
-     ]
-    @
-    match t.t_children with
-    | [] -> []
-    | cs -> [ ("children", Json.List (List.map timing_to_json cs)) ])
 
 (* ------------------------------------------------------------------ *)
 (* Instrumentation                                                     *)
@@ -206,31 +175,22 @@ let reproducer ~path =
       match !last_ir with
       | None -> ()
       | Some ir ->
-        let oneline s =
-          String.map (function '\n' | '\r' -> ' ' | c -> c) s
-        in
-        let oc = open_out path in
-        Fun.protect
-          ~finally:(fun () -> close_out oc)
-          (fun () ->
-            Printf.fprintf oc
-              "// otd-opt crash reproducer\n\
-               // failing pass: %s\n\
-               // diagnostic: %s\n\
-               // configuration: --pass-pipeline=%s\n\
-               %s\n"
-              p.name
-              (oneline (Diag.to_string d))
-              (pipeline_str remaining) ir))
+        Reproducer.write ~path
+          (Reproducer.text ~title:"otd-opt crash reproducer"
+             [
+               "failing pass: " ^ p.name;
+               "diagnostic: " ^ Diag.to_string d;
+               Reproducer.pipeline_note (pipeline_str remaining);
+             ]
+             ir))
 
 (* ------------------------------------------------------------------ *)
 (* Pass manager                                                        *)
 (* ------------------------------------------------------------------ *)
 
-type run_result = {
-  timing : timing;  (** root node spans the whole pipeline *)
-  total_seconds : float;
-}
+(** What a successful pipeline returns: nothing; its timing is in the
+    {!Ir.Profiler} spans. Named by callers outside this library. *)
+type run_result = unit
 
 (* global statistics (Ir.Stats) *)
 let stat_pipelines = Stats.counter ~component:"pass" "pipelines_run"
@@ -241,11 +201,6 @@ let stat_exceptions_contained =
   Stats.counter ~component:"pass" "exceptions_contained"
     ~desc:"OCaml exceptions converted to pass failures by the barrier"
 
-(** Exceptions that must never be swallowed by a containment barrier. *)
-let fatal_exn = function
-  | Sys.Break | Out_of_memory -> true
-  | _ -> false
-
 (** Run a single pass behind an exception barrier: a raised OCaml exception
     becomes a structured pass-failure diagnostic carrying the backtrace as
     notes, so the failure drives the crash-reproducer instrumentation
@@ -253,7 +208,7 @@ let fatal_exn = function
 let run_contained p ctx op =
   match p.run ctx op with
   | (Ok () | Error _) as r -> r
-  | exception e when not (fatal_exn e) ->
+  | exception e when not (Diag.fatal_exn e) ->
     let bt = Printexc.get_raw_backtrace () in
     Stats.incr stat_exceptions_contained;
     Stdlib.Error
@@ -449,8 +404,8 @@ let run_scheduled ~track p ctx op =
   | Some funcs -> run_parallel ~track p ctx funcs
   | None -> run_sequential ~track p ctx op
 
-(** Run a pipeline of passes over [op], timing each pass, driving the given
-    instrumentations, and reporting to the ambient observability channels:
+(** Run a pipeline of passes over [op], driving the given
+    instrumentations and reporting to the ambient observability channels:
     a nested {!Ir.Profiler} span per pipeline/pass/verify and the [pass]
     statistics of {!Ir.Stats}. Passes declared [function_parallel] are
     fanned across a module's functions on the {!Ir.Pool} domain pool (when
@@ -461,21 +416,49 @@ let run_scheduled ~track p ctx op =
     the first failure as a structured diagnostic (with a note naming the
     failing pass). *)
 let run_pipeline ?(verify_each = false) ?(instrumentations = []) ctx passes op
-    =
+    : (unit, Diag.t) result =
   Stats.incr stat_pipelines;
   Profiler.span ~cat:"pass"
     ~args:[ ("passes", Profiler.Aint (List.length passes)) ]
     "pipeline"
   @@ fun () ->
-  let t_start = Unix.gettimeofday () in
   let fail p remaining d =
     Stats.incr stat_failures;
     let d = Diag.add_note d (Diag.note "while running pass '%s'" p.name) in
     List.iter (fun i -> i.i_on_failure p op ~remaining d) instrumentations;
     Stdlib.Error d
   in
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
+  let verify p dirty =
+    if not verify_each then Ok ()
+    else
+      let verified =
+        Profiler.span ~cat:"pass" "verify" (fun () ->
+            match dirty with
+            | All ->
+              Stats.incr stat_full_verifies;
+              Verifier.verify ctx op
+            | Funcs fns ->
+              (* re-verify only what the pass touched; clean passes verify
+                 nothing *)
+              Stats.incr stat_incremental_verifies;
+              let rec check = function
+                | [] -> Ok ()
+                | f :: rest -> (
+                  match Verifier.verify ctx f with
+                  | Ok () -> check rest
+                  | Error _ as e -> e)
+              in
+              check fns)
+      in
+      Result.map_error
+        (fun diags ->
+          Diag.error
+            ~notes:(List.map (fun d -> Diag.{ d with severity = Note }) diags)
+            "verification failed after pass '%s'" p.name)
+        verified
+  in
+  let rec go = function
+    | [] -> Ok ()
     | p :: rest -> (
       (* cooperative budget: a pass boundary is a safe point to give up,
          and routing exhaustion through [fail] produces a reproducer with
@@ -485,85 +468,26 @@ let run_pipeline ?(verify_each = false) ?(instrumentations = []) ctx passes op
         fail p (p :: rest)
           (Diag.error "pass pipeline stopped before '%s': %s" p.name reason)
       | None -> (
-      List.iter (fun i -> i.i_before_pass p op) instrumentations;
-      let t0 = Unix.gettimeofday () in
-      match
-        Profiler.span ~cat:"pass" p.name (fun () ->
-            (* the pass-level action: a vetoed pass reports success with
-               nothing dirty, exactly like a pass that matched nothing *)
-            Action.run ~tag:"pass" ~desc:p.name ~loc:op.Ircore.op_loc
-              ~root:op
-              ~skipped:(Ok (), Funcs [])
-              (fun () -> run_scheduled ~track:verify_each p ctx op))
-      with
-      | Error d, _ -> fail p (p :: rest) d
-      | Ok (), dirty -> (
-        Stats.incr stat_passes;
-        let t_run = Unix.gettimeofday () -. t0 in
-        let verify_result =
-          if not verify_each then Ok []
-          else
-            let verified =
-              Profiler.span ~cat:"pass" "verify" (fun () ->
-                  match dirty with
-                  | All ->
-                    Stats.incr stat_full_verifies;
-                    Verifier.verify ctx op
-                  | Funcs fns ->
-                    (* re-verify only what the pass touched; clean passes
-                       verify nothing *)
-                    Stats.incr stat_incremental_verifies;
-                    let rec check = function
-                      | [] -> Ok ()
-                      | f :: rest -> (
-                        match Verifier.verify ctx f with
-                        | Ok () -> check rest
-                        | Error _ as e -> e)
-                    in
-                    check fns)
-            in
-            match verified with
-            | Ok () ->
-              Ok
-                [
-                  {
-                    t_name = "verify";
-                    t_seconds = Unix.gettimeofday () -. t0 -. t_run;
-                    t_children = [];
-                  };
-                ]
-            | Error diags ->
-              Stdlib.Error
-                (Diag.error
-                   ~notes:(List.map (fun d -> Diag.{ d with severity = Note }) diags)
-                   "verification failed after pass '%s'" p.name)
-        in
-        match verify_result with
-        | Error d -> fail p (p :: rest) d
-        | Ok verify_children ->
-          List.iter (fun i -> i.i_after_pass p op) instrumentations;
-          let t_total = Unix.gettimeofday () -. t0 in
-          let children =
-            if verify_each then
-              { t_name = "run"; t_seconds = t_run; t_children = [] }
-              :: verify_children
-            else []
-          in
-          go
-            ({ t_name = p.name; t_seconds = t_total; t_children = children }
-            :: acc)
-            rest)))
+        List.iter (fun i -> i.i_before_pass p op) instrumentations;
+        match
+          Profiler.span ~cat:"pass" p.name (fun () ->
+              (* the pass-level action: a vetoed pass reports success with
+                 nothing dirty, exactly like a pass that matched nothing *)
+              Action.run ~tag:"pass" ~desc:p.name ~loc:op.Ircore.op_loc
+                ~root:op
+                ~skipped:(Ok (), Funcs [])
+                (fun () -> run_scheduled ~track:verify_each p ctx op))
+        with
+        | Error d, _ -> fail p (p :: rest) d
+        | Ok (), dirty -> (
+          Stats.incr stat_passes;
+          match verify p dirty with
+          | Error d -> fail p (p :: rest) d
+          | Ok () ->
+            List.iter (fun i -> i.i_after_pass p op) instrumentations;
+            go rest)))
   in
-  match go [] passes with
-  | Error d -> Stdlib.Error d
-  | Ok children ->
-    let total = Unix.gettimeofday () -. t_start in
-    Ok
-      {
-        timing =
-          { t_name = "pipeline"; t_seconds = total; t_children = children };
-        total_seconds = total;
-      }
+  go passes
 
 (** Parse a comma-separated pipeline string, e.g.
     ["convert-scf-to-cf,convert-arith-to-llvm"]. Unknown pass names are all

@@ -44,16 +44,30 @@ let run_canonicalize ctx top =
 (* CSE                                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(** Key identifying structurally equal pure ops within one block scope.
-    Attributes are keyed by their printed form, which keeps [0.0] and
-    [-0.0] apart; result types keep ops that differ only in type apart. *)
+(** Key identifying structurally equal pure ops within one block scope:
+    op name, operand ids, attributes and result types. Attributes compare
+    with {!Attr.equal}, so [0.0] and [-0.0] stay apart; result types keep
+    ops that differ only in type apart. *)
+module Cse_key = Hashtbl.Make (struct
+  type t = string * int list * Attr.dict * Typ.t list
+
+  let equal (n, vs, attrs, tys) (n', vs', attrs', tys') =
+    String.equal n n'
+    && List.equal Int.equal vs vs'
+    && List.equal
+         (fun (k, a) (k', a') -> String.equal k k' && Attr.equal a a')
+         attrs attrs'
+    && List.equal Typ.equal tys tys'
+
+  let hash (n, vs, attrs, tys) =
+    Hashtbl.hash (n, vs, List.map (fun (k, a) -> (k, Attr.hash a)) attrs, tys)
+end)
+
 let cse_key op =
-  let operand_ids =
-    List.map (fun v -> v.Ircore.v_id) (Ircore.operands op)
-  in
-  let attrs = List.map (fun (k, v) -> (k, Attr.to_string v)) op.Ircore.attrs in
-  let result_types = List.map Ircore.value_typ (Ircore.results op) in
-  (op.Ircore.op_name, operand_ids, attrs, result_types)
+  ( op.Ircore.op_name,
+    List.map (fun v -> v.Ircore.v_id) (Ircore.operands op),
+    op.Ircore.attrs,
+    List.map Ircore.value_typ (Ircore.results op) )
 
 (** Dominance-aware CSE: within each region, blocks are processed in reverse
     postorder and an op may reuse an equivalent op from any *dominating*
@@ -67,12 +81,12 @@ let run_cse ctx top =
       match Hashtbl.find_opt tables b.Ircore.b_id with
       | Some t -> t
       | None ->
-        let t = Hashtbl.create 16 in
+        let t = Cse_key.create 16 in
         Hashtbl.replace tables b.Ircore.b_id t;
         t
     in
     let rec lookup b key =
-      match Hashtbl.find_opt (table_of b) key with
+      match Cse_key.find_opt (table_of b) key with
       | Some op -> Some op
       | None -> (
         match Dominance.idom_of doms b with
@@ -95,7 +109,7 @@ let run_cse ctx top =
               match lookup b key with
               | Some prior ->
                 Rewriter.replace_op rw op ~with_:(Ircore.results prior)
-              | None -> Hashtbl.replace (table_of b) key op
+              | None -> Cse_key.replace (table_of b) key op
             end)
           (Ircore.block_ops b))
       (Dominance.reverse_postorder r)

@@ -66,8 +66,6 @@ let job_fingerprint (j : job) (fps : Protocol.fingerprints) : Fingerprint.t =
 (* Crash reproducers                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let oneline s = String.map (function '\n' | '\r' -> ' ' | c -> c) s
-
 let rec mkdir_p dir =
   if not (Sys.file_exists dir) then begin
     let parent = Filename.dirname dir in
@@ -85,36 +83,38 @@ let write_reproducer ~dir ~job_fp (j : job) ~cls ~detail =
   let base = Fmt.str "job-%s" (Fingerprint.to_hex job_fp) in
   let path = Filename.concat dir (base ^ ".mlir") in
   let script_path = Filename.concat dir (base ^ "-script.mlir") in
-  let write p content =
-    let oc = open_out p in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () -> output_string oc content)
-  in
   (try
      if not (Sys.file_exists path) then begin
-       write path
-         (Fmt.str
-            "// otd-server crash reproducer\n\
-             // job: %s  class: %s\n\
-             // detail: %s\n\
-             %s%s%s\n"
-            (Fingerprint.to_hex job_fp)
-            (Protocol.class_to_string cls)
-            (oneline detail)
-            (match j.jb_pipeline with
-            | Some p -> Fmt.str "// configuration: --pass-pipeline=%s\n" p
-            | None -> "")
-            (match j.jb_script with
-            | Some _ ->
-              Fmt.str "// transform script: %s (pass via --transform)\n"
-                (Filename.basename script_path)
-            | None -> "")
+       let pipeline_note =
+         match j.jb_pipeline with
+         | Some p -> [ Passes.Reproducer.pipeline_note p ]
+         | None -> []
+       in
+       let script_note =
+         match j.jb_script with
+         | Some _ ->
+           [
+             Fmt.str "transform script: %s (pass via --transform)"
+               (Filename.basename script_path);
+           ]
+         | None -> []
+       in
+       Passes.Reproducer.write ~path
+         (Passes.Reproducer.text ~title:"otd-server crash reproducer"
+            ([
+               Fmt.str "job: %s  class: %s"
+                 (Fingerprint.to_hex job_fp)
+                 (Protocol.class_to_string cls);
+               "detail: " ^ detail;
+             ]
+            @ pipeline_note @ script_note)
             j.jb_payload);
        (match j.jb_script with
        | Some s ->
-         write script_path
-           (Fmt.str "// otd-server reproducer script for %s\n%s\n" base s)
+         Passes.Reproducer.write ~path:script_path
+           (Passes.Reproducer.text
+              ~title:("otd-server reproducer script for " ^ base)
+              [] s)
        | None -> ());
        Stats.incr stat_reproducers
      end;
@@ -127,9 +127,6 @@ let write_reproducer ~dir ~job_fp (j : job) ~cls ~detail =
 
 let diag_messages diags =
   String.concat "; " (List.map Diag.message diags)
-
-(** Exceptions the barrier must never swallow (mirrors [Passes.Pass]). *)
-let fatal_exn = function Sys.Break | Out_of_memory -> true | _ -> false
 
 (** Run one job to completion inside the cell. Total: every exception
     short of [Sys.Break]/[Out_of_memory] is converted into a structured
@@ -148,7 +145,7 @@ let run ?reproducer_dir (j : job) : outcome =
   in
   match Parser.parse_module j.jb_payload with
   | Error e -> fail Protocol.Parse "payload parse error: %s" e
-  | exception ex when not (fatal_exn ex) ->
+  | exception ex when not (Diag.fatal_exn ex) ->
     fail Protocol.Parse "payload parse raised: %s" (Printexc.to_string ex)
   | Ok payload -> (
     let script_r =
@@ -158,7 +155,7 @@ let run ?reproducer_dir (j : job) : outcome =
         match Parser.parse_module s with
         | Ok op -> Ok (Some op)
         | Error e -> Error e
-        | exception ex when not (fatal_exn ex) ->
+        | exception ex when not (Diag.fatal_exn ex) ->
           Error (Printexc.to_string ex))
     in
     match script_r with
@@ -209,7 +206,7 @@ let run ?reproducer_dir (j : job) : outcome =
                 Error (Protocol.Pipeline, Diag.message d)
               | Ok passes -> (
                 match Passes.Pass.run_pipeline ctx passes payload with
-                | Ok (_ : Passes.Pass.run_result) -> Ok ()
+                | Ok () -> Ok ()
                 | Error d ->
                   Error (classify Protocol.Pipeline, Diag.message d)))
           in
@@ -244,7 +241,7 @@ let run ?reproducer_dir (j : job) : outcome =
         Context.with_diag_handler ctx collect (fun () ->
             Budget.with_budget budget (fun () ->
                 try body ()
-                with ex when not (fatal_exn ex) ->
+                with ex when not (Diag.fatal_exn ex) ->
                   Stats.incr stat_crashes;
                   Error
                     ( classify Protocol.Crash,

@@ -328,7 +328,7 @@ let compile_core t (c : Protocol.compile) : Json.t =
   | Error e ->
     Protocol.error_core ~cls:Protocol.Parse
       (Fmt.str "payload parse error: %s" e)
-  | exception ex when not (Cell.fatal_exn ex) ->
+  | exception ex when not (Diag.fatal_exn ex) ->
     Protocol.error_core ~cls:Protocol.Parse
       (Fmt.str "payload parse raised: %s" (Printexc.to_string ex))
   | Ok payload -> (
@@ -339,7 +339,7 @@ let compile_core t (c : Protocol.compile) : Json.t =
         match Parser.parse_module s with
         | Ok op -> Ok (Some op)
         | Error e -> Error e
-        | exception ex when not (Cell.fatal_exn ex) ->
+        | exception ex when not (Diag.fatal_exn ex) ->
           Error (Printexc.to_string ex))
     in
     match script_r with

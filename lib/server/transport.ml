@@ -72,7 +72,7 @@ let serve_fd ?(on_response = fun (_ : Json.t) -> ()) engine ~in_fd ~out_fd =
               Protocol.invalid_response ?id e
             | Ok req -> (
               try Engine.handle_request engine req
-              with ex when not (Cell.fatal_exn ex) ->
+              with ex when not (Diag.fatal_exn ex) ->
                 Protocol.error_core ~cls:Protocol.Internal
                   (Fmt.str "engine error: %s" (Printexc.to_string ex))))
       in

@@ -50,7 +50,7 @@ let squeezenet_lowered () =
   in
   let md = Workloads.Models.build squeezenet in
   (match Passes.Pass.run_pipeline ctx passes md with
-  | Ok _ -> ()
+  | Ok () -> ()
   | Error e -> failwith (Diag.to_string e));
   md
 

@@ -60,7 +60,7 @@ let canonicalize md =
   match
     Passes.Pass.run_pipeline ctx [ Passes.Pass.lookup_exn "canonicalize" ] md
   with
-  | Ok (_ : Passes.Pass.run_result) -> ()
+  | Ok () -> ()
   | Error d -> Alcotest.fail (Diag.to_string d)
 
 (* ------------------------------------------------------------------ *)
@@ -345,7 +345,7 @@ let test_handlers_off_byte_identical () =
   in
   let lower md =
     match Passes.Pass.run_pipeline ctx passes md with
-    | Ok (_ : Passes.Pass.run_result) -> Printer.op_to_string md
+    | Ok () -> Printer.op_to_string md
     | Error d -> Alcotest.fail (Diag.to_string d)
   in
   List.iter

@@ -70,8 +70,13 @@ let test_json_report () =
         trace
     in
     check cb "trace greedy events" true (greedy_events <> []);
-    (* timing tree root spans the pipeline with one child per pass *)
-    let timing = member_exn "timing" j in
+    (* timing is a list of roots; the first spans the pipeline with one
+       child per pass *)
+    let timing =
+      match Json.to_list (member_exn "timing" j) with
+      | Some (root :: _) -> root
+      | _ -> Alcotest.fail "timing is not a non-empty list"
+    in
     check cs "timing root" "pipeline"
       (Option.get (Option.bind (Json.member "name" timing) Json.to_string_opt));
     check Alcotest.int "timing children" 2
@@ -196,6 +201,15 @@ let script_file =
     (Filename.concat "examples"
        (Filename.concat "scripts" "tile_and_unroll.mlir"))
 
+(* a transform run's timing shows the schedule spans *)
+let test_transform_timing () =
+  let code, _, stderr =
+    run_otd_opt [ payload; "--transform"; script_file; "--timing" ]
+  in
+  check Alcotest.int "exit code" 0 code;
+  check cb "timing header" true (contains stderr "// -----// timing //----- //");
+  check cb "schedule.apply node" true (contains stderr "%)  schedule.apply")
+
 let run_otd_check args =
   let out = Filename.temp_file "otd_check_out" ".txt" in
   let err = Filename.temp_file "otd_check_err" ".txt" in
@@ -260,6 +274,7 @@ let () =
           Alcotest.test_case "reproducer-roundtrip" `Quick
             test_reproducer_roundtrip;
           Alcotest.test_case "text-reports" `Quick test_text_reports_on_stderr;
+          Alcotest.test_case "transform-timing" `Quick test_transform_timing;
           Alcotest.test_case "plain-run-no-journal" `Quick
             test_plain_run_no_journal;
         ] );

@@ -141,7 +141,7 @@ let test_hook_ordering () =
   in
   let passes = List.map Passes.Pass.lookup_exn [ "canonicalize"; "cse" ] in
   (match Passes.Pass.run_pipeline ~instrumentations:[ instr ] ctx passes md with
-  | Ok _ -> ()
+  | Ok () -> ()
   | Error d -> Alcotest.fail (Diag.to_string d));
   check
     Alcotest.(list string)
@@ -162,7 +162,7 @@ let test_failure_hook_and_diag () =
       [ "canonicalize"; "test-always-fails"; "cse" ]
   in
   match Passes.Pass.run_pipeline ~instrumentations:[ instr ] ctx passes md with
-  | Ok _ -> Alcotest.fail "expected pipeline failure"
+  | Ok () -> Alcotest.fail "expected pipeline failure"
   | Error d ->
     check cs "primary message" "induced failure" (Diag.message d);
     check cb "note names the pass" true
@@ -183,7 +183,7 @@ let test_op_count_deltas () =
   let instr, get = Passes.Pass.op_count_deltas () in
   let passes = [ Passes.Pass.lookup_exn "convert-scf-to-cf" ] in
   (match Passes.Pass.run_pipeline ~instrumentations:[ instr ] ctx passes md with
-  | Ok _ -> ()
+  | Ok () -> ()
   | Error d -> Alcotest.fail (Diag.to_string d));
   match get () with
   | [ (pass, delta) ] ->
@@ -198,23 +198,36 @@ let test_op_count_deltas () =
 let test_timing_tree () =
   let md = Workloads.Matmul.build_module ~m:4 ~n:4 ~k:2 () in
   let passes = List.map Passes.Pass.lookup_exn [ "canonicalize"; "cse" ] in
-  match Passes.Pass.run_pipeline ~verify_each:true ctx passes md with
-  | Error d -> Alcotest.fail (Diag.to_string d)
-  | Ok r ->
-    let t = r.Passes.Pass.timing in
-    check cs "root" "pipeline" t.Passes.Pass.t_name;
-    check ci "one child per pass" 2 (List.length t.Passes.Pass.t_children);
-    List.iter
-      (fun c ->
-        check
-          Alcotest.(list string)
-          "verify_each splits run/verify" [ "run"; "verify" ]
-          (List.map (fun n -> n.Passes.Pass.t_name) c.Passes.Pass.t_children))
-      t.Passes.Pass.t_children;
+  let p = Profiler.create () in
+  (match
+     Profiler.with_profiler p (fun () ->
+         Passes.Pass.run_pipeline ~verify_each:true ctx passes md)
+   with
+  | Ok () -> ()
+  | Error d -> Alcotest.fail (Diag.to_string d));
+  let roots = Profiler.timing p in
+  match roots with
+  | [ t ] -> (
+    check cs "root" "pipeline" t.Profiler.name;
+    (* the greedy driver's spans are not part of the view; verify_each
+       records a verify span after each pass *)
+    check
+      Alcotest.(list string)
+      "a verify node follows each pass"
+      [ "canonicalize"; "verify"; "cse"; "verify" ]
+      (List.map (fun n -> n.Profiler.name) t.Profiler.children);
+    check cb "children fit in the root" true
+      (List.fold_left (fun acc n -> acc +. n.Profiler.seconds) 0.
+         t.Profiler.children
+      <= t.Profiler.seconds);
     (* the JSON rendering of the tree must parse back *)
-    match Json.parse (Json.to_string (Passes.Pass.timing_to_json t)) with
-    | Ok _ -> ()
-    | Error e -> Alcotest.fail e
+    match Json.parse (Json.to_string (Profiler.timing_to_json roots)) with
+    | Ok (Json.List [ root ]) ->
+      check cb "root name in JSON" true
+        (Json.member "name" root = Some (Json.String "pipeline"))
+    | Ok _ -> Alcotest.fail "timing JSON is not a one-root list"
+    | Error e -> Alcotest.fail e)
+  | _ -> Alcotest.failf "expected one root, got %d" (List.length roots)
 
 let test_reproducer () =
   let md = Workloads.Matmul.build_module ~m:4 ~n:4 ~k:2 () in
@@ -275,7 +288,7 @@ let test_trace_pass_and_greedy () =
      Action.with_context actions (fun () ->
          Passes.Pass.run_pipeline ctx passes md)
    with
-  | Ok _ -> ()
+  | Ok () -> ()
   | Error d -> Alcotest.fail (Diag.to_string d));
   let events = Action.traces actions in
   check cb "greedy driver reported" true

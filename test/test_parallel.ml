@@ -52,7 +52,7 @@ let test_models_ir_equal () =
             match
               Passes.Pass.run_pipeline ~verify_each:true ctx passes md
             with
-            | Ok _ -> Printer.op_to_string md
+            | Ok () -> Printer.op_to_string md
             | Error d -> Alcotest.fail (Diag.to_string d))
       in
       let seq = run 1 and par = run 4 in
@@ -183,7 +183,7 @@ let run_streams jobs =
          Action.with_context actions (fun () ->
              Passes.Pass.run_pipeline ctx [ remarking_pass ] md))
    with
-  | Ok _ -> ()
+  | Ok () -> ()
   | Error d -> Alcotest.fail (Diag.to_string d));
   ( List.map (fun r -> r.Remark.r_message) (Action.remarks actions),
     Trace.to_json (Action.traces actions) )
@@ -213,6 +213,37 @@ let test_deterministic_streams () =
       check ci "one greedy event per function" 8 (List.length events)
     | _ -> Alcotest.fail "trace is not a JSON list")
   | _ -> assert false
+
+(* the --timing view nests the calling domain's pass spans, so its names
+   and nesting do not depend on how many domains ran the functions *)
+let test_timing_view_shape () =
+  let rec shape (t : Profiler.timing) =
+    Fmt.str "%s(%s)" t.Profiler.name
+      (String.concat "," (List.map shape t.Profiler.children))
+  in
+  let run jobs =
+    let ctx = Transform.Register.full_context () in
+    let md = eight_funcs () in
+    let p = Profiler.create () in
+    (match
+       with_jobs jobs (fun () ->
+           Profiler.with_profiler p (fun () ->
+               Passes.Pass.run_pipeline ~verify_each:true ctx
+                 (List.map Passes.Pass.lookup_exn
+                    [ "canonicalize"; "cse"; "canonicalize" ])
+                 md))
+     with
+    | Ok () -> ()
+    | Error d -> Alcotest.fail (Diag.to_string d));
+    String.concat ";" (List.map shape (Profiler.timing p))
+  in
+  let seq = run 1 in
+  check cs "jobs=1 view"
+    "pipeline(canonicalize(),verify(),cse(),verify(),canonicalize(),verify())"
+    seq;
+  List.iter
+    (fun jobs -> check cs (Fmt.str "jobs=%d view = jobs=1 view" jobs) seq (run jobs))
+    [ 2; 4 ]
 
 (* ------------------------------------------------------------------ *)
 (* shared budget: exhaustion on one domain stops all workers            *)
@@ -295,7 +326,7 @@ let test_canonicalize_stress_64 () =
           Passes.Pass.run_pipeline ~verify_each:true ctx
             [ Passes.Pass.lookup_exn "canonicalize" ] md
         with
-        | Ok _ -> Printer.op_to_string md
+        | Ok () -> Printer.op_to_string md
         | Error d -> Alcotest.fail (Diag.to_string d))
   in
   check cs "64-func canonicalize, jobs=4 = jobs=1" (canon 1) (canon 4);
@@ -351,7 +382,7 @@ let test_incremental_verify () =
      Passes.Pass.run_pipeline ~verify_each:true ctx
        [ Passes.Pass.lookup_exn "canonicalize" ] md
    with
-  | Ok _ -> ()
+  | Ok () -> ()
   | Error d -> Alcotest.fail (Diag.to_string d));
   check cb "incremental verifier engaged" true
     (value "incremental_verifies" > before)
@@ -374,6 +405,8 @@ let () =
             test_deterministic_streams;
           Alcotest.test_case "fuzz-campaign-parity" `Quick
             test_fuzz_campaign_parity;
+          Alcotest.test_case "timing-view-shape" `Quick
+            test_timing_view_shape;
         ] );
       ( "budget",
         [

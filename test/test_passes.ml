@@ -275,7 +275,7 @@ let test_tosa_pipeline_eliminates_tosa () =
   (match Passes.Pass.parse_pipeline Workloads.Models.tosa_pipeline_str with
   | Ok passes -> (
     match Passes.Pass.run_pipeline ctx passes md with
-    | Ok _ -> ()
+    | Ok () -> ()
     | Error d -> Alcotest.fail (Diag.to_string d))
   | Error e -> Alcotest.fail (Diag.to_string e));
   check cb "tosa gone" true (dialect_gone "tosa" md);
@@ -460,6 +460,35 @@ let test_cse_keeps_result_types_apart () =
           Typ.Ranked_tensor ([ Typ.Static 8; Typ.Static 4 ], Typ.f32) ])
   | _ -> Alcotest.fail "expected one func.return"
 
+(* float attributes compare bitwise: CSE merges equal zeros but keeps
+   0.0 and -0.0 apart *)
+let test_cse_keeps_signed_zeros_apart () =
+  let md = Builtin.create_module () in
+  let f, entry =
+    Func.create ~name:"f" ~arg_types:[]
+      ~result_types:[ Typ.f64; Typ.f64; Typ.f64 ] ()
+  in
+  Ircore.insert_at_end (Builtin.body_block md) f;
+  let rw = Dutil.rw_at_end entry in
+  let zero () = Arith.constant rw (Attr.Float (0.0, Typ.f64)) Typ.f64 in
+  let pos = zero () in
+  let neg = Arith.constant rw (Attr.Float (-0.0, Typ.f64)) Typ.f64 in
+  let pos' = zero () in
+  Func.return rw ~operands:[ pos; neg; pos' ] ();
+  run_pass "cse" md;
+  check ci "equal zeros merged, signed zero kept" 2 (count "arith.constant" md);
+  match Symbol.collect_ops ~op_name:"func.return" md with
+  | [ ret ] ->
+    let bits v =
+      match Option.bind (Ircore.defining_op v) (fun d -> Ircore.attr d "value") with
+      | Some (Attr.Float (x, _)) -> Int64.bits_of_float x
+      | _ -> Alcotest.fail "operand is not a float constant"
+    in
+    check cb "returns 0.0, -0.0, 0.0" true
+      (List.map bits (Ircore.operands ret)
+      = List.map Int64.bits_of_float [ 0.0; -0.0; 0.0 ])
+  | _ -> Alcotest.fail "expected one func.return"
+
 (* ------------------------------------------------------------------ *)
 (* pipeline parsing / registry                                         *)
 (* ------------------------------------------------------------------ *)
@@ -539,6 +568,8 @@ let () =
         [
           Alcotest.test_case "result types kept apart" `Quick
             test_cse_keeps_result_types_apart;
+          Alcotest.test_case "signed zeros kept apart" `Quick
+            test_cse_keeps_signed_zeros_apart;
         ] );
       ( "manager",
         [

@@ -19,20 +19,11 @@ let reproducers =
     "regressions/fuzz-seed42-memref-alloca-size.mlir";
   ]
 
-let pipeline_of src =
-  let marker = "// configuration: --pass-pipeline=" in
-  String.split_on_char '\n' src
-  |> List.find_map (fun line ->
-         let n = String.length marker in
-         if String.length line >= n && String.sub line 0 n = marker then
-           Some (String.sub line n (String.length line - n))
-         else None)
-
 let test_reproducer path () =
   let src = read_file path in
   let m = parse_file path in
   let pipeline =
-    match pipeline_of src with
+    match Passes.Reproducer.pipeline src with
     | Some p -> p
     | None -> Alcotest.failf "%s: no embedded pipeline" path
   in

@@ -21,7 +21,7 @@ let run_pipeline names md =
   match
     Passes.Pass.run_pipeline ctx (List.map Passes.Pass.lookup_exn names) md
   with
-  | Ok (_ : Passes.Pass.run_result) -> Ok ()
+  | Ok () -> Ok ()
   | Error d -> Error (Diag.to_string d)
 
 (* ---------------- structural queries ---------------- *)
