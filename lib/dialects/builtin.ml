@@ -33,7 +33,5 @@ let body_block m =
     | None -> invalid_arg "module region has no block")
   | _ -> invalid_arg "not a module"
 
-let is_module op = op.Ircore.op_name = module_op
-
 let cast rw v t =
   Rewriter.build1 rw ~operands:[ v ] ~result_types:[ t ] cast_op

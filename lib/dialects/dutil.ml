@@ -8,18 +8,6 @@ let ( let* ) = Result.bind
 let rw_at_end block = Rewriter.create ~ip:(Builder.At_end block) ()
 let rw_detached () = Rewriter.create ()
 
-(** Verify combinator: operands and results all share one type. *)
-let same_type op =
-  let tys =
-    List.map Ircore.value_typ (Ircore.operands op)
-    @ List.map Ircore.value_typ (Ircore.results op)
-  in
-  match tys with
-  | [] -> Ok ()
-  | t :: rest ->
-    if List.for_all (Typ.equal t) rest then Ok ()
-    else Error "operands and results must all have the same type"
-
 (** Element type of [t] if shaped, [t] itself otherwise. *)
 let scalar_of t = Option.value ~default:t (Typ.element_type t)
 
@@ -74,9 +62,6 @@ let apply_greedy ?(config = greedy_config) ?stats ?rewriter ctx ~patterns root
     =
   Greedy.apply ~config ?stats ?rewriter ctx
     ~patterns:(Frozen_patterns.freeze patterns) root
-
-let int_attr_of op name =
-  match Ircore.attr op name with Some (Attr.Int (v, _)) -> Some v | _ -> None
 
 let str_attr_of op name =
   match Ircore.attr op name with Some (Attr.String s) -> Some s | _ -> None

@@ -33,10 +33,6 @@ let shape_ops =
 
 let const_op = "tosa.const"
 
-let all_ops =
-  (const_op :: elementwise_binary) @ elementwise_unary @ reductions
-  @ structured @ shape_ops
-
 let register ctx =
   Context.register_op ctx const_op ~traits:[ Context.Pure; Context.Constant_like ]
     ~verify:

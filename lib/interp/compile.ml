@@ -30,8 +30,6 @@ type cctx = {
 let create_cctx ?(externs = Hashtbl.create 8) ?module_ ir_ctx =
   { ir_ctx; module_; externs; compiled = Hashtbl.create 8 }
 
-let register_extern cctx name fn = Hashtbl.replace cctx.externs name fn
-
 (* ------------------------------------------------------------------ *)
 (* Slot assignment (per function)                                      *)
 (* ------------------------------------------------------------------ *)

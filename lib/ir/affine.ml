@@ -103,8 +103,6 @@ let make_map ~num_dims ~num_syms exprs =
 let identity_map n =
   { num_dims = n; num_syms = 0; exprs = List.init n (fun i -> Dim i) }
 
-let constant_map c = { num_dims = 0; num_syms = 0; exprs = [ Const c ] }
-
 let eval_map m ~dims ~syms =
   if Array.length dims <> m.num_dims then
     raise (Eval_error "wrong number of dims");
@@ -187,5 +185,3 @@ let pp_map fmt m =
   Fmt.pf fmt "(%a)" Fmt.(list ~sep:comma string) dims;
   if m.num_syms > 0 then Fmt.pf fmt "[%a]" Fmt.(list ~sep:comma string) syms;
   Fmt.pf fmt " -> (%a)" (Util.pp_list pp_expr) m.exprs
-
-let map_to_string m = Fmt.str "%a" pp_map m

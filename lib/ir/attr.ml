@@ -24,15 +24,6 @@ let str s = String s
 let typ t = Type t
 let symbol s = Symbol_ref (s, [])
 
-let get_int = function Int (v, _) -> Some v | _ -> None
-let get_bool = function Bool b -> Some b | _ -> None
-let get_float = function Float (v, _) -> Some v | _ -> None
-let get_string = function String s -> Some s | _ -> None
-let get_type = function Type t -> Some t | _ -> None
-let get_int_array = function Int_array xs -> Some xs | _ -> None
-let get_symbol = function Symbol_ref (s, _) -> Some s | _ -> None
-let get_array = function Array xs -> Some xs | _ -> None
-
 (** A finite float in the shortest of [%.15g], [%.16g] and [%.17g] that
     parses back to the same value, with [.0] appended when that text would
     otherwise lex as an integer: a [dense] literal of integer-looking

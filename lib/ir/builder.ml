@@ -10,8 +10,6 @@ type ip =
 type t = { mutable ip : ip }
 
 let create ?(ip = Detached) () = { ip }
-let at_end b = { ip = At_end b }
-let at_start b = { ip = At_start b }
 let before op = { ip = Before op }
 let after op = { ip = After op }
 
@@ -37,9 +35,3 @@ let build t ?operands ?result_types ?attrs ?regions ?successors ?loc name =
 (** Like {!build} but returns the single result value. *)
 let build1 t ?operands ?result_types ?attrs ?regions ?successors ?loc name =
   Ircore.result (build t ?operands ?result_types ?attrs ?regions ?successors ?loc name)
-
-(** Run [f] with the insertion point temporarily set to [ip]. *)
-let with_ip t ip f =
-  let saved = t.ip in
-  t.ip <- ip;
-  Fun.protect ~finally:(fun () -> t.ip <- saved) f

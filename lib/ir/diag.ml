@@ -80,7 +80,6 @@ let of_exn ?loc ~context exn bt =
     (Fmt.str "%s raised an exception: %s" context (Printexc.to_string exn))
 
 let add_note d n = { d with notes = d.notes @ [ n ] }
-let add_notes d ns = { d with notes = d.notes @ ns }
 let with_loc d loc = { d with loc }
 
 (** Attach [loc] only when the diagnostic does not already carry one. *)

@@ -100,9 +100,6 @@ let new_result op index typ =
 let defining_op v =
   match v.v_def with Op_result (op, _) -> Some op | Block_arg _ -> None
 
-let defining_block v =
-  match v.v_def with Block_arg (b, _) -> Some b | Op_result _ -> None
-
 (** Apply [f] to the uses of [v], newest first. [f] must not edit the use
     list; iterate a {!value_uses} snapshot to do that. *)
 let iter_uses f v =
@@ -377,7 +374,6 @@ let region_blocks r =
   go [] r.r_first
 
 let region_first_block r = r.r_first
-let region_parent r = r.r_parent
 
 let append_block r b =
   if b.b_parent <> None then invalid_arg "append_block: block already attached";

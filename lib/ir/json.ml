@@ -272,11 +272,6 @@ let to_string_opt = function String s -> Some s | _ -> None
 let to_int_opt = function Int n -> Some n | _ -> None
 let to_bool_opt = function Bool b -> Some b | _ -> None
 
-let to_float_opt = function
-  | Float f -> Some f
-  | Int n -> Some (float_of_int n)
-  | _ -> None
-
 (** [member] chained through an optional value — for nested lookups like
     [obj |> get "error" |> get "class"]. *)
 let get key = function None -> None | Some j -> member key j

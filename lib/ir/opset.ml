@@ -57,9 +57,6 @@ let elem_covers ~pattern elem =
 (** Does the set [s] cover [elem]? *)
 let covers s elem = List.exists (fun pattern -> elem_covers ~pattern elem) s
 
-(** Does the set [s] cover every element of [s']? *)
-let covers_set s s' = List.for_all (covers s) s'
-
 (** Does [s] mention any element also (partially) matched by [s']? Used to
     detect whether a transform's pre-condition can find anything to work on:
     overlap is symmetric-ish subsumption in either direction. *)

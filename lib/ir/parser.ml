@@ -875,9 +875,15 @@ and parse_region lx outer_scope : Ircore.region =
 (* Entry points                                                      *)
 (* ---------------------------------------------------------------- *)
 
+(* global statistics (Ir.Stats) *)
+let stat_modules =
+  Stats.counter ~component:"parser" "modules"
+    ~desc:"texts parsed by parse_module, failed parses included"
+
 (** Parse a sequence of top-level ops. If the input is a single
     [builtin.module], return it; otherwise wrap the ops in a fresh module. *)
 let parse_module src : (Ircore.op, string) result =
+  Stats.incr stat_modules;
   let lx = Lexer.create src in
   try
     let scope = new_scope None in

@@ -143,10 +143,6 @@ let op_to_string op = Fmt.str "%a" pp_op op
 let pp_op_locs fmt op = pp_op_with ~locs:true (fresh_naming ()) ~indent:0 fmt op
 let op_to_string_locs op = Fmt.str "%a" pp_op_locs op
 
-let pp_region fmt r = pp_region_with (fresh_naming ()) ~indent:0 fmt r
-
-let pp_value fmt v = Fmt.pf fmt "<%a>" Typ.pp v.v_typ
-
 let print_op ?(oc = stdout) op =
   let fmt = Format.formatter_of_out_channel oc in
   pp_op fmt op;

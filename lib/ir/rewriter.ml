@@ -112,11 +112,6 @@ let erase_op t op =
   notify_erased_tree t op;
   Ircore.erase op
 
-(** Erase even if results have uses (callers guarantee deadness). *)
-let erase_op_unchecked t op =
-  notify_erased_tree t op;
-  Ircore.erase_unchecked op
-
 (** In-place modification bracket: notifies listeners through [on_modified]
     so dependent state (worklists, handle maps) can be refreshed without
     treating the op as erased. *)

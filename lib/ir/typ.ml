@@ -30,7 +30,6 @@ type t =
 
 let i1 = Integer 1
 let i8 = Integer 8
-let i16 = Integer 16
 let i32 = Integer 32
 let i64 = Integer 64
 let index = Index
@@ -47,22 +46,11 @@ let static_dims ns = List.map (fun n -> Static n) ns
    IR does not depend on the transform library. *)
 let transform_any_op = Opaque ("transform", "any_op")
 let transform_param = Opaque ("transform", "param")
-let transform_any_value = Opaque ("transform", "any_value")
-let transform_op name = Opaque ("transform", Fmt.str "op<%S>" name)
 let llvm_ptr = Opaque ("llvm", "ptr")
 
 let is_integer = function Integer _ -> true | _ -> false
 let is_float = function Float _ -> true | _ -> false
 let is_index = function Index -> true | _ -> false
-let is_int_or_index t = is_integer t || is_index t
-
-let is_signless_int_or_float t = is_integer t || is_float t
-
-let is_shaped = function
-  | Vector _ | Ranked_tensor _ | Unranked_tensor _ | Memref _
-  | Unranked_memref _ ->
-    true
-  | _ -> false
 
 let element_type = function
   | Vector (_, t)
@@ -95,14 +83,6 @@ let num_elements t =
   match static_shape t with
   | Some dims -> Some (List.fold_left ( * ) 1 dims)
   | None -> None
-
-let bitwidth = function
-  | Integer n -> Some n
-  | Index -> Some 64
-  | Float F16 | Float BF16 -> Some 16
-  | Float F32 -> Some 32
-  | Float F64 -> Some 64
-  | _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* Printing                                                            *)

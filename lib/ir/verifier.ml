@@ -193,15 +193,6 @@ let verify_or_fail ctx top =
     in
     failwith msg
 
-(** Verify and report failures through the context's diagnostic handler;
-    returns [true] when the IR is valid. *)
-let verify_and_emit ctx top =
-  match verify ctx top with
-  | Ok () -> true
-  | Error errs ->
-    List.iter (Context.emit_diag ctx) errs;
-    false
-
 (* ------------------------------------------------------------------ *)
 (* Reusable per-op verification helpers for dialect definitions        *)
 (* ------------------------------------------------------------------ *)

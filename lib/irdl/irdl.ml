@@ -379,11 +379,6 @@ let pp_op_def fmt def =
   | None -> ());
   Fmt.pf fmt "}"
 
-let pp_dialect fmt (name, defs) =
-  Fmt.pf fmt "Dialect %s {@." name;
-  List.iter (fun d -> Fmt.pf fmt "%a@." pp_op_def d) defs;
-  Fmt.pf fmt "}"
-
 (* ------------------------------------------------------------------ *)
 (* Built-in definitions: the memref ops of Figure 3 / Table 2          *)
 (* ------------------------------------------------------------------ *)

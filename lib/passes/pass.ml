@@ -557,6 +557,3 @@ let for_each_op ~op_name root f =
 
 (** Apply [f] to every op satisfying [p]. *)
 let for_each ~p root f = List.iter f (Symbol.collect ~f:p root)
-
-let ops_of_dialect root dialect =
-  Symbol.collect root ~f:(fun op -> Ircore.op_dialect op = dialect)

@@ -1,8 +1,14 @@
 (** Containment cell: one compilation job, fully isolated.
 
-    Every job the server admits runs through {!run}: a fresh context, a
-    job-local diagnostic capture, a per-job {!Ir.Budget} (the request's
-    limits clamped by server policy), and the existing exception barriers
+    A job is parsed once, by {!parse}, on the connection domain before
+    admission: the engine keys its result cache by the fingerprints that
+    parse computes, and hands the parsed module to {!run} on a worker.
+    {!parse} is the server's only parse site; only a budget retry calls
+    it again, because the failed attempt mutated the module.
+
+    {!run} starts at input verify, under a fresh context, a job-local
+    diagnostic capture and a per-job {!Ir.Budget} (the request's limits
+    clamped by server policy), inside the existing exception barriers
     ({!Passes.Pass.run_pipeline} and the transform interpreter already
     convert raises into structured errors; anything that still escapes is
     caught here). A failing job produces a structured {!outcome} plus an
@@ -25,11 +31,15 @@ type job = {
   jb_deadline_ms : int option;
 }
 
+type parsed = {
+  pa_payload : Ircore.op;
+  pa_script : Ircore.op option;
+  pa_fps : Protocol.fingerprints;
+}
+
 type outcome = {
   oc_result : (string, Protocol.error_class * string) result;
       (** printed output module, or (class, message) *)
-  oc_fps : Protocol.fingerprints option;
-      (** available once the payload parsed *)
   oc_reproducer : string option;
 }
 
@@ -61,6 +71,39 @@ let job_fingerprint (j : job) (fps : Protocol.fingerprints) : Fingerprint.t =
           (Fingerprint.combine (opt j.jb_max_steps)
              (Fingerprint.combine (opt j.jb_max_rewrites)
                 (opt j.jb_deadline_ms)))))
+
+(** Parse a job's payload and script and fingerprint them. The error is
+    the response message of a [parse]-class failure. *)
+let parse (j : job) : (parsed, string) result =
+  let ( let* ) = Result.bind in
+  let* payload =
+    match Parser.parse_module j.jb_payload with
+    | Ok op -> Ok op
+    | Error e -> Error ("payload parse error: " ^ e)
+    | exception ex when not (Diag.fatal_exn ex) ->
+      Error ("payload parse raised: " ^ Printexc.to_string ex)
+  in
+  let* script =
+    match j.jb_script with
+    | None -> Ok None
+    | Some s -> (
+      match Parser.parse_module s with
+      | Ok op -> Ok (Some op)
+      | Error e -> Error ("script parse error: " ^ e)
+      | exception ex when not (Diag.fatal_exn ex) ->
+        Error ("script parse error: " ^ Printexc.to_string ex))
+  in
+  Ok
+    {
+      pa_payload = payload;
+      pa_script = script;
+      pa_fps =
+        {
+          Protocol.fp_payload = Fingerprint.op payload;
+          fp_script = Option.map Fingerprint.op script;
+          fp_pipeline = Option.map Fingerprint.string j.jb_pipeline;
+        };
+    }
 
 (* ------------------------------------------------------------------ *)
 (* Crash reproducers                                                   *)
@@ -128,126 +171,85 @@ let write_reproducer ~dir ~job_fp (j : job) ~cls ~detail =
 let diag_messages diags =
   String.concat "; " (List.map Diag.message diags)
 
-(** Run one job to completion inside the cell. Total: every exception
-    short of [Sys.Break]/[Out_of_memory] is converted into a structured
-    outcome. *)
-let run ?reproducer_dir (j : job) : outcome =
+(** Run one parsed job to completion inside the cell, from input verify
+    to printed output. The cell mutates [p]'s payload, so a retry needs a
+    fresh {!parse}. Total: every exception short of
+    [Sys.Break]/[Out_of_memory] is converted into a structured outcome. *)
+let run ?reproducer_dir (j : job) (p : parsed) : outcome =
   Stats.incr stat_jobs;
   let t0 = Unix.gettimeofday () in
-  let fps = ref None in
   let finish result reproducer =
     Stats.observe stat_run_ms ((Unix.gettimeofday () -. t0) *. 1000.);
     (match result with Error _ -> Stats.incr stat_contained | Ok _ -> ());
-    { oc_result = result; oc_fps = !fps; oc_reproducer = reproducer }
+    { oc_result = result; oc_reproducer = reproducer }
   in
-  let fail ?reproducer cls fmt =
-    Fmt.kstr (fun m -> finish (Error (cls, m)) reproducer) fmt
+  let payload = p.pa_payload in
+  let job_fp = job_fingerprint j p.pa_fps in
+  let ctx = Transform.Register.full_context () in
+  let diags = ref [] in
+  let collect d = diags := d :: !diags in
+  let budget =
+    Budget.create ?max_steps:j.jb_max_steps ?max_rewrites:j.jb_max_rewrites
+      ?deadline_ms:j.jb_deadline_ms ()
   in
-  match Parser.parse_module j.jb_payload with
-  | Error e -> fail Protocol.Parse "payload parse error: %s" e
-  | exception ex when not (Diag.fatal_exn ex) ->
-    fail Protocol.Parse "payload parse raised: %s" (Printexc.to_string ex)
-  | Ok payload -> (
-    let script_r =
-      match j.jb_script with
-      | None -> Ok None
-      | Some s -> (
-        match Parser.parse_module s with
-        | Ok op -> Ok (Some op)
-        | Error e -> Error e
-        | exception ex when not (Diag.fatal_exn ex) ->
-          Error (Printexc.to_string ex))
-    in
-    match script_r with
-    | Error e -> fail Protocol.Parse "script parse error: %s" e
-    | Ok script ->
-      fps :=
-        Some
-          {
-            Protocol.fp_payload = Fingerprint.op payload;
-            fp_script = Option.map Fingerprint.op script;
-            fp_pipeline = Option.map Fingerprint.string j.jb_pipeline;
-          };
-      let job_fp = job_fingerprint j (Option.get !fps) in
-      let reproduce cls detail =
-        match reproducer_dir with
-        | None -> None
-        | Some dir -> write_reproducer ~dir ~job_fp j ~cls ~detail
+  (* reclassify any failure as transient once the budget tripped: the
+     retry ladder keys on this *)
+  let classify cls =
+    match Budget.exhausted budget with Some _ -> Protocol.Budget | None -> cls
+  in
+  let body () =
+    match Verifier.verify ctx payload with
+    | Error ds -> Error (Protocol.Verify, diag_messages ds)
+    | Ok () -> (
+      let pipeline_r =
+        match j.jb_pipeline with
+        | None -> Ok ()
+        | Some str -> (
+          match Passes.Pass.parse_pipeline str with
+          | Error d -> Error (Protocol.Pipeline, Diag.message d)
+          | Ok passes -> (
+            match Passes.Pass.run_pipeline ctx passes payload with
+            | Ok () -> Ok ()
+            | Error d -> Error (classify Protocol.Pipeline, Diag.message d)))
       in
-      let contained cls fmt =
-        Fmt.kstr
-          (fun m -> finish (Error (cls, m)) (reproduce cls m))
-          fmt
-      in
-      let ctx = Transform.Register.full_context () in
-      let diags = ref [] in
-      let collect d = diags := d :: !diags in
-      let budget =
-        Budget.create ?max_steps:j.jb_max_steps
-          ?max_rewrites:j.jb_max_rewrites ?deadline_ms:j.jb_deadline_ms ()
-      in
-      (* reclassify any failure as transient once the budget tripped: the
-         retry ladder keys on this *)
-      let classify cls =
-        match Budget.exhausted budget with
-        | Some _ -> Protocol.Budget
-        | None -> cls
-      in
-      let body () =
-        match Verifier.verify ctx payload with
-        | Error ds -> Error (Protocol.Verify, diag_messages ds)
+      match pipeline_r with
+      | Error _ as e -> e
+      | Ok () -> (
+        let script_r =
+          match p.pa_script with
+          | None -> Ok ()
+          | Some script -> (
+            match Transform.Schedule.run ctx ~script ~payload with
+            | Ok (_ : int) -> Ok ()
+            | Error e ->
+              Error (classify Protocol.Transform, Transform.Terror.message e))
+        in
+        match script_r with
+        | Error _ as e -> e
         | Ok () -> (
-          let pipeline_r =
-            match j.jb_pipeline with
-            | None -> Ok ()
-            | Some str -> (
-              match Passes.Pass.parse_pipeline str with
-              | Error d ->
-                Error (Protocol.Pipeline, Diag.message d)
-              | Ok passes -> (
-                match Passes.Pass.run_pipeline ctx passes payload with
-                | Ok () -> Ok ()
-                | Error d ->
-                  Error (classify Protocol.Pipeline, Diag.message d)))
-          in
-          match pipeline_r with
-          | Error _ as e -> e
-          | Ok () -> (
-            let script_r =
-              match script with
-              | None -> Ok ()
-              | Some script -> (
-                match
-                  Transform.Schedule.run ctx ~script ~payload
-                with
-                | Ok (_ : int) -> Ok ()
-                | Error e ->
-                  Error
-                    ( classify Protocol.Transform,
-                      Transform.Terror.message e ))
-            in
-            match script_r with
-            | Error _ as e -> e
-            | Ok () -> (
-              match Verifier.verify ctx payload with
-              | Error ds ->
-                Error
-                  ( Protocol.Verify,
-                    Fmt.str "output verification failed: %s"
-                      (diag_messages ds) )
-              | Ok () -> Ok (Printer.op_to_string payload))))
-      in
-      let result =
-        Context.with_diag_handler ctx collect (fun () ->
-            Budget.with_budget budget (fun () ->
-                try body ()
-                with ex when not (Diag.fatal_exn ex) ->
-                  Stats.incr stat_crashes;
-                  Error
-                    ( classify Protocol.Crash,
-                      Fmt.str "contained exception: %s"
-                        (Printexc.to_string ex) )))
-      in
-      (match result with
-      | Ok output -> finish (Ok output) None
-      | Error (cls, msg) -> contained cls "%s" msg))
+          match Verifier.verify ctx payload with
+          | Error ds ->
+            Error
+              ( Protocol.Verify,
+                Fmt.str "output verification failed: %s" (diag_messages ds) )
+          | Ok () -> Ok (Printer.op_to_string payload))))
+  in
+  let result =
+    Context.with_diag_handler ctx collect (fun () ->
+        Budget.with_budget budget (fun () ->
+            try body ()
+            with ex when not (Diag.fatal_exn ex) ->
+              Stats.incr stat_crashes;
+              Error
+                ( classify Protocol.Crash,
+                  Fmt.str "contained exception: %s" (Printexc.to_string ex) )))
+  in
+  match result with
+  | Ok output -> finish (Ok output) None
+  | Error (cls, msg) ->
+    let reproducer =
+      match reproducer_dir with
+      | None -> None
+      | Some dir -> write_reproducer ~dir ~job_fp j ~cls ~detail:msg
+    in
+    finish (Error (cls, msg)) reproducer

@@ -6,17 +6,20 @@
 
     Life of a compile request:
 
-    + the request's budgets are clamped by server policy and the job key
-      (payload/script structure × pipeline × limits × attempts) is
-      computed;
+    + the request's budgets are clamped by server policy, and
+      {!Cell.parse} parses the payload and script once, on the connection
+      domain: a parse error is answered here, without admission;
+    + the job key (payload/script structure × pipeline × limits ×
+      attempts) is computed from that parse's fingerprints;
     + the result cache is consulted ({!Rcache}): a hit answers without
       admission; otherwise the request takes the single-flight lease;
     + admission: a draining engine rejects, a full queue sheds with a
       [retry_after_ms] hint — both without burning a worker;
     + admitted jobs are submitted to the engine's private {!Ir.Pool}
-      worker set and run inside a {!Cell} containment cell, re-attempted
-      on the transient (budget-exhaustion) class at escalating budget
-      tiers while the client's [retry.attempts] allows;
+      worker set and run inside a {!Cell} containment cell on the parsed
+      module, re-attempted on the transient (budget-exhaustion) class at
+      escalating budget tiers while the client's [retry.attempts] allows
+      (each retry re-parses, since the failed attempt mutated the module);
     + the deterministic response core lands in the cache (leases are
       abandoned on shed/reject so waiters can take over) and is returned
       with the request's id re-attached.
@@ -93,21 +96,25 @@ let stat_contamination =
   Stats.counter ~component:"server" "contamination"
     ~desc:"jobs after which the shared sentinel fingerprint drifted"
 
-let sentinel_text =
-  {|"builtin.module"() ({
-  "func.func"() ({
-  ^bb0(%a: i64, %b: i64):
-    %0 = "arith.addi"(%a, %b) : (i64, i64) -> i64
-    "func.return"(%0) : (i64) -> ()
-  }) {sym_name = "server_sentinel", function_type = (i64, i64) -> i64} : () -> ()
-}) : () -> ()|}
+(* [server_sentinel(a, b) = a + b] in a module of its own; built, not
+   parsed, so job parsing stays confined to {!Cell.parse} *)
+let build_sentinel () =
+  let open Dialects in
+  let m = Builtin.create_module () in
+  let f, entry =
+    Func.create ~name:"server_sentinel" ~arg_types:[ Typ.i64; Typ.i64 ]
+      ~result_types:[ Typ.i64 ] ()
+  in
+  Ircore.insert_at_end (Builtin.body_block m) f;
+  let rw = Dutil.rw_at_end entry in
+  let sum =
+    Arith.addi rw (Ircore.block_arg entry 0) (Ircore.block_arg entry 1)
+  in
+  Func.return rw ~operands:[ sum ] ();
+  m
 
 let create ?(policy = default_policy) () =
-  let sentinel =
-    match Parser.parse_module sentinel_text with
-    | Ok m -> m
-    | Error e -> failwith ("server sentinel does not parse: " ^ e)
-  in
+  let sentinel = build_sentinel () in
   {
     e_policy = policy;
     (* [jobs + 1]: the engine itself never participates in fan-outs, so a
@@ -222,7 +229,7 @@ let close t =
 type 'a promise = {
   pr_mu : Mutex.t;
   pr_cond : Condition.t;
-  mutable pr_value : 'a option;
+  mutable pr_value : ('a, exn * Printexc.raw_backtrace) result option;
 }
 
 let promise () =
@@ -234,14 +241,17 @@ let resolve pr v =
   Condition.broadcast pr.pr_cond;
   Mutex.unlock pr.pr_mu
 
+(* an exception the task raised is re-raised on the awaiting domain *)
 let await pr =
   Mutex.lock pr.pr_mu;
-  while pr.pr_value = None do
+  while Option.is_none pr.pr_value do
     Condition.wait pr.pr_cond pr.pr_mu
   done;
   let v = Option.get pr.pr_value in
   Mutex.unlock pr.pr_mu;
-  v
+  match v with
+  | Ok v -> v
+  | Error (ex, bt) -> Printexc.raise_with_backtrace ex bt
 
 (* ------------------------------------------------------------------ *)
 (* Job execution (on a worker domain)                                  *)
@@ -249,56 +259,47 @@ let await pr =
 
 (** Run the retry ladder for one admitted job. Executes inside a worker;
     returns the deterministic response core. *)
-let run_attempts t ~attempts_allowed (base : Cell.job) : Json.t =
+let run_attempts t ~attempts_allowed (base : Cell.job) (parsed : Cell.parsed)
+    : Json.t =
   let p = t.e_policy in
-  let rec attempt k (job : Cell.job) =
-    let outcome = Cell.run ?reproducer_dir:p.p_reproducer_dir job in
-    (* sentinel tripwire: shared state must be exactly as before the job *)
-    let outcome =
-      if Fingerprint.equal (Fingerprint.op t.e_sentinel) t.e_sentinel_fp
-      then outcome
-      else begin
-        Stats.incr stat_contamination;
-        {
-          outcome with
-          Cell.oc_result =
-            Error
-              ( Protocol.Internal,
-                "cross-job contamination detected: shared sentinel \
-                 fingerprint drifted" );
-        }
-      end
-    in
-    match outcome.Cell.oc_result with
-    | Error (Protocol.Budget, _) when k < attempts_allowed ->
-      Stats.incr stat_retries;
-      (* linear-ish backoff: tiny in-process, real daemons configure it *)
-      if p.p_backoff_ms > 0 then
-        Unix.sleepf (float_of_int (p.p_backoff_ms * k) /. 1000.);
-      attempt (k + 1) (scale_budgets p job)
-    | Error (cls, msg) ->
-      Protocol.error_core ~attempts:k ?fps:outcome.Cell.oc_fps
-        ?reproducer:outcome.Cell.oc_reproducer ~cls msg
-    | Ok output ->
-      Protocol.ok_core ~attempts:k
-        ~fps:
-          (match outcome.Cell.oc_fps with
-          | Some fps -> fps
-          | None ->
-            (* unreachable: success implies the payload parsed *)
-            {
-              Protocol.fp_payload = 0;
-              fp_script = None;
-              fp_pipeline = None;
-            })
-        ~output ()
+  let rec attempt k (job : Cell.job) = function
+    | Error msg -> Protocol.error_core ~attempts:k ~cls:Protocol.Parse msg
+    | Ok (parsed : Cell.parsed) -> (
+      let outcome = Cell.run ?reproducer_dir:p.p_reproducer_dir job parsed in
+      (* sentinel tripwire: shared state must be exactly as before the job *)
+      let result =
+        if Fingerprint.equal (Fingerprint.op t.e_sentinel) t.e_sentinel_fp
+        then outcome.Cell.oc_result
+        else begin
+          Stats.incr stat_contamination;
+          Error
+            ( Protocol.Internal,
+              "cross-job contamination detected: shared sentinel \
+               fingerprint drifted" )
+        end
+      in
+      let fps = parsed.Cell.pa_fps in
+      match result with
+      | Error (Protocol.Budget, _) when k < attempts_allowed ->
+        Stats.incr stat_retries;
+        (* linear-ish backoff: tiny in-process, real daemons configure it *)
+        if p.p_backoff_ms > 0 then
+          Unix.sleepf (float_of_int (p.p_backoff_ms * k) /. 1000.);
+        let job = scale_budgets p job in
+        attempt (k + 1) job (Cell.parse job)
+      | Error (cls, msg) ->
+        Protocol.error_core ~attempts:k ~fps
+          ?reproducer:outcome.Cell.oc_reproducer ~cls msg
+      | Ok output -> Protocol.ok_core ~attempts:k ~fps ~output ())
   in
-  attempt 1 base
+  attempt 1 base (Ok parsed)
 
-let run_on_pool t ~attempts_allowed base =
+let run_on_pool t ~attempts_allowed base parsed =
   let pr = promise () in
   Pool.async t.e_pool (fun () ->
-      resolve pr (run_attempts t ~attempts_allowed base));
+      resolve pr
+        (try Ok (run_attempts t ~attempts_allowed base parsed)
+         with ex -> Error (ex, Printexc.get_raw_backtrace ())));
   await pr
 
 (* ------------------------------------------------------------------ *)
@@ -322,75 +323,46 @@ let compile_core t (c : Protocol.compile) : Json.t =
   let p = t.e_policy in
   let job = effective_job p c in
   let attempts_allowed = max 1 (min c.Protocol.c_attempts p.p_max_attempts) in
-  (* key the job by structure: requires a parse, which also answers
-     parse-errors cheaply on the connection domain without admission *)
-  match Parser.parse_module job.Cell.jb_payload with
-  | Error e ->
-    Protocol.error_core ~cls:Protocol.Parse
-      (Fmt.str "payload parse error: %s" e)
-  | exception ex when not (Diag.fatal_exn ex) ->
-    Protocol.error_core ~cls:Protocol.Parse
-      (Fmt.str "payload parse raised: %s" (Printexc.to_string ex))
-  | Ok payload -> (
-    let script_r =
-      match job.Cell.jb_script with
-      | None -> Ok None
-      | Some s -> (
-        match Parser.parse_module s with
-        | Ok op -> Ok (Some op)
-        | Error e -> Error e
-        | exception ex when not (Diag.fatal_exn ex) ->
-          Error (Printexc.to_string ex))
+  match Cell.parse job with
+  | Error msg -> Protocol.error_core ~cls:Protocol.Parse msg
+  | Ok parsed -> (
+    let key = request_key job parsed.Cell.pa_fps ~attempts_allowed in
+    let admit_and_run () =
+      match admit t with
+      | `Draining ->
+        Stats.incr stat_rejected_draining;
+        `Uncacheable
+          (Protocol.error_core ~cls:Protocol.Draining
+             "server is draining; job rejected")
+      | `Shed ->
+        Stats.incr stat_sheds;
+        `Uncacheable (Protocol.shed_core ~retry_after_ms:(retry_after_ms t))
+      | `Admitted ->
+        let core =
+          Fun.protect
+            ~finally:(fun () -> release t)
+            (fun () -> run_on_pool t ~attempts_allowed job parsed)
+        in
+        `Cacheable core
     in
-    match script_r with
-    | Error e ->
-      Protocol.error_core ~cls:Protocol.Parse
-        (Fmt.str "script parse error: %s" e)
-    | Ok script ->
-      let fps =
-        {
-          Protocol.fp_payload = Fingerprint.op payload;
-          fp_script = Option.map Fingerprint.op script;
-          fp_pipeline = Option.map Fingerprint.string job.Cell.jb_pipeline;
-        }
-      in
-      let key = request_key job fps ~attempts_allowed in
-      let admit_and_run () =
-        match admit t with
-        | `Draining ->
-          Stats.incr stat_rejected_draining;
-          `Uncacheable
-            (Protocol.error_core ~cls:Protocol.Draining
-               "server is draining; job rejected")
-        | `Shed ->
-          Stats.incr stat_sheds;
-          `Uncacheable (Protocol.shed_core ~retry_after_ms:(retry_after_ms t))
-        | `Admitted ->
-          let core =
-            Fun.protect
-              ~finally:(fun () -> release t)
-              (fun () -> run_on_pool t ~attempts_allowed job)
-          in
-          `Cacheable core
-      in
-      if not c.Protocol.c_cache then begin
+    if not c.Protocol.c_cache then begin
+      match admit_and_run () with
+      | `Uncacheable core | `Cacheable core -> core
+    end
+    else
+      match Rcache.find_or_lease t.e_cache key with
+      | `Hit core -> core
+      | `Lease -> (
         match admit_and_run () with
-        | `Uncacheable core | `Cacheable core -> core
-      end
-      else
-        match Rcache.find_or_lease t.e_cache key with
-        | `Hit core -> core
-        | `Lease -> (
-          match admit_and_run () with
-          | `Cacheable core ->
-            Rcache.fulfill t.e_cache key core;
-            core
-          | `Uncacheable core ->
-            Rcache.abandon t.e_cache key;
-            core
-          | exception ex ->
-            Rcache.abandon t.e_cache key;
-            raise ex))
+        | `Cacheable core ->
+          Rcache.fulfill t.e_cache key core;
+          core
+        | `Uncacheable core ->
+          Rcache.abandon t.e_cache key;
+          core
+        | exception ex ->
+          Rcache.abandon t.e_cache key;
+          raise ex))
 
 let stats_json t =
   let count name =

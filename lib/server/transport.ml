@@ -144,8 +144,6 @@ let stop_listener l =
   (try Unix.close l.l_fd with Unix.Unix_error _ -> ());
   try Unix.unlink l.l_path with Unix.Unix_error _ -> ()
 
-let wait_listener l = List.iter Domain.join l.l_domains
-
 (* ------------------------------------------------------------------ *)
 (* Client side                                                         *)
 (* ------------------------------------------------------------------ *)

@@ -367,7 +367,7 @@ let test_engine_clamping () =
 (* ------------------------------------------------------------------ *)
 
 let run_cell ?reproducer_dir ?pipeline ?script ?max_rewrites payload =
-  Server.Cell.run ?reproducer_dir
+  let job =
     {
       Server.Cell.jb_payload = payload;
       jb_script = script;
@@ -376,6 +376,10 @@ let run_cell ?reproducer_dir ?pipeline ?script ?max_rewrites payload =
       jb_max_rewrites = max_rewrites;
       jb_deadline_ms = None;
     }
+  in
+  match Server.Cell.parse job with
+  | Ok parsed -> Server.Cell.run ?reproducer_dir job parsed
+  | Error e -> Alcotest.fail ("cell test payload must parse: " ^ e)
 
 let expect_class name cls (o : Server.Cell.outcome) =
   match o.Server.Cell.oc_result with
@@ -386,15 +390,12 @@ let expect_class name cls (o : Server.Cell.outcome) =
   | Ok _ -> Alcotest.fail (name ^ ": expected an error outcome")
 
 let test_cell_outcomes () =
-  (* success: output is printed, fingerprints are available *)
+  (* success: output is printed *)
   (match run_cell ~pipeline:"canonicalize" payload_text with
-  | { Server.Cell.oc_result = Ok out; oc_fps = Some _; _ } ->
+  | { Server.Cell.oc_result = Ok out; _ } ->
     check cb "output parses back" true
       (Result.is_ok (Parser.parse_module out))
-  | _ -> Alcotest.fail "valid job must succeed with fingerprints");
-  expect_class "parse" Server.Protocol.Parse (run_cell "not mlir at all");
-  expect_class "script parse" Server.Protocol.Parse
-    (run_cell ~script:"also not mlir" payload_text);
+  | _ -> Alcotest.fail "valid job must succeed");
   expect_class "pipeline" Server.Protocol.Pipeline
     (run_cell ~pipeline:"no-such-pass" payload_text);
   expect_class "budget" Server.Protocol.Budget
@@ -524,36 +525,137 @@ let test_daemon_compiles_end_to_end () =
           (Result.is_ok (Server.Protocol.validate_response_json j))
       | Error e -> Alcotest.fail ("compile rpc failed: " ^ e))
 
-(* the same compile request twice, in process: the second is served from
-   the result cache, byte-identical to the first *)
-let test_engine_repeat_hits_cache () =
+let with_engine f =
   let policy =
     { Server.Engine.default_policy with Server.Engine.p_backoff_ms = 0 }
   in
   let engine = Server.Engine.create ~policy () in
-  let hits () =
-    match Stats.find_counter ~component:"server" "cache_hits" with
-    | Some c -> Stats.value c
-    | None -> 0
-  in
-  let req =
-    Json.Obj
-      [
-        ("kind", Json.String "compile");
-        ("payload", Json.String payload_text);
-        ("pipeline", Json.String "canonicalize,cse");
-      ]
-  in
-  Fun.protect
-    ~finally:(fun () -> Server.Engine.close engine)
-    (fun () ->
-      let h0 = hits () in
+  Fun.protect ~finally:(fun () -> Server.Engine.close engine) (fun () ->
+      f engine)
+
+let counter_value component name =
+  match Stats.find_counter ~component name with
+  | Some c -> Stats.value c
+  | None -> 0
+
+let compile_req = Fuzz.Server_faults.compile_req
+
+(* a one-op transform script: annotates the payload root *)
+let script_text =
+  {|"builtin.module"() ({
+  "transform.named_sequence"() ({
+  ^bb0(%root: !transform.any_op):
+    "transform.annotate"(%root) {name = "seen"} : (!transform.any_op) -> ()
+    "transform.yield"() : () -> ()
+  }) {sym_name = "__transform_main"} : () -> ()
+}) : () -> ()|}
+
+let member_path path j =
+  List.fold_left (fun acc k -> Option.bind acc (Json.member k)) (Some j) path
+
+let string_at path j =
+  Option.value ~default:"?"
+    (Option.bind (member_path path j) Json.to_string_opt)
+
+let int_at path j =
+  match member_path path j with Some (Json.Int n) -> n | _ -> -1
+
+(* the same compile request twice, in process: the second is served from
+   the result cache, byte-identical to the first *)
+let test_engine_repeat_hits_cache () =
+  let req = compile_req ~pipeline:"canonicalize,cse" payload_text in
+  with_engine (fun engine ->
+      let h0 = counter_value "server" "cache_hits" in
       let r1 = Server.Engine.handle_json engine req in
       let r2 = Server.Engine.handle_json engine req in
       check cs "first ok" "ok" (status_of r1);
       check cs "second ok" "ok" (status_of r2);
       check cs "byte-identical" (Json.to_string r1) (Json.to_string r2);
-      check ci "one cache hit" (h0 + 1) (hits ()))
+      check ci "one cache hit" (h0 + 1) (counter_value "server" "cache_hits"))
+
+(* payload and script parse errors are answered by the engine, before
+   admission: one attempt, no fingerprints *)
+let test_engine_parse_errors () =
+  with_engine (fun engine ->
+      let expect name req prefix =
+        let j = Server.Engine.handle_json engine req in
+        check cs (name ^ ": status") "error" (status_of j);
+        check cs (name ^ ": class") "parse" (string_at [ "error"; "class" ] j);
+        check ci (name ^ ": attempts") 1 (int_at [ "attempts" ] j);
+        check cb (name ^ ": no fingerprints") true
+          (Json.member "fingerprints" j = None);
+        let msg = string_at [ "error"; "message" ] j in
+        check cb (name ^ ": message " ^ msg) true
+          (String.starts_with ~prefix msg)
+      in
+      expect "payload" (compile_req "not mlir at all") "payload parse error: ";
+      expect "script"
+        (compile_req ~script:"also not mlir" payload_text)
+        "script parse error: ")
+
+(* each request parses its payload and script once, on the connection
+   domain: a cold job is not parsed again by the cell, and a cache hit
+   still pays the one parse that computes its key *)
+let test_engine_parses_once () =
+  let req =
+    compile_req ~script:script_text ~pipeline:"canonicalize" payload_text
+  in
+  with_engine (fun engine ->
+      let parses f =
+        let n0 = counter_value "parser" "modules" in
+        let j = f () in
+        check cs "ok" "ok" (status_of j);
+        counter_value "parser" "modules" - n0
+      in
+      check ci "cold request" 2
+        (parses (fun () -> Server.Engine.handle_json engine req));
+      check ci "cache hit" 2
+        (parses (fun () -> Server.Engine.handle_json engine req)))
+
+(* a budget retry re-parses: the failed attempt mutated its module *)
+let test_engine_retry_reparses () =
+  let req =
+    compile_req ~pipeline:"canonicalize,cse" ~max_rewrites:1 ~attempts:4
+      buster_text
+  in
+  with_engine (fun engine ->
+      let n0 = counter_value "parser" "modules" in
+      let j = Server.Engine.handle_json engine req in
+      let attempts = int_at [ "attempts" ] j in
+      check cs "retried to success" "ok" (status_of j);
+      check cb "retried" true (attempts > 1);
+      check ci "one parse per attempt" attempts
+        (counter_value "parser" "modules" - n0))
+
+(* a job that raises past the cell's barrier ([Out_of_memory] is fatal,
+   so the cell lets it through) must raise out of the request instead of
+   hanging it; the engine then still drains and closes *)
+let test_engine_fatal_job_raises () =
+  let finished = Atomic.make false in
+  let watched =
+    Domain.spawn (fun () ->
+        let raised =
+          with_engine (fun engine ->
+              Transform.Treg.with_interceptor
+                (fun _ _ _ -> raise Out_of_memory)
+                (fun () ->
+                  match
+                    Server.Engine.handle_json engine
+                      (compile_req ~script:script_text payload_text)
+                  with
+                  | _ -> false
+                  | exception Out_of_memory -> true))
+        in
+        Atomic.set finished true;
+        raised)
+  in
+  let deadline = Unix.gettimeofday () +. 30. in
+  while (not (Atomic.get finished)) && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.01
+  done;
+  if not (Atomic.get finished) then
+    Alcotest.fail "request or engine close hung after a fatal exception";
+  check cb "the exception reaches the caller" true (Domain.join watched)
 
 let () =
   Alcotest.run "server"
@@ -585,6 +687,12 @@ let () =
           Alcotest.test_case "budget-clamping" `Quick test_engine_clamping;
           Alcotest.test_case "repeat-hits-cache" `Quick
             test_engine_repeat_hits_cache;
+          Alcotest.test_case "parse-errors" `Quick test_engine_parse_errors;
+          Alcotest.test_case "parses-once" `Quick test_engine_parses_once;
+          Alcotest.test_case "retry-reparses" `Quick
+            test_engine_retry_reparses;
+          Alcotest.test_case "fatal-job-raises" `Quick
+            test_engine_fatal_job_raises;
         ] );
       ( "cell",
         [

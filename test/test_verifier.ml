@@ -188,6 +188,34 @@ let test_symbol_redefinition () =
   Ircore.insert_at_end (Builtin.body_block md) f2;
   expect_error ~containing:"redefinition of symbol" md
 
+(* declared (i64) -> i8, but the body binds (i32, i64) and returns an
+   i64: both the entry block and the return disagree with the signature *)
+let mistyped_function =
+  {|"func.func"() ({
+^bb0(%a: i32, %b: i64):
+  "func.return"(%b) : (i64) -> ()
+}) {sym_name = "f", function_type = (i64) -> i8} : () -> ()|}
+
+let test_function_signature () =
+  expect_error ~containing:"entry block must have 1 arguments"
+    (parse mistyped_function);
+  expect_error ~containing:"type of return operand 0 (i64)"
+    (parse mistyped_function);
+  expect_error
+    ~containing:"type of entry block argument #0(i32) must match"
+    (parse
+       {|"func.func"() ({
+^bb0(%a: i32):
+  "func.return"() : () -> ()
+}) {sym_name = "g", function_type = (i64) -> ()} : () -> ()|});
+  expect_error
+    ~containing:"has 0 operands, but enclosing function (@h) returns 1"
+    (parse
+       {|"func.func"() ({
+^bb0(%a: i64):
+  "func.return"() : () -> ()
+}) {sym_name = "h", function_type = (i64) -> i64} : () -> ()|})
+
 let test_successor_on_non_terminator () =
   expect_error ~containing:"terminator"
     (parse
@@ -287,6 +315,8 @@ let () =
           Alcotest.test_case "unregistered ops" `Quick test_unregistered_rejected;
           Alcotest.test_case "successors need terminators" `Quick
             test_successor_on_non_terminator;
+          Alcotest.test_case "function signature" `Quick
+            test_function_signature;
         ] );
       ( "dominance",
         [
