@@ -1,7 +1,10 @@
-(** otd-check: the static pre-/post-condition pipeline checker of Case
-    Study 2. Checks a comma-separated pass pipeline (or a transform script)
-    against an initial and final op-kind set, printing the abstract trace
-    and any phase-ordering / incomplete-lowering problems. *)
+(** otd-check: the static checker. A comma-separated pass pipeline is
+    checked against an initial and final op-kind set (Case Study 2),
+    printing the abstract trace and any phase-ordering /
+    incomplete-lowering problems. A transform script goes through
+    {!Transform.Flowcheck}: use after consume, unmet annotation
+    requirements and the op-kind conditions, along the script's control
+    flow. *)
 
 open Cmdliner
 
@@ -12,31 +15,13 @@ let read_file path =
     (fun () -> really_input_string ic (in_channel_length ic))
 
 (** What the schedule compiler makes of the script: instruction and
-    handle-slot counts, the content-address, and any static
-    use-after-consume diagnostics. *)
+    handle-slot counts and the content-address. *)
 let pp_schedule_report s =
   Fmt.pr "@.// -----// schedule compilation //----- //@.";
   Fmt.pr "fingerprint:   %s@."
     (Ir.Fingerprint.to_hex (Transform.Schedule.fingerprint s));
   Fmt.pr "instructions:  %d@." (Transform.Schedule.instr_count s);
-  Fmt.pr "handle slots:  %d@." (Transform.Schedule.slot_count s);
-  match Transform.Schedule.static_diags s with
-  | [] -> ()
-  | ds ->
-    Fmt.pr "static use-after-consume diagnostics:@.";
-    List.iter (fun d -> Fmt.pr "  %a@." Transform.Invalidation.pp_diagnostic d) ds
-
-(** Annotation-flow check of a transform script: per-handle property
-    propagation ([requires]/[ensures] of every registered transform)
-    threaded with the op-kind layer. *)
-let pp_flow_report ~initial ~final script =
-  let r = Transform.Flowcheck.check ~initial ~final script in
-  Fmt.pr "@.// -----// annotation flow //----- //@.";
-  (match r.Transform.Flowcheck.fr_final with
-  | Some present -> Fmt.pr "final op kinds: %a@." Ir.Opset.pp present
-  | None -> ());
-  Fmt.pr "%a" Transform.Flowcheck.pp_report r;
-  r
+  Fmt.pr "handle slots:  %d@." (Transform.Schedule.slot_count s)
 
 (* ------------------------------------------------------------------ *)
 (* Provenance queries                                                  *)
@@ -118,57 +103,44 @@ let query_provenance ~file ~query =
         `Error (false, Fmt.str "no op matching %S in %s" query file)
       else `Ok ())
 
-let run pipeline script_file initial final schedule flow provenance
+let check_pipeline ~initial ~final str =
+  match Passes.Pass.parse_pipeline str with
+  | Error d -> `Error (false, Ir.Diag.to_string d)
+  | Ok passes ->
+    let r = Transform.Conditions.check_passes ~initial ~final passes in
+    Fmt.pr "%a" Transform.Conditions.pp_report r;
+    if Transform.Conditions.ok r then `Ok ()
+    else `Error (false, "pipeline violates its conditions")
+
+let check_transform ctx ~initial ~final ~schedule file =
+  match Ir.Parser.parse_module (read_file file) with
+  | Error e -> `Error (false, Fmt.str "parse error: %s" e)
+  | Ok script ->
+    let r = Transform.Flowcheck.check ~initial ~final script in
+    (match r.Transform.Flowcheck.fr_final with
+    | Some present -> Fmt.pr "final op kinds: %a@." Ir.Opset.pp present
+    | None -> ());
+    Fmt.pr "%a" Transform.Flowcheck.pp_report r;
+    if schedule then
+      pp_schedule_report (Transform.Schedule.of_script ctx script);
+    if Transform.Flowcheck.ok r then `Ok ()
+    else `Error (false, "script fails the static check")
+
+let run pipeline script_file initial final schedule provenance
     provenance_file =
   match provenance with
   | Some query -> query_provenance ~file:provenance_file ~query
-  | None ->
-  let ctx = Transform.Register.full_context () in
-  let initial = Ir.Opset.parse initial in
-  let final = Ir.Opset.parse final in
-  let report =
+  | None -> (
+    let ctx = Transform.Register.full_context () in
+    let initial = Ir.Opset.parse initial in
+    let final = Ir.Opset.parse final in
     match (pipeline, script_file) with
-    | Some str, _ -> (
-      match Passes.Pass.parse_pipeline str with
-      | Error d -> Error (Ir.Diag.to_string d)
-      | Ok passes ->
-        Ok (Transform.Conditions.check_passes ~initial ~final passes, None))
-    | None, Some f -> (
-      match Ir.Parser.parse_module (read_file f) with
-      | Error e -> Error (Fmt.str "parse error: %s" e)
-      | Ok script ->
-        Ok
-          ( Transform.Conditions.check_script ~initial ~final script,
-            Some script ))
-    | None, None -> Error "provide --pass-pipeline or a transform script"
-  in
-  match report with
-  | Error e -> `Error (false, e)
-  | Ok (report, script) ->
-    Fmt.pr "%a" Transform.Conditions.pp_report report;
-    (match (schedule, script) with
-    | true, Some script ->
-      pp_schedule_report (Transform.Schedule.of_script ctx script)
-    | true, None ->
-      Fmt.epr "note: --schedule needs a transform script, not a pipeline@."
-    | false, _ -> ());
-    let flow_report =
-      match (flow, script) with
-      | true, Some script -> Some (pp_flow_report ~initial ~final script)
-      | true, None ->
-        Fmt.epr "note: --flow needs a transform script, not a pipeline@.";
-        None
-      | false, _ -> None
-    in
-    let flow_ok =
-      match flow_report with
-      | Some r -> Transform.Flowcheck.ok r
-      | None -> true
-    in
-    if Transform.Conditions.ok report && flow_ok then `Ok ()
-    else if not (Transform.Conditions.ok report) then
-      `Error (false, "pipeline violates its conditions")
-    else `Error (false, "script fails the annotation-flow check")
+    | Some str, _ ->
+      if schedule then
+        Fmt.epr "note: --schedule needs a transform script, not a pipeline@.";
+      check_pipeline ~initial ~final str
+    | None, Some f -> check_transform ctx ~initial ~final ~schedule f
+    | None, None -> `Error (false, "provide --pass-pipeline or a transform script"))
 
 let pipeline =
   Arg.(
@@ -181,7 +153,9 @@ let script_file =
   Arg.(
     value
     & pos 0 (some string) None
-    & info [] ~docv:"SCRIPT" ~doc:"Transform script to check instead.")
+    & info [] ~docv:"SCRIPT" ~doc:"Transform script to check instead. Exits non-zero on any \
+              problem: use after consume, an unmet annotation requirement, \
+              a phase-ordering violation or an incomplete lowering.")
 
 let initial =
   Arg.(
@@ -201,21 +175,9 @@ let schedule =
     value & flag
     & info [ "schedule" ]
         ~doc:"Also report how the schedule compiler lowers the script: \
-              instruction count, statically numbered handle slots, static \
-              use-after-consume diagnostics, and the content-address \
-              (structural fingerprint) under which applications would be \
-              cached.")
-
-let flow =
-  Arg.(
-    value & flag
-    & info [ "flow" ]
-        ~doc:"Also run the static annotation-flow checker over the \
-              transform script: propagate declared payload properties \
-              along handle SSA values (through includes, foreach and \
-              alternatives) and report any transform whose requires-clause \
-              cannot be met, plus flow-sensitive use-after-consume and \
-              op-kind problems. Exits non-zero on any problem.")
+              instruction count, statically numbered handle slots, and the \
+              content-address (structural fingerprint) under which \
+              applications would be cached.")
 
 let provenance =
   Arg.(
@@ -236,12 +198,12 @@ let provenance_file =
         ~doc:"Provenance dump to query with $(b,--provenance).")
 
 let cmd =
-  let doc = "static pre-/post-condition checker for lowering pipelines" in
+  let doc = "static checker for lowering pipelines and transform scripts" in
   Cmd.v
     (Cmd.info "otd-check" ~doc)
     Term.(
       ret
         (const run $ pipeline $ script_file $ initial $ final $ schedule
-       $ flow $ provenance $ provenance_file))
+       $ provenance $ provenance_file))
 
 let () = exit (Cmd.eval cmd)

@@ -145,15 +145,11 @@ let run socket stdio client self_test cases jobs conns queue_depth max_frame
     max_steps max_rewrites deadline_ms attempts retry_scale backoff_ms
     retry_after_ms cache_capacity reproducers journal =
   Printexc.record_backtrace true;
-  let d = Server.Engine.default_policy in
   let policy =
     {
       Server.Engine.p_jobs = max 1 jobs;
       p_queue_depth = max 1 queue_depth;
       p_max_frame = max 1024 max_frame;
-      p_default_max_steps = d.Server.Engine.p_default_max_steps;
-      p_default_max_rewrites = d.Server.Engine.p_default_max_rewrites;
-      p_default_deadline_ms = d.Server.Engine.p_default_deadline_ms;
       p_clamp_max_steps = max_steps;
       p_clamp_max_rewrites = max_rewrites;
       p_clamp_deadline_ms = deadline_ms;

@@ -2,9 +2,9 @@
 
     We build a payload with loop-invariant code and an inner loop with an
     uneven trip count, then drive the compiler with a Transform script that
-    hoists, splits, tiles and unrolls — and finally show how the *static*
-    invalidation analysis rejects a script that unrolls the same loop twice
-    (Figure 1a line 11).
+    hoists, splits, tiles and unrolls — and first show how the *static*
+    script checker ({!Transform.Flowcheck}) rejects a script that unrolls
+    the same loop twice (Figure 1a line 11).
 
     Run with: dune exec examples/quickstart.exe *)
 
@@ -73,21 +73,18 @@ let () =
   let payload = build_payload () in
   Fmt.pr "=== initial payload (Figure 1b) ===@.%a@.@." Pretty.pp payload;
 
-  (* static analyses on the scripts first *)
+  (* static check of both scripts first *)
   let bad = fig1a_script_with_error () in
-  (match Transform.Invalidation.analyze bad with
-  | [] -> Fmt.pr "unexpected: no invalidation error found@."
-  | diags ->
-    Fmt.pr "=== static invalidation analysis on the faulty script ===@.";
-    List.iter
-      (fun d -> Fmt.pr "  %a@." Transform.Invalidation.pp_diagnostic d)
-      diags;
-    Fmt.pr "@.");
+  let r = Transform.Flowcheck.check bad in
+  if Transform.Flowcheck.ok r then Fmt.pr "unexpected: no static error found@."
+  else
+    Fmt.pr "=== static check of the faulty script ===@.%a@."
+      Transform.Flowcheck.pp_report r;
 
   let script = fig1a_script () in
-  (match Transform.Invalidation.analyze script with
-  | [] -> Fmt.pr "good script: no static invalidation errors@.@."
-  | _ -> Fmt.pr "unexpected diagnostics on the good script@.");
+  if Transform.Flowcheck.ok (Transform.Flowcheck.check script) then
+    Fmt.pr "good script: no static errors@.@."
+  else Fmt.pr "unexpected problems on the good script@.";
 
   (* interpret the good script *)
   (match Transform.Schedule.run ctx ~script ~payload with

@@ -10,7 +10,10 @@
       condition does not allow (the paper's [affine.apply] example);
     - {e vacuous}: a step whose (non-empty) pre-condition cannot match
       anything still present — a phase-ordering violation (e.g. a loop
-      transform on [scf] scheduled after [convert-scf-to-cf]). *)
+      transform on [scf] scheduled after [convert-scf-to-cf]).
+
+    Transform scripts are checked by {!Flowcheck}, which threads the same
+    {!transfer} and {!vacuous} through the script's control flow. *)
 
 open Ir
 
@@ -47,21 +50,6 @@ type report = {
 let step_of_pass (p : Passes.Pass.t) =
   { s_name = p.Passes.Pass.name; s_pre = p.pre; s_post = p.post }
 
-(** Extract the checkable steps of a transform script, in execution order:
-    registered transforms contribute their declared conditions;
-    [apply_registered_pass] contributes the pass's conditions. *)
-let steps_of_script (script : Ircore.op) =
-  let out = ref [] in
-  Ircore.walk_op script ~pre:(fun op ->
-      match Treg.lookup op.Ircore.op_name with
-      | Some def ->
-        let pre = Treg.pre def op and post = Treg.post def op in
-        if pre <> [] || post <> [] then
-          out :=
-            { s_name = op.Ircore.op_name; s_pre = pre; s_post = post } :: !out
-      | None -> ());
-  List.rev !out
-
 (** One abstract step over the op-kind set: remove what the pre-condition
     consumes, add what the post-condition introduces. Shared with the
     per-handle present-set layer of {!Flowcheck}. *)
@@ -93,9 +81,6 @@ let check ~initial ~final steps : report =
 
 let check_passes ~initial ~final passes =
   check ~initial ~final (List.map step_of_pass passes)
-
-let check_script ~initial ~final script =
-  check ~initial ~final (steps_of_script script)
 
 let ok report = report.problems = []
 

@@ -26,11 +26,12 @@
     That containment is exactly what the [flow_diff] differential fuzz
     oracle probes.
 
-    The checker additionally threads the {!Conditions} op-kind set through
-    the same control flow when an [~initial] set is given (the
-    [otd_check --flow] mode), and tracks handle consumption along the way
-    — flow-sensitively, unlike {!Invalidation.analyze}, which walks nested
-    regions sequentially in one shared environment. *)
+    This is the one static analysis of transform scripts. Along the same
+    control flow it tracks handle consumption (use after consume, the
+    error of the paper's Figure 1a) and, when an [~initial] set is given
+    (as [otd_check] does), threads the {!Conditions} op-kind set. Because
+    a failing [alternatives] region is rolled back before the next one
+    runs, a handle consumed in one region stays usable in the next. *)
 
 open Ir
 
@@ -90,10 +91,6 @@ let pp_problem fmt = function
 
 type report = {
   fr_problems : problem list;
-  fr_invalidation : Invalidation.diagnostic list;
-      (** the companion use-after-consume analysis the schedule compiler
-          degrades on; reported here so [otd_check --flow] and
-          [--schedule] agree on degradation by construction *)
   fr_final : Opset.t option;
       (** op-kind set at script exit, when [~initial] was given *)
 }
@@ -102,7 +99,7 @@ let ok r = r.fr_problems = []
 
 let pp_report fmt r =
   if r.fr_problems = [] then
-    Fmt.pf fmt "  OK: annotation flow is sound@."
+    Fmt.pf fmt "  OK: script passes the static check@."
   else
     List.iter (fun p -> Fmt.pf fmt "  ERROR: %a@." pp_problem p) r.fr_problems
 
@@ -155,7 +152,7 @@ let env_equal a b =
 type actx = {
   children : (int, Ircore.value list) Hashtbl.t;
       (** reverse alias map: consuming a handle also consumes the handles
-          derived from it ({!Invalidation.aliasing_results}) *)
+          derived from it ({!aliasing_results}) *)
   mutable problems : problem list;
   track : bool;  (** op-kind layer on ([~initial] given) *)
   include_stack : int list ref;
@@ -164,6 +161,14 @@ type actx = {
 }
 
 let add_problem actx p = actx.problems <- p :: actx.problems
+
+(** Transforms whose results alias (point into) their operand's payload:
+    consuming the operand invalidates these results too. *)
+let aliasing_results op =
+  match op.Ircore.op_name with
+  | "transform.match_op" | "transform.get_parent" | "transform.merge_handles" ->
+    true
+  | _ -> false
 
 let add_child actx (parent : Ircore.value) (child : Ircore.value) =
   let cur =
@@ -383,7 +388,7 @@ and flow_registered actx env (def : Treg.def) op =
         Some (Conditions.transfer ~pre ~post before)
       end
   in
-  if Invalidation.aliasing_results op then
+  if aliasing_results op then
     List.iter
       (fun r ->
         List.iter (fun parent -> add_child actx parent r) (Ircore.operands op))
@@ -618,7 +623,6 @@ let dedup_problems ps =
 let check ?initial ?final (script : Ircore.op) : report =
   Profiler.span ~cat:"flowcheck" "flowcheck.check" @@ fun () ->
   Stats.incr stat_checks;
-  let fr_invalidation = Invalidation.analyze script in
   let actx =
     {
       children = Hashtbl.create 16;
@@ -674,4 +678,4 @@ let check ?initial ?final (script : Ircore.op) : report =
   | _ -> ());
   let fr_problems = dedup_problems (List.rev actx.problems) in
   Stats.add stat_problems (List.length fr_problems);
-  { fr_problems; fr_invalidation; fr_final = env_final.present }
+  { fr_problems; fr_final = env_final.present }

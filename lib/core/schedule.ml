@@ -26,9 +26,9 @@
     one unit of the ambient {!Ir.Budget} and one profiler span; registered
     ops all run through {!Dispatch.dispatch_registered} (pre/post-condition
     checks, consumption snapshot/commit, the exception barrier, tracing).
-    Scripts that the static use-after-consume analysis ({!Invalidation})
-    flags compile like any other: the diagnostics are kept for [otd_check],
-    and the run fails where {!State.lookup_handle} finds the consumed slot.
+    A script that uses a consumed handle compiles like any other: the run
+    fails where {!State.lookup_handle} finds the consumed slot. Static
+    checking is {!Flowcheck}'s job ([of_script ~flow:true]).
 
     Schedules are cached content-addressed: {!of_script} keys the cache by
     the script's structural fingerprint ({!Ir.Fingerprint}), so re-applying
@@ -104,8 +104,6 @@ type compiled = {
 type t = {
   s_ctx : Context.t;
   s_fingerprint : Fingerprint.t;
-  s_diags : Invalidation.diagnostic list;
-      (** static use-after-consume diagnostics found at compile time *)
   s_compiled : compiled option;  (** [None]: the script has no entry *)
   s_flow : Flowcheck.report option;
       (** annotation-flow report, when [of_script ~flow:true] was asked
@@ -116,7 +114,6 @@ type t = {
 }
 
 let fingerprint s = s.s_fingerprint
-let static_diags s = s.s_diags
 let flow_report s = s.s_flow
 
 let instr_count s =
@@ -363,8 +360,7 @@ let compile_entry script entry =
   }
 
 let compile script =
-  ( Invalidation.analyze script,
-    Option.map (compile_entry script) (Dispatch.find_entry script) )
+  Option.map (compile_entry script) (Dispatch.find_entry script)
 
 (* ------------------------------------------------------------------ *)
 (* Content-addressed cache                                             *)
@@ -399,7 +395,7 @@ let schedule_of ctx (script : Ircore.op) : t =
     Stats.incr stat_cache_misses;
     Stats.incr stat_compiles;
     let t0 = Unix.gettimeofday () in
-    let diags, compiled =
+    let compiled =
       Profiler.span ~cat:"schedule" "schedule.compile" @@ fun () ->
       compile script
     in
@@ -408,7 +404,6 @@ let schedule_of ctx (script : Ircore.op) : t =
       {
         s_ctx = ctx;
         s_fingerprint = fp;
-        s_diags = diags;
         s_compiled = compiled;
         s_flow = None;
       }

@@ -73,6 +73,41 @@ let verify_return op =
                i (Typ.to_string a) (Typ.to_string d) (name f))))
   | _ -> Ok ()
 
+(* a call to a resolved function passes exactly its declared inputs and
+   binds exactly its declared results; an unresolved callee (an
+   interpreter extern such as [libxsmm_gemm]) is not checked *)
+let verify_call_symbol_uses ~lookup op =
+  let signature =
+    match Ircore.attr op "callee" with
+    | Some (Attr.Symbol_ref (s, [])) -> (
+      match lookup s with
+      | Some f when f.Ircore.op_name = func_op -> function_type f
+      | _ -> None)
+    | _ -> None
+  in
+  match signature with
+  | None -> Ok ()
+  | Some (ins, outs) -> (
+    let args = List.map Ircore.value_typ (Ircore.operands op) in
+    let res = List.map Ircore.value_typ (Ircore.results op) in
+    if List.length args <> List.length ins then
+      Error "incorrect number of operands for callee"
+    else
+      match first_mismatch ins args with
+      | Some (i, d, a) ->
+        Error
+          (Fmt.str
+             "operand type mismatch: expected operand type %s, but provided \
+              %s for operand number %d"
+             (Typ.to_string d) (Typ.to_string a) i)
+      | None -> (
+        if List.length res <> List.length outs then
+          Error "incorrect number of results for callee"
+        else
+          match first_mismatch outs res with
+          | Some (i, _, _) -> Error (Fmt.str "result type mismatch at index %d" i)
+          | None -> Ok ()))
+
 let register ctx =
   Context.register_op ctx func_op ~summary:"function definition"
     ~traits:[ Context.Isolated_from_above; Context.Symbol ]
@@ -91,6 +126,10 @@ let register ctx =
   Context.register_op ctx call_op ~summary:"direct call"
     ~verify:(Verifier.expect_attr "callee")
     ~effects:(fun _ -> [ Context.Read; Context.Write ])
+    ~interfaces:
+      (Util.Univ.add Context.symbol_user_key
+         { Context.verify_symbol_uses = verify_call_symbol_uses }
+         Util.Univ.empty)
 
 (** Create a function with entry-block arguments matching [arg_types].
     Returns the op and its entry block. *)

@@ -169,6 +169,17 @@ type branch_like = {
 
 let branch_like_key : branch_like Util.Univ.key = Util.Univ.create_key "branch_like"
 
+(** Symbol-user interface: an op that references symbols checks those
+    references when its nearest enclosing symbol table is verified.
+    [lookup] resolves a name among that table's symbols. *)
+type symbol_user = {
+  verify_symbol_uses :
+    lookup:(string -> Ircore.op option) -> Ircore.op -> (unit, string) result;
+}
+
+let symbol_user_key : symbol_user Util.Univ.key =
+  Util.Univ.create_key "symbol_user"
+
 (** Constant folding hook: given constant operand attrs, produce result attrs. *)
 type folder = { fold : Ircore.op -> Attr.t option list -> Attr.t list option }
 

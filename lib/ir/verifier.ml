@@ -9,13 +9,23 @@ let diag op fmt =
     (fun m -> Diag.error ~loc:op.op_loc "'%s': %s" op.op_name m)
     fmt
 
-let verify_op_structure ctx op errors =
+(* [symbols] resolves names in the nearest enclosing symbol table, when
+   one is being verified *)
+let verify_op_structure ctx ~symbols op errors =
   (* registration *)
   (match Context.lookup ctx op.op_name with
   | Some def -> (
-    match def.Context.d_verify op with
+    (match def.Context.d_verify op with
     | Ok () -> ()
-    | Error msg -> errors := diag op "%s" msg :: !errors)
+    | Error msg -> errors := diag op "%s" msg :: !errors);
+    match
+      (symbols, Util.Univ.find Context.symbol_user_key def.Context.d_interfaces)
+    with
+    | Some table, Some user -> (
+      match user.Context.verify_symbol_uses ~lookup:(Hashtbl.find_opt table) op with
+      | Ok () -> ()
+      | Error msg -> errors := diag op "%s" msg :: !errors)
+    | _ -> ())
   | None ->
     if not (Context.allows_unregistered ctx) then
       errors :=
@@ -59,9 +69,12 @@ let verify_block_terminator ctx ~parent b errors =
         errors :=
           diag last "block must end with a terminator operation" :: !errors
 
-(** Verify symbol uniqueness within symbol-table ops. *)
+(** Verify symbol uniqueness within symbol-table ops. Returns the table
+    of a symbol-table op (name to first definition), built once for the
+    symbol users nested in it. *)
 let verify_symbols ctx op errors =
-  if Context.op_has_trait ctx op Context.Symbol_table then begin
+  if not (Context.op_has_trait ctx op Context.Symbol_table) then None
+  else begin
     let seen = Hashtbl.create 8 in
     List.iter
       (fun r ->
@@ -74,11 +87,12 @@ let verify_symbols ctx op errors =
                   if Hashtbl.mem seen name then
                     errors :=
                       diag nested "redefinition of symbol @%s" name :: !errors
-                  else Hashtbl.replace seen name ()
+                  else Hashtbl.replace seen name nested
                 | _ -> ())
               (block_ops b))
           (region_blocks r))
-      op.regions
+      op.regions;
+    Some seen
   end
 
 (* A region enclosing the op being visited. Its dominance info is computed
@@ -140,10 +154,14 @@ let verify_operands path user use_def =
     diagnostics come first, then the rest in walk order. *)
 let verify ctx top : (unit, Diag.t list) result =
   let use_def = ref [] and errors = ref [] and chunks = ref [] in
-  let rec visit path op =
+  let rec visit ~symbols path op =
     verify_operands path op use_def;
-    verify_op_structure ctx op errors;
-    verify_symbols ctx op errors;
+    verify_op_structure ctx ~symbols op errors;
+    let symbols =
+      match verify_symbols ctx op errors with
+      | Some _ as table -> table
+      | None -> symbols
+    in
     let scopes =
       List.map
         (fun r ->
@@ -165,12 +183,14 @@ let verify ctx top : (unit, Diag.t list) result =
           (fun b ->
             List.iter
               (fun o ->
-                visit ({ s_scope = scope; s_block = b; s_op = o } :: path) o)
+                visit ~symbols
+                  ({ s_scope = scope; s_block = b; s_op = o } :: path)
+                  o)
               (block_ops b))
           (region_blocks scope.rs_region))
       scopes
   in
-  visit [] top;
+  visit ~symbols:None [] top;
   let reported =
     List.concat_map
       (function

@@ -35,10 +35,8 @@ type policy = {
   p_jobs : int;  (** worker domains executing containment cells *)
   p_queue_depth : int;  (** max admitted (queued + running) jobs *)
   p_max_frame : int;  (** protocol frame size limit, bytes *)
-  p_default_max_steps : int option;  (** applied when the request is silent *)
-  p_default_max_rewrites : int option;
-  p_default_deadline_ms : int option;
-  p_clamp_max_steps : int option;  (** hard per-job ceilings *)
+  p_clamp_max_steps : int option;
+      (** hard per-job ceilings, also applied when the request is silent *)
   p_clamp_max_rewrites : int option;
   p_clamp_deadline_ms : int option;
   p_max_attempts : int;  (** retry-ladder ceiling *)
@@ -54,9 +52,6 @@ let default_policy =
     p_jobs = 2;
     p_queue_depth = 64;
     p_max_frame = Protocol.default_max_frame;
-    p_default_max_steps = None;
-    p_default_max_rewrites = None;
-    p_default_deadline_ms = None;
     p_clamp_max_steps = Some 1_000_000;
     p_clamp_max_rewrites = Some 1_000_000;
     p_clamp_deadline_ms = Some 60_000;
@@ -143,11 +138,10 @@ let draining t =
 (* Budget clamping                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* request value, else policy default, capped by the policy ceiling; an
-   unlimited request under a ceiling gets the ceiling itself *)
-let clamp ~default ~ceiling requested =
-  let v = match requested with Some _ as r -> r | None -> default in
-  match (v, ceiling) with
+(* request value capped by the policy ceiling; an unlimited request under
+   a ceiling gets the ceiling itself *)
+let clamp ~ceiling requested =
+  match (requested, ceiling) with
   | Some v, Some c -> Some (min v c)
   | None, Some c -> Some c
   | v, None -> v
@@ -158,14 +152,13 @@ let effective_job (p : policy) (c : Protocol.compile) : Cell.job =
     jb_script = c.Protocol.c_script;
     jb_pipeline = c.Protocol.c_pipeline;
     jb_max_steps =
-      clamp ~default:p.p_default_max_steps ~ceiling:p.p_clamp_max_steps
+      clamp ~ceiling:p.p_clamp_max_steps
         c.Protocol.c_budget.Protocol.br_max_steps;
     jb_max_rewrites =
-      clamp ~default:p.p_default_max_rewrites
-        ~ceiling:p.p_clamp_max_rewrites
+      clamp ~ceiling:p.p_clamp_max_rewrites
         c.Protocol.c_budget.Protocol.br_max_rewrites;
     jb_deadline_ms =
-      clamp ~default:p.p_default_deadline_ms ~ceiling:p.p_clamp_deadline_ms
+      clamp ~ceiling:p.p_clamp_deadline_ms
         c.Protocol.c_budget.Protocol.br_deadline_ms;
   }
 

@@ -1,4 +1,5 @@
-(* Static pre/post-condition checking of pipelines and scripts. *)
+(* Static pre/post-condition checking of pipelines, and of scripts through
+   the op-kind layer of Transform.Flowcheck. *)
 
 open Ir
 module T = Transform
@@ -82,14 +83,26 @@ let test_constrained_subview_distinction () =
          | _ -> false)
        r.T.Conditions.problems)
 
+(* op-kind problems the script checker reports *)
+let cond_problems r =
+  List.filter_map
+    (function T.Flowcheck.Cond_problem p -> Some p | _ -> None)
+    r.T.Flowcheck.fr_problems
+
 let test_script_conditions () =
   (* a transform script built from the naive pipeline checks identically *)
   let script =
     T.From_pipeline.script_of_pipeline
       (passes Workloads.Subview_kernel.naive_pipeline)
   in
-  let r = T.Conditions.check_script ~initial ~final script in
-  check cb "script flagged too" false (T.Conditions.ok r)
+  let r = T.Flowcheck.check ~initial ~final script in
+  check cb "script flagged too" true
+    (List.exists
+       (function
+         | T.Conditions.Leftover { remaining; _ } ->
+           Opset.covers remaining (Opset.exact "affine.apply")
+         | _ -> false)
+       (cond_problems r))
 
 let test_script_with_loop_transform_order () =
   (* loop_unroll after convert-scf-to-cf in a script: vacuous *)
@@ -102,7 +115,7 @@ let test_script_with_loop_transform_order () =
         T.Build.loop_unroll_full rw loop)
   in
   let r =
-    T.Conditions.check_script ~initial
+    T.Flowcheck.check ~initial
       ~final:[ Opset.dialect "cf"; Opset.dialect "arith"; Opset.dialect "func";
                Opset.dialect "memref"; Opset.exact "builtin.unrealized_conversion_cast" ]
       script
@@ -110,7 +123,7 @@ let test_script_with_loop_transform_order () =
   check cb "ordering violation found" true
     (List.exists
        (function T.Conditions.Vacuous _ -> true | _ -> false)
-       r.T.Conditions.problems)
+       (cond_problems r))
 
 let test_from_pipeline_roundtrip () =
   let ps = passes Workloads.Subview_kernel.naive_pipeline in

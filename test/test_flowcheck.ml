@@ -1,8 +1,8 @@
 (* Static annotation-flow checking (Transform.Flowcheck): the must/may
    lattice over handle annotations, joins across [alternatives] branches,
-   the [foreach] fixpoint, include summaries and their cache, interaction
-   with the invalidation analysis, and the Schedule gate that makes the
-   checker's verdict binding before any payload is touched. The dynamic
+   the [foreach] fixpoint, include summaries and their cache,
+   use-after-consume of handles (Figure 1a, line 11), and the Schedule gate
+   that makes the checker's verdict binding before any payload is touched. The dynamic
    side of every scenario is exercised too: the same Treg clauses feed
    both checkers, so accept/reject decisions must line up. *)
 
@@ -191,9 +191,100 @@ let test_include_consume_propagates () =
        (function FC.Use_after_consume _ -> true | _ -> false)
        r.FC.fr_problems)
 
-(* ---------------- invalidation interaction ---------------- *)
+(* ---------------- use after consume ---------------- *)
 
-let test_consumed_handle_flagged_by_both () =
+(* (consumer name, message) of every use-after-consume problem *)
+let uac_problems script =
+  List.filter_map
+    (function
+      | FC.Use_after_consume { u_by; _ } as p ->
+        Some (u_by, Fmt.str "%a" FC.pp_problem p)
+      | _ -> None)
+    (FC.check script).FC.fr_problems
+
+let first_loop rw root = B.match_op rw ~select:"first" ~name:"scf.for" root
+
+(* (name, script body, expected use-after-consume count, consumer name) *)
+let uac_cases =
+  [
+    ( "clean script",
+      (fun rw root ->
+        let main, rest = B.loop_split rw ~div_by:8 (first_loop rw root) in
+        ignore (B.loop_tile rw ~sizes:[ 8 ] main);
+        B.loop_unroll_full rw rest),
+      0,
+      None );
+    ( "double unroll (Fig 1a:11)",
+      (fun rw root ->
+        let _m, rest = B.loop_split rw ~div_by:8 (first_loop rw root) in
+        B.loop_unroll_full rw rest;
+        B.loop_unroll_full rw rest),
+      1,
+      Some "transform.loop_unroll" );
+    ( "consumed by another transform",
+      (fun rw root ->
+        let loop = first_loop rw root in
+        ignore (B.loop_tile rw ~sizes:[ 4 ] loop);
+        B.loop_unroll_full rw loop),
+      1,
+      Some "transform.loop_tile" );
+    ( "derived handle aliasing",
+      (* consuming the outer loop invalidates the handle matched inside it *)
+      (fun rw root ->
+        let outer = first_loop rw root in
+        let inner = first_loop rw outer in
+        ignore (B.loop_tile rw ~sizes:[ 4 ] outer);
+        B.loop_unroll_full rw inner),
+      1,
+      Some "transform.loop_tile" );
+    ( "siblings independent",
+      (* l1 and l2 both derive from root; consuming l2 leaves l1 valid *)
+      (fun rw root ->
+        let l1 = first_loop rw root in
+        let l2 = B.match_op rw ~select:"second" ~name:"scf.for" root in
+        ignore (B.loop_tile rw ~sizes:[ 4 ] l2);
+        ignore (B.loop_hoist rw l1)),
+      0,
+      None );
+    ( "non-consuming safe",
+      (fun rw root ->
+        let loop = first_loop rw root in
+        ignore (B.loop_hoist rw loop);
+        ignore (B.loop_hoist rw loop);
+        B.print rw loop),
+      0,
+      None );
+    ( "consumer results fresh",
+      (* split consumes its operand but its results are fresh handles *)
+      (fun rw root ->
+        let main, rest = B.loop_split rw ~div_by:8 (first_loop rw root) in
+        ignore (B.loop_tile rw ~sizes:[ 4 ] main);
+        B.loop_unroll_full rw rest),
+      0,
+      None );
+    ( "diagnostic formatting",
+      (fun rw root ->
+        let loop = first_loop rw root in
+        ignore (B.loop_tile rw ~sizes:[ 4 ] loop);
+        B.loop_unroll_full rw loop),
+      1,
+      Some "transform.loop_tile" );
+  ]
+
+let test_uac (_, body, count, consumer) () =
+  let ps = uac_problems (B.script body) in
+  check ci "use-after-consume count" count (List.length ps);
+  Option.iter
+    (fun by ->
+      List.iter
+        (fun (u_by, msg) ->
+          check cs "consumer" by u_by;
+          check cb "message names the consumer" true
+            (contains msg (Fmt.str "a prior '%s' (use after consume)" by)))
+        ps)
+    consumer
+
+let test_consumed_handle () =
   let script =
     B.script (fun rw root ->
         let l = B.match_op rw ~name:"scf.for" root in
@@ -205,8 +296,30 @@ let test_consumed_handle_flagged_by_both () =
   check cb "flow checker reports the consumed use" true
     (List.exists
        (function FC.Use_after_consume _ -> true | _ -> false)
-       r.FC.fr_problems);
-  check cb "invalidation analysis agrees" true (r.FC.fr_invalidation <> [])
+       r.FC.fr_problems)
+
+let test_alternatives_rollback_restores_handle () =
+  (* the first region consumes [l] and then fails; rollback restores [l]
+     before the second region consumes it again *)
+  let script =
+    B.script (fun rw root ->
+        let l = B.match_op rw ~select:"first" ~name:"scf.for" root in
+        B.alternatives rw
+          [
+            (fun brw ->
+              B.loop_unroll brw ~factor:2 l;
+              ignore (B.split_handle brw ~n:7 root));
+            (fun brw -> B.loop_unroll brw ~factor:2 l);
+          ])
+  in
+  check ci "no static use after consume" 0 (List.length (uac_problems script));
+  match apply script (matmul ()) with
+  | Ok _ -> ()
+  | Error e ->
+    let msg = Transform.Terror.to_string e in
+    check cb "no dynamic use after consume" false
+      (contains msg "handle consumed");
+    Alcotest.failf "alternatives failed: %s" msg
 
 (* ---------------- shipped scripts ---------------- *)
 
@@ -270,10 +383,16 @@ let () =
           Alcotest.test_case "consume-propagates" `Quick
             test_include_consume_propagates;
         ] );
+      ( "analysis",
+        List.map
+          (fun ((name, _, _, _) as case) ->
+            Alcotest.test_case name `Quick (test_uac case))
+          uac_cases );
       ( "invalidation",
         [
-          Alcotest.test_case "consumed-handle" `Quick
-            test_consumed_handle_flagged_by_both;
+          Alcotest.test_case "consumed-handle" `Quick test_consumed_handle;
+          Alcotest.test_case "alternatives-rollback-restores-handle" `Quick
+            test_alternatives_rollback_restores_handle;
         ] );
       ( "scripts",
         [

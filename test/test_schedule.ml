@@ -17,14 +17,17 @@ let counter ?(component = "schedule") name =
 
 let test_consumed_script () =
   (* statically flagged, still compiled: the run stops at the reuse *)
-  let s =
-    Transform.Schedule.of_script ctx
-      (B.script (fun rw root ->
-           let loop = B.match_op rw ~name:"scf.for" root in
-           ignore (B.loop_tile rw ~sizes:[ 4 ] loop);
-           B.loop_unroll rw ~factor:2 loop))
+  let script =
+    B.script (fun rw root ->
+        let loop = B.match_op rw ~name:"scf.for" root in
+        ignore (B.loop_tile rw ~sizes:[ 4 ] loop);
+        B.loop_unroll rw ~factor:2 loop)
   in
-  check cb "static diagnostics" true (Transform.Schedule.static_diags s <> []);
+  check cb "statically flagged" true
+    (List.exists
+       (function Transform.Flowcheck.Use_after_consume _ -> true | _ -> false)
+       (Transform.Flowcheck.check script).Transform.Flowcheck.fr_problems);
+  let s = Transform.Schedule.of_script ctx script in
   match Transform.Schedule.apply s ~payload:(matmul ()) with
   | Ok _ -> Alcotest.fail "use after consume succeeded"
   | Error e ->

@@ -339,8 +339,7 @@ let test_engine_clamping () =
   let p =
     {
       Server.Engine.default_policy with
-      Server.Engine.p_default_max_steps = Some 100;
-      p_clamp_max_steps = Some 1000;
+      Server.Engine.p_clamp_max_steps = Some 1000;
       p_clamp_max_rewrites = Some 50;
       p_clamp_deadline_ms = None;
     }
@@ -352,13 +351,11 @@ let test_engine_clamping () =
   (* request over the ceiling is clamped *)
   let j = job (compile_of_budget ~max_steps:10_000 ()) in
   check ci "over ceiling" 1000 (Option.get j.Server.Cell.jb_max_steps);
-  (* a silent request gets the policy default *)
-  let j = job (compile_of_budget ()) in
-  check ci "default applied" 100 (Option.get j.Server.Cell.jb_max_steps);
   (* an unlimited request under a ceiling gets the ceiling itself *)
+  let j = job (compile_of_budget ()) in
   check ci "unlimited gets ceiling" 50
     (Option.get j.Server.Cell.jb_max_rewrites);
-  (* no default and no ceiling stays unlimited *)
+  (* a silent request with no ceiling stays unlimited *)
   check cb "unlimited stays unlimited" true
     (j.Server.Cell.jb_deadline_ms = None)
 

@@ -214,7 +214,42 @@ let test_function_signature () =
        {|"func.func"() ({
 ^bb0(%a: i64):
   "func.return"() : () -> ()
-}) {sym_name = "h", function_type = (i64) -> i64} : () -> ()|})
+}) {sym_name = "h", function_type = (i64) -> i64} : () -> ()|});
+  (* calls to @callee (i64) -> i32 *)
+  let with_call call =
+    parse
+      (Fmt.str
+         {|"func.func"() ({
+^bb0(%%a: i64):
+  %%c = "arith.constant"() {value = 1 : i32} : () -> i32
+  "func.return"(%%c) : (i32) -> ()
+}) {sym_name = "callee", function_type = (i64) -> i32} : () -> ()
+"func.func"() ({
+^bb0(%%x: i64, %%y: i32):
+  %s
+  "func.return"() : () -> ()
+}) {sym_name = "caller", function_type = (i64, i32) -> ()} : () -> ()|}
+         call)
+  in
+  expect_ok
+    (with_call
+       {|%r = "func.call"(%x) {callee = @callee} : (i64) -> i32|});
+  expect_error ~containing:"incorrect number of operands for callee"
+    (with_call
+       {|%r = "func.call"(%x, %x) {callee = @callee} : (i64, i64) -> i32|});
+  expect_error
+    ~containing:
+      "operand type mismatch: expected operand type i64, but provided i32 \
+       for operand number 0"
+    (with_call
+       {|%r = "func.call"(%y) {callee = @callee} : (i32) -> i32|});
+  expect_error ~containing:"result type mismatch at index 0"
+    (with_call
+       {|%r = "func.call"(%x) {callee = @callee} : (i64) -> i64|});
+  (* an unresolved callee is an interpreter extern: not checked *)
+  expect_ok
+    (with_call
+       {|"func.call"(%x, %y) {callee = @libxsmm_gemm} : (i64, i32) -> ()|})
 
 let test_successor_on_non_terminator () =
   expect_error ~containing:"terminator"
