@@ -126,7 +126,7 @@ let run seed cases max_ops max_depth pipeline no_shrink no_bisect out_dir
   match print_case with
   | Some case ->
     let m = Fuzz.Driver.module_for ~config ~seed ~case () in
-    Fmt.pr "%a@." Ir.Printer.pp_op m;
+    Ir.Printer.print_op m;
     `Ok ()
   | None ->
     if flow_diff then run_flow_diff ctx config seed cases out_dir quiet

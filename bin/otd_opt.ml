@@ -159,7 +159,7 @@ let run input pipeline transform_file flow_check no_verify list_passes timing
             ~after_pass:(fun p op ->
               report.j_ir_after <-
                 report.j_ir_after
-                @ [ (p.Passes.Pass.name, Fmt.str "%a" Ir.Printer.pp_op op) ])
+                @ [ (p.Passes.Pass.name, Ir.Printer.op_to_string op) ])
         in
         let instrumentations =
           (match print_ir_after_all with
@@ -397,7 +397,7 @@ let run input pipeline transform_file flow_check no_verify list_passes timing
                 @ [
                     ( "output",
                       match result with
-                      | Ok () -> Ir.Json.String (Fmt.str "%a" Ir.Printer.pp_op m)
+                      | Ok () -> Ir.Json.String (Ir.Printer.op_to_string m)
                       | Error _ -> Ir.Json.Null );
                   ])
             in
@@ -408,7 +408,7 @@ let run input pipeline transform_file flow_check no_verify list_passes timing
           | Ok () ->
             if not json_mode then
               if pretty then Fmt.pr "%a@." Ir.Pretty.pp m
-              else Fmt.pr "%a@." Ir.Printer.pp_op m;
+              else Ir.Printer.print_op m;
             `Ok ()
         in
         finish outcome))

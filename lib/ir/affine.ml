@@ -163,25 +163,65 @@ let compose f g =
 (* Printing                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let rec pp_expr fmt = function
-  | Dim i -> Fmt.pf fmt "d%d" i
-  | Sym i -> Fmt.pf fmt "s%d" i
-  | Const c -> Fmt.int fmt c
-  | Add (a, Const c) when c < 0 -> Fmt.pf fmt "%a - %d" pp_expr a (-c)
-  | Add (a, b) -> Fmt.pf fmt "%a + %a" pp_expr a pp_expr b
-  | Mul (a, b) -> Fmt.pf fmt "%a * %a" pp_atom a pp_atom b
-  | Mod (a, b) -> Fmt.pf fmt "%a mod %a" pp_atom a pp_atom b
-  | Floordiv (a, b) -> Fmt.pf fmt "%a floordiv %a" pp_atom a pp_atom b
-  | Ceildiv (a, b) -> Fmt.pf fmt "%a ceildiv %a" pp_atom a pp_atom b
+(* One writer per kind: every printer below appends to a [Buffer.t]; the
+   [pp]/[to_string] forms wrap it. Nothing here goes through [Format], so no
+   break hint can put a newline inside a map. *)
 
-and pp_atom fmt e =
+let rec bprint_expr b = function
+  | Dim i ->
+    Buffer.add_char b 'd';
+    Util.add_int b i
+  | Sym i ->
+    Buffer.add_char b 's';
+    Util.add_int b i
+  | Const c -> Util.add_int b c
+  | Add (a, Const c) when c < 0 ->
+    bprint_expr b a;
+    Buffer.add_string b " - ";
+    Util.add_int b (-c)
+  | Add (a, e) ->
+    bprint_expr b a;
+    Buffer.add_string b " + ";
+    bprint_expr b e
+  | Mul (a, e) -> bprint_binop b a " * " e
+  | Mod (a, e) -> bprint_binop b a " mod " e
+  | Floordiv (a, e) -> bprint_binop b a " floordiv " e
+  | Ceildiv (a, e) -> bprint_binop b a " ceildiv " e
+
+and bprint_binop b x op y =
+  bprint_atom b x;
+  Buffer.add_string b op;
+  bprint_atom b y
+
+and bprint_atom b e =
   match e with
-  | Dim _ | Sym _ | Const _ -> pp_expr fmt e
-  | _ -> Fmt.pf fmt "(%a)" pp_expr e
+  | Dim _ | Sym _ | Const _ -> bprint_expr b e
+  | _ ->
+    Buffer.add_char b '(';
+    bprint_expr b e;
+    Buffer.add_char b ')'
 
-let pp_map fmt m =
-  let dims = List.init m.num_dims (fun i -> Fmt.str "d%d" i) in
-  let syms = List.init m.num_syms (fun i -> Fmt.str "s%d" i) in
-  Fmt.pf fmt "(%a)" Fmt.(list ~sep:comma string) dims;
-  if m.num_syms > 0 then Fmt.pf fmt "[%a]" Fmt.(list ~sep:comma string) syms;
-  Fmt.pf fmt " -> (%a)" (Util.pp_list pp_expr) m.exprs
+(** [(d0, d1)[s0] -> (d0 + s0, d1)]: the text between [affine_map<] and
+    [>]. *)
+let bprint_map b m =
+  let ids c n =
+    for i = 0 to n - 1 do
+      if i > 0 then Buffer.add_string b ", ";
+      Buffer.add_char b c;
+      Util.add_int b i
+    done
+  in
+  Buffer.add_char b '(';
+  ids 'd' m.num_dims;
+  Buffer.add_char b ')';
+  if m.num_syms > 0 then begin
+    Buffer.add_char b '[';
+    ids 's' m.num_syms;
+    Buffer.add_char b ']'
+  end;
+  Buffer.add_string b " -> (";
+  Util.bprint_list bprint_expr b m.exprs;
+  Buffer.add_char b ')'
+
+let map_to_string m = Util.bprint_to_string bprint_map m
+let pp_map fmt m = Format.pp_print_string fmt (map_to_string m)

@@ -28,8 +28,8 @@ let symbol s = Symbol_ref (s, [])
     parses back to the same value, with [.0] appended when that text would
     otherwise lex as an integer: a [dense] literal of integer-looking
     elements re-parses as [Dense_int]. *)
-let pp_dense_float fmt f =
-  if not (Float.is_finite f) then Fmt.float fmt f
+let dense_float_string f =
+  if not (Float.is_finite f) then Printf.sprintf "%g" f
   else
     let rec shortest p =
       let s = Printf.sprintf "%.*g" p f in
@@ -40,33 +40,69 @@ let pp_dense_float fmt f =
     let integral =
       String.for_all (fun c -> c = '-' || (c >= '0' && c <= '9')) s
     in
-    Fmt.string fmt (if integral then s ^ ".0" else s)
+    if integral then s ^ ".0" else s
 
-let rec pp fmt = function
-  | Unit -> Fmt.string fmt "unit"
-  | Bool b -> Fmt.bool fmt b
-  | Int (v, Typ.Index) -> Fmt.pf fmt "%d : index" v
-  | Int (v, t) -> Fmt.pf fmt "%d : %a" v Typ.pp t
-  | Float (v, t) -> Fmt.pf fmt "%h : %a" v Typ.pp t
-  | String s -> Fmt.pf fmt "%S" s
-  | Type t -> Typ.pp fmt t
-  | Array xs -> Fmt.pf fmt "[%a]" (Util.pp_list pp) xs
+(** [bprint_with typ] writes each type through [typ]: the op printer
+    passes its per-print memoizing writer. *)
+let rec bprint_with typ b a =
+  let typed t =
+    Buffer.add_string b " : ";
+    typ b t
+  in
+  match a with
+  | Unit -> Buffer.add_string b "unit"
+  | Bool v -> Buffer.add_string b (string_of_bool v)
+  | Int (v, t) ->
+    Util.add_int b v;
+    typed t
+  | Float (v, t) ->
+    Buffer.add_string b (Printf.sprintf "%h" v);
+    typed t
+  | String s -> Util.bprint_quoted b s
+  | Type t -> typ b t
+  | Array xs ->
+    Buffer.add_char b '[';
+    Util.bprint_list (bprint_with typ) b xs;
+    Buffer.add_char b ']'
   | Int_array xs ->
-    Fmt.pf fmt "array<i64: %a>" (Util.pp_list Fmt.int) xs
+    Buffer.add_string b "array<i64: ";
+    Util.bprint_list Util.add_int b xs;
+    Buffer.add_char b '>'
   | Dense_int (xs, t) ->
-    Fmt.pf fmt "dense<[%a]> : %a" (Util.pp_list Fmt.int) xs Typ.pp t
+    Buffer.add_string b "dense<[";
+    Util.bprint_list Util.add_int b xs;
+    Buffer.add_string b "]>";
+    typed t
   | Dense_float (xs, t) ->
-    Fmt.pf fmt "dense<[%a]> : %a" (Util.pp_list pp_dense_float) xs Typ.pp t
+    Buffer.add_string b "dense<[";
+    Util.bprint_list (fun b f -> Buffer.add_string b (dense_float_string f)) b xs;
+    Buffer.add_string b "]>";
+    typed t
   | Dict kvs ->
-    Fmt.pf fmt "{%a}"
-      (Util.pp_list (fun fmt (k, v) -> Fmt.pf fmt "%s = %a" k pp v))
-      kvs
+    Buffer.add_char b '{';
+    Util.bprint_list
+      (fun b (k, v) ->
+        Buffer.add_string b k;
+        Buffer.add_string b " = ";
+        bprint_with typ b v)
+      b kvs;
+    Buffer.add_char b '}'
   | Symbol_ref (root, nested) ->
-    Fmt.pf fmt "@%s" root;
-    List.iter (Fmt.pf fmt "::@%s") nested
-  | Affine_map m -> Fmt.pf fmt "affine_map<%a>" Affine.pp_map m
+    Buffer.add_char b '@';
+    Buffer.add_string b root;
+    List.iter
+      (fun n ->
+        Buffer.add_string b "::@";
+        Buffer.add_string b n)
+      nested
+  | Affine_map m ->
+    Buffer.add_string b "affine_map<";
+    Affine.bprint_map b m;
+    Buffer.add_char b '>'
 
-let to_string a = Fmt.str "%a" pp a
+let bprint b a = bprint_with Typ.bprint b a
+let to_string a = Util.bprint_to_string bprint a
+let pp fmt a = Format.pp_print_string fmt (to_string a)
 
 (* Floats compare by bit pattern, as upstream MLIR's [FloatAttr] does:
    [0.0] and [-0.0] are different constants, and a NaN equals itself.

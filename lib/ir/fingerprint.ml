@@ -76,7 +76,7 @@ let mix_typ c t =
       let sub =
         { c with h = fnv_offset; typ_memo = Hashtbl.create 1 }
       in
-      mix_string sub (Fmt.str "%a" Typ.pp t);
+      mix_string sub (Typ.to_string t);
       Hashtbl.replace c.typ_memo t sub.h;
       sub.h
   in
@@ -131,7 +131,7 @@ let rec mix_attr c (a : Attr.t) =
     List.iter (mix_string c) nested
   | Attr.Affine_map m ->
     mix c 14;
-    mix_string c (Fmt.str "%a" Affine.pp_map m)
+    mix_string c (Affine.map_to_string m)
 
 let rec mix_op c (op : Ircore.op) =
   mix c 0x0b;

@@ -10,11 +10,27 @@ let unknown = Unknown
 let file ?(line = 0) ?(col = 0) file = File { file; line; col }
 let name ?(child = Unknown) n = Name (n, child)
 
-let rec pp fmt = function
-  | Unknown -> Fmt.string fmt "loc(unknown)"
-  | File { file; line; col } -> Fmt.pf fmt "loc(%S:%d:%d)" file line col
-  | Name (n, Unknown) -> Fmt.pf fmt "loc(%S)" n
-  | Name (n, child) -> Fmt.pf fmt "loc(%S at %a)" n pp child
-  | Fused locs -> Fmt.pf fmt "loc(fused[%a])" (Util.pp_list pp) locs
+(** [loc(...)], as the parser reads it back. *)
+let rec bprint b l =
+  Buffer.add_string b "loc(";
+  (match l with
+  | Unknown -> Buffer.add_string b "unknown"
+  | File { file; line; col } ->
+    Util.bprint_quoted b file;
+    Buffer.add_char b ':';
+    Util.add_int b line;
+    Buffer.add_char b ':';
+    Util.add_int b col
+  | Name (n, Unknown) -> Util.bprint_quoted b n
+  | Name (n, child) ->
+    Util.bprint_quoted b n;
+    Buffer.add_string b " at ";
+    bprint b child
+  | Fused locs ->
+    Buffer.add_string b "fused[";
+    Util.bprint_list bprint b locs;
+    Buffer.add_char b ']');
+  Buffer.add_char b ')'
 
-let to_string l = Fmt.str "%a" pp l
+let to_string l = Util.bprint_to_string bprint l
+let pp fmt l = Format.pp_print_string fmt (to_string l)

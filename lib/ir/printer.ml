@@ -11,139 +11,211 @@
 
     The printer assigns sequential names ([%0], [%1], ... and [^bb0], ...) in
     syntactic order; {!Parser} accepts arbitrary names, so print→parse
-    round-trips preserve structure. *)
+    round-trips preserve structure.
+
+    All text is appended to one [Buffer.t]; types, attributes, affine maps
+    and locations use their kinds' buffer writers ({!Typ.bprint} and so
+    on). Every piece of scratch state lives in the per-print {!naming}
+    record, so concurrent prints on several domains share nothing. *)
 
 open Ircore
 
 type naming = {
-  values : (int, string) Hashtbl.t;
-  blocks : (int, string) Hashtbl.t;
+  values : (int, int) Hashtbl.t;  (** value id -> printed number *)
+  blocks : (int, int) Hashtbl.t;  (** block id -> printed number *)
   mutable next_value : int;
   mutable next_block : int;
+  types : (Typ.t, string) Hashtbl.t;
+      (** each type's text, rendered once per print: a module holds many
+          type references but few distinct types *)
 }
 
 let fresh_naming () =
-  { values = Hashtbl.create 64; blocks = Hashtbl.create 8; next_value = 0; next_block = 0 }
+  { values = Hashtbl.create 64; blocks = Hashtbl.create 8; next_value = 0;
+    next_block = 0; types = Hashtbl.create 16 }
 
-let value_name naming v =
+let value_num naming v =
   match Hashtbl.find_opt naming.values v.v_id with
   | Some n -> n
   | None ->
-    let n = Fmt.str "%%%d" naming.next_value in
-    naming.next_value <- naming.next_value + 1;
+    let n = naming.next_value in
+    naming.next_value <- n + 1;
     Hashtbl.replace naming.values v.v_id n;
     n
 
-(** For an op result, the printed reference: [%2] or [%2#1] for result i>0 of
-    a multi-result op, matching MLIR's group naming. *)
-let value_ref naming v =
-  match v.v_def with
-  | Op_result (op, i) when Array.length op.results > 1 ->
-    let base = value_name naming op.results.(0) in
-    if i = 0 then base else Fmt.str "%s#%d" base i
-  | _ -> value_name naming v
-
-let block_name naming b =
+let block_num naming b =
   match Hashtbl.find_opt naming.blocks b.b_id with
   | Some n -> n
   | None ->
-    let n = Fmt.str "^bb%d" naming.next_block in
-    naming.next_block <- naming.next_block + 1;
+    let n = naming.next_block in
+    naming.next_block <- n + 1;
     Hashtbl.replace naming.blocks b.b_id n;
     n
 
-let rec pp_op_with ?(locs = false) naming ~indent fmt op =
-  let pad = String.make indent ' ' in
-  Fmt.string fmt pad;
+let bprint_value_name naming buf v =
+  Buffer.add_char buf '%';
+  Util.add_int buf (value_num naming v)
+
+(** For an op result, the printed reference: [%2] or [%2#1] for result i>0 of
+    a multi-result op, matching MLIR's group naming. *)
+let bprint_value_ref naming buf v =
+  match v.v_def with
+  | Op_result (op, i) when Array.length op.results > 1 ->
+    bprint_value_name naming buf op.results.(0);
+    if i > 0 then begin
+      Buffer.add_char buf '#';
+      Util.add_int buf i
+    end
+  | _ -> bprint_value_name naming buf v
+
+let bprint_block_name naming buf b =
+  Buffer.add_string buf "^bb";
+  Util.add_int buf (block_num naming b)
+
+let value_name naming v = Util.bprint_to_string (bprint_value_name naming) v
+let value_ref naming v = Util.bprint_to_string (bprint_value_ref naming) v
+let block_name naming b = Util.bprint_to_string (bprint_block_name naming) b
+
+let bprint_type naming buf t =
+  let text =
+    match Hashtbl.find_opt naming.types t with
+    | Some s -> s
+    | None ->
+      let s = Typ.to_string t in
+      Hashtbl.replace naming.types t s;
+      s
+  in
+  Buffer.add_string buf text
+
+let bprint_indent buf indent =
+  for _ = 1 to indent do
+    Buffer.add_char buf ' '
+  done
+
+let bprint_array bprint_elt buf xs =
+  Array.iteri
+    (fun i x ->
+      if i > 0 then Buffer.add_string buf ", ";
+      bprint_elt buf x)
+    xs
+
+let rec bprint_op ~locs naming ~indent buf op =
+  bprint_indent buf indent;
   (* results *)
   (match Array.length op.results with
   | 0 -> ()
-  | 1 -> Fmt.pf fmt "%s = " (value_name naming op.results.(0))
-  | n -> Fmt.pf fmt "%s:%d = " (value_name naming op.results.(0)) n);
-  Fmt.pf fmt "%S(" op.op_name;
-  Fmt.string fmt
-    (String.concat ", "
-       (List.map (value_ref naming) (Array.to_list op.operands)));
-  Fmt.string fmt ")";
+  | n ->
+    bprint_value_name naming buf op.results.(0);
+    if n > 1 then begin
+      Buffer.add_char buf ':';
+      Util.add_int buf n
+    end;
+    Buffer.add_string buf " = ");
+  Util.bprint_quoted buf op.op_name;
+  Buffer.add_char buf '(';
+  bprint_array (bprint_value_ref naming) buf op.operands;
+  Buffer.add_char buf ')';
   (* successors *)
   if Array.length op.successors > 0 then begin
-    Fmt.string fmt "[";
-    Fmt.string fmt
-      (String.concat ", "
-         (List.map (block_name naming) (Array.to_list op.successors)));
-    Fmt.string fmt "]"
+    Buffer.add_char buf '[';
+    bprint_array (bprint_block_name naming) buf op.successors;
+    Buffer.add_char buf ']'
   end;
   (* regions *)
   if op.regions <> [] then begin
-    Fmt.string fmt " (";
+    Buffer.add_string buf " (";
     List.iteri
       (fun i r ->
-        if i > 0 then Fmt.string fmt ", ";
-        pp_region_with ~locs naming ~indent fmt r)
+        if i > 0 then Buffer.add_string buf ", ";
+        bprint_region ~locs naming ~indent buf r)
       op.regions;
-    Fmt.string fmt ")"
+    Buffer.add_char buf ')'
   end;
   (* attributes *)
   if op.attrs <> [] then begin
-    Fmt.string fmt " {";
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Fmt.string fmt ", ";
+    Buffer.add_string buf " {";
+    Util.bprint_list
+      (fun buf (k, v) ->
+        Buffer.add_string buf k;
         match v with
-        | Attr.Unit -> Fmt.string fmt k
-        | _ -> Fmt.pf fmt "%s = %a" k Attr.pp v)
-      op.attrs;
-    Fmt.string fmt "}"
+        | Attr.Unit -> ()
+        | _ ->
+          Buffer.add_string buf " = ";
+          Attr.bprint_with (bprint_type naming) buf v)
+      buf op.attrs;
+    Buffer.add_char buf '}'
   end;
   (* type signature *)
-  let operand_types =
-    List.map (fun v -> v.v_typ) (Array.to_list op.operands)
-  in
-  let result_types = List.map (fun v -> v.v_typ) (Array.to_list op.results) in
-  Fmt.pf fmt " : (%a) -> " (Util.pp_list Typ.pp) operand_types;
-  (match result_types with
-  | [ (Typ.Func _ as t) ] -> Fmt.pf fmt "(%a)" Typ.pp t
-  | [ t ] -> Typ.pp fmt t
-  | ts -> Fmt.pf fmt "(%a)" (Util.pp_list Typ.pp) ts);
-  if locs && op.op_loc <> Loc.Unknown then Fmt.pf fmt " %a" Loc.pp op.op_loc
+  let value_typ buf v = bprint_type naming buf v.v_typ in
+  Buffer.add_string buf " : (";
+  bprint_array value_typ buf op.operands;
+  Buffer.add_string buf ") -> ";
+  (* a lone result prints bare unless it is itself a function type *)
+  (match op.results with
+  | [| v |] when not (Typ.is_func v.v_typ) -> value_typ buf v
+  | rs ->
+    Buffer.add_char buf '(';
+    bprint_array value_typ buf rs;
+    Buffer.add_char buf ')');
+  if locs && op.op_loc <> Loc.Unknown then begin
+    Buffer.add_char buf ' ';
+    Loc.bprint buf op.op_loc
+  end
 
-and pp_region_with ?(locs = false) naming ~indent fmt r =
-  Fmt.string fmt "{\n";
+and bprint_region ~locs naming ~indent buf r =
+  Buffer.add_string buf "{\n";
   let blocks = region_blocks r in
   (* Pre-assign block names in order so forward branch references resolve. *)
-  List.iter (fun b -> ignore (block_name naming b)) blocks;
-  let multi = List.length blocks > 1 in
+  List.iter (fun b -> ignore (block_num naming b)) blocks;
+  let multi = match blocks with _ :: _ :: _ -> true | _ -> false in
   List.iter
     (fun b ->
       if multi || Array.length b.b_args > 0 then begin
-        Fmt.pf fmt "%s%s" (String.make indent ' ') (block_name naming b);
+        bprint_indent buf indent;
+        bprint_block_name naming buf b;
         if Array.length b.b_args > 0 then begin
-          Fmt.string fmt "(";
-          Array.iteri
-            (fun i a ->
-              if i > 0 then Fmt.string fmt ", ";
-              Fmt.pf fmt "%s: %a" (value_name naming a) Typ.pp a.v_typ)
-            b.b_args;
-          Fmt.string fmt ")"
+          Buffer.add_char buf '(';
+          bprint_array
+            (fun buf a ->
+              bprint_value_name naming buf a;
+              Buffer.add_string buf ": ";
+              bprint_type naming buf a.v_typ)
+            buf b.b_args;
+          Buffer.add_char buf ')'
         end;
-        Fmt.string fmt ":\n"
+        Buffer.add_string buf ":\n"
       end;
-      List.iter
-        (fun op ->
-          pp_op_with ~locs naming ~indent:(indent + 2) fmt op;
-          Fmt.string fmt "\n")
-        (block_ops b))
+      let rec ops = function
+        | None -> ()
+        | Some op ->
+          bprint_op ~locs naming ~indent:(indent + 2) buf op;
+          Buffer.add_char buf '\n';
+          ops op.op_next
+      in
+      ops b.b_first)
     blocks;
-  Fmt.pf fmt "%s}" (String.make indent ' ')
+  bprint_indent buf indent;
+  Buffer.add_char buf '}'
 
-let pp_op fmt op = pp_op_with (fresh_naming ()) ~indent:0 fmt op
-let op_to_string op = Fmt.str "%a" pp_op op
+let op_text ~locs op =
+  let buf = Buffer.create 1024 in
+  bprint_op ~locs (fresh_naming ()) ~indent:0 buf op;
+  buf
+
+let op_to_string op = Buffer.contents (op_text ~locs:false op)
 
 (** Generic form including [loc(...)] suffixes where known. *)
-let pp_op_locs fmt op = pp_op_with ~locs:true (fresh_naming ()) ~indent:0 fmt op
-let op_to_string_locs op = Fmt.str "%a" pp_op_locs op
+let op_to_string_locs op = Buffer.contents (op_text ~locs:true op)
+
+let pp_op_with ?(locs = false) naming ~indent fmt op =
+  let buf = Buffer.create 256 in
+  bprint_op ~locs naming ~indent buf op;
+  Format.pp_print_string fmt (Buffer.contents buf)
+
+let pp_op fmt op = Format.pp_print_string fmt (op_to_string op)
 
 let print_op ?(oc = stdout) op =
-  let fmt = Format.formatter_of_out_channel oc in
-  pp_op fmt op;
-  Format.pp_print_newline fmt ()
+  let buf = op_text ~locs:false op in
+  Buffer.add_char buf '\n';
+  Buffer.output_buffer oc buf;
+  flush oc

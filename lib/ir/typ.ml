@@ -51,6 +51,7 @@ let llvm_ptr = Opaque ("llvm", "ptr")
 let is_integer = function Integer _ -> true | _ -> false
 let is_float = function Float _ -> true | _ -> false
 let is_index = function Index -> true | _ -> false
+let is_func = function Func _ -> true | _ -> false
 
 let element_type = function
   | Vector (_, t)
@@ -88,51 +89,91 @@ let num_elements t =
 (* Printing                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let pp_float_kind fmt = function
-  | F16 -> Fmt.string fmt "f16"
-  | BF16 -> Fmt.string fmt "bf16"
-  | F32 -> Fmt.string fmt "f32"
-  | F64 -> Fmt.string fmt "f64"
+let float_kind_name = function
+  | F16 -> "f16"
+  | BF16 -> "bf16"
+  | F32 -> "f32"
+  | F64 -> "f64"
 
-let pp_dim fmt = function
-  | Static n -> Fmt.int fmt n
-  | Dynamic -> Fmt.string fmt "?"
+let bprint_dim b = function
+  | Static n -> Util.add_int b n
+  | Dynamic -> Buffer.add_char b '?'
 
-let pp_shape_prefix fmt dims =
-  List.iter (fun d -> Fmt.pf fmt "%ax" pp_dim d) dims
+let bprint_shape_prefix b dims =
+  List.iter
+    (fun d ->
+      bprint_dim b d;
+      Buffer.add_char b 'x')
+    dims
 
-let rec pp fmt = function
-  | Integer n -> Fmt.pf fmt "i%d" n
-  | Index -> Fmt.string fmt "index"
-  | Float k -> pp_float_kind fmt k
+let rec bprint b = function
+  | Integer n ->
+    Buffer.add_char b 'i';
+    Util.add_int b n
+  | Index -> Buffer.add_string b "index"
+  | Float k -> Buffer.add_string b (float_kind_name k)
   | Vector (ns, t) ->
-    Fmt.pf fmt "vector<%a%a>"
-      (fun fmt -> List.iter (Fmt.pf fmt "%dx"))
-      ns pp t
+    Buffer.add_string b "vector<";
+    List.iter
+      (fun n ->
+        Util.add_int b n;
+        Buffer.add_char b 'x')
+      ns;
+    bprint b t;
+    Buffer.add_char b '>'
   | Ranked_tensor (dims, t) ->
-    Fmt.pf fmt "tensor<%a%a>" pp_shape_prefix dims pp t
-  | Unranked_tensor t -> Fmt.pf fmt "tensor<*x%a>" pp t
-  | Memref (dims, t, layout) -> (
-    match layout with
-    | Identity -> Fmt.pf fmt "memref<%a%a>" pp_shape_prefix dims pp t
+    Buffer.add_string b "tensor<";
+    bprint_shape_prefix b dims;
+    bprint b t;
+    Buffer.add_char b '>'
+  | Unranked_tensor t ->
+    Buffer.add_string b "tensor<*x";
+    bprint b t;
+    Buffer.add_char b '>'
+  | Memref (dims, t, layout) ->
+    Buffer.add_string b "memref<";
+    bprint_shape_prefix b dims;
+    bprint b t;
+    (match layout with
+    | Identity -> ()
     | Strided { offset; strides } ->
-      Fmt.pf fmt "memref<%a%a, strided<[%a], offset: %a>>" pp_shape_prefix
-        dims pp t (Util.pp_list pp_dim) strides pp_dim offset
+      Buffer.add_string b ", strided<[";
+      Util.bprint_list bprint_dim b strides;
+      Buffer.add_string b "], offset: ";
+      bprint_dim b offset;
+      Buffer.add_char b '>'
     | Affine_layout m ->
-      Fmt.pf fmt "memref<%a%a, affine_map<%a>>" pp_shape_prefix dims pp t
-        Affine.pp_map m)
-  | Unranked_memref t -> Fmt.pf fmt "memref<*x%a>" pp t
-  | Func (ins, outs) ->
-    Fmt.pf fmt "(%a) -> " (Util.pp_list pp) ins;
-    (match outs with
-    | [ (Func _ as o) ] -> Fmt.pf fmt "(%a)" pp o
-    | [ o ] -> pp fmt o
-    | outs -> Fmt.pf fmt "(%a)" (Util.pp_list pp) outs)
-  | Tuple ts -> Fmt.pf fmt "tuple<%a>" (Util.pp_list pp) ts
+      Buffer.add_string b ", affine_map<";
+      Affine.bprint_map b m;
+      Buffer.add_char b '>');
+    Buffer.add_char b '>'
+  | Unranked_memref t ->
+    Buffer.add_string b "memref<*x";
+    bprint b t;
+    Buffer.add_char b '>'
+  | Func (ins, outs) -> (
+    Buffer.add_char b '(';
+    Util.bprint_list bprint b ins;
+    Buffer.add_string b ") -> ";
+    match outs with
+    | [ o ] when not (is_func o) -> bprint b o
+    | outs ->
+      Buffer.add_char b '(';
+      Util.bprint_list bprint b outs;
+      Buffer.add_char b ')')
+  | Tuple ts ->
+    Buffer.add_string b "tuple<";
+    Util.bprint_list bprint b ts;
+    Buffer.add_char b '>'
   | Opaque (dialect, body) ->
-    if body = "" then Fmt.pf fmt "!%s" dialect
-    else Fmt.pf fmt "!%s.%s" dialect body
+    Buffer.add_char b '!';
+    Buffer.add_string b dialect;
+    if body <> "" then begin
+      Buffer.add_char b '.';
+      Buffer.add_string b body
+    end
 
-let to_string t = Fmt.str "%a" pp t
+let to_string t = Util.bprint_to_string bprint t
+let pp fmt t = Format.pp_print_string fmt (to_string t)
 
 let equal (a : t) (b : t) = a = b

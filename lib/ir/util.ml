@@ -8,6 +8,38 @@ let fresh_id : unit -> int =
   let counter = Atomic.make 0 in
   fun () -> Atomic.fetch_and_add counter 1 + 1
 
+(* Text is written by buffer writers: each printable kind has one
+   [bprint : Buffer.t -> t -> unit], and its [to_string]/[pp] wrap it. The
+   helpers below are shared by those writers. *)
+
+(** The decimal text of [i]; non-negative ints allocate nothing. *)
+let rec add_int b i =
+  if i >= 0 && i < 10 then Buffer.add_char b (Char.unsafe_chr (48 + i))
+  else if i >= 10 then begin
+    add_int b (i / 10);
+    Buffer.add_char b (Char.unsafe_chr (48 + (i mod 10)))
+  end
+  else Buffer.add_string b (string_of_int i)
+
+(** [x, y, z]: each element by [bprint_elt], separated by [", "]. *)
+let bprint_list bprint_elt b xs =
+  List.iteri
+    (fun i x ->
+      if i > 0 then Buffer.add_string b ", ";
+      bprint_elt b x)
+    xs
+
+(** ["..."] with OCaml's [%S] escapes, which the lexer reads back. *)
+let bprint_quoted b s =
+  Buffer.add_char b '"';
+  Buffer.add_string b (String.escaped s);
+  Buffer.add_char b '"'
+
+let bprint_to_string bprint x =
+  let b = Buffer.create 64 in
+  bprint b x;
+  Buffer.contents b
+
 let pp_list ?(sep = ", ") pp_elt fmt xs =
   Fmt.(list ~sep:(fun fmt () -> Fmt.string fmt sep) pp_elt) fmt xs
 

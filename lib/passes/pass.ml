@@ -170,7 +170,7 @@ let op_deltas_to_json deltas =
 let reproducer ~path =
   let last_ir = ref None in
   instrumentation "crash-reproducer"
-    ~before_pass:(fun _ op -> last_ir := Some (Fmt.str "%a" Printer.pp_op op))
+    ~before_pass:(fun _ op -> last_ir := Some (Printer.op_to_string op))
     ~on_failure:(fun p _op ~remaining d ->
       match !last_ir with
       | None -> ()
