@@ -14,7 +14,8 @@
       (stderr); the default [changed] mode skips passes that left the
       module fingerprint-identical, [always] restores unconditional dumps;
     - [--action-journal[=PATH]] records every transformation unit (pass,
-      pattern, fold, DCE, transform dispatch) routed through {!Ir.Action}
+      pattern, fold, DCE, conversion, transform dispatch) routed through
+      {!Ir.Action}
       as one JSONL line;
     - [--debug-counter=TAG:SKIP,COUNT] skips the first SKIP actions of TAG,
       executes the next COUNT and skips the rest (MLIR DebugCounter
@@ -474,7 +475,8 @@ let debug_counters =
     & info [ "debug-counter" ] ~docv:"TAG:SKIP,COUNT"
         ~doc:"Debug counter over the action stream (repeatable): skip the \
               first $(i,SKIP) actions tagged $(i,TAG) (e.g. $(b,pattern), \
-              $(b,fold), $(b,dce), $(b,transform), $(b,pass)), execute the \
+              $(b,fold), $(b,dce), $(b,conversion), $(b,transform), \
+              $(b,pass)), execute the \
               next $(i,COUNT) (omitted means all), skip the rest — MLIR \
               DebugCounter semantics, for bisecting which rewrite broke \
               the output. Forces sequential scheduling.")
@@ -486,7 +488,8 @@ let action_journal =
     & info [ "action-journal" ] ~docv:"PATH"
         ~doc:"Write the structured action journal to $(docv) as JSONL: one \
               line per transformation unit (pass, pattern application, \
-              fold, DCE, transform dispatch) with tag, per-tag index, \
+              fold, DCE, conversion rewrite, transform dispatch) with \
+              tag, per-tag index, \
               location, outcome (executed/skipped/failed/reverted), \
               duration and profiler timestamp. Deterministic at any \
               $(b,--jobs) degree.")

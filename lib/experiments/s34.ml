@@ -15,8 +15,11 @@ let registered = ref false
 let register_shlo_to_arith () =
   if not !registered then begin
     registered := true;
+    let rename to_ rw op =
+      ignore (Rewriter.replace_op_with rw op ~operands:(Ircore.operands op) to_)
+    in
     Passes.Pass.register
-      (Passes.Pass.make ~name:"convert-shlo-to-arith"
+      (Passes.Pass.conversion ~name:"convert-shlo-to-arith"
          ~summary:"lower StableHLO-like elementwise ops to arith"
          ~pre:[ Opset.dialect "shlo" ]
          ~post:
@@ -25,22 +28,12 @@ let register_shlo_to_arith () =
              Opset.exact "arith.mulf"; Opset.exact "arith.divf";
              Opset.exact "arith.constant";
            ]
-         (fun _ctx top ->
-           let rw = Rewriter.create () in
-           let rename =
-             [
-               ("shlo.add", "arith.addf"); ("shlo.subtract", "arith.subf");
-               ("shlo.multiply", "arith.mulf"); ("shlo.divide", "arith.divf");
-             ]
-           in
-           List.iter
-             (fun (from, to_) ->
-               Passes.Pass.for_each_op ~op_name:from top (fun op ->
-                   ignore
-                     (Rewriter.replace_op_with rw op
-                        ~operands:(Ircore.operands op) to_)))
-             rename;
-           Ok ()))
+         [
+           ("shlo.add", rename "arith.addf");
+           ("shlo.subtract", rename "arith.subf");
+           ("shlo.multiply", rename "arith.mulf");
+           ("shlo.divide", rename "arith.divf");
+         ])
   end
 
 (** Payload: a few shlo multiplies on scalars-as-tensors. *)

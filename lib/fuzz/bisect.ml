@@ -29,9 +29,9 @@ type culprit = {
 let pp_culprit fmt c =
   Fmt.pf fmt "%s index %d of %d" c.c_tag c.c_index c.c_total
 
-(** Tags worth bisecting over, finest first: a pattern application names a
-    single rewrite, a pass only a whole phase. *)
-let default_tags = [ "pattern"; "fold"; "transform"; "pass" ]
+(** Tags worth bisecting over, finest first: a pattern application or a
+    conversion names a single rewrite, a pass only a whole phase. *)
+let default_tags = [ "pattern"; "fold"; "conversion"; "transform"; "pass" ]
 
 (** [localize ~fails ~total] drives the bisection. [fails counters] must
     re-run the failing check under an action context with [counters]

@@ -2,12 +2,12 @@
 
     Every transformation unit in the system — a pass run, a greedy pattern
     application or fold, a DCE erasure, a constant materialization, a
-    transform-op dispatch — is routed through this module before
-    executing. Like {!Profiler} the framework is ambient and domain-local:
-    {!with_context} installs a context for a dynamic extent, and with no
-    context installed every action site is a single domain-local read
-    followed by a direct call (the cost is measured by [bench … action]
-    into [BENCH_action.json]).
+    conversion rewrite, a transform-op dispatch — is routed through this
+    module before executing. Like {!Profiler} the framework is ambient and
+    domain-local: {!with_context} installs a context for a dynamic extent,
+    and with no context installed every action site is a single
+    domain-local read followed by a direct call (the cost is measured by
+    [bench … action] into [BENCH_action.json]).
 
     A context always records a structured journal of the actions that
     flowed through it (rendered as JSONL via {!Json}, correlated with

@@ -9,7 +9,11 @@
     rewritten into a lower dialect, [builtin.unrealized_conversion_cast]s
     bridge the type mismatch with not-yet-converted neighbours; ⑦ cancels
     matching cast pairs and *fails* on leftovers — reproducing the exact
-    failure mode discussed in the paper. *)
+    failure mode discussed in the paper.
+
+    Each pass declares a {!Pass.table} that {!Pass.convert} runs;
+    convert-scf-to-cf keeps its own outermost-first loop and converts each
+    op through {!Pass.convert_op}. *)
 
 open Ir
 open Dialects
@@ -25,46 +29,27 @@ let ( let* ) = Result.bind
 let adapt rw v t =
   if Typ.equal (Ircore.value_typ v) t then v else Builtin.cast rw v t
 
-(* global statistics (Ir.Stats): every conversion rewrite counts the op it
-   replaced, so `--stats` reports the conversion volume of a lowering *)
-let stat_ops_converted = Stats.counter ~component:"conversions" "ops_converted"
-
 let stat_casts_reconciled =
   Stats.counter ~component:"conversions" "casts_reconciled"
 
-(** Optimization remark for one applied conversion rewrite ([op] became
-    [to_]); also bumps the conversion statistics. *)
-let remark_converted ?(pass = "conversion") (op : Ircore.op) ~to_ =
-  Stats.incr stat_ops_converted;
-  if Action.enabled () then
-    Action.remark
-      (Remark.passed ~pass ~loc:op.Ircore.op_loc
-         ~args:[ ("to", Remark.String to_) ]
-         "converted %s" op.Ircore.op_name)
-
 (** Replace [op] with a new op [name]: operands adapted to [operand_types],
     results of [result_types] cast back to the old result types. *)
-let convert_op rw op ~name ~operand_types ~result_types ?(attrs = None)
-    ?(successors = None) () =
-  remark_converted op ~to_:name;
+let replace_as rw op ~name ~operand_types ~result_types =
   Rewriter.set_ip rw (Builder.Before op);
   let operands =
     List.map2 (fun v t -> adapt rw v t) (Ircore.operands op) operand_types
   in
-  let attrs = Option.value ~default:op.Ircore.attrs attrs in
-  let successors =
-    Option.value ~default:(Array.to_list op.Ircore.successors) successors
-  in
   let new_op =
-    Rewriter.build rw ~operands ~result_types ~attrs ~successors name
+    Rewriter.build rw ~operands ~result_types ~attrs:op.Ircore.attrs
+      ~successors:(Array.to_list op.Ircore.successors)
+      name
   in
   let replacements =
     List.map2
       (fun new_r old_r -> adapt rw new_r (Ircore.value_typ old_r))
       (Ircore.results new_op) (Ircore.results op)
   in
-  Rewriter.replace_op rw op ~with_:replacements;
-  new_op
+  Rewriter.replace_op rw op ~with_:replacements
 
 (* ------------------------------------------------------------------ *)
 (* ① convert-scf-to-cf                                                 *)
@@ -108,8 +93,7 @@ let forall_to_fors rw op =
   Rewriter.erase_op rw op
 
 (** Lower one [scf.for] into CFG blocks. The loop's parent block is split. *)
-let for_to_cf ctx rw (loop : Ircore.op) =
-  ignore ctx;
+let for_to_cf rw (loop : Ircore.op) =
   let parent = Option.get (Ircore.op_parent loop) in
   let iter_types = List.map Ircore.value_typ (Ircore.results loop) in
   (* rest of the parent block, starting at the loop *)
@@ -242,19 +226,19 @@ let while_to_cf rw (w : Ircore.op) =
   | _ -> failwith "scf.while after-region lacks scf.yield");
   Rewriter.erase_op rw w
 
-let run_scf_to_cf ctx top =
-  let rw = Rewriter.create () in
-  (* expand foralls first *)
-  let rec fixpoint () =
-    let foralls = Symbol.collect_ops ~op_name:Scf.forall_op top in
-    if foralls <> [] then begin
-      List.iter (forall_to_fors rw) foralls;
-      fixpoint ()
-    end
-  in
-  fixpoint ();
+let scf_to_cf rw (o : Ircore.op) =
+  if o.Ircore.op_name = Scf.for_op then for_to_cf rw o
+  else if o.Ircore.op_name = Scf.while_op then while_to_cf rw o
+  else if_to_cf rw o
+
+let run_scf_to_cf _ctx top =
+  let pass = "convert-scf-to-cf" in
+  (* expand foralls first; an outer forall moves its body, nested foralls
+     included, into the new loops *)
+  let* () = Pass.convert ~pass [ (Scf.forall_op, forall_to_fors) ] top in
   (* outermost-first conversion (an scf op must live in a CFG-legal region
-     before its own body is expanded into blocks) *)
+     before its own body is expanded into blocks); an op left in place (its
+     conversion vetoed) is not retried, and what it nests stays too *)
   let is_scf o =
     o.Ircore.op_name = Scf.for_op
     || o.Ircore.op_name = Scf.if_op
@@ -265,17 +249,20 @@ let run_scf_to_cf ctx top =
     | None -> false
     | Some p -> is_scf p || nested_in_scf p
   in
+  let rw = Rewriter.create () in
+  let kept = Hashtbl.create 8 in
   let rec convert_all () =
     let targets =
-      Symbol.collect top ~f:(fun o -> is_scf o && not (nested_in_scf o))
+      Symbol.collect top ~f:(fun o ->
+          is_scf o
+          && (not (Hashtbl.mem kept o.Ircore.op_id))
+          && not (nested_in_scf o))
     in
     if targets <> [] then begin
       List.iter
         (fun o ->
-          remark_converted ~pass:"convert-scf-to-cf" o ~to_:"cf";
-          if o.Ircore.op_name = Scf.for_op then for_to_cf ctx rw o
-          else if o.Ircore.op_name = Scf.while_op then while_to_cf rw o
-          else if_to_cf rw o)
+          if not (Pass.convert_op ~pass rw scf_to_cf o) then
+            Hashtbl.replace kept o.Ircore.op_id ())
         targets;
       convert_all ()
     end
@@ -292,81 +279,51 @@ let llvm_int_typ = function
   | Typ.Integer n -> Typ.Integer n
   | t -> t
 
-let arith_to_llvm_name = function
-  | "arith.constant" -> Some "llvm.mlir.constant"
-  | "arith.addi" -> Some "llvm.add"
-  | "arith.subi" -> Some "llvm.sub"
-  | "arith.muli" -> Some "llvm.mul"
-  | "arith.divsi" -> Some "llvm.sdiv"
-  | "arith.divui" -> Some "llvm.udiv"
-  | "arith.remsi" -> Some "llvm.srem"
-  | "arith.remui" -> Some "llvm.urem"
-  | "arith.andi" -> Some "llvm.and"
-  | "arith.ori" -> Some "llvm.or"
-  | "arith.xori" -> Some "llvm.xor"
-  | "arith.shli" -> Some "llvm.shl"
-  | "arith.shrsi" -> Some "llvm.ashr"
-  | "arith.addf" -> Some "llvm.fadd"
-  | "arith.subf" -> Some "llvm.fsub"
-  | "arith.mulf" -> Some "llvm.fmul"
-  | "arith.divf" -> Some "llvm.fdiv"
-  | "arith.maximumf" -> Some "llvm.fmax"
-  | "arith.minimumf" -> Some "llvm.fmin"
-  | "arith.maxsi" -> Some "llvm.smax"
-  | "arith.minsi" -> Some "llvm.smin"
-  | "arith.cmpi" -> Some "llvm.icmp"
-  | "arith.cmpf" -> Some "llvm.fcmp"
-  | "arith.select" -> Some "llvm.select"
-  | "arith.sitofp" -> Some "llvm.sitofp"
-  | "arith.fptosi" -> Some "llvm.fptosi"
-  | "arith.extf" -> Some "llvm.fpext"
-  | "arith.truncf" -> Some "llvm.fptrunc"
-  | "arith.index_cast" | "arith.extsi" | "arith.extui" | "arith.trunci"
-  | "arith.bitcast" ->
-    Some "llvm.bitcast"
-  | _ -> None
-
-let run_arith_to_llvm _ctx top =
-  let rw = Rewriter.create () in
-  Pass.for_each top
-    ~p:(fun op -> Ircore.op_dialect op = "arith")
-    (fun op ->
-      match arith_to_llvm_name op.Ircore.op_name with
-      | None -> ()
-      | Some name ->
-        let operand_types =
-          List.map
-            (fun v -> llvm_int_typ (Ircore.value_typ v))
-            (Ircore.operands op)
-        in
-        let result_types =
-          List.map
-            (fun r -> llvm_int_typ (Ircore.value_typ r))
-            (Ircore.results op)
-        in
-        ignore
-          (convert_op rw op ~name ~operand_types ~result_types ()));
-  Ok ()
+(* each arith op becomes its LLVM counterpart, index operands and results
+   retyped to i64 *)
+let arith_lowering : Pass.table =
+  let to_llvm name rw op =
+    let retype = List.map (fun v -> llvm_int_typ (Ircore.value_typ v)) in
+    replace_as rw op ~name
+      ~operand_types:(retype (Ircore.operands op))
+      ~result_types:(retype (Ircore.results op))
+  in
+  List.map
+    (fun (arith, llvm) -> (arith, to_llvm llvm))
+    [
+      ("arith.constant", "llvm.mlir.constant"); ("arith.addi", "llvm.add");
+      ("arith.subi", "llvm.sub"); ("arith.muli", "llvm.mul");
+      ("arith.divsi", "llvm.sdiv"); ("arith.divui", "llvm.udiv");
+      ("arith.remsi", "llvm.srem"); ("arith.remui", "llvm.urem");
+      ("arith.andi", "llvm.and"); ("arith.ori", "llvm.or");
+      ("arith.xori", "llvm.xor"); ("arith.shli", "llvm.shl");
+      ("arith.shrsi", "llvm.ashr"); ("arith.addf", "llvm.fadd");
+      ("arith.subf", "llvm.fsub"); ("arith.mulf", "llvm.fmul");
+      ("arith.divf", "llvm.fdiv"); ("arith.maximumf", "llvm.fmax");
+      ("arith.minimumf", "llvm.fmin"); ("arith.maxsi", "llvm.smax");
+      ("arith.minsi", "llvm.smin"); ("arith.cmpi", "llvm.icmp");
+      ("arith.cmpf", "llvm.fcmp"); ("arith.select", "llvm.select");
+      ("arith.sitofp", "llvm.sitofp"); ("arith.fptosi", "llvm.fptosi");
+      ("arith.extf", "llvm.fpext"); ("arith.truncf", "llvm.fptrunc");
+      ("arith.index_cast", "llvm.bitcast"); ("arith.extsi", "llvm.bitcast");
+      ("arith.extui", "llvm.bitcast"); ("arith.trunci", "llvm.bitcast");
+      ("arith.bitcast", "llvm.bitcast");
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* ③ convert-cf-to-llvm                                                *)
 (* ------------------------------------------------------------------ *)
 
-let run_cf_to_llvm _ctx top =
-  let rw = Rewriter.create () in
-  Pass.for_each top
-    ~p:(fun op -> Ircore.op_dialect op = "cf")
-    (fun op ->
-      let name =
-        match op.Ircore.op_name with
-        | "cf.br" -> "llvm.br"
-        | "cf.cond_br" -> "llvm.cond_br"
-        | "cf.switch" -> "llvm.switch"
-        | _ -> "llvm.br"
-      in
-      let tys = List.map Ircore.value_typ (Ircore.operands op) in
-      ignore (convert_op rw op ~name ~operand_types:tys ~result_types:[] ()));
-  Ok ()
+let cf_lowering : Pass.table =
+  let to_llvm name rw op =
+    let tys = List.map Ircore.value_typ (Ircore.operands op) in
+    replace_as rw op ~name ~operand_types:tys ~result_types:[]
+  in
+  [
+    (Cf.br_op, to_llvm "llvm.br");
+    (Cf.cond_br_op, to_llvm "llvm.cond_br");
+    (Cf.switch_op, to_llvm "llvm.switch");
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* ④ convert-func-to-llvm                                              *)
@@ -430,47 +387,42 @@ let convert_block_signature func block =
             end)
           term.Ircore.successors)
 
-let run_func_to_llvm _ctx top =
-  let rw = Rewriter.create () in
-  Pass.for_each_op ~op_name:Func.func_op top (fun fop ->
-      (* convert every block signature in the function body *)
-      List.iter
-        (fun r ->
-          List.iter (convert_block_signature fop) (Ircore.region_blocks r))
-        fop.Ircore.regions;
-      (* rename the op *)
-      let ins, outs =
-        match Func.function_type fop with
-        | Some (i, o) -> (i, o)
-        | None -> ([], [])
-      in
-      let new_type = Typ.Func (List.map llvm_typ ins, List.map llvm_typ outs) in
-      Rewriter.set_ip rw (Builder.Before fop);
-      let regions = fop.Ircore.regions in
-      fop.Ircore.regions <- [];
-      let new_fop =
-        Rewriter.build rw ~regions
-          ~attrs:
-            (Attr.set "function_type" (Attr.Type new_type) fop.Ircore.attrs)
-          Llvm.func_op
-      in
-      List.iter (fun r -> r.Ircore.r_parent <- Some new_fop) regions;
-      Rewriter.erase_op rw fop);
-  Pass.for_each_op ~op_name:Func.return_op top (fun op ->
-      let tys = List.map Ircore.value_typ (Ircore.operands op) in
-      ignore
-        (convert_op rw op ~name:Llvm.return_op ~operand_types:tys
-           ~result_types:[] ()));
-  Pass.for_each_op ~op_name:Func.call_op top (fun op ->
-      let operand_types =
-        List.map (fun v -> llvm_typ (Ircore.value_typ v)) (Ircore.operands op)
-      in
-      let result_types =
-        List.map (fun r -> llvm_typ (Ircore.value_typ r)) (Ircore.results op)
-      in
-      ignore
-        (convert_op rw op ~name:Llvm.call_op ~operand_types ~result_types ()));
-  Ok ()
+let func_to_llvm rw fop =
+  (* convert every block signature in the function body *)
+  List.iter
+    (fun r -> List.iter (convert_block_signature fop) (Ircore.region_blocks r))
+    fop.Ircore.regions;
+  (* rename the op *)
+  let ins, outs =
+    match Func.function_type fop with Some (i, o) -> (i, o) | None -> ([], [])
+  in
+  let new_type = Typ.Func (List.map llvm_typ ins, List.map llvm_typ outs) in
+  Rewriter.set_ip rw (Builder.Before fop);
+  let regions = fop.Ircore.regions in
+  fop.Ircore.regions <- [];
+  let new_fop =
+    Rewriter.build rw ~regions
+      ~attrs:(Attr.set "function_type" (Attr.Type new_type) fop.Ircore.attrs)
+      Llvm.func_op
+  in
+  List.iter (fun r -> r.Ircore.r_parent <- Some new_fop) regions;
+  Rewriter.erase_op rw fop
+
+let func_lowering : Pass.table =
+  let retype = List.map (fun v -> llvm_typ (Ircore.value_typ v)) in
+  [
+    (Func.func_op, func_to_llvm);
+    ( Func.return_op,
+      fun rw op ->
+        let tys = List.map Ircore.value_typ (Ircore.operands op) in
+        replace_as rw op ~name:Llvm.return_op ~operand_types:tys
+          ~result_types:[] );
+    ( Func.call_op,
+      fun rw op ->
+        replace_as rw op ~name:Llvm.call_op
+          ~operand_types:(retype (Ircore.operands op))
+          ~result_types:(retype (Ircore.results op)) );
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* ⑤ expand-strided-metadata                                           *)
@@ -482,421 +434,424 @@ let run_func_to_llvm _ctx top =
     [memref.subview.constr]. Offsets that are fully static fold to
     constants; otherwise an [affine.apply] is introduced (the op that later
     breaks the naive pipeline). *)
-let run_expand_strided_metadata _ctx top =
-  let rw = Rewriter.create () in
-  Pass.for_each_op ~op_name:Memref.subview_op top (fun op ->
-      let has_dynamic_sizes =
-        List.exists
-          (fun s -> s = Memref.dynamic_sentinel)
-          (Memref.static_sizes op)
-      in
-      if (not (Memref.subview_is_trivial op)) && not has_dynamic_sizes then begin
-        Rewriter.set_ip rw (Builder.Before op);
-        let src = Ircore.operand ~index:0 op in
-        let rank = List.length (Memref.static_sizes op) in
-        (* source metadata *)
-        let src_typ = Ircore.value_typ src in
-        let base_typ =
-          match src_typ with
-          | Typ.Memref (_, elt, _) -> Typ.Memref ([], elt, Typ.Identity)
-          | t -> t
-        in
-        let meta =
-          Rewriter.build rw ~operands:[ src ]
-            ~result_types:
-              (base_typ :: Typ.index
-               :: (List.init rank (fun _ -> Typ.index)
-                  @ List.init rank (fun _ -> Typ.index)))
-            Memref.extract_strided_metadata_op
-        in
-        let src_offset = Ircore.result ~index:1 meta in
-        let src_stride i = Ircore.result ~index:(2 + rank + i) meta in
-        (* gather mixed offsets *)
-        let statics = Memref.static_offsets op in
-        let dynamic_operands =
-          (* operands after the source, first segment = offsets *)
-          match Ircore.attr op "operand_segment_sizes" with
-          | Some (Attr.Int_array [ _; n_off; _; _ ]) ->
-            List.filteri
-              (fun i _ -> i >= 1 && i < 1 + n_off)
-              (Ircore.operands op)
-          | _ -> []
-        in
-        (* offset = src_offset + sum_i off_i * stride_i *)
-        let dyn = ref dynamic_operands in
-        let take_dyn () =
-          match !dyn with
-          | v :: rest ->
-            dyn := rest;
-            v
-          | [] -> failwith "subview: missing dynamic offset operand"
-        in
-        let all_static =
-          List.for_all (fun s -> s <> Memref.dynamic_sentinel) statics
-        in
-        (* [`Static off] keeps the offset in the attribute (no operand, no
-           affine op) — this is why the static-offset variant of the Case
-           Study 2 program lowers cleanly through the naive pipeline. *)
-        let new_offset =
-          if all_static then begin
-            match src_typ with
-            | Typ.Memref (dims, _, Typ.Identity)
-              when List.for_all
-                     (function Typ.Static _ -> true | _ -> false)
-                     dims ->
-              let sizes =
-                Array.of_list
-                  (List.map (function Typ.Static n -> n | _ -> 0) dims)
-              in
-              let strides_arr = Array.make (Array.length sizes) 1 in
-              for i = Array.length sizes - 2 downto 0 do
-                strides_arr.(i) <- strides_arr.(i + 1) * sizes.(i + 1)
-              done;
-              let strides = Array.to_list strides_arr in
-              let off =
-                List.fold_left2 (fun acc o s -> acc + (o * s)) 0 statics strides
-              in
-              `Static off
-            | Typ.Memref (_, _, Typ.Identity)
-              when List.for_all (fun s -> s = 0) statics ->
-              (* zero offsets into an identity-layout source: offset 0
-                 regardless of (possibly dynamic) strides *)
-              `Static 0
-            | _ ->
-              (* static relative offsets but dynamic base: affine.apply *)
-              let exprs =
-                List.mapi
-                  (fun i o ->
-                    Affine.Mul (Affine.Sym (i + 1), Affine.Const o))
-                  statics
-              in
-              let sum =
-                List.fold_left
-                  (fun acc e -> Affine.Add (acc, e))
-                  (Affine.Sym 0) exprs
-              in
-              let map =
-                Affine.make_map ~num_dims:0
-                  ~num_syms:(1 + List.length statics)
-                  [ sum ]
-              in
-              `Dynamic
-                (Affine_ops.apply rw map
-                   (src_offset :: List.mapi (fun i _ -> src_stride i) statics))
-          end
-          else begin
-            (* dynamic offsets: offset = src_offset + Σ o_i * stride_i *)
-            let syms = ref [ src_offset ] in
-            let exprs =
-              List.mapi
-                (fun i s ->
-                  let o_sym =
-                    if s = Memref.dynamic_sentinel then begin
-                      let v = take_dyn () in
-                      syms := !syms @ [ v ];
-                      Affine.Sym (List.length !syms - 1)
-                    end
-                    else Affine.Const s
-                  in
-                  syms := !syms @ [ src_stride i ];
-                  Affine.Mul (o_sym, Affine.Sym (List.length !syms - 1)))
-                statics
-            in
-            let sum =
-              List.fold_left (fun acc e -> Affine.Add (acc, e)) (Affine.Sym 0) exprs
-            in
-            let map =
-              Affine.make_map ~num_dims:0 ~num_syms:(List.length !syms) [ sum ]
-            in
-            `Dynamic (Affine_ops.apply rw map !syms)
-          end
-        in
-        (* build the reinterpret_cast with the computed offset and the
-           subview's sizes and *final* strides (relative stride times source
-           stride, which may require metadata values for dynamic sources) *)
-        let sizes = Memref.static_sizes op in
-        let rel_strides = Memref.static_strides op in
-        let base = Ircore.result ~index:0 meta in
-        (* statically-known source strides, when the source is a fully
-           static identity memref *)
-        let src_static_strides =
-          match src_typ with
-          | Typ.Memref (dims, _, Typ.Identity)
-            when List.for_all (function Typ.Static _ -> true | _ -> false) dims
-            ->
-            let ds = List.map (function Typ.Static n -> n | _ -> 0) dims in
-            let arr = Array.make (List.length ds) 1 in
-            let szs = Array.of_list ds in
-            for i = Array.length arr - 2 downto 0 do
-              arr.(i) <- arr.(i + 1) * szs.(i + 1)
-            done;
-            Array.to_list (Array.map Option.some arr)
-          | _ -> List.map (fun _ -> None) rel_strides
-        in
-        let final_strides =
+let expand_subview rw op =
+  let has_dynamic_sizes =
+    List.exists
+      (fun s -> s = Memref.dynamic_sentinel)
+      (Memref.static_sizes op)
+  in
+  if (not (Memref.subview_is_trivial op)) && not has_dynamic_sizes then begin
+    Rewriter.set_ip rw (Builder.Before op);
+    let src = Ircore.operand ~index:0 op in
+    let rank = List.length (Memref.static_sizes op) in
+    (* source metadata *)
+    let src_typ = Ircore.value_typ src in
+    let base_typ =
+      match src_typ with
+      | Typ.Memref (_, elt, _) -> Typ.Memref ([], elt, Typ.Identity)
+      | t -> t
+    in
+    let meta =
+      Rewriter.build rw ~operands:[ src ]
+        ~result_types:
+          (base_typ :: Typ.index
+           :: (List.init rank (fun _ -> Typ.index)
+              @ List.init rank (fun _ -> Typ.index)))
+        Memref.extract_strided_metadata_op
+    in
+    let src_offset = Ircore.result ~index:1 meta in
+    let src_stride i = Ircore.result ~index:(2 + rank + i) meta in
+    (* gather mixed offsets *)
+    let statics = Memref.static_offsets op in
+    let dynamic_operands =
+      (* operands after the source, first segment = offsets *)
+      match Ircore.attr op "operand_segment_sizes" with
+      | Some (Attr.Int_array [ _; n_off; _; _ ]) ->
+        List.filteri
+          (fun i _ -> i >= 1 && i < 1 + n_off)
+          (Ircore.operands op)
+      | _ -> []
+    in
+    (* offset = src_offset + sum_i off_i * stride_i *)
+    let dyn = ref dynamic_operands in
+    let take_dyn () =
+      match !dyn with
+      | v :: rest ->
+        dyn := rest;
+        v
+      | [] -> failwith "subview: missing dynamic offset operand"
+    in
+    let all_static =
+      List.for_all (fun s -> s <> Memref.dynamic_sentinel) statics
+    in
+    (* [`Static off] keeps the offset in the attribute (no operand, no
+       affine op) — this is why the static-offset variant of the Case
+       Study 2 program lowers cleanly through the naive pipeline. *)
+    let new_offset =
+      if all_static then begin
+        match src_typ with
+        | Typ.Memref (dims, _, Typ.Identity)
+          when List.for_all
+                 (function Typ.Static _ -> true | _ -> false)
+                 dims ->
+          let sizes =
+            Array.of_list
+              (List.map (function Typ.Static n -> n | _ -> 0) dims)
+          in
+          let strides_arr = Array.make (Array.length sizes) 1 in
+          for i = Array.length sizes - 2 downto 0 do
+            strides_arr.(i) <- strides_arr.(i + 1) * sizes.(i + 1)
+          done;
+          let strides = Array.to_list strides_arr in
+          let off =
+            List.fold_left2 (fun acc o s -> acc + (o * s)) 0 statics strides
+          in
+          `Static off
+        | Typ.Memref (_, _, Typ.Identity)
+          when List.for_all (fun s -> s = 0) statics ->
+          (* zero offsets into an identity-layout source: offset 0
+             regardless of (possibly dynamic) strides *)
+          `Static 0
+        | _ ->
+          (* static relative offsets but dynamic base: affine.apply *)
+          let exprs =
+            List.mapi
+              (fun i o ->
+                Affine.Mul (Affine.Sym (i + 1), Affine.Const o))
+              statics
+          in
+          let sum =
+            List.fold_left
+              (fun acc e -> Affine.Add (acc, e))
+              (Affine.Sym 0) exprs
+          in
+          let map =
+            Affine.make_map ~num_dims:0
+              ~num_syms:(1 + List.length statics)
+              [ sum ]
+          in
+          `Dynamic
+            (Affine_ops.apply rw map
+               (src_offset :: List.mapi (fun i _ -> src_stride i) statics))
+      end
+      else begin
+        (* dynamic offsets: offset = src_offset + Σ o_i * stride_i *)
+        let syms = ref [ src_offset ] in
+        let exprs =
           List.mapi
-            (fun i rel ->
-              let src = List.nth src_static_strides i in
-              match (rel, src) with
-              | rel, Some s when rel <> Memref.dynamic_sentinel ->
-                `Static (rel * s)
-              | 1, None -> `Dynamic (src_stride i)
-              | rel, None when rel <> Memref.dynamic_sentinel ->
-                let map =
-                  Affine.make_map ~num_dims:0 ~num_syms:1
-                    [ Affine.Mul (Affine.Sym 0, Affine.Const rel) ]
-                in
-                `Dynamic (Affine_ops.apply rw map [ src_stride i ])
-              | _, _ ->
-                let map =
-                  Affine.make_map ~num_dims:0 ~num_syms:2
-                    [ Affine.Mul (Affine.Sym 0, Affine.Sym 1) ]
-                in
-                `Dynamic
-                  (Affine_ops.apply rw map [ src_stride i; take_dyn () ]))
-            rel_strides
+            (fun i s ->
+              let o_sym =
+                if s = Memref.dynamic_sentinel then begin
+                  let v = take_dyn () in
+                  syms := !syms @ [ v ];
+                  Affine.Sym (List.length !syms - 1)
+                end
+                else Affine.Const s
+              in
+              syms := !syms @ [ src_stride i ];
+              Affine.Mul (o_sym, Affine.Sym (List.length !syms - 1)))
+            statics
         in
-        let offset_operands, offset_attr =
-          match new_offset with
-          | `Static off -> ([], [ off ])
-          | `Dynamic v -> ([ v ], [ Memref.dynamic_sentinel ])
+        let sum =
+          List.fold_left (fun acc e -> Affine.Add (acc, e)) (Affine.Sym 0) exprs
         in
-        let stride_operands =
-          List.filter_map
-            (function `Dynamic v -> Some v | `Static _ -> None)
-            final_strides
+        let map =
+          Affine.make_map ~num_dims:0 ~num_syms:(List.length !syms) [ sum ]
         in
-        let stride_attr =
-          List.map
-            (function `Static s -> s | `Dynamic _ -> Memref.dynamic_sentinel)
-            final_strides
-        in
-        let new_op =
-          Rewriter.build rw
-            ~operands:((base :: offset_operands) @ stride_operands)
-            ~result_types:[ Ircore.value_typ (Ircore.result op) ]
-            ~attrs:
-              [
-                ("static_offsets", Attr.Int_array offset_attr);
-                ("static_sizes", Attr.Int_array sizes);
-                ("static_strides", Attr.Int_array stride_attr);
-              ]
-            Memref.reinterpret_cast_op
-        in
-        Rewriter.replace_op rw op ~with_:[ Ircore.result new_op ]
-      end);
-  Ok ()
+        `Dynamic (Affine_ops.apply rw map !syms)
+      end
+    in
+    (* build the reinterpret_cast with the computed offset and the
+       subview's sizes and *final* strides (relative stride times source
+       stride, which may require metadata values for dynamic sources) *)
+    let sizes = Memref.static_sizes op in
+    let rel_strides = Memref.static_strides op in
+    let base = Ircore.result ~index:0 meta in
+    (* statically-known source strides, when the source is a fully
+       static identity memref *)
+    let src_static_strides =
+      match src_typ with
+      | Typ.Memref (dims, _, Typ.Identity)
+        when List.for_all (function Typ.Static _ -> true | _ -> false) dims
+        ->
+        let ds = List.map (function Typ.Static n -> n | _ -> 0) dims in
+        let arr = Array.make (List.length ds) 1 in
+        let szs = Array.of_list ds in
+        for i = Array.length arr - 2 downto 0 do
+          arr.(i) <- arr.(i + 1) * szs.(i + 1)
+        done;
+        Array.to_list (Array.map Option.some arr)
+      | _ -> List.map (fun _ -> None) rel_strides
+    in
+    let final_strides =
+      List.mapi
+        (fun i rel ->
+          let src = List.nth src_static_strides i in
+          match (rel, src) with
+          | rel, Some s when rel <> Memref.dynamic_sentinel ->
+            `Static (rel * s)
+          | 1, None -> `Dynamic (src_stride i)
+          | rel, None when rel <> Memref.dynamic_sentinel ->
+            let map =
+              Affine.make_map ~num_dims:0 ~num_syms:1
+                [ Affine.Mul (Affine.Sym 0, Affine.Const rel) ]
+            in
+            `Dynamic (Affine_ops.apply rw map [ src_stride i ])
+          | _, _ ->
+            let map =
+              Affine.make_map ~num_dims:0 ~num_syms:2
+                [ Affine.Mul (Affine.Sym 0, Affine.Sym 1) ]
+            in
+            `Dynamic
+              (Affine_ops.apply rw map [ src_stride i; take_dyn () ]))
+        rel_strides
+    in
+    let offset_operands, offset_attr =
+      match new_offset with
+      | `Static off -> ([], [ off ])
+      | `Dynamic v -> ([ v ], [ Memref.dynamic_sentinel ])
+    in
+    let stride_operands =
+      List.filter_map
+        (function `Dynamic v -> Some v | `Static _ -> None)
+        final_strides
+    in
+    let stride_attr =
+      List.map
+        (function `Static s -> s | `Dynamic _ -> Memref.dynamic_sentinel)
+        final_strides
+    in
+    let new_op =
+      Rewriter.build rw
+        ~operands:((base :: offset_operands) @ stride_operands)
+        ~result_types:[ Ircore.value_typ (Ircore.result op) ]
+        ~attrs:
+          [
+            ("static_offsets", Attr.Int_array offset_attr);
+            ("static_sizes", Attr.Int_array sizes);
+            ("static_strides", Attr.Int_array stride_attr);
+          ]
+        Memref.reinterpret_cast_op
+    in
+    Rewriter.replace_op rw op ~with_:[ Ircore.result new_op ]
+  end
 
 (* ------------------------------------------------------------------ *)
 (* ⑥ finalize-memref-to-llvm                                           *)
 (* ------------------------------------------------------------------ *)
 
-let run_finalize_memref_to_llvm _ctx top =
-  let rw = Rewriter.create () in
-  let ptr = Typ.llvm_ptr in
-  Pass.for_each top
-    ~p:(fun op -> Ircore.op_dialect op = "memref")
-    (fun op ->
-      match op.Ircore.op_name with
-      | "memref.alloc" | "memref.alloca" ->
-        (* llvm.alloca takes an explicit element count: the product of the
-           static extents times any dynamic-extent operands. The element
-           width rides along as an attribute so downstream consumers (the
-           interpreter, the cache model) know the allocation size. *)
-        Rewriter.set_ip rw (Builder.Before op);
-        let res = Ircore.result op in
-        let static_count, elt =
-          match Ircore.value_typ res with
-          | Typ.Memref (dims, elt, _) ->
-            ( List.fold_left
-                (fun acc d ->
-                  match d with Typ.Static n -> acc * n | Typ.Dynamic -> acc)
-                1 dims,
-              elt )
-          | _ -> (1, Typ.i64)
-        in
-        let size =
-          Rewriter.build1 rw ~result_types:[ Typ.i64 ]
-            ~attrs:[ ("value", Attr.Int (static_count, Typ.i64)) ]
-            Llvm.constant_op
-        in
-        let size =
-          List.fold_left
-            (fun acc v ->
-              Rewriter.build1 rw
-                ~operands:[ acc; adapt rw v Typ.i64 ]
-                ~result_types:[ Typ.i64 ] "llvm.mul")
-            size (Ircore.operands op)
-        in
-        let elem_bytes =
-          match elt with
-          | Typ.Float Typ.F64 | Typ.Index -> 8
-          | Typ.Float _ -> 4
-          | Typ.Integer n -> max 1 (n / 8)
-          | _ -> 8
-        in
-        let a =
-          Rewriter.build1 rw ~operands:[ size ]
-            ~attrs:[ ("elem_bytes", Attr.Int (elem_bytes, Typ.i64)) ]
-            ~result_types:[ ptr ] Llvm.alloca_op
-        in
-        let back = adapt rw a (Ircore.value_typ res) in
-        Rewriter.replace_op rw op ~with_:[ back ]
-      | "memref.dealloc" ->
-        Rewriter.set_ip rw (Builder.Before op);
-        let m = adapt rw (Ircore.operand ~index:0 op) ptr in
-        ignore
-          (Rewriter.build rw ~operands:[ m ]
-             ~attrs:[ ("callee", Attr.Symbol_ref ("free", [])) ]
-             Llvm.call_op);
-        Rewriter.erase_op rw op
-      | "memref.load" ->
-        let tys =
-          ptr :: List.map (fun _ -> Typ.i64) (List.tl (Ircore.operands op))
-        in
-        Rewriter.set_ip rw (Builder.Before op);
-        let operands =
-          List.map2 (fun v t -> adapt rw v t) (Ircore.operands op) tys
-        in
-        let gep =
-          Rewriter.build1 rw ~operands ~result_types:[ ptr ]
-            Llvm.getelementptr_op
-        in
-        let loaded =
-          Rewriter.build1 rw ~operands:[ gep ]
-            ~result_types:[ llvm_typ (Ircore.value_typ (Ircore.result op)) ]
-            Llvm.load_op
-        in
-        let back = adapt rw loaded (Ircore.value_typ (Ircore.result op)) in
-        Rewriter.replace_op rw op ~with_:[ back ]
-      | "memref.store" ->
-        Rewriter.set_ip rw (Builder.Before op);
-        let v = Ircore.operand ~index:0 op in
-        let m = adapt rw (Ircore.operand ~index:1 op) ptr in
-        let idx =
-          List.map
-            (fun x -> adapt rw x Typ.i64)
-            (List.filteri (fun i _ -> i >= 2) (Ircore.operands op))
-        in
-        let gep =
-          Rewriter.build1 rw ~operands:(m :: idx) ~result_types:[ ptr ]
-            Llvm.getelementptr_op
-        in
-        let v' = adapt rw v (llvm_typ (Ircore.value_typ v)) in
-        ignore (Rewriter.build rw ~operands:[ v'; gep ] Llvm.store_op);
-        Rewriter.erase_op rw op
-      | "memref.reinterpret_cast" | "memref.cast" ->
-        Rewriter.set_ip rw (Builder.Before op);
-        let m = adapt rw (Ircore.operand ~index:0 op) ptr in
-        (* address computation: dynamic offsets come from the operands,
-           static non-zero offsets materialize as constants *)
-        let extra =
-          List.map
-            (fun v -> adapt rw v Typ.i64)
-            (List.tl (Ircore.operands op))
-        in
-        let extra =
-          match Ircore.attr op "static_offsets" with
-          | Some (Attr.Int_array [ off ])
-            when off <> 0 && off <> Memref.dynamic_sentinel ->
-            Rewriter.build1 rw ~result_types:[ Typ.i64 ]
-              ~attrs:[ ("value", Attr.Int (off, Typ.i64)) ]
-              Llvm.constant_op
-            :: extra
-          | _ -> extra
-        in
-        let g =
-          if extra = [] then m
-          else
-            Rewriter.build1 rw ~operands:(m :: extra) ~result_types:[ ptr ]
-              Llvm.getelementptr_op
-        in
-        let back = adapt rw g (Ircore.value_typ (Ircore.result op)) in
-        Rewriter.replace_op rw op ~with_:[ back ]
-      | "memref.extract_strided_metadata" ->
-        (* only lowerable when consumers are gone; turn results into
-           ptrtoint/constants *)
-        Rewriter.set_ip rw (Builder.Before op);
-        let m = adapt rw (Ircore.operand ~index:0 op) ptr in
-        let replacements =
-          List.mapi
-            (fun i r ->
-              if i = 0 then adapt rw m (Ircore.value_typ r)
-              else begin
-                let v =
-                  Rewriter.build1 rw ~operands:[ m ] ~result_types:[ Typ.i64 ]
-                    Llvm.ptrtoint_op
-                in
-                adapt rw v (Ircore.value_typ r)
-              end)
-            (Ircore.results op)
-        in
-        Rewriter.replace_op rw op ~with_:replacements
-      | "memref.extract_aligned_pointer_as_index" ->
-        Rewriter.set_ip rw (Builder.Before op);
-        let m = adapt rw (Ircore.operand ~index:0 op) ptr in
-        let v =
-          Rewriter.build1 rw ~operands:[ m ] ~result_types:[ Typ.i64 ]
-            Llvm.ptrtoint_op
-        in
-        let back = adapt rw v (Ircore.value_typ (Ircore.result op)) in
-        Rewriter.replace_op rw op ~with_:[ back ]
-      | "memref.dim" ->
-        Rewriter.set_ip rw (Builder.Before op);
-        let m = adapt rw (Ircore.operand ~index:0 op) ptr in
-        let v =
-          Rewriter.build1 rw ~operands:[ m ] ~result_types:[ Typ.i64 ]
-            Llvm.ptrtoint_op
-        in
-        let back = adapt rw v (Ircore.value_typ (Ircore.result op)) in
-        Rewriter.replace_op rw op ~with_:[ back ]
-      | "memref.subview" when Memref.subview_is_trivial op ->
-        Rewriter.set_ip rw (Builder.Before op);
-        let m = adapt rw (Ircore.operand ~index:0 op) ptr in
-        let back = adapt rw m (Ircore.value_typ (Ircore.result op)) in
-        Rewriter.replace_op rw op ~with_:[ back ]
-      | _ -> ());
-  Ok ()
+let ptr = Typ.llvm_ptr
+
+(* llvm.alloca takes an explicit element count: the product of the static
+   extents times any dynamic-extent operands. The element width rides along
+   as an attribute so downstream consumers (the interpreter, the cache
+   model) know the allocation size. *)
+let alloc_to_llvm rw op =
+  Rewriter.set_ip rw (Builder.Before op);
+  let res = Ircore.result op in
+  let static_count, elt =
+    match Ircore.value_typ res with
+    | Typ.Memref (dims, elt, _) ->
+      ( List.fold_left
+          (fun acc d ->
+            match d with Typ.Static n -> acc * n | Typ.Dynamic -> acc)
+          1 dims,
+        elt )
+    | _ -> (1, Typ.i64)
+  in
+  let size =
+    Rewriter.build1 rw ~result_types:[ Typ.i64 ]
+      ~attrs:[ ("value", Attr.Int (static_count, Typ.i64)) ]
+      Llvm.constant_op
+  in
+  let size =
+    List.fold_left
+      (fun acc v ->
+        Rewriter.build1 rw
+          ~operands:[ acc; adapt rw v Typ.i64 ]
+          ~result_types:[ Typ.i64 ] "llvm.mul")
+      size (Ircore.operands op)
+  in
+  let elem_bytes =
+    match elt with
+    | Typ.Float Typ.F64 | Typ.Index -> 8
+    | Typ.Float _ -> 4
+    | Typ.Integer n -> max 1 (n / 8)
+    | _ -> 8
+  in
+  let a =
+    Rewriter.build1 rw ~operands:[ size ]
+      ~attrs:[ ("elem_bytes", Attr.Int (elem_bytes, Typ.i64)) ]
+      ~result_types:[ ptr ] Llvm.alloca_op
+  in
+  let back = adapt rw a (Ircore.value_typ res) in
+  Rewriter.replace_op rw op ~with_:[ back ]
+
+let dealloc_to_llvm rw op =
+  Rewriter.set_ip rw (Builder.Before op);
+  let m = adapt rw (Ircore.operand ~index:0 op) ptr in
+  ignore
+    (Rewriter.build rw ~operands:[ m ]
+       ~attrs:[ ("callee", Attr.Symbol_ref ("free", [])) ]
+       Llvm.call_op);
+  Rewriter.erase_op rw op
+
+let load_to_llvm rw op =
+  let tys =
+    ptr :: List.map (fun _ -> Typ.i64) (List.tl (Ircore.operands op))
+  in
+  Rewriter.set_ip rw (Builder.Before op);
+  let operands =
+    List.map2 (fun v t -> adapt rw v t) (Ircore.operands op) tys
+  in
+  let gep =
+    Rewriter.build1 rw ~operands ~result_types:[ ptr ] Llvm.getelementptr_op
+  in
+  let loaded =
+    Rewriter.build1 rw ~operands:[ gep ]
+      ~result_types:[ llvm_typ (Ircore.value_typ (Ircore.result op)) ]
+      Llvm.load_op
+  in
+  let back = adapt rw loaded (Ircore.value_typ (Ircore.result op)) in
+  Rewriter.replace_op rw op ~with_:[ back ]
+
+let store_to_llvm rw op =
+  Rewriter.set_ip rw (Builder.Before op);
+  let v = Ircore.operand ~index:0 op in
+  let m = adapt rw (Ircore.operand ~index:1 op) ptr in
+  let idx =
+    List.map
+      (fun x -> adapt rw x Typ.i64)
+      (List.filteri (fun i _ -> i >= 2) (Ircore.operands op))
+  in
+  let gep =
+    Rewriter.build1 rw ~operands:(m :: idx) ~result_types:[ ptr ]
+      Llvm.getelementptr_op
+  in
+  let v' = adapt rw v (llvm_typ (Ircore.value_typ v)) in
+  ignore (Rewriter.build rw ~operands:[ v'; gep ] Llvm.store_op);
+  Rewriter.erase_op rw op
+
+(* reinterpret_cast / cast: address computation, where dynamic offsets come
+   from the operands and static non-zero offsets materialize as constants *)
+let view_to_llvm rw op =
+  Rewriter.set_ip rw (Builder.Before op);
+  let m = adapt rw (Ircore.operand ~index:0 op) ptr in
+  let extra =
+    List.map (fun v -> adapt rw v Typ.i64) (List.tl (Ircore.operands op))
+  in
+  let extra =
+    match Ircore.attr op "static_offsets" with
+    | Some (Attr.Int_array [ off ])
+      when off <> 0 && off <> Memref.dynamic_sentinel ->
+      Rewriter.build1 rw ~result_types:[ Typ.i64 ]
+        ~attrs:[ ("value", Attr.Int (off, Typ.i64)) ]
+        Llvm.constant_op
+      :: extra
+    | _ -> extra
+  in
+  let g =
+    if extra = [] then m
+    else
+      Rewriter.build1 rw ~operands:(m :: extra) ~result_types:[ ptr ]
+        Llvm.getelementptr_op
+  in
+  let back = adapt rw g (Ircore.value_typ (Ircore.result op)) in
+  Rewriter.replace_op rw op ~with_:[ back ]
+
+(* only lowerable when consumers are gone; turn results into
+   ptrtoint/constants *)
+let metadata_to_llvm rw op =
+  Rewriter.set_ip rw (Builder.Before op);
+  let m = adapt rw (Ircore.operand ~index:0 op) ptr in
+  let replacements =
+    List.mapi
+      (fun i r ->
+        if i = 0 then adapt rw m (Ircore.value_typ r)
+        else begin
+          let v =
+            Rewriter.build1 rw ~operands:[ m ] ~result_types:[ Typ.i64 ]
+              Llvm.ptrtoint_op
+          in
+          adapt rw v (Ircore.value_typ r)
+        end)
+      (Ircore.results op)
+  in
+  Rewriter.replace_op rw op ~with_:replacements
+
+(* extract_aligned_pointer_as_index / dim: the pointer as an integer *)
+let ptrtoint_to_llvm rw op =
+  Rewriter.set_ip rw (Builder.Before op);
+  let m = adapt rw (Ircore.operand ~index:0 op) ptr in
+  let v =
+    Rewriter.build1 rw ~operands:[ m ] ~result_types:[ Typ.i64 ]
+      Llvm.ptrtoint_op
+  in
+  let back = adapt rw v (Ircore.value_typ (Ircore.result op)) in
+  Rewriter.replace_op rw op ~with_:[ back ]
+
+(* only trivial subviews lower; the rest are expand-strided-metadata's *)
+let subview_to_llvm rw op =
+  if Memref.subview_is_trivial op then begin
+    Rewriter.set_ip rw (Builder.Before op);
+    let m = adapt rw (Ircore.operand ~index:0 op) ptr in
+    let back = adapt rw m (Ircore.value_typ (Ircore.result op)) in
+    Rewriter.replace_op rw op ~with_:[ back ]
+  end
+
+let memref_lowering : Pass.table =
+  [
+    ("memref.alloc", alloc_to_llvm); ("memref.alloca", alloc_to_llvm);
+    ("memref.dealloc", dealloc_to_llvm); ("memref.load", load_to_llvm);
+    ("memref.store", store_to_llvm);
+    ("memref.reinterpret_cast", view_to_llvm); ("memref.cast", view_to_llvm);
+    ("memref.extract_strided_metadata", metadata_to_llvm);
+    ("memref.extract_aligned_pointer_as_index", ptrtoint_to_llvm);
+    ("memref.dim", ptrtoint_to_llvm); (Memref.subview_op, subview_to_llvm);
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* ⑦ reconcile-unrealized-casts                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* cancel one cast: identity casts and A -> B -> A round trips fold to
+   their source, unused casts go *)
+let reconcile_cast changed rw op =
+  let operand = Ircore.operand ~index:0 op in
+  let result = Ircore.result op in
+  if Typ.equal (Ircore.value_typ operand) (Ircore.value_typ result) then begin
+    Stats.incr stat_casts_reconciled;
+    Rewriter.replace_op rw op ~with_:[ operand ];
+    changed := true
+  end
+  else if not (Ircore.has_uses result) then begin
+    Stats.incr stat_casts_reconciled;
+    Rewriter.erase_op rw op;
+    changed := true
+  end
+  else
+    match Ircore.defining_op operand with
+    | Some def
+      when def.Ircore.op_name = Builtin.cast_op
+           && Typ.equal
+                (Ircore.value_typ (Ircore.operand ~index:0 def))
+                (Ircore.value_typ result) ->
+      (* cast(cast(x : A -> B) : B -> A) => x *)
+      Stats.incr stat_casts_reconciled;
+      Rewriter.replace_op rw op ~with_:[ Ircore.operand ~index:0 def ];
+      changed := true
+    | _ -> ()
+
 let run_reconcile_unrealized_casts _ctx top =
-  let rw = Rewriter.create () in
-  let changed = ref true in
-  while !changed do
+  let changed = ref false in
+  let table = [ (Builtin.cast_op, reconcile_cast changed) ] in
+  (* sweep to a fixpoint: a cancelled pair can leave its inner cast dead *)
+  let rec sweep () =
     changed := false;
-    Pass.for_each_op ~op_name:Builtin.cast_op top (fun op ->
-        if Ircore.op_parent op <> None then begin
-          let operand = Ircore.operand ~index:0 op in
-          let result = Ircore.result op in
-          if Typ.equal (Ircore.value_typ operand) (Ircore.value_typ result)
-          then begin
-            Stats.incr stat_casts_reconciled;
-            Rewriter.replace_op rw op ~with_:[ operand ];
-            changed := true
-          end
-          else if not (Ircore.has_uses result) then begin
-            Stats.incr stat_casts_reconciled;
-            Rewriter.erase_op rw op;
-            changed := true
-          end
-          else
-            match Ircore.defining_op operand with
-            | Some def
-              when def.Ircore.op_name = Builtin.cast_op
-                   && Typ.equal
-                        (Ircore.value_typ (Ircore.operand ~index:0 def))
-                        (Ircore.value_typ result) ->
-              (* cast(cast(x : A -> B) : B -> A) => x *)
-              Stats.incr stat_casts_reconciled;
-              Rewriter.replace_op rw op
-                ~with_:[ Ircore.operand ~index:0 def ];
-              changed := true
-            | _ -> ()
-        end)
-  done;
+    let* () = Pass.convert ~pass:"reconcile-unrealized-casts" table top in
+    if !changed then sweep () else Ok ()
+  in
+  let* () = sweep () in
   let remaining = Symbol.collect_ops ~op_name:Builtin.cast_op top in
   match remaining with
   | [] -> Ok ()
@@ -947,41 +902,39 @@ let rec emit_affine_expr rw ~dims ~syms (e : Affine.expr) =
     let one = Dutil.const_int rw 1 in
     Arith.divsi rw (Arith.subi rw (Arith.addi rw av bv) one) bv
 
-let run_lower_affine _ctx top =
-  let rw = Rewriter.create () in
-  Pass.for_each top
-    ~p:(fun op -> Ircore.op_dialect op = "affine")
-    (fun op ->
-      match Affine_ops.map_of op with
-      | None -> ()
-      | Some map ->
-        Rewriter.set_ip rw (Builder.Before op);
-        let operands = Ircore.operands op in
-        let dims = List.filteri (fun i _ -> i < map.Affine.num_dims) operands in
-        let syms = List.filteri (fun i _ -> i >= map.Affine.num_dims) operands in
-        let values =
-          List.map (emit_affine_expr rw ~dims ~syms) map.Affine.exprs
-        in
-        let combined =
-          match (op.Ircore.op_name, values) with
-          | _, [ v ] -> v
-          | "affine.min", v :: rest ->
-            List.fold_left
-              (fun acc x ->
-                Rewriter.build1 rw ~operands:[ acc; x ]
-                  ~result_types:[ Typ.index ] "arith.minsi")
-              v rest
-          | "affine.max", v :: rest ->
-            List.fold_left
-              (fun acc x ->
-                Rewriter.build1 rw ~operands:[ acc; x ]
-                  ~result_types:[ Typ.index ] "arith.maxsi")
-              v rest
-          | _, v :: _ -> v
-          | _, [] -> failwith "affine op with empty map"
-        in
-        Rewriter.replace_op rw op ~with_:[ combined ]);
-  Ok ()
+let affine_to_arith rw op =
+  match Affine_ops.map_of op with
+  | None -> ()
+  | Some map ->
+    Rewriter.set_ip rw (Builder.Before op);
+    let operands = Ircore.operands op in
+    let dims = List.filteri (fun i _ -> i < map.Affine.num_dims) operands in
+    let syms = List.filteri (fun i _ -> i >= map.Affine.num_dims) operands in
+    let values = List.map (emit_affine_expr rw ~dims ~syms) map.Affine.exprs in
+    let combined =
+      match (op.Ircore.op_name, values) with
+      | _, [ v ] -> v
+      | "affine.min", v :: rest ->
+        List.fold_left
+          (fun acc x ->
+            Rewriter.build1 rw ~operands:[ acc; x ]
+              ~result_types:[ Typ.index ] "arith.minsi")
+          v rest
+      | "affine.max", v :: rest ->
+        List.fold_left
+          (fun acc x ->
+            Rewriter.build1 rw ~operands:[ acc; x ]
+              ~result_types:[ Typ.index ] "arith.maxsi")
+          v rest
+      | _, v :: _ -> v
+      | _, [] -> failwith "affine op with empty map"
+    in
+    Rewriter.replace_op rw op ~with_:[ combined ]
+
+let affine_lowering : Pass.table =
+  List.map
+    (fun name -> (name, affine_to_arith))
+    [ Affine_ops.apply_op; Affine_ops.min_op; Affine_ops.max_op ]
 
 (* ------------------------------------------------------------------ *)
 (* Registration with pre-/post-conditions (Table 2)                    *)
@@ -1003,7 +956,7 @@ let register () =
          ]
        run_scf_to_cf);
   Pass.register
-    (Pass.make ~name:"convert-arith-to-llvm"
+    (Pass.conversion ~name:"convert-arith-to-llvm"
        ~summary:"lower arith ops to the LLVM dialect" ~pre:[ d "arith" ]
        ~post:
          [
@@ -1016,23 +969,23 @@ let register () =
            o "llvm.fptosi"; o "llvm.fpext"; o "llvm.fptrunc";
            o "llvm.bitcast"; o "llvm.mlir.constant"; cast_elem;
          ]
-       run_arith_to_llvm);
+       arith_lowering);
   Pass.register
-    (Pass.make ~name:"convert-cf-to-llvm"
+    (Pass.conversion ~name:"convert-cf-to-llvm"
        ~summary:"lower cf branches to LLVM branches" ~pre:[ d "cf" ]
        ~post:
          [ o "llvm.br"; o "llvm.cond_br"; o "llvm.switch"; cast_elem ]
-       run_cf_to_llvm);
+       cf_lowering);
   Pass.register
-    (Pass.make ~name:"convert-func-to-llvm"
+    (Pass.conversion ~name:"convert-func-to-llvm"
        ~summary:"lower functions to LLVM functions" ~pre:[ d "func" ]
        ~post:
          [
            o "llvm.func"; o "llvm.return"; o "llvm.call"; cast_elem;
          ]
-       run_func_to_llvm);
+       func_lowering);
   Pass.register
-    (Pass.make ~name:"expand-strided-metadata"
+    (Pass.conversion ~name:"expand-strided-metadata"
        ~summary:"externalize non-trivial addressing from memrefs"
        (* the paper's Figure 4 declares the coarse {memref.*}; we declare the
           precise consumed set so the *dynamic* condition checker (Section
@@ -1046,9 +999,9 @@ let register () =
            o "memref.reinterpret_cast"; o "affine.apply"; o "affine.min";
            o "arith.constant";
          ]
-       run_expand_strided_metadata);
+       [ (Memref.subview_op, expand_subview) ]);
   Pass.register
-    (Pass.make ~name:"finalize-memref-to-llvm"
+    (Pass.conversion ~name:"finalize-memref-to-llvm"
        ~summary:"lower trivially-indexed memrefs to LLVM pointers"
        ~pre:
          [
@@ -1065,14 +1018,14 @@ let register () =
            o "llvm.getelementptr"; o "llvm.ptrtoint"; o "llvm.mlir.constant";
            o "llvm.mul"; cast_elem;
          ]
-       run_finalize_memref_to_llvm);
+       memref_lowering);
   Pass.register
     (Pass.make ~name:"reconcile-unrealized-casts"
        ~summary:"cancel temporary conversion casts" ~pre:[ cast_elem ]
        ~post:[]
        run_reconcile_unrealized_casts);
   Pass.register
-    (Pass.make ~name:"lower-affine"
+    (Pass.conversion ~name:"lower-affine"
        ~summary:"lower affine ops to arith"
        ~pre:[ d "affine" ]
        ~post:
@@ -1080,4 +1033,4 @@ let register () =
            o "arith.addi"; o "arith.muli"; o "arith.remsi"; o "arith.divsi";
            o "arith.minsi"; o "arith.maxsi"; o "arith.subi"; o "arith.constant";
          ]
-       run_lower_affine)
+       affine_lowering)

@@ -105,29 +105,37 @@ let lower_copy rw op =
     | None -> Error "linalg.copy: expected static memref output")
   | _ -> Error "linalg.copy: expected one input and one output"
 
+(* the conversion table; a declined lowering's error goes to
+   [first_error] unless an earlier op (in walk order) already failed *)
+let table first_error : Pass.table =
+  List.map
+    (fun (name, lower) ->
+      ( name,
+        fun rw op ->
+          match lower rw op with
+          | Ok () -> ()
+          | Error e -> if !first_error = None then first_error := Some e ))
+    [
+      (Linalg.matmul_op, lower_matmul);
+      (Linalg.fill_op, lower_fill);
+      (Linalg.copy_op, lower_copy);
+    ]
+
+(* the first lowering error fails the pass, after every lowerable op has
+   been converted *)
 let run _ctx top =
-  let rw = Rewriter.create () in
   let first_error = ref None in
-  let record r = match r with Ok () -> () | Error e ->
-    if !first_error = None then first_error := Some e
+  let ( let* ) = Result.bind in
+  let* () =
+    Pass.convert ~pass:"convert-linalg-to-loops" (table first_error) top
   in
-  Pass.for_each_op ~op_name:Linalg.matmul_op top (fun op ->
-      record (lower_matmul rw op));
-  Pass.for_each_op ~op_name:Linalg.fill_op top (fun op ->
-      record (lower_fill rw op));
-  Pass.for_each_op ~op_name:Linalg.copy_op top (fun op ->
-      record (lower_copy rw op));
   match !first_error with None -> Ok () | Some e -> Diag.fail "%s" e
 
 let register () =
   Pass.register
     (Pass.make ~name:"convert-linalg-to-loops"
        ~summary:"lower linalg named ops on memrefs to scf loops"
-       ~pre:
-         [
-           Opset.exact Linalg.matmul_op; Opset.exact Linalg.fill_op;
-           Opset.exact Linalg.copy_op;
-         ]
+       ~pre:(Pass.table_pre (table (ref None)))
        ~post:
          [
            Opset.exact "scf.for"; Opset.exact "scf.yield";

@@ -11,7 +11,12 @@
     deltas, and a crash reproducer. Failures are structured {!Ir.Diag.t}
     diagnostics rather than strings or exceptions. Time is measured only by
     the {!Ir.Profiler} span around each pipeline, pass and verification;
-    {!Ir.Profiler.timing} renders those spans as a tree. *)
+    {!Ir.Profiler.timing} renders those spans as a tree.
+
+    Lowering passes declare a conversion {!table} (op name → rewrite) and
+    run on the one conversion driver, {!convert}: a single snapshot walk,
+    each rewrite a [conversion] action, counted and remarked in one
+    place. *)
 
 open Ir
 
@@ -547,13 +552,74 @@ let parse_pipeline str =
          (String.concat ", " (List.map fst bad)))
 
 (* ------------------------------------------------------------------ *)
-(* Helpers for writing conversion passes                               *)
+(* The conversion driver                                               *)
 (* ------------------------------------------------------------------ *)
 
-(** Apply [rewrite] to every op named [op_name] in the subtree (snapshot
-    first, so rewrites may erase the ops). *)
-let for_each_op ~op_name root f =
-  List.iter f (Symbol.collect_ops ~op_name root)
+(** A lowering's conversion table: each op name it handles, with the
+    rewrite that replaces or erases one such op (or declines by leaving it
+    in place). *)
+type table = (string * (Rewriter.t -> Ircore.op -> unit)) list
 
-(** Apply [f] to every op satisfying [p]. *)
-let for_each ~p root f = List.iter f (Symbol.collect ~f:p root)
+(** The exact op kinds [table] consumes, in table order: the [~pre] of a
+    pass that converts precisely its table's keys. *)
+let table_pre (table : table) =
+  List.map (fun (name, _) -> Opset.exact name) table
+
+(* global statistics (Ir.Stats): every conversion step that removed its op
+   counts it, so `--stats` reports the conversion volume of a lowering *)
+let stat_ops_converted = Stats.counter ~component:"conversions" "ops_converted"
+
+(** One conversion step: [rewrite rw op] as a [conversion] action. When
+    the rewrite removed [op] it is counted in [conversions/ops_converted]
+    and reported by a "converted" remark of [pass]. Returns whether [op]
+    was converted ([false] when the rewrite declined or a handler vetoed
+    the action). *)
+let convert_op ~pass rw rewrite (op : Ircore.op) =
+  Action.run ~tag:"conversion" ~desc:op.Ircore.op_name ~loc:op.Ircore.op_loc
+    ~root:op ~skipped:false (fun () ->
+      rewrite rw op;
+      let converted = Ircore.op_parent op = None in
+      if converted then begin
+        Stats.incr stat_ops_converted;
+        if Action.enabled () then
+          Action.remark
+            (Remark.passed ~pass ~loc:op.Ircore.op_loc "converted %s"
+               op.Ircore.op_name)
+      end;
+      converted)
+
+(** The conversion driver: one pre-order walk of [top]'s subtree (the root
+    excluded) snapshots every op whose name is a key of [table]; then each
+    snapshotted op that is still attached (an earlier rewrite may have
+    erased it) goes through {!convert_op}, in walk order. The ambient
+    {!Ir.Budget} deadline is polled per op; an exhausted budget stops the
+    conversion with an error, so a half-converted subtree is never
+    reported as lowered. *)
+let convert ~pass (table : table) top =
+  let rewrites = Hashtbl.create (List.length table) in
+  List.iter (fun (name, f) -> Hashtbl.replace rewrites name f) table;
+  let matched = ref [] in
+  Ircore.walk_op top ~pre:(fun op ->
+      if not (op == top) then
+        match Hashtbl.find_opt rewrites op.Ircore.op_name with
+        | Some f -> matched := (op, f) :: !matched
+        | None -> ());
+  let rw = Rewriter.create () in
+  let rec go = function
+    | [] -> Ok ()
+    | (op, f) :: rest -> (
+      match Budget.poll () with
+      | Some reason -> Diag.fail "%s stopped early: %s" pass reason
+      | None ->
+        if Ircore.op_parent op <> None then ignore (convert_op ~pass rw f op);
+        go rest)
+  in
+  go (List.rev !matched)
+
+(** A pass that runs {!convert} with [table]; [pre] defaults to the table's
+    keys, so an exact consumed set is written once. *)
+let conversion ?summary ?pre ?post ?function_parallel ~name table =
+  make ?summary
+    ~pre:(Option.value pre ~default:(table_pre table))
+    ?post ?function_parallel ~name
+    (fun _ctx top -> convert ~pass:name table top)

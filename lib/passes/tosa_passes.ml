@@ -5,34 +5,33 @@
 open Ir
 open Dialects
 
-let tensor_or t = t
-
 (* ------------------------------------------------------------------ *)
 (* tosa-optional-decompositions                                        *)
 (* ------------------------------------------------------------------ *)
 
 (** Decompose composite TOSA ops: fully_connected -> matmul + add;
     depthwise_conv2d stays (handled by named lowering). *)
-let run_decompositions _ctx top =
-  let rw = Rewriter.create () in
-  Pass.for_each_op ~op_name:"tosa.fully_connected" top (fun op ->
-      Rewriter.set_ip rw (Builder.Before op);
-      match Ircore.operands op with
-      | [ input; weights; bias ] ->
-        let out_t = Ircore.value_typ (Ircore.result op) in
-        let mm =
-          Tosa.binary rw "tosa.matmul" input weights ~result_typ:out_t
-        in
-        let add = Tosa.binary rw "tosa.add" mm bias ~result_typ:out_t in
-        Rewriter.replace_op rw op ~with_:[ add ]
-      | [ input; weights ] ->
-        let out_t = Ircore.value_typ (Ircore.result op) in
-        let mm =
-          Tosa.binary rw "tosa.matmul" input weights ~result_typ:out_t
-        in
-        Rewriter.replace_op rw op ~with_:[ mm ]
-      | _ -> ());
-  Ok ()
+let decompositions : Pass.table =
+  [
+    ( "tosa.fully_connected",
+      fun rw op ->
+        Rewriter.set_ip rw (Builder.Before op);
+        match Ircore.operands op with
+        | [ input; weights; bias ] ->
+          let out_t = Ircore.value_typ (Ircore.result op) in
+          let mm =
+            Tosa.binary rw "tosa.matmul" input weights ~result_typ:out_t
+          in
+          let add = Tosa.binary rw "tosa.add" mm bias ~result_typ:out_t in
+          Rewriter.replace_op rw op ~with_:[ add ]
+        | [ input; weights ] ->
+          let out_t = Ircore.value_typ (Ircore.result op) in
+          let mm =
+            Tosa.binary rw "tosa.matmul" input weights ~result_typ:out_t
+          in
+          Rewriter.replace_op rw op ~with_:[ mm ]
+        | _ -> () );
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* tosa-infer-shapes                                                   *)
@@ -49,7 +48,7 @@ let run_infer_shapes _ctx top =
           match Ircore.operands op with
           | v :: _ -> (
             match Ircore.value_typ v with
-            | Typ.Ranked_tensor _ as t -> r.Ircore.v_typ <- tensor_or t
+            | Typ.Ranked_tensor _ as t -> r.Ircore.v_typ <- t
             | _ -> ())
           | [] -> ())
         | _ -> ());
@@ -59,179 +58,148 @@ let run_infer_shapes _ctx top =
 (* tosa-to-linalg-named                                                *)
 (* ------------------------------------------------------------------ *)
 
-let named_lowering =
-  [
-    ("tosa.matmul", Linalg.batch_matmul_op);
-    ("tosa.conv2d", Linalg.conv_2d_op);
-    ("tosa.depthwise_conv2d", Linalg.conv_2d_op);
-    ("tosa.max_pool2d", Linalg.pooling_op);
-    ("tosa.avg_pool2d", Linalg.pooling_op);
-    ("tosa.transpose", Linalg.transpose_op);
-  ]
+(* each structured TOSA op becomes its named linalg op on a zero-filled
+   out tensor *)
+let to_named linalg_name rw op =
+  Rewriter.set_ip rw (Builder.Before op);
+  let out_t = Ircore.value_typ (Ircore.result op) in
+  let zero = Dutil.const_float rw 0.0 in
+  let empty = Rewriter.build1 rw ~result_types:[ out_t ] "tensor.empty" in
+  let filled = Ircore.result (Linalg.fill rw ~value:zero ~dest:empty) in
+  let new_op =
+    Linalg.structured rw linalg_name ~ins:(Ircore.operands op)
+      ~outs:[ filled ] ~result_types:[ out_t ]
+  in
+  Rewriter.replace_op rw op ~with_:(Ircore.results new_op)
 
-let run_to_linalg_named _ctx top =
-  let rw = Rewriter.create () in
-  List.iter
-    (fun (tosa_name, linalg_name) ->
-      Pass.for_each_op ~op_name:tosa_name top (fun op ->
-          Rewriter.set_ip rw (Builder.Before op);
-          let out_t = Ircore.value_typ (Ircore.result op) in
-          (* out tensor initialized with fill 0 *)
-          let zero = Dutil.const_float rw 0.0 in
-          let empty =
-            Rewriter.build1 rw ~result_types:[ out_t ] "tensor.empty"
-          in
-          let filled =
-            Ircore.result (Linalg.fill rw ~value:zero ~dest:empty)
-          in
-          let new_op =
-            Linalg.structured rw linalg_name ~ins:(Ircore.operands op)
-              ~outs:[ filled ] ~result_types:[ out_t ]
-          in
-          Rewriter.replace_op rw op ~with_:(Ircore.results new_op)))
-    named_lowering;
-  Ok ()
+let named_lowering : Pass.table =
+  List.map
+    (fun (tosa_name, linalg_name) -> (tosa_name, to_named linalg_name))
+    [
+      ("tosa.matmul", Linalg.batch_matmul_op);
+      ("tosa.conv2d", Linalg.conv_2d_op);
+      ("tosa.depthwise_conv2d", Linalg.conv_2d_op);
+      ("tosa.max_pool2d", Linalg.pooling_op);
+      ("tosa.avg_pool2d", Linalg.pooling_op);
+      ("tosa.transpose", Linalg.transpose_op);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* tosa-to-linalg (elementwise and reductions -> linalg.generic)       *)
 (* ------------------------------------------------------------------ *)
 
-let arith_payload_of_tosa = function
-  | "tosa.add" -> Some ("arith.addf", 2)
-  | "tosa.sub" -> Some ("arith.subf", 2)
-  | "tosa.mul" -> Some ("arith.mulf", 2)
-  | "tosa.maximum" -> Some ("arith.maximumf", 2)
-  | "tosa.minimum" -> Some ("arith.minimumf", 2)
-  | "tosa.pow" -> Some ("math.pow", 2)
-  | "tosa.abs" -> Some ("math.absf", 1)
-  | "tosa.exp" -> Some ("math.exp", 1)
-  | "tosa.log" -> Some ("math.log", 1)
-  | "tosa.tanh" -> Some ("math.tanh", 1)
-  | "tosa.sigmoid" -> Some ("math.sigmoid", 1)
-  | "tosa.rsqrt" -> Some ("math.rsqrt", 1)
-  | "tosa.erf" -> Some ("math.erf", 1)
-  | "tosa.floor" -> Some ("math.floor", 1)
-  | "tosa.ceil" -> Some ("math.ceil", 1)
-  | "tosa.negate" -> Some ("arith.negf", 1)
-  (* reciprocal and clamp pair the value with a payload-local constant:
-     1.0 / x, and max(x, 0.0) (the relu-shaped clamp of these graphs) *)
-  | "tosa.reciprocal" -> Some ("arith.divf", 1)
-  | "tosa.clamp" -> Some ("arith.maximumf", 1)
-  | "tosa.cast" | "tosa.rescale" -> Some ("arith.truncf", 1)
-  | _ -> None
+(* the scalar payload op of each elementwise TOSA op; reciprocal and clamp
+   pair the value with a payload-local constant: 1.0 / x, and max(x, 0.0)
+   (the relu-shaped clamp of these graphs) *)
+let elementwise_payloads =
+  [
+    ("tosa.add", "arith.addf"); ("tosa.sub", "arith.subf");
+    ("tosa.mul", "arith.mulf"); ("tosa.maximum", "arith.maximumf");
+    ("tosa.minimum", "arith.minimumf"); ("tosa.pow", "math.pow");
+    ("tosa.abs", "math.absf"); ("tosa.ceil", "math.ceil");
+    ("tosa.clamp", "arith.maximumf"); ("tosa.exp", "math.exp");
+    ("tosa.floor", "math.floor"); ("tosa.log", "math.log");
+    ("tosa.negate", "arith.negf"); ("tosa.reciprocal", "arith.divf");
+    ("tosa.rsqrt", "math.rsqrt"); ("tosa.sigmoid", "math.sigmoid");
+    ("tosa.tanh", "math.tanh"); ("tosa.cast", "arith.truncf");
+    ("tosa.rescale", "arith.truncf"); ("tosa.erf", "math.erf");
+  ]
 
-let run_to_linalg _ctx top =
-  let rw = Rewriter.create () in
-  Pass.for_each top
-    ~p:(fun op ->
-      Ircore.op_dialect op = "tosa"
-      && Option.is_some (arith_payload_of_tosa op.Ircore.op_name))
-    (fun op ->
-      let payload_name, _arity =
-        Option.get (arith_payload_of_tosa op.Ircore.op_name)
-      in
-      Rewriter.set_ip rw (Builder.Before op);
-      let out_t = Ircore.value_typ (Ircore.result op) in
-      let empty = Rewriter.build1 rw ~result_types:[ out_t ] "tensor.empty" in
-      let ins = Ircore.operands op in
-      let generic =
-        Linalg.generic rw ~ins ~outs:[ empty ] ~result_types:[ out_t ]
-          (fun brw args ->
-            let scalar_args = List.filteri (fun i _ -> i < List.length ins) args in
-            let binary a b =
-              Rewriter.build1 brw ~operands:[ a; b ]
-                ~result_types:[ Ircore.value_typ a ]
-                payload_name
-            in
-            let payload =
-              match (op.Ircore.op_name, scalar_args) with
-              | "tosa.reciprocal", [ a ] ->
-                let one =
-                  Dutil.const_float brw ~typ:(Ircore.value_typ a) 1.0
-                in
-                binary one a
-              | "tosa.clamp", [ a ] ->
-                let zero =
-                  Dutil.const_float brw ~typ:(Ircore.value_typ a) 0.0
-                in
-                binary a zero
-              | _, [ a ] ->
-                Rewriter.build1 brw ~operands:[ a ]
-                  ~result_types:[ Ircore.value_typ a ]
-                  payload_name
-              | _, [ a; b ] -> binary a b
-              | _ -> failwith "unexpected payload arity"
-            in
-            [ payload ])
-      in
-      Rewriter.replace_op rw op ~with_:(Ircore.results generic));
-  (* reductions *)
-  Pass.for_each top
-    ~p:(fun op ->
-      List.mem op.Ircore.op_name Tosa.reductions
-      && Ircore.op_parent op <> None)
-    (fun op ->
-      Rewriter.set_ip rw (Builder.Before op);
-      let out_t = Ircore.value_typ (Ircore.result op) in
-      let empty = Rewriter.build1 rw ~result_types:[ out_t ] "tensor.empty" in
-      let red =
-        Rewriter.build rw
-          ~operands:(Ircore.operands op @ [ empty ])
-          ~result_types:[ out_t ]
-          ~regions:[ Ircore.single_block_region () ]
-          Linalg.reduce_op
-      in
-      (* payload: combiner *)
-      (match red.Ircore.regions with
-      | [ r ] -> (
-        match Ircore.region_first_block r with
-        | Some b ->
-          let a1 = Ircore.add_block_arg b Typ.f32 in
-          let a2 = Ircore.add_block_arg b Typ.f32 in
-          let brw = Dutil.rw_at_end b in
-          let combined = Arith.addf brw a1 a2 in
-          ignore (Rewriter.build brw ~operands:[ combined ] "linalg.yield")
-        | None -> ())
-      | _ -> ());
-      Rewriter.replace_op rw op ~with_:(Ircore.results red));
-  Ok ()
+let to_generic payload_name rw op =
+  Rewriter.set_ip rw (Builder.Before op);
+  let out_t = Ircore.value_typ (Ircore.result op) in
+  let empty = Rewriter.build1 rw ~result_types:[ out_t ] "tensor.empty" in
+  let ins = Ircore.operands op in
+  let generic =
+    Linalg.generic rw ~ins ~outs:[ empty ] ~result_types:[ out_t ]
+      (fun brw args ->
+        let scalar_args = List.filteri (fun i _ -> i < List.length ins) args in
+        let binary a b =
+          Rewriter.build1 brw ~operands:[ a; b ]
+            ~result_types:[ Ircore.value_typ a ]
+            payload_name
+        in
+        let payload =
+          match (op.Ircore.op_name, scalar_args) with
+          | "tosa.reciprocal", [ a ] ->
+            let one = Dutil.const_float brw ~typ:(Ircore.value_typ a) 1.0 in
+            binary one a
+          | "tosa.clamp", [ a ] ->
+            let zero = Dutil.const_float brw ~typ:(Ircore.value_typ a) 0.0 in
+            binary a zero
+          | _, [ a ] ->
+            Rewriter.build1 brw ~operands:[ a ]
+              ~result_types:[ Ircore.value_typ a ]
+              payload_name
+          | _, [ a; b ] -> binary a b
+          | _ -> failwith "unexpected payload arity"
+        in
+        [ payload ])
+  in
+  Rewriter.replace_op rw op ~with_:(Ircore.results generic)
+
+let to_reduce rw op =
+  Rewriter.set_ip rw (Builder.Before op);
+  let out_t = Ircore.value_typ (Ircore.result op) in
+  let empty = Rewriter.build1 rw ~result_types:[ out_t ] "tensor.empty" in
+  let red =
+    Rewriter.build rw
+      ~operands:(Ircore.operands op @ [ empty ])
+      ~result_types:[ out_t ]
+      ~regions:[ Ircore.single_block_region () ]
+      Linalg.reduce_op
+  in
+  (* payload: combiner *)
+  (match red.Ircore.regions with
+  | [ r ] -> (
+    match Ircore.region_first_block r with
+    | Some b ->
+      let a1 = Ircore.add_block_arg b Typ.f32 in
+      let a2 = Ircore.add_block_arg b Typ.f32 in
+      let brw = Dutil.rw_at_end b in
+      let combined = Arith.addf brw a1 a2 in
+      ignore (Rewriter.build brw ~operands:[ combined ] "linalg.yield")
+    | None -> ())
+  | _ -> ());
+  Rewriter.replace_op rw op ~with_:(Ircore.results red)
+
+let elementwise_lowering : Pass.table =
+  List.map (fun (name, payload) -> (name, to_generic payload))
+    elementwise_payloads
+  @ List.map (fun name -> (name, to_reduce)) Tosa.reductions
 
 (* ------------------------------------------------------------------ *)
 (* tosa-to-arith / tosa-to-tensor                                      *)
 (* ------------------------------------------------------------------ *)
 
-let run_to_arith _ctx top =
-  let rw = Rewriter.create () in
-  Pass.for_each_op ~op_name:Tosa.const_op top (fun op ->
-      Rewriter.set_ip rw (Builder.Before op);
-      let v =
-        match Ircore.attr op "value" with
-        | Some a -> a
-        | None -> Attr.Float (0.0, Typ.f32)
-      in
-      let c =
-        Arith.constant rw v (Ircore.value_typ (Ircore.result op))
-      in
-      Rewriter.replace_op rw op ~with_:[ c ]);
-  Ok ()
+let const_lowering : Pass.table =
+  [
+    ( Tosa.const_op,
+      fun rw op ->
+        Rewriter.set_ip rw (Builder.Before op);
+        let v =
+          match Ircore.attr op "value" with
+          | Some a -> a
+          | None -> Attr.Float (0.0, Typ.f32)
+        in
+        let c = Arith.constant rw v (Ircore.value_typ (Ircore.result op)) in
+        Rewriter.replace_op rw op ~with_:[ c ] );
+  ]
 
-let run_to_tensor _ctx top =
-  let rw = Rewriter.create () in
-  List.iter
+(* each shape op becomes the same-named tensor op, operands, result types
+   and attributes unchanged *)
+let shape_lowering : Pass.table =
+  List.map
     (fun name ->
-      Pass.for_each_op ~op_name:name top (fun op ->
-          Rewriter.set_ip rw (Builder.Before op);
-          let new_op =
-            Rewriter.build rw ~operands:(Ircore.operands op)
-              ~result_types:
-                (List.map Ircore.value_typ (Ircore.results op))
-              ~attrs:op.Ircore.attrs
-              ("tensor."
-              ^ snd (Util.split_op_name name))
-          in
-          Rewriter.replace_op rw op ~with_:(Ircore.results new_op)))
-    [ "tosa.reshape"; "tosa.concat"; "tosa.pad"; "tosa.slice"; "tosa.gather"; "tosa.tile" ];
-  Ok ()
+      ( name,
+        fun rw op ->
+          ignore
+            (Rewriter.replace_op_with rw op ~operands:(Ircore.operands op)
+               ("tensor." ^ snd (Util.split_op_name name))) ))
+    [
+      "tosa.reshape"; "tosa.concat"; "tosa.pad"; "tosa.slice"; "tosa.gather";
+      "tosa.tile";
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Registration                                                        *)
@@ -240,61 +208,45 @@ let run_to_tensor _ctx top =
 let o = Opset.exact
 let d = Opset.dialect
 
-let register () =
+(* a conversion pass consuming exactly its table's keys *)
+let register_table ~name ~summary ~post table =
   Pass.register
-    (Pass.make ~name:"tosa-optional-decompositions" ~function_parallel:true
-       ~summary:"decompose composite TOSA ops"
-       ~pre:[ o "tosa.fully_connected" ]
-       ~post:[ o "tosa.matmul"; o "tosa.add" ]
-       run_decompositions);
+    (Pass.conversion ~name ~function_parallel:true ~summary ~post table)
+
+let register () =
+  register_table ~name:"tosa-optional-decompositions"
+    ~summary:"decompose composite TOSA ops"
+    ~post:[ o "tosa.matmul"; o "tosa.add" ]
+    decompositions;
   Pass.register
     (Pass.make ~name:"tosa-infer-shapes" ~function_parallel:true ~summary:"propagate static shapes"
        ~pre:[] ~post:[] run_infer_shapes);
-  Pass.register
-    (Pass.make ~name:"tosa-to-linalg-named" ~function_parallel:true
-       ~summary:"lower structured TOSA ops to named linalg ops"
-       ~pre:
-         [
-           o "tosa.matmul"; o "tosa.conv2d"; o "tosa.depthwise_conv2d";
-           o "tosa.max_pool2d"; o "tosa.avg_pool2d"; o "tosa.transpose";
-         ]
-       ~post:
-         [
-           o Linalg.batch_matmul_op; o Linalg.conv_2d_op; o Linalg.pooling_op;
-           o Linalg.transpose_op; o Linalg.fill_op; o "tensor.empty";
-           o "arith.constant";
-         ]
-       run_to_linalg_named);
-  Pass.register
-    (Pass.make ~name:"tosa-to-linalg" ~function_parallel:true
-       ~summary:"lower elementwise TOSA ops to linalg.generic"
-       (* precise consumed set (not the {tosa.*} wildcard): the pass handles
-          only the elementwise and reduction ops, so declaring more would
-          make the dynamic condition checker reject the accurate
-          implementation *)
-       ~pre:
-         (List.map o
-            (Tosa.elementwise_binary @ Tosa.elementwise_unary @ Tosa.reductions))
-       ~post:
-         [
-           o Linalg.generic_op; o Linalg.reduce_op; o "tensor.empty";
-           d "math"; o "arith.addf"; o "arith.subf"; o "arith.mulf";
-           o "arith.divf"; o "arith.maximumf"; o "arith.minimumf";
-           o "arith.negf"; o "arith.truncf"; o "linalg.yield";
-         ]
-       run_to_linalg);
-  Pass.register
-    (Pass.make ~name:"tosa-to-arith" ~function_parallel:true ~summary:"lower tosa.const to arith"
-       ~pre:[ o "tosa.const" ]
-       ~post:[ o "arith.constant" ]
-       run_to_arith);
-  Pass.register
-    (Pass.make ~name:"tosa-to-tensor" ~function_parallel:true
-       ~summary:"lower TOSA shape ops to the tensor dialect"
-       ~pre:
-         [
-           o "tosa.reshape"; o "tosa.concat"; o "tosa.pad"; o "tosa.slice";
-           o "tosa.gather"; o "tosa.tile";
-         ]
-       ~post:[ d "tensor" ]
-       run_to_tensor)
+  register_table ~name:"tosa-to-linalg-named"
+    ~summary:"lower structured TOSA ops to named linalg ops"
+    ~post:
+      [
+        o Linalg.batch_matmul_op; o Linalg.conv_2d_op; o Linalg.pooling_op;
+        o Linalg.transpose_op; o Linalg.fill_op; o "tensor.empty";
+        o "arith.constant";
+      ]
+    named_lowering;
+  (* precise consumed set (not the {tosa.*} wildcard): the pass handles only
+     the elementwise and reduction ops, so declaring more would make the
+     dynamic condition checker reject the accurate implementation *)
+  register_table ~name:"tosa-to-linalg"
+    ~summary:"lower elementwise TOSA ops to linalg.generic"
+    ~post:
+      [
+        o Linalg.generic_op; o Linalg.reduce_op; o "tensor.empty";
+        d "math"; o "arith.addf"; o "arith.subf"; o "arith.mulf";
+        o "arith.divf"; o "arith.maximumf"; o "arith.minimumf";
+        o "arith.negf"; o "arith.truncf"; o "linalg.yield";
+      ]
+    elementwise_lowering;
+  register_table ~name:"tosa-to-arith" ~summary:"lower tosa.const to arith"
+    ~post:[ o "arith.constant" ]
+    const_lowering;
+  register_table ~name:"tosa-to-tensor"
+    ~summary:"lower TOSA shape ops to the tensor dialect"
+    ~post:[ d "tensor" ]
+    shape_lowering

@@ -174,7 +174,8 @@ let run_symbol_dce _ctx top =
           | Attr.Symbol_ref (s, _) -> Hashtbl.replace referenced s ()
           | _ -> ())
         op.Ircore.attrs);
-  Pass.for_each_op ~op_name:Func.func_op top (fun f ->
+  List.iter
+    (fun f ->
       let name = Func.name f in
       let private_ =
         match Ircore.attr f "sym_visibility" with
@@ -182,7 +183,8 @@ let run_symbol_dce _ctx top =
         | _ -> false
       in
       if private_ && not (Hashtbl.mem referenced name) then
-        Rewriter.erase_op rw f);
+        Rewriter.erase_op rw f)
+    (Symbol.collect_ops ~op_name:Func.func_op top);
   Ok ()
 
 let register () =

@@ -83,6 +83,23 @@ let test_constrained_subview_distinction () =
          | _ -> false)
        r.T.Conditions.problems)
 
+let test_unlowered_tosa_leftover () =
+  (* tosa-to-linalg has no lowering for tosa.logical_and, so the op must
+     survive the pipeline rather than count as consumed *)
+  let r =
+    T.Conditions.check_passes
+      ~initial:[ Opset.exact "tosa.logical_and"; Opset.dialect "func" ]
+      ~final:(List.map Opset.dialect [ "linalg"; "tensor"; "func"; "arith"; "math" ])
+      (passes [ "tosa-to-linalg" ])
+  in
+  check cb "tosa.logical_and left over" true
+    (List.exists
+       (function
+         | T.Conditions.Leftover { remaining; _ } ->
+           Opset.covers remaining (Opset.exact "tosa.logical_and")
+         | _ -> false)
+       r.T.Conditions.problems)
+
 (* op-kind problems the script checker reports *)
 let cond_problems r =
   List.filter_map
@@ -150,6 +167,8 @@ let () =
             test_trace_records_every_step;
           Alcotest.test_case "constrained subview distinction" `Quick
             test_constrained_subview_distinction;
+          Alcotest.test_case "unlowered tosa leftover" `Quick
+            test_unlowered_tosa_leftover;
         ] );
       ( "scripts",
         [

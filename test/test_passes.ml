@@ -510,6 +510,111 @@ let test_registry_complete () =
     @ Workloads.Subview_kernel.naive_pipeline
     @ [ "tosa-to-linalg"; "tosa-to-linalg-named"; "tosa-to-arith" ])
 
+(* ------------------------------------------------------------------ *)
+(* The conversion driver                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* [funcs] functions, each holding test.a/test.b ops alternating, indexed
+   by an "i" attribute; the second test.b carries "kill_next", so its
+   rewrite erases the op after it *)
+let alternating_module ~funcs =
+  let md = Builtin.create_module () in
+  for fi = 0 to funcs - 1 do
+    let f, entry =
+      Func.create ~name:(Fmt.str "f%d" fi) ~arg_types:[] ~result_types:[] ()
+    in
+    Ircore.insert_at_end (Builtin.body_block md) f;
+    let rw = Dutil.rw_at_end entry in
+    List.iteri
+      (fun i name ->
+        let attrs =
+          ("i", Attr.Int ((10 * fi) + i, Typ.i64))
+          :: (if i = 3 then [ ("kill_next", Attr.Unit) ] else [])
+        in
+        ignore (Rewriter.build rw ~attrs name))
+      [ "test.a"; "test.b"; "test.a"; "test.b"; "test.a" ];
+    Func.return rw ()
+  done;
+  md
+
+let index op =
+  match Ircore.attr op "i" with Some (Attr.Int (i, _)) -> i | _ -> -1
+
+(* a two-name table that reports each rewrite's op index to [log] *)
+let logging_table log : Passes.Pass.table =
+  let rewrite to_ rw op =
+    log (index op);
+    (match (Ircore.attr op "kill_next", op.Ircore.op_next) with
+    | Some _, Some next -> Rewriter.erase_op rw next
+    | _ -> ());
+    ignore (Rewriter.replace_op_with rw op ~attrs:[] to_)
+  in
+  [ ("test.a", rewrite "test.a_done"); ("test.b", rewrite "test.b_done") ]
+
+let convert_logged md =
+  let log = ref [] in
+  (match
+     Passes.Pass.convert ~pass:"test"
+       (logging_table (fun i -> log := i :: !log))
+       md
+   with
+  | Ok () -> ()
+  | Error d -> Alcotest.fail (Diag.to_string d));
+  List.rev !log
+
+let test_driver_order_and_skip () =
+  let md = alternating_module ~funcs:1 in
+  Stats.reset ();
+  (* pre-order, each live op once; index 4 was erased by index 3 *)
+  check (Alcotest.list ci) "rewritten in pre-order" [ 0; 1; 2; 3 ]
+    (convert_logged md);
+  check ci "nothing left" 0 (count "test.a" md + count "test.b" md);
+  check ci "the erased test.a was not rewritten" 2 (count "test.a_done" md);
+  match Stats.find_counter ~component:"conversions" "ops_converted" with
+  | Some c -> check ci "ops_converted" 4 (Stats.value c)
+  | None -> Alcotest.fail "conversions/ops_converted not registered"
+
+let test_driver_debug_counter () =
+  let md = alternating_module ~funcs:1 in
+  let actions =
+    Action.create
+      ~counters:[ { Action.cs_tag = "conversion"; cs_skip = 1; cs_count = 1 } ]
+      ()
+  in
+  let log = Action.with_context actions (fun () -> convert_logged md) in
+  check (Alcotest.list ci) "only the second rewrite" [ 1 ] log;
+  check ci "the other ops stay" 4 (count "test.a" md + count "test.b" md)
+
+let test_driver_journal () =
+  let journal jobs =
+    let md = alternating_module ~funcs:3 in
+    let pass =
+      Passes.Pass.conversion ~name:"test-convert" ~function_parallel:true
+        (logging_table ignore)
+    in
+    let actions = Action.create () in
+    let saved = Pool.jobs () in
+    Pool.set_jobs jobs;
+    Fun.protect
+      ~finally:(fun () -> Pool.set_jobs saved)
+      (fun () ->
+        Action.with_context actions (fun () ->
+            match Passes.Pass.run_pipeline ctx [ pass ] md with
+            | Ok () -> ()
+            | Error d -> Alcotest.fail (Diag.to_string d)));
+    List.filter_map
+      (fun e ->
+        if e.Action.e_tag = "conversion" then Some e.Action.e_desc else None)
+      (Action.entries actions)
+  in
+  let expected =
+    List.concat (List.init 3 (fun _ -> [ "test.a"; "test.b"; "test.a"; "test.b" ]))
+  in
+  check (Alcotest.list Alcotest.string) "one entry per rewrite, jobs 1"
+    expected (journal 1);
+  check (Alcotest.list Alcotest.string) "one entry per rewrite, jobs 4"
+    expected (journal 4)
+
 let () =
   Alcotest.run "passes"
     [
@@ -575,5 +680,11 @@ let () =
         [
           Alcotest.test_case "pipeline parse" `Quick test_pipeline_parse;
           Alcotest.test_case "registry complete" `Quick test_registry_complete;
+          Alcotest.test_case "conversion driver order and skip" `Quick
+            test_driver_order_and_skip;
+          Alcotest.test_case "conversion driver debug counter" `Quick
+            test_driver_debug_counter;
+          Alcotest.test_case "conversion driver journal" `Quick
+            test_driver_journal;
         ] );
     ]

@@ -207,9 +207,19 @@ let test_conversion_stats () =
   Stats.reset ();
   let md = parse_file (payload_path "payload_matmul.mlir") in
   run_pass "convert-scf-to-cf" md;
-  match Stats.find_counter ~component:"conversions" "ops_converted" with
-  | None -> Alcotest.fail "conversions/ops_converted not registered"
-  | Some c -> check cb "conversions counted" true (Stats.value c > 0)
+  let converted () =
+    match Stats.find_counter ~component:"conversions" "ops_converted" with
+    | None -> Alcotest.fail "conversions/ops_converted not registered"
+    | Some c -> Stats.value c
+  in
+  check cb "conversions counted" true (converted () > 0);
+  (* the TOSA passes count through the same driver: one per shape op *)
+  let md = parse_file (payload_path "payload_squeezenet.mlir") in
+  let shape_ops = count "tosa.concat" md in
+  check cb "payload has shape ops" true (shape_ops > 0);
+  Stats.reset ();
+  run_pass "tosa-to-tensor" md;
+  check ci "one count per shape op" shape_ops (converted ())
 
 let test_stats_rendering () =
   Stats.reset ();
