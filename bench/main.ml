@@ -1,7 +1,7 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
    evaluation (Section 4) on this repository's substrates, and records the
-   profiler, action, checkpoint, schedule and parallel measurements as
-   BENCH_*.json files of one row schema.
+   profiler, action, checkpoint, schedule, parallel and text-path
+   measurements as BENCH_*.json files of one row schema.
 
    Usage:  dune exec bench/main.exe            (all sections)
            dune exec bench/main.exe -- table1  (one section) *)
@@ -588,6 +588,136 @@ let parallel_bench () =
        rows)
 
 (* ------------------------------------------------------------------ *)
+(* Text path: parse and print cost of one module                        *)
+(* ------------------------------------------------------------------ *)
+
+(** A flat [func.func] body of [ops] arith ops, each combining the
+    previous result with a block argument or a hoisted constant. *)
+let flat_block_text ~ops =
+  let b = Buffer.create (ops * 64) in
+  Buffer.add_string b
+    "\"builtin.module\"() ({\n  \"func.func\"() ({\n  ^bb0(%a0: i64, %a1: \
+     i64):\n    %k = \"arith.constant\"() {value = 3 : i64} : () -> i64\n";
+  let operands = [| "%a0"; "%a1"; "%k" |]
+  and names = [| "addi"; "subi"; "xori" |] in
+  let prev = ref "%a0" in
+  for i = 1 to ops - 1 do
+    Printf.bprintf b "    %%v%d = \"arith.%s\"(%s, %s) : (i64, i64) -> i64\n" i
+      names.(i mod 3) !prev operands.(i * 7 mod 3);
+    prev := Printf.sprintf "%%v%d" i
+  done;
+  Printf.bprintf b
+    "    \"func.return\"(%s) : (i64) -> ()\n  }) {sym_name = \"flat\", \
+     function_type = (i64, i64) -> i64} : () -> ()\n}) : () -> ()\n"
+    !prev;
+  Buffer.contents b
+
+let parse_exn text =
+  match Ir.Parser.parse_module text with
+  | Ok md -> md
+  | Error e -> failwith ("text bench: " ^ e)
+
+(** Parse time, parse allocation per input byte and print time of flat
+    blocks and of the lowered Table-1 models. The printed form of each
+    parse must read back to itself, so a parser that drops or reorders
+    anything fails the run. *)
+let text_bench () =
+  banner "E14 - Text path: parse and print cost per module"
+    "per-parse type sharing, interned names, an allocation-free lexer";
+  let lowered name =
+    let spec =
+      List.find
+        (fun s -> s.Workloads.Models.sp_name = name)
+        Workloads.Models.paper_models
+    in
+    let md = Workloads.Models.build spec in
+    (match
+       Passes.Pass.parse_pipeline Workloads.Models.tosa_pipeline_str
+       |> Result.map (fun ps -> Passes.Pass.run_pipeline ctx ps md)
+     with
+    | Ok (Ok ()) -> ()
+    | Ok (Error e) | Error e -> failwith (Ir.Diag.to_string e));
+    (name ^ "/lowered", Ir.Printer.op_to_string md)
+  in
+  let inputs =
+    [
+      ("flat-10k", flat_block_text ~ops:10_000);
+      lowered "gpt2";
+      lowered "mobilebert";
+    ]
+  in
+  (* best of 15 runs: other tenants of a shared box only ever add time.
+     The runs go in 3 rounds over all inputs, so no input is timed only
+     while the process warms up, and each starts from a collected heap,
+     so the garbage of the runs before it does not bill it for major GC
+     work. *)
+  let rounds = 3 and runs = 5 in
+  let best_ms f =
+    let best = ref infinity in
+    for _ = 1 to runs do
+      Gc.full_major ();
+      best := Float.min !best (wall (fun () -> ignore (f ())))
+    done;
+    !best *. 1000.
+  in
+  let prepare (name, text) =
+    let md = parse_exn text in
+    let printed = Ir.Printer.op_to_string md in
+    if not (String.equal printed (Ir.Printer.op_to_string (parse_exn printed)))
+    then failwith (Fmt.str "text bench: %s is no print fixed point" name);
+    let before = Gc.allocated_bytes () in
+    ignore (parse_exn text);
+    let per_byte =
+      (Gc.allocated_bytes () -. before) /. float_of_int (String.length text)
+    in
+    (name, text, md, per_byte)
+  in
+  let prepared = List.map prepare inputs in
+  let best = Hashtbl.create 8 in
+  let time key f =
+    let t = best_ms f in
+    match Hashtbl.find_opt best key with
+    | Some t' when t' <= t -> ()
+    | _ -> Hashtbl.replace best key t
+  in
+  for _ = 1 to rounds do
+    List.iter
+      (fun (name, text, md, _) ->
+        time (name, "parse") (fun () -> parse_exn text);
+        time (name, "print") (fun () -> Ir.Printer.op_to_string md))
+      prepared
+  done;
+  let rows =
+    List.map
+      (fun (name, text, _, per_byte) ->
+        ( name,
+          String.length text,
+          Hashtbl.find best (name, "parse"),
+          per_byte,
+          Hashtbl.find best (name, "print") ))
+      prepared
+  in
+  Fmt.pr "best of %d runs; allocation of one parse@." (rounds * runs);
+  Fmt.pr "  %-20s %10s %10s %12s %10s@." "input" "KB" "parse ms" "alloc B/B"
+    "print ms";
+  List.iter
+    (fun (name, bytes, parse_ms, per_byte, print_ms) ->
+      Fmt.pr "  %-20s %10.1f %10.2f %12.1f %10.2f@." name
+        (float_of_int bytes /. 1024.) parse_ms per_byte print_ms)
+    rows;
+  write_bench "text"
+    (List.concat_map
+       (fun (name, bytes, parse_ms, per_byte, print_ms) ->
+         let r = row ~workload:name in
+         [
+           r ~layer:"parser" "input_bytes" (float_of_int bytes) "bytes";
+           r ~layer:"parser" "parse_ms" parse_ms "ms";
+           r ~layer:"parser" "alloc_bytes_per_input_byte" per_byte "ratio";
+           r ~layer:"printer" "print_ms" print_ms "ms";
+         ])
+       rows)
+
+(* ------------------------------------------------------------------ *)
 (* driver                                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -666,7 +796,8 @@ let () =
     if want "action" then action_bench ();
     if want "checkpoint" then checkpoint ();
     if want "schedule" then schedule_bench ();
-    if want "parallel" then parallel_bench ()
+    if want "parallel" then parallel_bench ();
+    if want "text" then text_bench ()
   in
   (match profile_path with
   | None -> run_sections ()

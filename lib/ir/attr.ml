@@ -111,10 +111,12 @@ let float_bits_equal x y =
   Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
 
 let rec equal (a : t) (b : t) =
+  a == b
+  ||
   match (a, b) with
-  | Float (x, t), Float (y, u) -> float_bits_equal x y && t = u
+  | Float (x, t), Float (y, u) -> float_bits_equal x y && Typ.equal t u
   | Dense_float (xs, t), Dense_float (ys, u) ->
-    List.equal float_bits_equal xs ys && t = u
+    List.equal float_bits_equal xs ys && Typ.equal t u
   | Array xs, Array ys -> List.equal equal xs ys
   | Dict kvs, Dict kvs' ->
     List.equal (fun (k, v) (k', v') -> String.equal k k' && equal v v') kvs kvs'

@@ -34,7 +34,14 @@ type ctx = {
   mutable next_value : int;
   mutable next_block : int;
   typ_memo : (Typ.t, int) Hashtbl.t;
+  mutable last_typ : Typ.t;
+  mutable last_typ_hash : int;
+      (** the type mixed last and its hash: parsed modules share equal
+          types, so a run of one type skips the structural lookup *)
 }
+
+(* a type no IR holds, so the first [==] test fails *)
+let no_type = Typ.Opaque ("", "")
 
 let mix c k = c.h <- (c.h lxor k) * fnv_prime
 
@@ -69,18 +76,18 @@ let block_num c (b : Ircore.block) =
 (* types recur rarely and repeat often; hash each distinct type once via its
    canonical rendering and memoize by structure *)
 let mix_typ c t =
-  let k =
-    match Hashtbl.find_opt c.typ_memo t with
-    | Some k -> k
-    | None ->
-      let sub =
-        { c with h = fnv_offset; typ_memo = Hashtbl.create 1 }
-      in
-      mix_string sub (Typ.to_string t);
-      Hashtbl.replace c.typ_memo t sub.h;
-      sub.h
-  in
-  mix c k
+  if t != c.last_typ then begin
+    c.last_typ_hash <-
+      (match Hashtbl.find_opt c.typ_memo t with
+      | Some k -> k
+      | None ->
+        let sub = { c with h = fnv_offset; typ_memo = Hashtbl.create 1 } in
+        mix_string sub (Typ.to_string t);
+        Hashtbl.replace c.typ_memo t sub.h;
+        sub.h);
+    c.last_typ <- t
+  end;
+  mix c c.last_typ_hash
 
 let rec mix_attr c (a : Attr.t) =
   match a with
@@ -177,6 +184,8 @@ let op (root : Ircore.op) : t =
       next_value = 0;
       next_block = 0;
       typ_memo = Hashtbl.create 16;
+      last_typ = no_type;
+      last_typ_hash = 0;
     }
   in
   mix_op c root;
@@ -192,6 +201,8 @@ let attr (a : Attr.t) : t =
       next_value = 0;
       next_block = 0;
       typ_memo = Hashtbl.create 4;
+      last_typ = no_type;
+      last_typ_hash = 0;
     }
   in
   mix_attr c a;

@@ -1,7 +1,13 @@
 (** Recursive-descent parser for the generic MLIR textual format produced by
     {!Printer}. Supports forward references to values (multi-block CFGs) via
     placeholder values that are patched once the definition is seen, and
-    forward references to blocks via on-demand block creation. *)
+    forward references to blocks via on-demand block creation.
+
+    A parse allocates little beyond the IR it returns: the lexer keeps its
+    token in mutable fields, names are looked up by their span of the
+    source, and types and attribute dictionaries are memoized by their
+    source text, so a module's repeated types are one shared value. All
+    of this state belongs to one parse; concurrent parses share nothing. *)
 
 open Lexer
 
@@ -11,141 +17,180 @@ let fail lx msg =
   let line, col = Lexer.line_col lx (Lexer.token_start lx) in
   raise (Parse_error (Fmt.str "%d:%d: %s" line col msg))
 
-let expect lx tok =
-  let got = peek lx in
-  if got = tok then advance lx
-  else fail lx (Fmt.str "expected %a, got %a" pp_token tok pp_token got)
+(** Reject the lookahead, consumed first, as not the [what] the grammar
+    needs here. *)
+let unexpected lx what =
+  let got = describe lx in
+  advance lx;
+  fail lx (Fmt.str "expected %s, got %s" what got)
+
+let expect lx k =
+  if at lx k then advance lx
+  else fail lx (Fmt.str "expected %s, got %s" (kind_name k) (describe lx))
+
+(** Consume an identifier or string lookahead and return its text. *)
+let take_text lx =
+  let s = text lx in
+  advance lx;
+  s
 
 let expect_ident lx =
-  match peek lx with
-  | IDENT s ->
-    advance lx;
-    s
-  | t -> fail lx (Fmt.str "expected identifier, got %a" pp_token t)
+  if at lx IDENT then take_text lx
+  else fail lx ("expected identifier, got " ^ describe lx)
 
 let expect_int lx =
-  match peek lx with
-  | INT n ->
+  let negate = at lx MINUS in
+  if negate then advance lx;
+  if at lx INT then begin
+    let n = lx.int_value in
     advance lx;
-    n
-  | MINUS ->
-    advance lx;
-    (match peek lx with
-    | INT n ->
-      advance lx;
-      -n
-    | t -> fail lx (Fmt.str "expected integer, got %a" pp_token t))
-  | t -> fail lx (Fmt.str "expected integer, got %a" pp_token t)
+    if negate then -n else n
+  end
+  else fail lx ("expected integer, got " ^ describe lx)
 
 (* ---------------------------------------------------------------- *)
 (* Scopes                                                            *)
 (* ---------------------------------------------------------------- *)
 
+(** The type of a forward-reference placeholder until a use gives it one.
+    Compared by [==], so a user-written [!__pending__] is an ordinary
+    type. *)
 let pending_typ = Typ.Opaque ("__pending__", "")
 
 type scope = {
-  defs : (string, Ircore.value array) Hashtbl.t;
-  pendings : (string, Ircore.value) Hashtbl.t;
-      (** key is "name" or "name#i"; value is the placeholder *)
-  blocks : (string, Ircore.block) Hashtbl.t;
+  defs : Ircore.value array Span_table.t;
+      (** values by name, without the [%]; a use probes it in place, so only
+          a definition copies its name *)
   parent : scope option;
+  blocks : Ircore.block Span_table.t;  (** by name, without the [^] *)
+  mutable pendings : (string, Ircore.value) Hashtbl.t option;
+      (** key is "name" or "name#i"; value is the placeholder. Created by
+          the first forward reference: most regions have none, and an empty
+          [Hashtbl] takes 20 words *)
 }
 
 let new_scope parent =
-  {
-    defs = Hashtbl.create 16;
-    pendings = Hashtbl.create 4;
-    blocks = Hashtbl.create 4;
-    parent;
-  }
+  { defs = Span_table.create 8; parent; blocks = Span_table.create 4;
+    pendings = None }
 
-let rec lookup_def scope name =
-  match Hashtbl.find_opt scope.defs name with
-  | Some vs -> Some vs
-  | None -> ( match scope.parent with None -> None | Some p -> lookup_def p name)
+let rec lookup_def scope src off len hash =
+  try Span_table.find_hashed scope.defs hash src off len
+  with Not_found -> (
+    match scope.parent with
+    | None -> raise Not_found
+    | Some p -> lookup_def p src off len hash)
+
+let pending_key name index =
+  if index = 0 then name else name ^ "#" ^ Int.to_string index
 
 let make_pending scope key =
-  match Hashtbl.find_opt scope.pendings key with
+  let pendings =
+    match scope.pendings with
+    | Some t -> t
+    | None ->
+      let t = Hashtbl.create 4 in
+      scope.pendings <- Some t;
+      t
+  in
+  match Hashtbl.find_opt pendings key with
   | Some v -> v
   | None ->
     let op = Ircore.create ~result_types:[ pending_typ ] "__pending__" in
     let v = Ircore.result op in
-    Hashtbl.replace scope.pendings key v;
+    Hashtbl.replace pendings key v;
     v
 
-(** Reference to [%name] or [%name#i]. *)
-let lookup_value scope name index =
-  match lookup_def scope name with
-  | Some vs ->
-    if index >= Array.length vs then
-      raise
-        (Parse_error
-           (Fmt.str "value group %%%s has %d results, requested #%d" name
-              (Array.length vs) index))
-    else vs.(index)
-  | None ->
-    let key = if index = 0 then name else Fmt.str "%s#%d" name index in
-    make_pending scope key
-
-let resolve_pending scope key real =
-  match Hashtbl.find_opt scope.pendings key with
+(* a definition replaces the placeholder of its forward references, whose
+   uses fixed the type the definition must have *)
+let resolve_pending lx pendings key real =
+  match Hashtbl.find_opt pendings key with
   | None -> ()
   | Some placeholder ->
-    placeholder.Ircore.v_typ <- Ircore.value_typ real;
+    let used = Ircore.value_typ placeholder
+    and defined = Ircore.value_typ real in
+    if used != pending_typ && not (Typ.equal used defined) then
+      fail lx
+        (Fmt.str "definition of value %%%s has type %a, but a use before it \
+                  has type %a"
+           key Typ.pp defined Typ.pp used);
     Ircore.replace_all_uses_with placeholder ~with_:real;
     (match Ircore.defining_op placeholder with
     | Some op -> Ircore.erase_unchecked op
     | None -> ());
-    Hashtbl.remove scope.pendings key
+    Hashtbl.remove pendings key
 
-let define_values scope name (vs : Ircore.value array) =
-  if Hashtbl.mem scope.defs name then
-    raise (Parse_error (Fmt.str "redefinition of value %%%s" name));
-  Hashtbl.replace scope.defs name vs;
-  Array.iteri
-    (fun i v ->
-      resolve_pending scope (if i = 0 then name else Fmt.str "%s#%d" name i) v;
-      if i = 0 then resolve_pending scope (Fmt.str "%s#0" name) v)
-    vs
+let define_values lx scope name (vs : Ircore.value array) =
+  let len = String.length name in
+  let h = Span_table.hash_span name 0 len in
+  (match Span_table.find_hashed scope.defs h name 0 len with
+  | _ -> raise (Parse_error (Fmt.str "redefinition of value %%%s" name))
+  | exception Not_found -> Span_table.add scope.defs h name vs);
+  match scope.pendings with
+  | Some pendings when Hashtbl.length pendings > 0 ->
+    Array.iteri
+      (fun i v -> resolve_pending lx pendings (pending_key name i) v)
+      vs
+  | _ -> ()
 
-let get_block scope name =
-  match Hashtbl.find_opt scope.blocks name with
-  | Some b -> b
-  | None ->
+(* all pendings of a closing scope must be resolved *)
+let check_resolved scope =
+  Option.iter
+    (Hashtbl.iter (fun key _ ->
+         raise (Parse_error (Fmt.str "use of undefined value %%%s" key))))
+    scope.pendings
+
+(** Consume a [^name] lookahead and return its block, created by the
+    first reference. *)
+let take_block lx scope =
+  let src = source lx in
+  let off = token_start lx + 1 in
+  let len = token_stop lx - off in
+  advance lx;
+  let h = Span_table.hash_span src off len in
+  match Span_table.find_hashed scope.blocks h src off len with
+  | b -> b
+  | exception Not_found ->
     let b = Ircore.create_block () in
-    Hashtbl.replace scope.blocks name b;
+    Span_table.add scope.blocks h (String.sub src off len) b;
     b
 
 (* ---------------------------------------------------------------- *)
 (* Types                                                             *)
 (* ---------------------------------------------------------------- *)
 
+(** Types are memoized within one parse by their source text, so each
+    spelling of [(i64, i64) -> i64] in a module is parsed once and all its
+    uses share one value. A hit is sound: the parse of a type reads only
+    the characters of its span, plus whether an identifier goes on and
+    whether a [<] follows, and {!Lexer.type_extent} stops on exactly those
+    conditions. *)
 let rec parse_type lx : Typ.t =
+  memoized lx lx.types (type_extent lx) parse_type_text
+
+and parse_type_text lx =
   match peek lx with
   | LPAREN -> parse_function_type lx
-  | IDENT "index" ->
+  | BANG -> parse_opaque_type lx
+  | IDENT when int_type_width lx >= 0 ->
+    let w = int_type_width lx in
+    advance lx;
+    Typ.Integer w
+  | IDENT when ident_is lx "index" ->
     advance lx;
     Typ.Index
-  | IDENT "f16" ->
+  | IDENT when ident_is lx "f16" ->
     advance lx;
     Typ.f16
-  | IDENT "bf16" ->
+  | IDENT when ident_is lx "bf16" ->
     advance lx;
     Typ.bf16
-  | IDENT "f32" ->
+  | IDENT when ident_is lx "f32" ->
     advance lx;
     Typ.f32
-  | IDENT "f64" ->
+  | IDENT when ident_is lx "f64" ->
     advance lx;
     Typ.f64
-  | IDENT s
-    when String.length s > 1
-         && s.[0] = 'i'
-         && String.for_all (fun c -> c >= '0' && c <= '9')
-              (String.sub s 1 (String.length s - 1)) ->
-    advance lx;
-    Typ.Integer (int_of_string (String.sub s 1 (String.length s - 1)))
-  | IDENT "vector" ->
+  | IDENT when ident_is lx "vector" ->
     advance lx;
     expect lx LT;
     let dims =
@@ -161,7 +206,7 @@ let rec parse_type lx : Typ.t =
     let elt = parse_type lx in
     expect lx GT;
     Typ.Vector (dims, elt)
-  | IDENT "tensor" ->
+  | IDENT when ident_is lx "tensor" ->
     advance lx;
     expect lx LT;
     let dims = raw_dimension_list lx in
@@ -170,13 +215,13 @@ let rec parse_type lx : Typ.t =
     (match dims with
     | `Ranked dims -> Typ.Ranked_tensor (dims, elt)
     | `Unranked -> Typ.Unranked_tensor elt)
-  | IDENT "memref" ->
+  | IDENT when ident_is lx "memref" ->
     advance lx;
     expect lx LT;
     let dims = raw_dimension_list lx in
     let elt = parse_type lx in
     let layout =
-      if peek lx = COMMA then begin
+      if at lx COMMA then begin
         advance lx;
         parse_layout lx
       end
@@ -186,64 +231,66 @@ let rec parse_type lx : Typ.t =
     (match dims with
     | `Ranked dims -> Typ.Memref (dims, elt, layout)
     | `Unranked -> Typ.Unranked_memref elt)
-  | IDENT "tuple" ->
+  | IDENT when ident_is lx "tuple" ->
     advance lx;
     expect lx LT;
     let rec go acc =
       let t = parse_type lx in
-      if peek lx = COMMA then begin
+      if at lx COMMA then begin
         advance lx;
         go (t :: acc)
       end
       else List.rev (t :: acc)
     in
-    let ts = if peek lx = GT then [] else go [] in
+    let ts = if at lx GT then [] else go [] in
     expect lx GT;
     Typ.Tuple ts
-  | BANG ->
+  | _ -> fail lx ("expected type, got " ^ describe lx)
+
+and parse_opaque_type lx =
+  advance lx;
+  let name = expect_ident lx in
+  let dialect, body =
+    match String.index_opt name '.' with
+    | None -> (name, "")
+    | Some i ->
+      ( String.sub name 0 i,
+        String.sub name (i + 1) (String.length name - i - 1) )
+  in
+  (* optional <...> raw body, balanced *)
+  if at lx LT then begin
+    let buf = Buffer.create 16 in
+    Buffer.add_string buf body;
     advance lx;
-    let name = expect_ident lx in
-    let dialect, body =
-      match String.index_opt name '.' with
-      | None -> (name, "")
-      | Some i ->
-        (String.sub name 0 i, String.sub name (i + 1) (String.length name - i - 1))
-    in
-    (* optional <...> raw body, balanced *)
-    if peek lx = LT then begin
-      let buf = Buffer.create 16 in
-      Buffer.add_string buf body;
-      advance lx;
-      Buffer.add_char buf '<';
-      Lexer.enter_raw lx;
-      let depth = ref 1 in
-      while !depth > 0 do
-        match Lexer.raw_peek_char lx with
-        | None -> fail lx "unterminated opaque type body"
-        | Some '<' ->
-          incr depth;
-          Buffer.add_char buf '<';
-          Lexer.raw_advance_char lx
-        | Some '>' ->
-          decr depth;
-          if !depth > 0 then Buffer.add_char buf '>';
-          Lexer.raw_advance_char lx
-        | Some c ->
-          Buffer.add_char buf c;
-          Lexer.raw_advance_char lx
-      done;
-      Buffer.add_char buf '>';
-      Typ.Opaque (dialect, Buffer.contents buf)
-    end
-    else Typ.Opaque (dialect, body)
-  | t -> fail lx (Fmt.str "expected type, got %a" pp_token t)
+    Buffer.add_char buf '<';
+    Lexer.enter_raw lx;
+    let depth = ref 1 in
+    while !depth > 0 do
+      match Lexer.raw_peek_char lx with
+      | None -> fail lx "unterminated opaque type body"
+      | Some '<' ->
+        incr depth;
+        Buffer.add_char buf '<';
+        Lexer.raw_advance_char lx
+      | Some '>' ->
+        decr depth;
+        if !depth > 0 then Buffer.add_char buf '>';
+        Lexer.raw_advance_char lx
+      | Some c ->
+        Buffer.add_char buf c;
+        Lexer.raw_advance_char lx
+    done;
+    Buffer.add_char buf '>';
+    Typ.Opaque (dialect, Buffer.contents buf)
+  end
+  else Typ.Opaque (dialect, body)
 
 and parse_function_type lx =
   expect lx LPAREN;
   let ins = parse_type_list_until_rparen lx in
   expect lx ARROW;
   let outs =
-    if peek lx = LPAREN then begin
+    if at lx LPAREN then begin
       advance lx;
       parse_type_list_until_rparen lx
     end
@@ -252,14 +299,14 @@ and parse_function_type lx =
   Typ.Func (ins, outs)
 
 and parse_type_list_until_rparen lx =
-  if peek lx = RPAREN then begin
+  if at lx RPAREN then begin
     advance lx;
     []
   end
   else begin
     let rec go acc =
       let t = parse_type lx in
-      if peek lx = COMMA then begin
+      if at lx COMMA then begin
         advance lx;
         go (t :: acc)
       end
@@ -272,51 +319,52 @@ and parse_type_list_until_rparen lx =
   end
 
 and parse_layout lx =
-  match peek lx with
-  | IDENT "strided" ->
+  if ident_is lx "strided" then begin
     advance lx;
     expect lx LT;
     expect lx LBRACKET;
     let parse_sdim () =
-      match peek lx with
-      | QUESTION ->
+      if at lx QUESTION then begin
         advance lx;
         Typ.Dynamic
-      | _ -> Typ.Static (expect_int lx)
+      end
+      else Typ.Static (expect_int lx)
     in
     let rec go acc =
-      if peek lx = RBRACKET then begin
+      if at lx RBRACKET then begin
         advance lx;
         List.rev acc
       end
       else begin
         let d = parse_sdim () in
-        if peek lx = COMMA then advance lx;
+        if at lx COMMA then advance lx;
         go (d :: acc)
       end
     in
     let strides = go [] in
     let offset =
-      if peek lx = COMMA then begin
+      if at lx COMMA then begin
         advance lx;
-        (match peek lx with
-        | IDENT "offset" ->
+        if ident_is lx "offset" then begin
           advance lx;
           expect lx COLON
-        | _ -> fail lx "expected offset");
+        end
+        else fail lx "expected offset";
         parse_sdim ()
       end
       else Typ.Static 0
     in
     expect lx GT;
     Typ.Strided { offset; strides }
-  | IDENT "affine_map" ->
+  end
+  else if ident_is lx "affine_map" then begin
     advance lx;
     expect lx LT;
     let m = parse_affine_map lx in
     expect lx GT;
     Typ.Affine_layout m
-  | t -> fail lx (Fmt.str "expected layout, got %a" pp_token t)
+  end
+  else fail lx ("expected layout, got " ^ describe lx)
 
 (* ---------------------------------------------------------------- *)
 (* Affine maps                                                       *)
@@ -326,13 +374,13 @@ and parse_affine_map lx : Affine.map =
   expect lx LPAREN;
   let parse_name_list close =
     let rec go acc =
-      if peek lx = close then begin
+      if at lx close then begin
         advance lx;
         List.rev acc
       end
       else begin
         let n = expect_ident lx in
-        if peek lx = COMMA then advance lx;
+        if at lx COMMA then advance lx;
         go (n :: acc)
       end
     in
@@ -340,7 +388,7 @@ and parse_affine_map lx : Affine.map =
   in
   let dims = parse_name_list RPAREN in
   let syms =
-    if peek lx = LBRACKET then begin
+    if at lx LBRACKET then begin
       advance lx;
       parse_name_list RBRACKET
     end
@@ -357,13 +405,13 @@ and parse_affine_map lx : Affine.map =
       | None -> fail lx (Fmt.str "unknown affine identifier %s" name))
   in
   let rec go acc =
-    if peek lx = RPAREN then begin
+    if at lx RPAREN then begin
       advance lx;
       List.rev acc
     end
     else begin
       let e = parse_affine_expr lx env in
-      if peek lx = COMMA then advance lx;
+      if at lx COMMA then advance lx;
       go (e :: acc)
     end
   in
@@ -387,25 +435,29 @@ and parse_affine_expr lx env : Affine.expr =
   and term () =
     let lhs = factor () in
     let rec go lhs =
-      match peek lx with
-      | STAR ->
+      if at lx STAR then begin
         advance lx;
         go (Affine.Mul (lhs, factor ()))
-      | IDENT "mod" ->
+      end
+      else if ident_is lx "mod" then begin
         advance lx;
         go (Affine.Mod (lhs, factor ()))
-      | IDENT "floordiv" ->
+      end
+      else if ident_is lx "floordiv" then begin
         advance lx;
         go (Affine.Floordiv (lhs, factor ()))
-      | IDENT "ceildiv" ->
+      end
+      else if ident_is lx "ceildiv" then begin
         advance lx;
         go (Affine.Ceildiv (lhs, factor ()))
-      | _ -> lhs
+      end
+      else lhs
     in
     go lhs
   and factor () =
     match peek lx with
-    | INT n ->
+    | INT ->
+      let n = lx.int_value in
       advance lx;
       Affine.Const n
     | MINUS ->
@@ -416,10 +468,8 @@ and parse_affine_expr lx env : Affine.expr =
       let e = expr () in
       expect lx RPAREN;
       e
-    | IDENT name ->
-      advance lx;
-      env name
-    | t -> fail lx (Fmt.str "expected affine expression, got %a" pp_token t)
+    | IDENT -> env (take_text lx)
+    | _ -> fail lx ("expected affine expression, got " ^ describe lx)
   in
   Affine.simplify (expr ())
 
@@ -429,70 +479,81 @@ and parse_affine_expr lx env : Affine.expr =
 
 let rec parse_attr lx : Attr.t =
   match peek lx with
-  | INT n ->
+  | INT ->
+    let n = lx.int_value in
     advance lx;
     parse_int_suffix lx n
-  | FLOATLIT f ->
+  | FLOATLIT ->
+    let f = lx.float_value in
     advance lx;
     parse_float_suffix lx f
-  | MINUS ->
+  | MINUS -> (
     advance lx;
-    (match peek lx with
-    | INT n ->
+    match peek lx with
+    | INT ->
+      let n = lx.int_value in
       advance lx;
       parse_int_suffix lx (-n)
-    | FLOATLIT f ->
+    | FLOATLIT ->
+      let f = lx.float_value in
       advance lx;
       parse_float_suffix lx (-.f)
-    | t -> fail lx (Fmt.str "expected number after '-', got %a" pp_token t))
-  | STRING s ->
-    advance lx;
-    Attr.String s
-  | IDENT "true" ->
+    | _ -> fail lx ("expected number after '-', got " ^ describe lx))
+  | STRING -> Attr.String (take_text lx)
+  | IDENT when ident_is lx "true" ->
     advance lx;
     Attr.Bool true
-  | IDENT "false" ->
+  | IDENT when ident_is lx "false" ->
     advance lx;
     Attr.Bool false
-  | IDENT "unit" ->
+  | IDENT when ident_is lx "unit" ->
     advance lx;
     Attr.Unit
-  | IDENT "dense" ->
+  | IDENT when ident_is lx "dense" ->
     advance lx;
     expect lx LT;
-    let neg_int () =
+    let number () =
       match peek lx with
-      | MINUS ->
-        advance lx;
-        (match next lx with
-        | INT n -> `I (-n)
-        | FLOATLIT f -> `F (-.f)
-        | t -> raise (Parse_error (Fmt.str "bad dense element %a" pp_token t)))
-      | INT n ->
+      | INT ->
+        let n = lx.int_value in
         advance lx;
         `I n
-      | FLOATLIT f ->
+      | FLOATLIT ->
+        let f = lx.float_value in
         advance lx;
         `F f
-      | t -> fail lx (Fmt.str "bad dense element %a" pp_token t)
+      | _ -> fail lx ("bad dense element " ^ describe lx)
+    in
+    let element () =
+      if at lx MINUS then begin
+        advance lx;
+        match peek lx with
+        | INT | FLOATLIT -> (
+          match number () with `I n -> `I (-n) | `F f -> `F (-.f))
+        | _ ->
+          let got = describe lx in
+          advance lx;
+          raise (Parse_error ("bad dense element " ^ got))
+      end
+      else number ()
     in
     let elems =
-      if peek lx = LBRACKET then begin
+      if at lx LBRACKET then begin
         advance lx;
         let rec go acc =
-          if peek lx = RBRACKET then begin
+          if at lx RBRACKET then begin
             advance lx;
             List.rev acc
           end
           else begin
-            let e = neg_int () in
-            if peek lx = COMMA then advance lx;
+            let e = element () in
+            if at lx COMMA then advance lx;
             go (e :: acc)
           end
         in
         go []
       end
-      else [ neg_int () ]
+      else [ element () ]
     in
     expect lx GT;
     expect lx COLON;
@@ -501,18 +562,18 @@ let rec parse_attr lx : Attr.t =
       Attr.Dense_float
         (List.map (function `F f -> f | `I n -> float_of_int n) elems, t)
     else Attr.Dense_int (List.map (function `I n -> n | `F _ -> 0) elems, t)
-  | IDENT "array" ->
+  | IDENT when ident_is lx "array" ->
     advance lx;
     expect lx LT;
     let _elt = expect_ident lx in
     let xs =
-      if peek lx = COLON then begin
+      if at lx COLON then begin
         advance lx;
         let rec go acc =
-          if peek lx = GT then List.rev acc
+          if at lx GT then List.rev acc
           else begin
             let n = expect_int lx in
-            if peek lx = COMMA then advance lx;
+            if at lx COMMA then advance lx;
             go (n :: acc)
           end
         in
@@ -522,20 +583,19 @@ let rec parse_attr lx : Attr.t =
     in
     expect lx GT;
     Attr.Int_array xs
-  | IDENT "affine_map" ->
+  | IDENT when ident_is lx "affine_map" ->
     advance lx;
     expect lx LT;
     let m = parse_affine_map lx in
     expect lx GT;
     Attr.Affine_map m
-  | AT_IDENT root ->
-    advance lx;
+  | AT_IDENT ->
+    let root = take_text lx in
     let rec go acc =
-      if peek lx = DCOLON then begin
+      if at lx DCOLON then begin
         advance lx;
-        match next lx with
-        | AT_IDENT n -> go (n :: acc)
-        | t -> fail lx (Fmt.str "expected @symbol after ::, got %a" pp_token t)
+        if at lx AT_IDENT then go (take_text lx :: acc)
+        else unexpected lx "@symbol after ::"
       end
       else List.rev acc
     in
@@ -543,13 +603,13 @@ let rec parse_attr lx : Attr.t =
   | LBRACKET ->
     advance lx;
     let rec go acc =
-      if peek lx = RBRACKET then begin
+      if at lx RBRACKET then begin
         advance lx;
         List.rev acc
       end
       else begin
         let a = parse_attr lx in
-        if peek lx = COMMA then advance lx;
+        if at lx COMMA then advance lx;
         go (a :: acc)
       end
     in
@@ -558,7 +618,7 @@ let rec parse_attr lx : Attr.t =
   | _ -> Attr.Type (parse_type lx)
 
 and parse_int_suffix lx n =
-  if peek lx = COLON then begin
+  if at lx COLON then begin
     advance lx;
     let t = parse_type lx in
     Attr.Int (n, t)
@@ -566,35 +626,39 @@ and parse_int_suffix lx n =
   else Attr.Int (n, Typ.i64)
 
 and parse_float_suffix lx f =
-  if peek lx = COLON then begin
+  if at lx COLON then begin
     advance lx;
     let t = parse_type lx in
     Attr.Float (f, t)
   end
   else Attr.Float (f, Typ.f64)
 
+(* dictionaries repeat as types do ([{operand_segment_sizes = ...}] on
+   every linalg op), and the parse of one ends at its closing brace *)
 and parse_attr_dict lx : Attr.dict =
+  memoized lx lx.dicts (dict_extent lx) parse_attr_dict_text
+
+and parse_attr_dict_text lx =
   expect lx LBRACE;
   let rec go acc =
-    if peek lx = RBRACE then begin
+    if at lx RBRACE then begin
       advance lx;
       List.rev acc
     end
     else begin
       let key =
-        match next lx with
-        | IDENT s -> s
-        | STRING s -> s
-        | t -> fail lx (Fmt.str "expected attribute name, got %a" pp_token t)
+        match peek lx with
+        | IDENT | STRING -> take_text lx
+        | _ -> unexpected lx "attribute name"
       in
       let v =
-        if peek lx = EQUAL then begin
+        if at lx EQUAL then begin
           advance lx;
           parse_attr lx
         end
         else Attr.Unit
       in
-      if peek lx = COMMA then advance lx;
+      if at lx COMMA then advance lx;
       go ((key, v) :: acc)
     end
   in
@@ -608,9 +672,7 @@ type result_spec = { rs_name : string; rs_count : int }
 
 (** [loc(...)] suffix: files, names (optionally nested), fusions. *)
 let rec parse_loc lx : Loc.t =
-  (match next lx with
-  | IDENT "loc" -> ()
-  | t -> fail lx (Fmt.str "expected loc, got %a" pp_token t));
+  if ident_is lx "loc" then advance lx else unexpected lx "loc";
   expect lx LPAREN;
   let l = parse_loc_body lx in
   expect lx RPAREN;
@@ -618,116 +680,139 @@ let rec parse_loc lx : Loc.t =
 
 and parse_loc_body lx : Loc.t =
   match peek lx with
-  | IDENT "unknown" ->
+  | IDENT when ident_is lx "unknown" ->
     advance lx;
     Loc.Unknown
-  | IDENT "fused" ->
+  | IDENT when ident_is lx "fused" ->
     advance lx;
     expect lx LBRACKET;
     let rec go acc =
-      if peek lx = RBRACKET then begin
+      if at lx RBRACKET then begin
         advance lx;
         List.rev acc
       end
       else begin
         let l = parse_loc lx in
-        if peek lx = COMMA then advance lx;
+        if at lx COMMA then advance lx;
         go (l :: acc)
       end
     in
     Loc.Fused (go [])
-  | STRING s -> (
-    advance lx;
-    match peek lx with
-    | COLON ->
+  | STRING ->
+    let s = take_text lx in
+    if at lx COLON then begin
       advance lx;
       let line = expect_int lx in
       expect lx COLON;
       let col = expect_int lx in
       Loc.File { file = s; line; col }
-    | IDENT "at" ->
+    end
+    else if ident_is lx "at" then begin
       advance lx;
       Loc.Name (s, parse_loc lx)
-    | _ -> Loc.Name (s, Loc.Unknown))
-  | t -> fail lx (Fmt.str "expected location, got %a" pp_token t)
-
-let parse_operand_ref lx scope =
-  match next lx with
-  | PCT_IDENT name ->
-    (* the lexer folds "#": %x#1 lexes as PCT_IDENT "x" HASH? No: '#' is not
-       an id char start... '#' is not in is_id_char, so %x#1 -> PCT_IDENT "x",
-       HASH, INT 1. *)
-    if peek lx = HASH then begin
-      advance lx;
-      let i = expect_int lx in
-      lookup_value scope name i
     end
-    else lookup_value scope name 0
-  | t -> fail lx (Fmt.str "expected %%operand, got %a" pp_token t)
+    else Loc.Name (s, Loc.Unknown)
+  | _ -> fail lx ("expected location, got " ^ describe lx)
+
+(* [%x] or [%x#1]: '#' is not an identifier character, so the index lexes
+   as HASH then INT *)
+let parse_operand_ref lx scope =
+  if at lx PCT_IDENT then begin
+    let src = source lx in
+    let off = token_start lx + 1 in
+    let len = token_stop lx - off in
+    advance lx;
+    let index =
+      if at lx HASH then begin
+        advance lx;
+        expect_int lx
+      end
+      else 0
+    in
+    match lookup_def scope src off len (Span_table.hash_span src off len) with
+    | vs ->
+      if index >= Array.length vs then
+        raise
+          (Parse_error
+             (Fmt.str "value group %%%s has %d results, requested #%d"
+                (String.sub src off len) (Array.length vs) index))
+      else vs.(index)
+    | exception Not_found ->
+      make_pending scope (pending_key (String.sub src off len) index)
+  end
+  else unexpected lx "%operand"
+
+(* [%a =] or [%a:2 =], the lookahead on the name. A list [%a, %b =] is
+   rejected at its comma, as it always was. The loops of the per-op path
+   are top-level functions, so they allocate no closure. *)
+let rec parse_result_specs lx acc =
+  if at lx PCT_IDENT then begin
+    let name = take_text lx in
+    let count =
+      if at lx COLON then begin
+        advance lx;
+        expect_int lx
+      end
+      else 1
+    in
+    let acc = { rs_name = name; rs_count = count } :: acc in
+    if at lx COMMA then parse_result_specs lx acc
+    else begin
+      expect lx EQUAL;
+      List.rev acc
+    end
+  end
+  else unexpected lx "%result"
+
+let rec parse_operands lx scope acc =
+  if at lx RPAREN then begin
+    advance lx;
+    List.rev acc
+  end
+  else begin
+    let v = parse_operand_ref lx scope in
+    if at lx COMMA then advance lx;
+    parse_operands lx scope (v :: acc)
+  end
+
+(* each operand's type must match the signature; a forward reference
+   takes its type from its first use *)
+let rec check_operand_types lx op_name i vs ts =
+  match (vs, ts) with
+  | v :: vs, t :: ts ->
+    let vt = Ircore.value_typ v in
+    if vt == pending_typ then v.Ircore.v_typ <- t
+    else if not (Typ.equal vt t) then
+      fail lx
+        (Fmt.str "op %s: operand %d has type %a but signature says %a" op_name
+           i Typ.pp vt Typ.pp t);
+    check_operand_types lx op_name (i + 1) vs ts
+  | _ -> ()
 
 let rec parse_op lx scope : Ircore.op =
-  (* optional results *)
   let result_specs =
-    if (match peek lx with PCT_IDENT _ -> true | _ -> false) then begin
-      let rec go acc =
-        match next lx with
-        | PCT_IDENT name ->
-          let count =
-            if peek lx = COLON then begin
-              advance lx;
-              expect_int lx
-            end
-            else 1
-          in
-          let acc = { rs_name = name; rs_count = count } :: acc in
-          if peek lx = COMMA then go acc
-          else begin
-            expect lx EQUAL;
-            List.rev acc
-          end
-        | t -> fail lx (Fmt.str "expected %%result, got %a" pp_token t)
-      in
-      go []
-    end
-    else []
+    if at lx PCT_IDENT then parse_result_specs lx [] else []
   in
   let op_name =
-    match next lx with
-    | STRING s -> s
-    | t -> fail lx (Fmt.str "expected op name string, got %a" pp_token t)
+    if at lx STRING then take_text lx else unexpected lx "op name string"
   in
   expect lx LPAREN;
-  let operands =
-    let rec go acc =
-      if peek lx = RPAREN then begin
-        advance lx;
-        List.rev acc
-      end
-      else begin
-        let v = parse_operand_ref lx scope in
-        if peek lx = COMMA then advance lx;
-        go (v :: acc)
-      end
-    in
-    go []
-  in
+  let operands = parse_operands lx scope [] in
   (* successors *)
   let successors =
-    if peek lx = LBRACKET then begin
+    if at lx LBRACKET then begin
       advance lx;
       let rec go acc =
-        if peek lx = RBRACKET then begin
+        if at lx RBRACKET then begin
           advance lx;
           List.rev acc
         end
-        else begin
-          match next lx with
-          | CARET_IDENT name ->
-            let b = get_block scope name in
-            if peek lx = COMMA then advance lx;
-            go (b :: acc)
-          | t -> fail lx (Fmt.str "expected ^block, got %a" pp_token t)
+        else if at lx CARET_IDENT then begin
+          let b = take_block lx scope in
+          if at lx COMMA then advance lx;
+          go (b :: acc)
         end
+        else unexpected lx "^block"
       in
       go []
     end
@@ -735,11 +820,11 @@ let rec parse_op lx scope : Ircore.op =
   in
   (* regions *)
   let regions =
-    if peek lx = LPAREN then begin
+    if at lx LPAREN then begin
       advance lx;
       let rec go acc =
         let r = parse_region lx scope in
-        if peek lx = COMMA then begin
+        if at lx COMMA then begin
           advance lx;
           go (r :: acc)
         end
@@ -753,51 +838,46 @@ let rec parse_op lx scope : Ircore.op =
     else []
   in
   (* attributes *)
-  let attrs = if peek lx = LBRACE then parse_attr_dict lx else [] in
-  (* type signature *)
+  let attrs = if at lx LBRACE then parse_attr_dict lx else [] in
+  (* type signature: a function type, parsed (and shared) by parse_type;
+     anything else fails with "expected (" *)
   expect lx COLON;
+  if not (at lx LPAREN) then expect lx LPAREN;
   let operand_types, result_types =
-    match parse_function_type lx with
+    match parse_type lx with
     | Typ.Func (ins, outs) -> (ins, outs)
     | _ -> fail lx "expected function type signature"
   in
-  if List.length operand_types <> List.length operands then
+  if List.compare_lengths operand_types operands <> 0 then
     fail lx
       (Fmt.str "op %s: %d operands but %d operand types" op_name
          (List.length operands) (List.length operand_types));
-  List.iteri
-    (fun i v ->
-      let t = List.nth operand_types i in
-      if Ircore.value_typ v = pending_typ then v.Ircore.v_typ <- t
-      else if not (Typ.equal (Ircore.value_typ v) t) then
-        fail lx
-          (Fmt.str "op %s: operand %d has type %a but signature says %a" op_name
-             i Typ.pp (Ircore.value_typ v) Typ.pp t))
-    operands;
+  check_operand_types lx op_name 0 operands operand_types;
   (* optional trailing location *)
-  let loc =
-    match peek lx with
-    | IDENT "loc" -> parse_loc lx
-    | _ -> Loc.unknown
-  in
+  let loc = if ident_is lx "loc" then parse_loc lx else Loc.unknown in
   let op =
     Ircore.create ~operands ~result_types ~attrs ~regions ~successors ~loc
       op_name
   in
   (* define results *)
   let results = op.Ircore.results in
-  let total = List.fold_left (fun a s -> a + s.rs_count) 0 result_specs in
-  if result_specs <> [] && total <> Array.length results then
-    fail lx
-      (Fmt.str "op %s: %d results declared but signature has %d" op_name total
-         (Array.length results));
-  let idx = ref 0 in
-  List.iter
-    (fun spec ->
-      let vs = Array.sub results !idx spec.rs_count in
-      idx := !idx + spec.rs_count;
-      define_values scope spec.rs_name vs)
-    result_specs;
+  (match result_specs with
+  | [] -> ()
+  | [ spec ] when spec.rs_count = Array.length results ->
+    define_values lx scope spec.rs_name results
+  | _ ->
+    let total = List.fold_left (fun a s -> a + s.rs_count) 0 result_specs in
+    if total <> Array.length results then
+      fail lx
+        (Fmt.str "op %s: %d results declared but signature has %d" op_name
+           total (Array.length results));
+    ignore
+      (List.fold_left
+         (fun idx spec ->
+           define_values lx scope spec.rs_name
+             (Array.sub results idx spec.rs_count);
+           idx + spec.rs_count)
+         0 result_specs));
   op
 
 and parse_region lx outer_scope : Ircore.region =
@@ -808,7 +888,7 @@ and parse_region lx outer_scope : Ircore.region =
   let parse_block_body block =
     let rec go () =
       match peek lx with
-      | RBRACE | CARET_IDENT _ -> ()
+      | RBRACE | CARET_IDENT -> ()
       | _ ->
         let op = parse_op lx scope in
         Ircore.insert_at_end block op;
@@ -817,8 +897,7 @@ and parse_region lx outer_scope : Ircore.region =
     go ()
   in
   (match peek lx with
-  | RBRACE -> ()
-  | CARET_IDENT _ -> ()
+  | RBRACE | CARET_IDENT -> ()
   | _ ->
     let entry = Ircore.create_block () in
     Ircore.append_block region entry;
@@ -826,27 +905,26 @@ and parse_region lx outer_scope : Ircore.region =
   (* labeled blocks *)
   let rec labeled () =
     match peek lx with
-    | CARET_IDENT name ->
-      advance lx;
-      let block = get_block scope name in
-      if Ircore.block_parent block <> None then
+    | CARET_IDENT ->
+      let name = text lx in
+      let block = take_block lx scope in
+      if Option.is_some (Ircore.block_parent block) then
         fail lx (Fmt.str "redefinition of block ^%s" name);
       (* block arguments *)
-      if peek lx = LPAREN then begin
+      if at lx LPAREN then begin
         advance lx;
         let rec args () =
-          if peek lx = RPAREN then advance lx
-          else begin
-            match next lx with
-            | PCT_IDENT an ->
-              expect lx COLON;
-              let t = parse_type lx in
-              let v = Ircore.add_block_arg block t in
-              define_values scope an [| v |];
-              if peek lx = COMMA then advance lx;
-              args ()
-            | t -> fail lx (Fmt.str "expected %%arg, got %a" pp_token t)
+          if at lx RPAREN then advance lx
+          else if at lx PCT_IDENT then begin
+            let an = take_text lx in
+            expect lx COLON;
+            let t = parse_type lx in
+            let v = Ircore.add_block_arg block t in
+            define_values lx scope an [| v |];
+            if at lx COMMA then advance lx;
+            args ()
           end
+          else unexpected lx "%arg"
         in
         args ()
       end;
@@ -855,18 +933,14 @@ and parse_region lx outer_scope : Ircore.region =
       parse_block_body block;
       labeled ()
     | RBRACE -> advance lx
-    | t -> fail lx (Fmt.str "expected block or '}', got %a" pp_token t)
+    | _ -> fail lx ("expected block or '}', got " ^ describe lx)
   in
   labeled ();
-  (* all pendings of this scope must be resolved *)
-  Hashtbl.iter
-    (fun key _ ->
-      raise (Parse_error (Fmt.str "use of undefined value %%%s" key)))
-    scope.pendings;
+  check_resolved scope;
   (* unplaced forward-referenced blocks are an error *)
-  Hashtbl.iter
+  Span_table.iter
     (fun name b ->
-      if Ircore.block_parent b = None then
+      if Option.is_none (Ircore.block_parent b) then
         raise (Parse_error (Fmt.str "use of undefined block ^%s" name)))
     scope.blocks;
   region
@@ -888,13 +962,10 @@ let parse_module src : (Ircore.op, string) result =
   try
     let scope = new_scope None in
     let rec go acc =
-      if peek lx = EOF then List.rev acc else go (parse_op lx scope :: acc)
+      if at lx EOF then List.rev acc else go (parse_op lx scope :: acc)
     in
     let ops = go [] in
-    Hashtbl.iter
-      (fun key _ ->
-        raise (Parse_error (Fmt.str "use of undefined value %%%s" key)))
-      scope.pendings;
+    check_resolved scope;
     match ops with
     | [ op ] when op.Ircore.op_name = "builtin.module" -> Ok op
     | ops ->
@@ -914,7 +985,7 @@ let parse_op_string src : (Ircore.op, string) result =
   try
     let scope = new_scope None in
     let op = parse_op lx scope in
-    if peek lx <> EOF then Error "trailing input after operation"
+    if not (at lx EOF) then Error "trailing input after operation"
     else Ok op
   with
   | Parse_error msg -> Error msg

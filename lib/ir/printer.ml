@@ -28,11 +28,19 @@ type naming = {
   types : (Typ.t, string) Hashtbl.t;
       (** each type's text, rendered once per print: a module holds many
           type references but few distinct types *)
+  mutable last_type : Typ.t;
+  mutable last_text : string;
+      (** the type printed last and its text: parsed modules share equal
+          types, so a run of one type skips the hash *)
 }
+
+(* a type no IR holds, so the first [==] test fails *)
+let no_type = Typ.Opaque ("", "")
 
 let fresh_naming () =
   { values = Hashtbl.create 64; blocks = Hashtbl.create 8; next_value = 0;
-    next_block = 0; types = Hashtbl.create 16 }
+    next_block = 0; types = Hashtbl.create 16; last_type = no_type;
+    last_text = "" }
 
 let value_num naming v =
   match Hashtbl.find_opt naming.values v.v_id with
@@ -77,15 +85,17 @@ let value_ref naming v = Util.bprint_to_string (bprint_value_ref naming) v
 let block_name naming b = Util.bprint_to_string (bprint_block_name naming) b
 
 let bprint_type naming buf t =
-  let text =
-    match Hashtbl.find_opt naming.types t with
-    | Some s -> s
-    | None ->
-      let s = Typ.to_string t in
-      Hashtbl.replace naming.types t s;
-      s
-  in
-  Buffer.add_string buf text
+  if t != naming.last_type then begin
+    naming.last_text <-
+      (match Hashtbl.find_opt naming.types t with
+      | Some s -> s
+      | None ->
+        let s = Typ.to_string t in
+        Hashtbl.replace naming.types t s;
+        s);
+    naming.last_type <- t
+  end;
+  Buffer.add_string buf naming.last_text
 
 let bprint_indent buf indent =
   for _ = 1 to indent do

@@ -176,4 +176,6 @@ let rec bprint b = function
 let to_string t = Util.bprint_to_string bprint t
 let pp fmt t = Format.pp_print_string fmt (to_string t)
 
-let equal (a : t) (b : t) = a = b
+(* the parser shares repeated types, so equal types are often the same
+   value *)
+let equal (a : t) (b : t) = a == b || a = b

@@ -326,6 +326,205 @@ let test_locations_roundtrip () =
     | Ok m2 ->
       Alcotest.(check string) "locs round-trip" s (Printer.op_to_string_locs m2))
 
+(* ---------------- forward references ---------------- *)
+
+(* %x is used as an i32 in ^bb1 before ^bb2 defines it as an i64: the
+   definition must not rewrite the signature of the use *)
+let test_forward_ref_type_mismatch () =
+  let e =
+    parse_err
+      {|"func.func"() ({
+^bb0:
+  "cf.br"()[^bb2] : () -> ()
+^bb1:
+  %y = "arith.index_cast"(%x) : (i32) -> index
+  "func.return"() : () -> ()
+^bb2:
+  %x = "arith.constant"() {value = 1 : i64} : () -> i64
+  "cf.br"()[^bb1] : () -> ()
+}) {sym_name = "f", function_type = () -> ()} : () -> ()|}
+  in
+  Alcotest.(check bool) ("names the value: " ^ e) true (contains e "%x");
+  Alcotest.(check bool) ("names both types: " ^ e) true
+    (contains e "i64" && contains e "i32")
+
+let test_forward_ref_type_match () =
+  roundtrip_ok
+    {|"func.func"() ({
+^bb0:
+  "cf.br"()[^bb2] : () -> ()
+^bb1:
+  %y = "arith.index_cast"(%x) : (i64) -> index
+  "func.return"() : () -> ()
+^bb2:
+  %x = "arith.constant"() {value = 1 : i64} : () -> i64
+  "cf.br"()[^bb1] : () -> ()
+}) {sym_name = "f", function_type = () -> ()} : () -> ()|}
+
+(* the placeholder type is recognised by identity, so a value whose type
+   is spelled [!__pending__] is checked like any other *)
+let test_pending_spelling_is_a_type () =
+  let e =
+    parse_err
+      {|%a = "test.def"() : () -> !__pending__
+"test.use"(%a) : (i32) -> ()|}
+  in
+  Alcotest.(check bool) ("operand type checked: " ^ e) true
+    (contains e "!__pending__" && contains e "i32")
+
+(* ---------------- shared types ---------------- *)
+
+let flat_block n =
+  let b = Buffer.create (n * 64) in
+  Buffer.add_string b
+    "\"func.func\"() ({\n^bb0(%a: i64, %b: i64):\n";
+  let prev = ref "%a" in
+  for i = 1 to n do
+    Printf.bprintf b "  %%v%d = \"arith.addi\"(%s, %%b) : (i64, i64) -> i64\n" i
+      !prev;
+    prev := Printf.sprintf "%%v%d" i
+  done;
+  Printf.bprintf b
+    "  \"func.return\"(%s) : (i64) -> ()\n}) {sym_name = \"flat\", \
+     function_type = (i64, i64) -> i64} : () -> ()"
+    !prev;
+  Buffer.contents b
+
+(* a parse shares each repeated type: every addi result holds the very
+   value the first one does *)
+let test_flat_block_types_shared () =
+  match Parser.parse_module (flat_block 500) with
+  | Error e -> Alcotest.fail e
+  | Ok m ->
+    let types = ref [] in
+    Ircore.walk_op m ~pre:(fun op ->
+        if op.Ircore.op_name = "arith.addi" then
+          types := Ircore.value_typ (Ircore.result op) :: !types);
+    Alcotest.(check int) "addi count" 500 (List.length !types);
+    let first = List.hd !types in
+    Alcotest.(check bool) "one shared result type" true
+      (List.for_all (fun t -> t == first) !types)
+
+(* near-identical spellings must not be taken for one another: a "->"
+   inside an affine-map layout, opaque bodies, unranked tensors, a
+   function type returning one, a space before an opaque body, and one
+   type spelled three ways *)
+let spellings =
+  {|"builtin.module"() ({
+  %0 = "test.a"() : () -> memref<4xf32, affine_map<(d0) -> (d0 + 1)>>
+  %1 = "test.a"() : () -> memref<4xf32, affine_map<(d0) -> (d0 + 2)>>
+  %2 = "test.a"() : () -> memref<4xf32>
+  %3 = "test.b"() : () -> !llvm.struct<(i32, f32)>
+  %4 = "test.b"() : () -> !llvm.struct<(i32, f64)>
+  %5 = "test.b"() : () -> !llvm.struct
+  %6 = "test.b"() : () -> !llvm.struct <(i32)>
+  %7 = "test.b"() : () -> !llvm.ptr
+  %8 = "test.b"() : () -> !llvm.ptr<1>
+  %9 = "test.c"() : () -> tensor<*xf32>
+  %10 = "test.c"() : () -> tensor<4xf32>
+  %11 = "test.c"() : () -> tensor<*xf64>
+  %12 = "test.c"() : () -> tensor <4xf32 >
+  %13 = "test.d"() {fn = (i32) -> (() -> i32), g = (i32) -> i32} : () -> ((i32) -> (() -> i32))
+  %14 = "test.d"() : () -> ((i32) -> i32)
+  %15 = "test.e"() : () -> i6
+  %16 = "test.e"() : () -> i64
+  %17 = "test.e"() : () -> bf16
+  %18 = "test.e"() : () -> f16
+  "test.f"(%16, %16) : (i64,i64) -> ()
+  "test.f"(%16, %16) : ( i64 , i64 ) -> ()
+  "test.f"(%16, %16) : (i64, i64) -> ()
+}) : () -> ()|}
+
+let spellings_printed =
+  {|"builtin.module"() ({
+  %0 = "test.a"() : () -> memref<4xf32, affine_map<(d0) -> (d0 + 1)>>
+  %1 = "test.a"() : () -> memref<4xf32, affine_map<(d0) -> (d0 + 2)>>
+  %2 = "test.a"() : () -> memref<4xf32>
+  %3 = "test.b"() : () -> !llvm.struct<(i32, f32)>
+  %4 = "test.b"() : () -> !llvm.struct<(i32, f64)>
+  %5 = "test.b"() : () -> !llvm.struct
+  %6 = "test.b"() : () -> !llvm.struct<(i32)>
+  %7 = "test.b"() : () -> !llvm.ptr
+  %8 = "test.b"() : () -> !llvm.ptr<1>
+  %9 = "test.c"() : () -> tensor<*xf32>
+  %10 = "test.c"() : () -> tensor<4xf32>
+  %11 = "test.c"() : () -> tensor<*xf64>
+  %12 = "test.c"() : () -> tensor<4xf32>
+  %13 = "test.d"() {fn = (i32) -> (() -> i32), g = (i32) -> i32} : () -> ((i32) -> (() -> i32))
+  %14 = "test.d"() : () -> ((i32) -> i32)
+  %15 = "test.e"() : () -> i6
+  %16 = "test.e"() : () -> i64
+  %17 = "test.e"() : () -> bf16
+  %18 = "test.e"() : () -> f16
+  "test.f"(%16, %16) : (i64, i64) -> ()
+  "test.f"(%16, %16) : (i64, i64) -> ()
+  "test.f"(%16, %16) : (i64, i64) -> ()
+}) : () -> ()|}
+
+let test_type_spellings () =
+  match Parser.parse_module spellings with
+  | Error e -> Alcotest.fail e
+  | Ok m ->
+    Alcotest.(check string)
+      "printed" spellings_printed (Printer.op_to_string m);
+    roundtrip_ok spellings
+
+(* text that misleads the memo's extent scans: a "->" inside an opaque
+   body nested in a tensor, braces inside strings of a dictionary. Each
+   spelling still parses to the same value as its twin, and the module
+   reads back its own print. *)
+let test_misleading_spellings () =
+  let src =
+    {|"builtin.module"() ({
+  %0 = "test.g"() : () -> tensor<4x!foo<->>
+  %1 = "test.g"() : () -> tensor<4x!foo<->>
+  %2 = "test.g"() {a = "}{", b = {c = "\"}"}} : () -> !foo<(a)>
+  %3 = "test.g"() {a = "}{", b = {c = "\"}"}} : () -> !foo<(a)>
+}) : () -> ()|}
+  in
+  match Parser.parse_module src with
+  | Error e -> Alcotest.fail e
+  | Ok m ->
+    let ops = ref [] in
+    Ircore.walk_op m ~pre:(fun op ->
+        if op.Ircore.op_name = "test.g" then ops := op :: !ops);
+    (match List.rev !ops with
+    | [ a; b; c; d ] ->
+      let typ op = Ircore.value_typ (Ircore.result op) in
+      Alcotest.(check bool) "tensor twins" true (Typ.equal (typ a) (typ b));
+      Alcotest.(check bool) "opaque twins" true (Typ.equal (typ c) (typ d));
+      Alcotest.(check bool) "dictionary twins" true
+        (c.Ircore.attrs = d.Ircore.attrs
+        && Attr.find "a" c.Ircore.attrs = Some (Attr.String "}{"))
+    | _ -> Alcotest.fail "expected 4 test.g ops");
+    roundtrip_ok src
+
+(* ---------------- wide ops ---------------- *)
+
+(* one op with [n] operands, all results of one group: the operand type
+   check is linear in the operand count *)
+let wide_op n =
+  let ts = String.concat ", " (List.init n (fun _ -> "i32")) in
+  let refs = String.concat ", " (List.init n (fun i -> Fmt.str "%%v#%d" i)) in
+  Fmt.str "%%v:%d = \"test.many\"() : () -> (%s)\n\"test.use\"(%s) : (%s) -> ()"
+    n ts refs ts
+
+let test_wide_ops () =
+  List.iter
+    (fun n ->
+      match Parser.parse_module (wide_op n) with
+      | Error e -> Alcotest.failf "%d operands: %s" n e
+      | Ok m ->
+        let s1 = Printer.op_to_string m in
+        (match Parser.parse_module s1 with
+        | Error e -> Alcotest.failf "%d operands, reparse: %s" n e
+        | Ok m2 ->
+          Alcotest.(check bool)
+            (Fmt.str "%d operands round-trip" n)
+            true
+            (String.equal s1 (Printer.op_to_string m2))))
+    [ 20_000; 40_000 ]
+
 let () =
   Alcotest.run "parser"
     [
@@ -338,6 +537,8 @@ let () =
             test_cfg_forward_refs;
           Alcotest.test_case "values across blocks" `Quick
             test_block_args_across_blocks;
+          Alcotest.test_case "forward ref type match" `Quick
+            test_forward_ref_type_match;
           QCheck_alcotest.to_alcotest prop_roundtrip;
           QCheck_alcotest.to_alcotest prop_parser_total;
           QCheck_alcotest.to_alcotest prop_parser_total_on_mutations;
@@ -362,5 +563,18 @@ let () =
             test_operand_type_mismatch;
           Alcotest.test_case "location round-trip" `Quick
             test_locations_roundtrip;
+          Alcotest.test_case "forward ref type mismatch" `Quick
+            test_forward_ref_type_mismatch;
+          Alcotest.test_case "pending spelling is a type" `Quick
+            test_pending_spelling_is_a_type;
+        ] );
+      ( "sharing",
+        [
+          Alcotest.test_case "flat block types shared" `Quick
+            test_flat_block_types_shared;
+          Alcotest.test_case "type spellings" `Quick test_type_spellings;
+          Alcotest.test_case "misleading spellings" `Quick
+            test_misleading_spellings;
+          Alcotest.test_case "wide ops" `Quick test_wide_ops;
         ] );
     ]

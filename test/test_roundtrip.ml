@@ -257,6 +257,33 @@ let test_domain_safe () =
         (Domain.join dom))
     printers
 
+(* The parser's type memo and interning tables belong to one parse: four
+   domains parsing lowered GPT-2 at once must each read back the text
+   they were given. *)
+let test_parse_domain_safe () =
+  let gpt2 =
+    List.find
+      (fun (s : Workloads.Models.spec) -> s.sp_name = "gpt2")
+      Workloads.Models.paper_models
+  in
+  let text = Printer.op_to_string (lowered_model gpt2) in
+  let parsers =
+    List.init 4 (fun _ ->
+        Domain.spawn (fun () ->
+            List.init 4 (fun _ ->
+                match Parser.parse_module text with
+                | Ok m -> Printer.op_to_string m
+                | Error e -> "parse error: " ^ e)))
+  in
+  List.iteri
+    (fun d dom ->
+      List.iter
+        (fun s ->
+          check cb (Fmt.str "domain %d reads the text back" d) true
+            (String.equal s text))
+        (Domain.join dom))
+    parsers
+
 let () =
   Alcotest.run "roundtrip"
     [
@@ -275,5 +302,6 @@ let () =
           Alcotest.test_case "models-fixed-point" `Quick
             test_models_fixed_point;
           Alcotest.test_case "domain-safe" `Quick test_domain_safe;
+          Alcotest.test_case "parse-domain-safe" `Quick test_parse_domain_safe;
         ] );
     ]
