@@ -623,7 +623,7 @@ let parse_exn text =
     anything fails the run. *)
 let text_bench () =
   banner "E14 - Text path: parse and print cost per module"
-    "per-parse type sharing, interned names, an allocation-free lexer";
+    "per-parse type sharing, an allocation-free lexer";
   let lowered name =
     let spec =
       List.find

@@ -5,9 +5,7 @@
     for numbers, its value — so scanning punctuation, identifiers and
     decimal integers allocates nothing. Identifiers the parser only
     compares against keywords are matched against the source in place
-    ({!ident_is}). Op names, attribute keys and strings it keeps are
-    interned once per parse ({!text}), so every occurrence of
-    ["arith.addi"] in a module shares one string.
+    ({!ident_is}); only text the parser keeps is copied out ({!text}).
 
     The lexer also exposes *raw mode* access to the underlying characters.
     Raw mode is needed to lex dimension lists such as [4x?xf32] inside
@@ -99,10 +97,7 @@ module Span_table = struct
   (** A table of [n] buckets, [n] a power of 2; it doubles as it fills. *)
   let create n = { buckets = Array.make n Empty; size = 0 }
 
-  external get64 : string -> int -> int64 = "%caml_string_get64u"
-
-  (* spans are compared and hashed eight bytes at a time: type spellings
-     run to a hundred characters *)
+  (* FNV-1a over the bytes of the span *)
   let rec hash_bytes s stop h i =
     if i < stop then
       hash_bytes s stop
@@ -110,24 +105,12 @@ module Span_table = struct
         (i + 1)
     else h land max_int
 
-  let rec hash_words s stop h i =
-    if i + 8 <= stop then begin
-      let h = (h lxor Int64.to_int (get64 s i)) * 0x100000001b3 in
-      hash_words s stop (h lxor (h lsr 29)) (i + 8)
-    end
-    else hash_bytes s stop h i
-
-  let hash_span s off len =
-    hash_words s (off + len) (0x3f29ce484222325 lxor len) off
+  let hash_span s off len = hash_bytes s (off + len) 0x3f29ce484222325 off
 
   let rec chars_match key s off i len =
-    if i + 8 <= len then
-      Int64.equal (get64 key i) (get64 s (off + i))
-      && chars_match key s off (i + 8) len
-    else
-      i = len
-      || String.unsafe_get key i = String.unsafe_get s (off + i)
-         && chars_match key s off (i + 1) len
+    i = len
+    || String.unsafe_get key i = String.unsafe_get s (off + i)
+       && chars_match key s off (i + 1) len
 
   let key_matches key s off len =
     String.length key = len && chars_match key s off 0 len
@@ -189,8 +172,6 @@ type t = {
   mutable int_value : int;  (** value of an [INT] token *)
   mutable float_value : float;  (** value of a [FLOATLIT] token *)
   mutable escaped : bool;  (** a [STRING] token holds a backslash escape *)
-  names : string Span_table.t;
-      (** identifiers and strings kept by the parser, interned per parse *)
   types : Typ.t Span_table.t;
   dicts : Attr.dict Span_table.t;
       (** the parser's per-parse memo of types and attribute dictionaries,
@@ -208,7 +189,6 @@ let create src =
     int_value = 0;
     float_value = 0.0;
     escaped = false;
-    names = Span_table.create 64;
     types = Span_table.create 64;
     dicts = Span_table.create 16;
   }
@@ -482,26 +462,16 @@ let decode_string src start stop =
   go start;
   Buffer.contents buf
 
-let intern t off len =
-  let h = Span_table.hash_span t.src off len in
-  try Span_table.find_hashed t.names h t.src off len
-  with Not_found ->
-    let key = String.sub t.src off len in
-    Span_table.add t.names h key key;
-    key
-
 (** Text of an identifier or string lookahead: the identifier without its
-    sigil, or the decoded string contents. Interned per parse, except
-    [%] and [^] names: most are defined once and die with their region. *)
+    sigil, or the decoded string contents. *)
 let text t =
   match peek t with
   | STRING ->
     if t.escaped then decode_string t.src (t.start + 1) (t.stop - 1)
-    else intern t (t.start + 1) (t.stop - t.start - 2)
-  | PCT_IDENT | CARET_IDENT ->
+    else String.sub t.src (t.start + 1) (t.stop - t.start - 2)
+  | PCT_IDENT | CARET_IDENT | AT_IDENT ->
     String.sub t.src (t.start + 1) (t.stop - t.start - 1)
-  | AT_IDENT -> intern t (t.start + 1) (t.stop - t.start - 1)
-  | _ -> intern t t.start (t.stop - t.start)
+  | _ -> String.sub t.src t.start (t.stop - t.start)
 
 (** The lookahead as diagnostics name it: "integer 5", "identifier foo",
     "%x", "(" and so on. *)
@@ -520,14 +490,6 @@ let describe t =
 (* Type spans                                                        *)
 (* ---------------------------------------------------------------- *)
 
-(** End offset of the type spelled at the lookahead, found by scanning
-    characters without building anything, or [-1] when the text does not
-    look like a type. It stops where [Parser.parse_type] stops: after a
-    maximal identifier, after the [<...>] body an identifier or [!dialect]
-    type may carry (across whitespace, as the parser's lookahead does),
-    after the matching [)] of a function type's inputs and its result. The
-    parser memoizes types by this span and checks, before recording, that
-    the parse consumed exactly it. *)
 (* The bracket scans below stop at [lim], at most [max_memo_span] past
    the lookahead: real type spellings stay under 100 characters, and the
    cap keeps the scans linear in the input even on text built to defeat

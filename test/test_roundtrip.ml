@@ -257,7 +257,7 @@ let test_domain_safe () =
         (Domain.join dom))
     printers
 
-(* The parser's type memo and interning tables belong to one parse: four
+(* The parser's type memo and name tables belong to one parse: four
    domains parsing lowered GPT-2 at once must each read back the text
    they were given. *)
 let test_parse_domain_safe () =
