@@ -617,13 +617,27 @@ let parse_exn text =
   | Ok md -> md
   | Error e -> failwith ("text bench: " ^ e)
 
-(** Parse time, parse allocation per input byte and print time of flat
-    blocks and of the lowered Table-1 models. The printed form of each
+(** Bytes [f ()] allocates on this domain, minor and major heap both. A
+    minor collection on each side makes the GC counters exact. *)
+let alloc_bytes f =
+  Gc.minor ();
+  let minor0, promoted0, major0 = Gc.counters () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor ();
+  let minor1, promoted1, major1 = Gc.counters () in
+  (minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0))
+  *. float_of_int (Sys.word_size / 8)
+
+(** Per-stage cost of one module along the job path: parse time and parse
+    allocation per input byte, fingerprint, verify, canonicalize, cse and
+    print time, and the bytes each middle stage allocates per op, for
+    flat blocks and the lowered Table-1 models. The printed form of each
     parse must read back to itself, so a parser that drops or reorders
     anything fails the run. *)
 let text_bench () =
-  banner "E14 - Text path: parse and print cost per module"
-    "per-parse type sharing, an allocation-free lexer";
+  banner "E14 - Text path: per-stage cost of one module"
+    "per-parse type sharing, an allocation-free lexer, registration \
+     resolved once per op";
   let lowered name =
     let spec =
       List.find
@@ -646,17 +660,47 @@ let text_bench () =
       lowered "mobilebert";
     ]
   in
+  let run_pass name md =
+    match (Passes.Pass.lookup_exn name).Passes.Pass.run ctx md with
+    | Ok () -> ()
+    | Error d -> failwith ("text bench: " ^ Ir.Diag.to_string d)
+  in
+  let verify md =
+    match Ir.Verifier.verify ctx md with
+    | Ok () -> ()
+    | Error _ -> failwith "text bench: module does not verify"
+  in
+  (* each stage: an untimed set-up that returns the timed call *)
+  let stages text md =
+    let on_md run () () = run md in
+    [
+      ("parse", fun () () -> ignore (parse_exn text));
+      ("fingerprint", on_md (fun md -> ignore (Ir.Fingerprint.op md)));
+      ("verify", on_md verify);
+      ( "canonicalize",
+        fun () ->
+          let md = parse_exn text in
+          fun () -> run_pass "canonicalize" md );
+      ( "cse",
+        fun () ->
+          let md = parse_exn text in
+          run_pass "canonicalize" md;
+          fun () -> run_pass "cse" md );
+      ("print", on_md (fun md -> ignore (Ir.Printer.op_to_string md)));
+    ]
+  in
   (* best of 15 runs: other tenants of a shared box only ever add time.
      The runs go in 3 rounds over all inputs, so no input is timed only
      while the process warms up, and each starts from a collected heap,
      so the garbage of the runs before it does not bill it for major GC
      work. *)
   let rounds = 3 and runs = 5 in
-  let best_ms f =
+  let best_ms setup =
     let best = ref infinity in
     for _ = 1 to runs do
+      let run = setup () in
       Gc.full_major ();
-      best := Float.min !best (wall (fun () -> ignore (f ())))
+      best := Float.min !best (wall run)
     done;
     !best *. 1000.
   in
@@ -665,57 +709,87 @@ let text_bench () =
     let printed = Ir.Printer.op_to_string md in
     if not (String.equal printed (Ir.Printer.op_to_string (parse_exn printed)))
     then failwith (Fmt.str "text bench: %s is no print fixed point" name);
-    let before = Gc.allocated_bytes () in
-    ignore (parse_exn text);
-    let per_byte =
-      (Gc.allocated_bytes () -. before) /. float_of_int (String.length text)
+    let ops = ref 0 in
+    Ir.Ircore.walk_op md ~pre:(fun _ -> incr ops);
+    let alloc =
+      List.map
+        (fun (stage, setup) -> (stage, alloc_bytes (setup ())))
+        (stages text md)
     in
-    (name, text, md, per_byte)
+    (name, text, md, float_of_int !ops, alloc)
   in
   let prepared = List.map prepare inputs in
-  let best = Hashtbl.create 8 in
-  let time key f =
-    let t = best_ms f in
-    match Hashtbl.find_opt best key with
-    | Some t' when t' <= t -> ()
-    | _ -> Hashtbl.replace best key t
-  in
+  let best = Hashtbl.create 32 in
   for _ = 1 to rounds do
     List.iter
-      (fun (name, text, md, _) ->
-        time (name, "parse") (fun () -> parse_exn text);
-        time (name, "print") (fun () -> Ir.Printer.op_to_string md))
+      (fun (name, text, md, _, _) ->
+        List.iter
+          (fun (stage, setup) ->
+            let t = best_ms setup in
+            match Hashtbl.find_opt best (name, stage) with
+            | Some t' when t' <= t -> ()
+            | _ -> Hashtbl.replace best (name, stage) t)
+          (stages text md))
       prepared
   done;
-  let rows =
-    List.map
-      (fun (name, text, _, per_byte) ->
-        ( name,
-          String.length text,
-          Hashtbl.find best (name, "parse"),
-          per_byte,
-          Hashtbl.find best (name, "print") ))
-      prepared
-  in
-  Fmt.pr "best of %d runs; allocation of one parse@." (rounds * runs);
-  Fmt.pr "  %-20s %10s %10s %12s %10s@." "input" "KB" "parse ms" "alloc B/B"
-    "print ms";
+  let middle = [ "fingerprint"; "verify"; "canonicalize"; "cse" ] in
+  Fmt.pr "best of %d runs, ms; allocation of one run, bytes per input byte \
+          (parse) or per op@."
+    (rounds * runs);
+  Fmt.pr "  %-20s %8s %8s %10s" "input" "KB" "ops" "parse B/B";
+  List.iter (fun st -> Fmt.pr " %12s" st) ("parse" :: middle @ [ "print" ]);
+  Fmt.pr "@.";
   List.iter
-    (fun (name, bytes, parse_ms, per_byte, print_ms) ->
-      Fmt.pr "  %-20s %10.1f %10.2f %12.1f %10.2f@." name
-        (float_of_int bytes /. 1024.) parse_ms per_byte print_ms)
-    rows;
+    (fun (name, text, _, ops, alloc) ->
+      Fmt.pr "  %-20s %8.1f %8.0f %10.1f" name
+        (float_of_int (String.length text) /. 1024.)
+        ops
+        (List.assoc "parse" alloc /. float_of_int (String.length text));
+      List.iter
+        (fun st -> Fmt.pr " %12.2f" (Hashtbl.find best (name, st)))
+        ("parse" :: middle @ [ "print" ]);
+      Fmt.pr "@.";
+      Fmt.pr "  %-20s %8s %8s %10s %12s" "" "" "" "" "B/op:";
+      List.iter
+        (fun st -> Fmt.pr " %12.1f" (List.assoc st alloc /. ops))
+        middle;
+      Fmt.pr "@.")
+    prepared;
+  let layer = function
+    | "parse" -> "parser"
+    | "print" -> "printer"
+    | "verify" -> "verifier"
+    | "fingerprint" -> "fingerprint"
+    | _ -> "pass"
+  in
   write_bench "text"
     (List.concat_map
-       (fun (name, bytes, parse_ms, per_byte, print_ms) ->
+       (fun (name, text, _, ops, alloc) ->
          let r = row ~workload:name in
+         let bytes = float_of_int (String.length text) in
          [
-           r ~layer:"parser" "input_bytes" (float_of_int bytes) "bytes";
-           r ~layer:"parser" "parse_ms" parse_ms "ms";
-           r ~layer:"parser" "alloc_bytes_per_input_byte" per_byte "ratio";
-           r ~layer:"printer" "print_ms" print_ms "ms";
-         ])
-       rows)
+           r ~layer:"parser" "input_bytes" bytes "bytes";
+           r ~layer:"parser" "parse_ms" (Hashtbl.find best (name, "parse")) "ms";
+           r ~layer:"parser" "alloc_bytes_per_input_byte"
+             (List.assoc "parse" alloc /. bytes)
+             "ratio";
+         ]
+         @ List.concat_map
+             (fun st ->
+               [
+                 r ~layer:(layer st) (st ^ "_ms") (Hashtbl.find best (name, st))
+                   "ms";
+                 r ~layer:(layer st)
+                   (st ^ "_alloc_bytes_per_op")
+                   (List.assoc st alloc /. ops)
+                   "bytes";
+               ])
+             middle
+         @ [
+             r ~layer:"printer" "print_ms" (Hashtbl.find best (name, "print"))
+               "ms";
+           ])
+       prepared)
 
 (* ------------------------------------------------------------------ *)
 (* driver                                                              *)

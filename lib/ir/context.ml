@@ -20,11 +20,24 @@ type trait =
 
 type effect_kind = Read | Write | Alloc | Free
 
+(* one bit per trait *)
+let trait_bit = function
+  | Terminator -> 0x1
+  | Isolated_from_above -> 0x2
+  | Commutative -> 0x4
+  | Pure -> 0x8
+  | Constant_like -> 0x10
+  | Symbol_table -> 0x20
+  | Symbol -> 0x40
+  | Same_operands_and_result_type -> 0x80
+  | No_terminator -> 0x100
+  | Return_like -> 0x200
+
 type op_def = {
   d_name : string;
   d_dialect : string;
   d_summary : string;
-  d_traits : trait list;
+  d_traits : int;  (** the {!trait_bit}s of the op's traits *)
   d_verify : Ircore.op -> (unit, string) result;
   d_effects : Ircore.op -> effect_kind list;
   d_interfaces : Util.Univ.t;
@@ -35,7 +48,7 @@ type op_def = {
 type dialect = { dl_name : string; mutable dl_op_names : string list }
 
 type t = {
-  ops : (string, op_def) Hashtbl.t;
+  ops : op_def Util.Stbl.t;
   dialects : (string, dialect) Hashtbl.t;
   mutable allow_unregistered : bool;
   diags : Diag.engine;  (** per-context diagnostic handler stack *)
@@ -43,7 +56,7 @@ type t = {
 
 let create ?(allow_unregistered = false) () =
   {
-    ops = Hashtbl.create 256;
+    ops = Util.Stbl.create 256;
     dialects = Hashtbl.create 16;
     allow_unregistered;
     diags = Diag.engine ();
@@ -88,20 +101,23 @@ let register_op ctx ?(summary = "") ?(traits = []) ?(verify = default_verify)
       d_name = name;
       d_dialect = dialect;
       d_summary = summary;
-      d_traits = traits;
+      d_traits = List.fold_left (fun bits t -> bits lor trait_bit t) 0 traits;
       d_verify = verify;
       d_effects = effects;
       d_interfaces = interfaces;
       d_canonicalizers = canonicalizers;
     }
   in
-  Hashtbl.replace ctx.ops name def;
+  Util.Stbl.replace ctx.ops name def;
   let d = get_or_create_dialect ctx dialect in
   if not (List.mem name d.dl_op_names) then
     d.dl_op_names <- name :: d.dl_op_names
 
-let lookup ctx name = Hashtbl.find_opt ctx.ops name
-let is_registered ctx name = Hashtbl.mem ctx.ops name
+(** The registration of an op name. Generic code looks it up once per op
+    it visits and answers every trait and interface question from it. *)
+let lookup ctx name = Util.Stbl.find_opt ctx.ops name
+
+let is_registered ctx name = Util.Stbl.mem ctx.ops name
 
 let dialect_ops ctx dialect =
   match Hashtbl.find_opt ctx.dialects dialect with
@@ -111,34 +127,38 @@ let dialect_ops ctx dialect =
 let registered_dialects ctx =
   Hashtbl.fold (fun k _ acc -> k :: acc) ctx.dialects [] |> List.sort compare
 
-let has_trait ctx op_name trait =
-  match lookup ctx op_name with
-  | None -> false
-  | Some d -> List.mem trait d.d_traits
+(** Does the op registered as [d] carry [trait]? *)
+let def_has d trait = d.d_traits land trait_bit trait <> 0
 
-let op_has_trait ctx (op : Ircore.op) trait = has_trait ctx op.op_name trait
+let not_erasable =
+  trait_bit Symbol lor trait_bit Symbol_table lor trait_bit Terminator
 
 (** Conservatively: an op is pure (side-effect free and erasable when
     unused) when it carries the [Pure] trait, or has no declared effects,
     no regions, and is neither a symbol, a symbol table nor a terminator. *)
+let def_is_pure d (op : Ircore.op) =
+  def_has d Pure
+  || (match d.d_effects op with [] -> true | _ :: _ -> false)
+     && (match op.regions with [] -> true | _ :: _ -> false)
+     && d.d_traits land not_erasable = 0
+
+let has_trait ctx op_name trait =
+  match lookup ctx op_name with None -> false | Some d -> def_has d trait
+
+let op_has_trait ctx (op : Ircore.op) trait = has_trait ctx op.op_name trait
+
 let is_pure ctx (op : Ircore.op) =
-  match lookup ctx op.op_name with
-  | None -> false
-  | Some d ->
-    List.mem Pure d.d_traits
-    || (d.d_effects op = []
-       && op.regions = []
-       && (not (List.mem Symbol d.d_traits))
-       && (not (List.mem Symbol_table d.d_traits))
-       && not (List.mem Terminator d.d_traits))
+  match lookup ctx op.op_name with None -> false | Some d -> def_is_pure d op
 
 let effects ctx (op : Ircore.op) =
   match lookup ctx op.op_name with None -> [ Read; Write ] | Some d -> d.d_effects op
 
-let interface (type a) ctx op_name (key : a Util.Univ.key) : a option =
-  match lookup ctx op_name with
-  | None -> None
-  | Some d -> Util.Univ.find key d.d_interfaces
+(** The implementation of interface [key] by the op registered as [d]. *)
+let def_interface (type a) d (key : a Util.Univ.key) : a option =
+  Util.Univ.find key d.d_interfaces
+
+let interface ctx op_name key =
+  match lookup ctx op_name with None -> None | Some d -> def_interface d key
 
 (** Does [op_name] implement an interface registered under [iface_name]?
     Name-based lookup for condition sets ([interface<loop_like>]). *)

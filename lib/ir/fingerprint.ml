@@ -29,8 +29,8 @@ let combine (a : t) (b : t) : t = (a lxor (b + 0x9e3779b9 + (a lsl 6))) * fnv_pr
 
 type ctx = {
   mutable h : int;
-  values : (int, int) Hashtbl.t;  (** value id -> local number *)
-  blocks : (int, int) Hashtbl.t;  (** block id -> local number *)
+  values : int Util.Itbl.t;  (** value id -> local number *)
+  blocks : int Util.Itbl.t;  (** block id -> local number *)
   mutable next_value : int;
   mutable next_block : int;
   typ_memo : (Typ.t, int) Hashtbl.t;
@@ -56,21 +56,21 @@ let mix_string c s =
    well-formed IR, and even forward/free references number deterministically
    because the traversal order itself is deterministic *)
 let value_num c (v : Ircore.value) =
-  match Hashtbl.find_opt c.values v.Ircore.v_id with
-  | Some n -> n
-  | None ->
+  match Util.Itbl.find c.values v.Ircore.v_id with
+  | n -> n
+  | exception Not_found ->
     let n = c.next_value in
     c.next_value <- n + 1;
-    Hashtbl.replace c.values v.Ircore.v_id n;
+    Util.Itbl.replace c.values v.Ircore.v_id n;
     n
 
 let block_num c (b : Ircore.block) =
-  match Hashtbl.find_opt c.blocks b.Ircore.b_id with
-  | Some n -> n
-  | None ->
+  match Util.Itbl.find c.blocks b.Ircore.b_id with
+  | n -> n
+  | exception Not_found ->
     let n = c.next_block in
     c.next_block <- n + 1;
-    Hashtbl.replace c.blocks b.Ircore.b_id n;
+    Util.Itbl.replace c.blocks b.Ircore.b_id n;
     n
 
 (* types recur rarely and repeat often; hash each distinct type once via its
@@ -143,14 +143,17 @@ let rec mix_attr c (a : Attr.t) =
 let rec mix_op c (op : Ircore.op) =
   mix c 0x0b;
   mix_string c op.Ircore.op_name;
-  Array.iter (fun v -> mix c (value_num c v)) op.Ircore.operands;
-  mix c (Array.length op.Ircore.operands);
-  Array.iter
-    (fun (v : Ircore.value) ->
-      mix_typ c v.Ircore.v_typ;
-      ignore (value_num c v))
-    op.Ircore.results;
-  mix c (Array.length op.Ircore.results);
+  let operands = op.Ircore.operands and results = op.Ircore.results in
+  for i = 0 to Array.length operands - 1 do
+    mix c (value_num c operands.(i))
+  done;
+  mix c (Array.length operands);
+  for i = 0 to Array.length results - 1 do
+    let v = results.(i) in
+    mix_typ c v.Ircore.v_typ;
+    ignore (value_num c v)
+  done;
+  mix c (Array.length results);
   List.iter
     (fun (k, v) ->
       mix_string c k;
@@ -162,25 +165,37 @@ let rec mix_op c (op : Ircore.op) =
 
 and mix_region c r =
   mix c 0x17;
-  List.iter (mix_block c) (Ircore.region_blocks r)
+  let rec blocks = function
+    | None -> ()
+    | Some b ->
+      mix_block c b;
+      blocks b.Ircore.b_next
+  in
+  blocks r.Ircore.r_first
 
 and mix_block c b =
   mix c 0x1d;
   ignore (block_num c b);
-  List.iter
+  Array.iter
     (fun (v : Ircore.value) ->
       mix_typ c v.Ircore.v_typ;
       ignore (value_num c v))
-    (Ircore.block_args b);
-  List.iter (mix_op c) (Ircore.block_ops b)
+    b.Ircore.b_args;
+  let rec ops = function
+    | None -> ()
+    | Some op ->
+      mix_op c op;
+      ops op.Ircore.op_next
+  in
+  ops b.Ircore.b_first
 
 (** Structural fingerprint of [op] and everything nested under it. *)
 let op (root : Ircore.op) : t =
   let c =
     {
       h = fnv_offset;
-      values = Hashtbl.create 64;
-      blocks = Hashtbl.create 8;
+      values = Util.Itbl.create 64;
+      blocks = Util.Itbl.create 8;
       next_value = 0;
       next_block = 0;
       typ_memo = Hashtbl.create 16;
@@ -196,8 +211,8 @@ let attr (a : Attr.t) : t =
   let c =
     {
       h = fnv_offset;
-      values = Hashtbl.create 1;
-      blocks = Hashtbl.create 1;
+      values = Util.Itbl.create 1;
+      blocks = Util.Itbl.create 1;
       next_value = 0;
       next_block = 0;
       typ_memo = Hashtbl.create 4;

@@ -10,7 +10,7 @@
     caller previously did by hand. *)
 
 type t = {
-  by_root : (string, Pattern.t list) Hashtbl.t;
+  by_root : Pattern.t list Util.Stbl.t;
       (** benefit-sorted (descending), root-restricted patterns *)
   any_root : Pattern.t list;  (** benefit-sorted patterns with no root filter *)
   size : int;  (** total number of distinct patterns frozen *)
@@ -31,17 +31,19 @@ let freeze patterns =
         end)
       patterns
   in
-  let by_root = Hashtbl.create 16 in
+  let by_root = Util.Stbl.create 16 in
   let any_root = ref [] in
   List.iter
     (fun p ->
       match p.Pattern.root with
       | None -> any_root := p :: !any_root
       | Some r ->
-        let existing = Option.value ~default:[] (Hashtbl.find_opt by_root r) in
-        Hashtbl.replace by_root r (p :: existing))
+        let existing = Option.value ~default:[] (Util.Stbl.find_opt by_root r) in
+        Util.Stbl.replace by_root r (p :: existing))
     patterns;
-  Hashtbl.filter_map_inplace (fun _ ps -> Some (by_benefit (List.rev ps))) by_root;
+  Util.Stbl.filter_map_inplace
+    (fun _ ps -> Some (by_benefit (List.rev ps)))
+    by_root;
   { by_root; any_root = by_benefit (List.rev !any_root); size = List.length patterns }
 
 let empty = freeze []
@@ -49,7 +51,7 @@ let is_empty t = t.size = 0
 
 (** All patterns in the set (no meaningful order). *)
 let to_list t =
-  Hashtbl.fold (fun _ ps acc -> ps @ acc) t.by_root t.any_root
+  Util.Stbl.fold (fun _ ps acc -> ps @ acc) t.by_root t.any_root
 
 (** Candidate patterns for [op], most beneficial first: the patterns rooted
     at [op]'s name merged with the any-root patterns. Every returned pattern
@@ -57,7 +59,9 @@ let to_list t =
     root check. *)
 let for_op t (op : Ircore.op) =
   let rooted =
-    Option.value ~default:[] (Hashtbl.find_opt t.by_root op.Ircore.op_name)
+    match Util.Stbl.find t.by_root op.Ircore.op_name with
+    | ps -> ps
+    | exception Not_found -> []
   in
   match (rooted, t.any_root) with
   | ps, [] -> ps

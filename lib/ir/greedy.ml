@@ -51,37 +51,36 @@ let create_stats () =
     worklist_pushes = 0;
   }
 
-(** Int-keyed hash tables for op-id side state: identity hashing avoids the
-    generic hash call on the driver's hottest lookups. *)
-module Itbl = Hashtbl.Make (struct
-  type t = int
+(** Attribute of a constant-like op, registered as [def], if any.
+    Convention: constant ops carry their value in the ["value"]
+    attribute. *)
+let constant_value def (op : Ircore.op) =
+  match def with
+  | Some d when Context.def_has d Context.Constant_like -> Ircore.attr op "value"
+  | _ -> None
 
-  let equal (a : int) b = a = b
-  let hash x = x land max_int
-end)
-
-(** Attribute of a constant-like op, if any. Convention: constant ops carry
-    their value in the ["value"] attribute. *)
-let constant_value ctx (op : Ircore.op) =
-  if Context.op_has_trait ctx op Context.Constant_like then
-    Ircore.attr op "value"
-  else None
+(* the constant value of [v]'s defining op, if any *)
+let operand_constant ctx (v : Ircore.value) =
+  match v.Ircore.v_def with
+  | Ircore.Op_result (d, _) ->
+    constant_value (Context.lookup ctx d.Ircore.op_name) d
+  | Ircore.Block_arg _ -> None
 
 let operand_constants ctx (op : Ircore.op) =
-  List.map
-    (fun v ->
-      match Ircore.defining_op v with
-      | Some d -> constant_value ctx d
-      | None -> None)
-    (Ircore.operands op)
+  let operands = op.Ircore.operands in
+  let rec go i acc =
+    if i < 0 then acc else go (i - 1) (operand_constant ctx operands.(i) :: acc)
+  in
+  go (Array.length operands - 1) []
 
-(** Try to constant-fold [op] in place; returns true on success. Folded
-    results are materialized through [folder], which uniques constants per
-    block and hoists them to the block start. Ops that already are constants
-    are uniqued through the same table (MLIR's [insertKnownConstant]):
-    a duplicate of an earlier constant is replaced by it. *)
-let try_fold ctx rewriter config folder stats (op : Ircore.op) =
-  match constant_value ctx op with
+(** Try to constant-fold [op], registered as [def], in place; returns true
+    on success. Folded results are materialized through [folder], which
+    uniques constants per block and hoists them to the block start. Ops
+    that already are constants are uniqued through the same table (MLIR's
+    [insertKnownConstant]): a duplicate of an earlier constant is replaced
+    by it. *)
+let try_fold ctx def rewriter config folder stats (op : Ircore.op) =
+  match constant_value def op with
   | Some attr -> (
     stats.match_attempts <- stats.match_attempts + 1;
     match Op_folder.insert_known_constant folder op attr with
@@ -90,9 +89,11 @@ let try_fold ctx rewriter config folder stats (op : Ircore.op) =
       true
     | None -> false)
   | None -> (
-  match (Context.interface ctx op.Ircore.op_name Context.folder_key,
-         config.materialize_constant) with
-  | Some { Context.fold }, Some materialize -> (
+  match def, config.materialize_constant with
+  | Some d, Some materialize -> (
+    match Context.def_interface d Context.folder_key with
+    | None -> false
+    | Some { Context.fold } -> (
     stats.match_attempts <- stats.match_attempts + 1;
     match fold op (operand_constants ctx op) with
     | None -> false
@@ -108,27 +109,38 @@ let try_fold ctx rewriter config folder stats (op : Ircore.op) =
         Rewriter.replace_op rewriter op ~with_:(List.map Option.get values);
         true
       end
-      else false)
+      else false))
   | _ -> false)
 
-let is_trivially_dead ctx (op : Ircore.op) =
-  Context.is_pure ctx op
-  && (not (Context.op_has_trait ctx op Context.Terminator))
-  && List.for_all (fun r -> not (Ircore.has_uses r)) (Ircore.results op)
+(* Is [op], registered as [def], pure, no terminator, and unused? *)
+let is_trivially_dead def (op : Ircore.op) =
+  match def with
+  | None -> false
+  | Some d ->
+    Context.def_is_pure d op
+    && (not (Context.def_has d Context.Terminator))
+    && Array.for_all (fun r -> not (Ircore.has_uses r)) op.Ircore.results
 
-(** Collect the ops below [root] in post-order (defs before users within
-    each block), returned reversed. *)
-let rev_post_order root =
+(** The ops below [root] in post-order (defs before users within each
+    block). The list is built back to front, so nothing is reversed. *)
+let post_order root =
   let acc = ref [] in
-  List.iter
-    (fun r ->
-      List.iter
-        (fun b ->
-          List.iter
-            (fun op -> Ircore.walk_op op ~post:(fun o -> acc := o :: !acc))
-            (Ircore.block_ops b))
-        (Ircore.region_blocks r))
-    root.Ircore.regions;
+  let rec op_back (op : Ircore.op) =
+    acc := op :: !acc;
+    List.iter region_back (List.rev op.Ircore.regions)
+  and region_back r = blocks_back r.Ircore.r_last
+  and blocks_back = function
+    | None -> ()
+    | Some b ->
+      ops_back b.Ircore.b_last;
+      blocks_back b.Ircore.b_prev
+  and ops_back = function
+    | None -> ()
+    | Some op ->
+      op_back op;
+      ops_back op.Ircore.op_prev
+  in
+  List.iter region_back (List.rev root.Ircore.regions);
   !acc
 
 (* global statistics (Ir.Stats): every driver invocation accumulates its
@@ -196,14 +208,14 @@ let rewrite_contained ctx rewriter (p : Pattern.t) (op : Ircore.op) =
     false
 
 (** Same barrier around the fold/constant-uniquing path. *)
-let fold_contained ctx rewriter config folder stats (op : Ircore.op) =
+let fold_contained ctx def rewriter config folder stats (op : Ircore.op) =
   match
     match Action.active () with
-    | None -> try_fold ctx rewriter config folder stats op
+    | None -> try_fold ctx def rewriter config folder stats op
     | Some a ->
       Action.run_on a ~tag:"fold" ~desc:op.Ircore.op_name
         ~loc:op.Ircore.op_loc ~root:op ~skipped:false (fun () ->
-          try_fold ctx rewriter config folder stats op)
+          try_fold ctx def rewriter config folder stats op)
   with
   | folded -> folded
   | exception e when not (Diag.fatal_exn e) ->
@@ -229,18 +241,18 @@ let apply ?(config = default_config) ?stats ?rewriter ctx ~patterns root =
     match rewriter with Some rw -> rw | None -> Rewriter.create ()
   in
   let folder = Op_folder.create () in
-  let erased = Itbl.create 64 in
-  let on_list = Itbl.create 256 in
+  let erased = Util.Itbl.create 64 in
+  let on_list = Util.Itbl.create 256 in
   let stack = ref [] in
   (* false until the first rewriter event; while clean, every popped op is
      still attached and in scope, so the pop-validity checks can be skipped *)
   let dirty = ref false in
   let push op =
     if
-      (not (Itbl.mem erased op.Ircore.op_id))
-      && not (Itbl.mem on_list op.Ircore.op_id)
+      (not (Util.Itbl.mem erased op.Ircore.op_id))
+      && not (Util.Itbl.mem on_list op.Ircore.op_id)
     then begin
-      Itbl.replace on_list op.Ircore.op_id ();
+      Util.Itbl.replace on_list op.Ircore.op_id ();
       stack := op :: !stack;
       stats.worklist_pushes <- stats.worklist_pushes + 1
     end
@@ -269,12 +281,12 @@ let apply ?(config = default_config) ?stats ?rewriter ctx ~patterns root =
           push_users op;
           (* operand defs may have just lost their last use *)
           push_operand_defs op;
-          Itbl.replace erased op.Ircore.op_id ());
+          Util.Itbl.replace erased op.Ircore.op_id ());
       on_erased =
         (fun op ->
           dirty := true;
           push_operand_defs op;
-          Itbl.replace erased op.Ircore.op_id ());
+          Util.Itbl.replace erased op.Ircore.op_id ());
       on_modified =
         (fun op ->
           dirty := true;
@@ -286,10 +298,10 @@ let apply ?(config = default_config) ?stats ?rewriter ctx ~patterns root =
   (* seed once, with the first post-order op at the head of the stack so
      defs pop before their users; the ops are distinct by construction, so
      the dedup checks of [push] are skipped *)
-  let seed = List.rev (rev_post_order root) in
+  let seed = post_order root in
   let seed_size = List.length seed in
   List.iter
-    (fun (op : Ircore.op) -> Itbl.replace on_list op.Ircore.op_id ())
+    (fun (op : Ircore.op) -> Util.Itbl.replace on_list op.Ircore.op_id ())
     seed;
   stack := seed;
   stats.worklist_pushes <- stats.worklist_pushes + seed_size;
@@ -312,13 +324,13 @@ let apply ?(config = default_config) ?stats ?rewriter ctx ~patterns root =
     | [] -> continue_ := false
     | op :: rest ->
       stack := rest;
-      Itbl.remove on_list op.Ircore.op_id;
+      Util.Itbl.remove on_list op.Ircore.op_id;
       (* validity: the erasure listener keeps [erased] authoritative, so a
          live entry only needs to still be attached (detached-but-live ops
          are skipped; they are re-pushed on insertion) *)
       if
         (not !dirty)
-        || ((not (Itbl.mem erased op.Ircore.op_id))
+        || ((not (Util.Itbl.mem erased op.Ircore.op_id))
            && op.Ircore.op_parent <> None)
       then begin
         incr processed;
@@ -327,7 +339,8 @@ let apply ?(config = default_config) ?stats ?rewriter ctx ~patterns root =
         if Profiler.profiling () && !processed mod epoch = 0 then
           Profiler.counter "greedy.worklist"
             (float_of_int (List.length !stack));
-        if config.remove_dead && is_trivially_dead ctx op then begin
+        let def = Context.lookup ctx op.Ircore.op_name in
+        if config.remove_dead && is_trivially_dead def op then begin
           let erased_now =
             match Action.active () with
             | None ->
@@ -345,7 +358,8 @@ let apply ?(config = default_config) ?stats ?rewriter ctx ~patterns root =
           end
         end
         else if
-          config.fold && fold_contained ctx rewriter config folder stats op
+          config.fold
+          && fold_contained ctx def rewriter config folder stats op
         then begin
           stats.folds <- stats.folds + 1;
           charge ()
@@ -354,12 +368,9 @@ let apply ?(config = default_config) ?stats ?rewriter ctx ~patterns root =
           match Frozen_patterns.for_op patterns op with
           | [] -> ()
           | candidates ->
-            (* snapshot operand defs: a pattern may swap an operand in
-               place, leaving the old def without uses (newly dead) *)
-            let defs_before =
-              Array.to_list op.Ircore.operands
-              |> List.filter_map Ircore.defining_op
-            in
+            (* snapshot the operands: a pattern may swap one in place,
+               leaving the old def without uses (newly dead) *)
+            let operands_before = Array.copy op.Ircore.operands in
             let rec try_patterns = function
               | [] -> ()
               | p :: rest ->
@@ -368,10 +379,15 @@ let apply ?(config = default_config) ?stats ?rewriter ctx ~patterns root =
                 if rewrite_contained ctx rewriter p op then begin
                   stats.rewrites <- stats.rewrites + 1;
                   charge ();
-                  List.iter push defs_before;
+                  Array.iter
+                    (fun (v : Ircore.value) ->
+                      match v.Ircore.v_def with
+                      | Ircore.Op_result (d, _) -> push d
+                      | Ircore.Block_arg _ -> ())
+                    operands_before;
                   (* patterns may mutate in place without notifying; be
                      conservative and revisit the root and its users *)
-                  if not (Itbl.mem erased op.Ircore.op_id) then begin
+                  if not (Util.Itbl.mem erased op.Ircore.op_id) then begin
                     push op;
                     push_users op
                   end
@@ -395,7 +411,7 @@ let apply ?(config = default_config) ?stats ?rewriter ctx ~patterns root =
   let pending =
     List.filter
       (fun (op : Ircore.op) ->
-        (not (Itbl.mem erased op.Ircore.op_id))
+        (not (Util.Itbl.mem erased op.Ircore.op_id))
         && Ircore.op_parent op <> None)
       !stack
   in

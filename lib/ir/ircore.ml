@@ -328,6 +328,21 @@ let move_to_end b op =
 (* Blocks and regions                                                  *)
 (* ------------------------------------------------------------------ *)
 
+(** Append one argument of each type of [ts], in order, with one copy of
+    the argument array; returns the new arguments. *)
+let add_block_args b ts =
+  let base = Array.length b.b_args in
+  let added =
+    Array.of_list
+      (List.mapi
+         (fun i t ->
+           { v_id = Util.fresh_id (); v_typ = t; v_def = Block_arg (b, base + i);
+             v_uses = nil_use })
+         ts)
+  in
+  b.b_args <- Array.append b.b_args added;
+  added
+
 let create_block ?(args = []) () =
   let b =
     {
@@ -341,27 +356,14 @@ let create_block ?(args = []) () =
       b_order_valid = false;
     }
   in
-  b.b_args <-
-    Array.of_list
-      (List.mapi
-         (fun i t ->
-           { v_id = Util.fresh_id (); v_typ = t; v_def = Block_arg (b, i);
-             v_uses = nil_use })
-         args);
+  ignore (add_block_args b args);
   b
 
 let block_args b = Array.to_list b.b_args
 let block_arg b i = b.b_args.(i)
 let block_parent b = b.b_parent
 
-let add_block_arg b t =
-  let i = Array.length b.b_args in
-  let v =
-    { v_id = Util.fresh_id (); v_typ = t; v_def = Block_arg (b, i);
-      v_uses = nil_use }
-  in
-  b.b_args <- Array.append b.b_args [| v |];
-  v
+let add_block_arg b t = (add_block_args b [ t ]).(0)
 
 let create_region () =
   { r_id = Util.fresh_id (); r_first = None; r_last = None; r_parent = None }

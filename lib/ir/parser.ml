@@ -909,20 +909,24 @@ and parse_region lx outer_scope : Ircore.region =
       (* block arguments *)
       if at lx LPAREN then begin
         advance lx;
-        let rec args () =
-          if at lx RPAREN then advance lx
+        (* the (name, type) pairs, newest first *)
+        let rec args acc =
+          if at lx RPAREN then begin
+            advance lx;
+            acc
+          end
           else if at lx PCT_IDENT then begin
             let an = take_text lx in
             expect lx COLON;
             let t = parse_type lx in
-            let v = Ircore.add_block_arg block t in
-            define_values lx scope an [| v |];
             if at lx COMMA then advance lx;
-            args ()
+            args ((an, t) :: acc)
           end
           else unexpected lx "%arg"
         in
-        args ()
+        let pairs = List.rev (args []) in
+        let vs = Ircore.add_block_args block (List.map snd pairs) in
+        List.iteri (fun i (an, _) -> define_values lx scope an [| vs.(i) |]) pairs
       end;
       expect lx COLON;
       Ircore.append_block region block;

@@ -8,6 +8,25 @@ let fresh_id : unit -> int =
   let counter = Atomic.make 0 in
   fun () -> Atomic.fetch_and_add counter 1 + 1
 
+(** String-keyed hash tables. Keys compare with [String.equal] rather than
+    polymorphic equality; they hash with [Hashtbl.hash], as the polymorphic
+    table does, so iteration order is the same as with it. *)
+module Stbl = Hashtbl.Make (struct
+  type t = string
+
+  let equal = String.equal
+  let hash (s : string) = Hashtbl.hash s
+end)
+
+(** Int-keyed hash tables for id-keyed side state: identity hashing, no
+    generic hash call. *)
+module Itbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal (a : int) b = a = b
+  let hash x = x land max_int
+end)
+
 (* Text is written by buffer writers: each printable kind has one
    [bprint : Buffer.t -> t -> unit], and its [to_string]/[pp] wrap it. The
    helpers below are shared by those writers. *)

@@ -109,35 +109,64 @@ let print_ir_after_all ?(ppf = Fmt.stderr) ?(only_changed = false) () =
           Printer.pp_op op)
 
 let count_ops_by_name op =
-  let counts = Hashtbl.create 64 in
-  Ircore.walk_op op ~pre:(fun o ->
-      Hashtbl.replace counts o.Ircore.op_name
-        (1 + Option.value ~default:0 (Hashtbl.find_opt counts o.Ircore.op_name)));
+  let counts = Util.Stbl.create 64 in
+  let rec count (o : Ircore.op) =
+    (match Util.Stbl.find counts o.Ircore.op_name with
+    | n -> Util.Stbl.replace counts o.Ircore.op_name (n + 1)
+    | exception Not_found -> Util.Stbl.add counts o.Ircore.op_name 1);
+    List.iter (fun r -> blocks r.Ircore.r_first) o.Ircore.regions
+  and blocks = function
+    | None -> ()
+    | Some b ->
+      ops b.Ircore.b_first;
+      blocks b.Ircore.b_next
+  and ops = function
+    | None -> ()
+    | Some o ->
+      count o;
+      ops o.Ircore.op_next
+  in
+  count op;
   counts
 
 (** Per-pass op-count deltas: returns the instrumentation plus a getter
     yielding, per executed pass in order, the op kinds whose population
-    changed (op name, signed delta). *)
+    changed (op name, signed delta). The pass manager calls the hooks of
+    one pipeline on one root and nothing edits it between one pass's
+    [after] hook and the next pass's [before] hook, so the count taken
+    after a pass is the count before the next one: each pass boundary
+    walks the module once. *)
 let op_count_deltas () =
-  let before = ref (Hashtbl.create 0) in
+  (* the root and op counts of the last [after] hook *)
+  let last = ref None in
+  let before = ref (Util.Stbl.create 0) in
   let deltas = ref [] in
   let record p op =
     let after = count_ops_by_name op in
     let delta = ref [] in
-    Hashtbl.iter
+    Util.Stbl.iter
       (fun name n ->
-        let was = Option.value ~default:0 (Hashtbl.find_opt !before name) in
+        let was =
+          match Util.Stbl.find !before name with
+          | was -> was
+          | exception Not_found -> 0
+        in
         if n <> was then delta := (name, n - was) :: !delta)
       after;
-    Hashtbl.iter
+    Util.Stbl.iter
       (fun name was ->
-        if not (Hashtbl.mem after name) then delta := (name, -was) :: !delta)
+        if not (Util.Stbl.mem after name) then delta := (name, -was) :: !delta)
       !before;
-    deltas := (p.name, List.sort compare !delta) :: !deltas
+    deltas := (p.name, List.sort compare !delta) :: !deltas;
+    last := Some (op, after)
   in
   let instr =
     instrumentation "op-count-deltas"
-      ~before_pass:(fun _ op -> before := count_ops_by_name op)
+      ~before_pass:(fun _ op ->
+        before :=
+          match !last with
+          | Some (root, counts) when root == op -> counts
+          | _ -> count_ops_by_name op)
       ~after_pass:record
       ~on_failure:(fun p op ~remaining:_ _ -> record p op)
   in

@@ -47,72 +47,120 @@ let run_canonicalize ctx top =
 (** Key identifying structurally equal pure ops within one block scope:
     op name, operand ids, attributes and result types. Attributes compare
     with {!Attr.equal}, so [0.0] and [-0.0] stay apart; result types keep
-    ops that differ only in type apart. *)
-module Cse_key = Hashtbl.Make (struct
-  type t = string * int list * Attr.dict * Typ.t list
+    ops that differ only in type apart. The key holds the op for its name,
+    attributes and result types, which CSE never edits, and a copy of its
+    operands, which a replacement may retarget; the hash is computed once,
+    when the key is made. *)
+type cse_key = {
+  k_hash : int;
+  k_op : Ircore.op;
+  k_operands : Ircore.value array;
+}
 
-  let equal (n, vs, attrs, tys) (n', vs', attrs', tys') =
-    String.equal n n'
-    && List.equal Int.equal vs vs'
-    && List.equal
-         (fun (k, a) (k', a') -> String.equal k k' && Attr.equal a a')
-         attrs attrs'
-    && List.equal Typ.equal tys tys'
+let rec attrs_equal (a : Attr.dict) (b : Attr.dict) =
+  match (a, b) with
+  | [], [] -> true
+  | (k, x) :: a, (k', y) :: b ->
+    String.equal k k' && Attr.equal x y && attrs_equal a b
+  | _ -> false
 
-  let hash (n, vs, attrs, tys) =
-    Hashtbl.hash (n, vs, List.map (fun (k, a) -> (k, Attr.hash a)) attrs, tys)
+let results_typed_alike (a : Ircore.value array) (b : Ircore.value array) =
+  Array.length a = Array.length b
+  && Array.for_all2 (fun (x : Ircore.value) (y : Ircore.value) ->
+         Typ.equal x.Ircore.v_typ y.Ircore.v_typ)
+       a b
+
+module Cse_table = Hashtbl.Make (struct
+  type t = cse_key
+
+  let equal a b =
+    a.k_hash = b.k_hash
+    && String.equal a.k_op.Ircore.op_name b.k_op.Ircore.op_name
+    && Array.length a.k_operands = Array.length b.k_operands
+    && Array.for_all2 ( == ) a.k_operands b.k_operands
+    && attrs_equal a.k_op.Ircore.attrs b.k_op.Ircore.attrs
+    && results_typed_alike a.k_op.Ircore.results b.k_op.Ircore.results
+
+  let hash k = k.k_hash
 end)
 
-let cse_key op =
-  ( op.Ircore.op_name,
-    List.map (fun v -> v.Ircore.v_id) (Ircore.operands op),
-    op.Ircore.attrs,
-    List.map Ircore.value_typ (Ircore.results op) )
+let cse_key (op : Ircore.op) =
+  let mix h x = (h * 31) + x in
+  let h = ref (Hashtbl.hash op.Ircore.op_name) in
+  let operands = op.Ircore.operands in
+  for i = 0 to Array.length operands - 1 do
+    h := mix !h operands.(i).Ircore.v_id
+  done;
+  let rec attrs h = function
+    | [] -> h
+    | (k, a) :: rest -> attrs (mix (mix h (Hashtbl.hash k)) (Attr.hash a)) rest
+  in
+  h := attrs !h op.Ircore.attrs;
+  let results = op.Ircore.results in
+  for i = 0 to Array.length results - 1 do
+    h := mix !h (Hashtbl.hash results.(i).Ircore.v_typ)
+  done;
+  { k_hash = !h; k_op = op; k_operands = Array.copy operands }
 
 (** Dominance-aware CSE: within each region, blocks are processed in reverse
     postorder and an op may reuse an equivalent op from any *dominating*
     block (looked up along the immediate-dominator chain). *)
 let run_cse ctx top =
   let rw = Rewriter.create () in
+  (* sized to the block, so it never grows *)
+  let new_table b = Cse_table.create (Ircore.block_num_ops b) in
   let rec do_region r =
-    let doms = Dominance.compute r in
-    let tables = Hashtbl.create 8 in
-    let table_of b =
-      match Hashtbl.find_opt tables b.Ircore.b_id with
-      | Some t -> t
-      | None ->
-        let t = Cse_key.create 16 in
-        Hashtbl.replace tables b.Ircore.b_id t;
-        t
+    match r.Ircore.r_first with
+    | None -> ()
+    | Some ({ Ircore.b_next = None; _ } as b) ->
+      (* a lone block has no dominator to search *)
+      let table = new_table b in
+      visit_block ~lookup:(Cse_table.find_opt table) table b
+    | Some _ ->
+      let doms = Dominance.compute r in
+      let tables = Util.Itbl.create 8 in
+      let table_of b =
+        match Util.Itbl.find tables b.Ircore.b_id with
+        | t -> t
+        | exception Not_found ->
+          let t = new_table b in
+          Util.Itbl.replace tables b.Ircore.b_id t;
+          t
+      in
+      let rec lookup b key =
+        match Cse_table.find (table_of b) key with
+        | op -> Some op
+        | exception Not_found -> (
+          match Dominance.idom_of doms b with
+          | Some d -> lookup d key
+          | None -> None)
+      in
+      List.iter
+        (fun b -> visit_block ~lookup:(lookup b) (table_of b) b)
+        (Dominance.reverse_postorder r)
+  (* [lookup] finds an equivalent op in [b] or a block dominating it; a
+     pure op without one goes into [b]'s [table] *)
+  and visit_block ~lookup table b =
+    let rec visit = function
+      | None -> ()
+      | Some op ->
+        (* read before a replacement erases [op] and unlinks it *)
+        let next = op.Ircore.op_next in
+        List.iter do_region op.Ircore.regions;
+        (match Context.lookup ctx op.Ircore.op_name with
+        | Some def
+          when Context.def_is_pure def op
+               && op.Ircore.regions = []
+               && Ircore.num_results op > 0 -> (
+          let key = cse_key op in
+          match lookup key with
+          | Some prior ->
+            Rewriter.replace_op rw op ~with_:(Ircore.results prior)
+          | None -> Cse_table.add table key op)
+        | _ -> ());
+        visit next
     in
-    let rec lookup b key =
-      match Cse_key.find_opt (table_of b) key with
-      | Some op -> Some op
-      | None -> (
-        match Dominance.idom_of doms b with
-        | Some d -> lookup d key
-        | None -> None)
-    in
-    List.iter
-      (fun b ->
-        List.iter
-          (fun op ->
-            List.iter
-              (fun nested -> do_region nested)
-              op.Ircore.regions;
-            if
-              Context.is_pure ctx op
-              && op.Ircore.regions = []
-              && Ircore.num_results op > 0
-            then begin
-              let key = cse_key op in
-              match lookup b key with
-              | Some prior ->
-                Rewriter.replace_op rw op ~with_:(Ircore.results prior)
-              | None -> Cse_key.replace (table_of b) key op
-            end)
-          (Ircore.block_ops b))
-      (Dominance.reverse_postorder r)
+    visit b.Ircore.b_first
   in
   List.iter do_region top.Ircore.regions;
   Ok ()

@@ -525,6 +525,53 @@ let test_wide_ops () =
             (String.equal s1 (Printer.op_to_string m2))))
     [ 20_000; 40_000 ]
 
+(* one block with [n] i32 arguments *)
+let many_block_args n =
+  let b = Buffer.create (n * 12) in
+  Buffer.add_string b "\"test.region\"() ({\n^bb0(";
+  for i = 0 to n - 1 do
+    if i > 0 then Buffer.add_string b ", ";
+    Printf.bprintf b "%%a%d: i32" i
+  done;
+  Buffer.add_string b "):\n  \"test.end\"() : () -> ()\n}) : () -> ()";
+  Buffer.contents b
+
+(* a block's arguments parse in linear time: the words one parse allocates
+   (counted, not timed) at most 2.5x when the argument count doubles *)
+let test_many_block_args () =
+  let alloc_words n =
+    let src = many_block_args n in
+    let m, words =
+      match Testutil.alloc_words (fun () -> Parser.parse_module src) with
+      | Ok m, words -> (m, words)
+      | Error e, _ -> Alcotest.failf "%d block arguments: %s" n e
+    in
+    let region = ref None in
+    Ircore.walk_op m ~pre:(fun op ->
+        if op.Ircore.op_name = "test.region" then
+          region := Some (List.hd op.Ircore.regions));
+    let block =
+      match !region with
+      | Some r -> Option.get (Ircore.region_first_block r)
+      | None -> Alcotest.fail "no test.region op"
+    in
+    let args = block.Ircore.b_args in
+    Alcotest.(check int) (Fmt.str "%d arguments" n) n (Array.length args);
+    Array.iteri
+      (fun i (v : Ircore.value) ->
+        (match v.Ircore.v_def with
+        | Ircore.Block_arg (b, j) when b == block && i = j -> ()
+        | _ -> Alcotest.failf "argument %d has the wrong index" i);
+        if i > 0 && v.Ircore.v_id <= args.(i - 1).Ircore.v_id then
+          Alcotest.failf "argument %d has an id before its predecessor's" i)
+      args;
+    words
+  in
+  let w10 = alloc_words 10_000 and w20 = alloc_words 20_000 in
+  if w20 > 2.5 *. w10 then
+    Alcotest.failf "10k -> 20k block arguments: %.0f -> %.0f words (%.2fx)" w10
+      w20 (w20 /. w10)
+
 let () =
   Alcotest.run "parser"
     [
@@ -576,5 +623,6 @@ let () =
           Alcotest.test_case "misleading spellings" `Quick
             test_misleading_spellings;
           Alcotest.test_case "wide ops" `Quick test_wide_ops;
+          Alcotest.test_case "many block arguments" `Quick test_many_block_args;
         ] );
     ]

@@ -334,6 +334,97 @@ let test_renumber_counted_once () =
   Alcotest.(check int) "second verify renumbers nothing" 0
     (ops_renumbered () - before - first)
 
+(* ---------------- counted allocation ---------------- *)
+
+(* A flat function body of [n] ops: each arith op combines the previous
+   result with a block argument or a constant defined at the top of the
+   block; every 40th op adds 0 (canonicalize folds it) and every 60th
+   repeats the op before it (cse removes the copy). *)
+let flat_block n =
+  let b = Buffer.create (n * 64) in
+  Buffer.add_string b
+    "\"builtin.module\"() ({\n  \"func.func\"() ({\n  ^bb0(%a0: i64, %a1: i64):\n\
+    \    %c0 = \"arith.constant\"() {value = 0 : i64} : () -> i64\n\
+    \    %k = \"arith.constant\"() {value = 3 : i64} : () -> i64\n";
+  let rhs = [| "%a0"; "%a1"; "%k" |] and names = [| "addi"; "subi"; "xori" |] in
+  let line i name lhs r =
+    Printf.bprintf b "    %%v%d = \"arith.%s\"(%s, %s) : (i64, i64) -> i64\n" i
+      name lhs r
+  in
+  let prev = ref "%a0" in
+  for i = 1 to n - 3 do
+    (if i mod 40 = 0 then line i "addi" !prev "%c0"
+     else if i mod 60 = 0 then
+       let j = i - 1 in
+       line i names.(j mod 3) (Fmt.str "%%v%d" (j - 1)) rhs.(j * 7 mod 3)
+     else line i names.(i mod 3) !prev rhs.(i * 7 mod 3));
+    prev := Fmt.str "%%v%d" i
+  done;
+  Printf.bprintf b
+    "    \"func.return\"(%s) : (i64) -> ()\n  }) {sym_name = \"flat\", \
+     function_type = (i64, i64) -> i64} : () -> ()\n}) : () -> ()\n"
+    !prev;
+  Buffer.contents b
+
+let count_ops md =
+  let n = ref 0 in
+  Ircore.walk_op md ~pre:(fun _ -> incr n);
+  !n
+
+(* The words one verify of [flat_block n] allocates, and the words
+   canonicalize and cse then allocate on it. *)
+let counted_words n =
+  let md = parse (flat_block n) in
+  let ops_before = count_ops md in
+  let verified, verify_words =
+    Testutil.alloc_words (fun () -> Verifier.verify ctx md)
+  in
+  (match verified with
+  | Ok () -> ()
+  | Error _ -> Alcotest.failf "flat block of %d ops does not verify" n);
+  let ran, pipeline_words =
+    Testutil.alloc_words (fun () ->
+        Testutil.run_pipeline [ "canonicalize"; "cse" ] md)
+  in
+  (match ran with Ok () -> () | Error e -> Alcotest.fail e);
+  expect_ok md;
+  (* the ops that add 0 fold away and the copies go *)
+  let foldable_or_copy =
+    List.length
+      (List.filter
+         (fun i -> i mod 40 = 0 || i mod 60 = 0)
+         (List.init (n - 3) succ))
+  in
+  let removed = ops_before - count_ops md in
+  if removed < foldable_or_copy then
+    Alcotest.failf "canonicalize,cse removed %d of %d ops, expected %d" removed
+      n foldable_or_copy;
+  (verify_words, pipeline_words)
+
+(* Words per op of one verify of [flat_block n] when the verifier built a
+   list of each block's ops and a path step per op (105.0 at 5k and 10k
+   ops). *)
+let list_walk_words_per_op = 105.0
+
+let test_verifier_words () =
+  List.iter
+    (fun n ->
+      let words, _ = counted_words n in
+      let per_op = words /. float_of_int n in
+      if per_op > list_walk_words_per_op /. 5. then
+        Alcotest.failf "verify of %d ops: %.1f words per op, bound %.1f" n
+          per_op (list_walk_words_per_op /. 5.))
+    [ 5_000; 10_000 ]
+
+let test_linear_per_doubling () =
+  let v5, p5 = counted_words 5_000 and v10, p10 = counted_words 10_000 in
+  List.iter
+    (fun (what, small, large) ->
+      if large > 2.2 *. small then
+        Alcotest.failf "%s: 5k -> 10k ops allocates %.0f -> %.0f words (%.2fx)"
+          what small large (large /. small))
+    [ ("verify", v5, v10); ("canonicalize,cse", p5, p10) ]
+
 let () =
   Alcotest.run "verifier"
     [
@@ -371,4 +462,10 @@ let () =
         ] );
       ( "symbols",
         [ Alcotest.test_case "redefinition" `Quick test_symbol_redefinition ] );
+      ( "counted allocation",
+        [
+          Alcotest.test_case "verifier words per op" `Quick test_verifier_words;
+          Alcotest.test_case "linear per doubling" `Quick
+            test_linear_per_doubling;
+        ] );
     ]

@@ -44,6 +44,19 @@ let check_verifies what m =
       (Fmt.list ~sep:Fmt.comma Diag.pp)
       diags
 
+(* ---------------- counted allocation ---------------- *)
+
+(* The words [f ()] allocates on this domain, on the minor heap and
+   directly on the major heap (large arrays). A minor collection on each
+   side makes the GC counters exact; counted, so no wall clock enters. *)
+let alloc_words f =
+  Gc.minor ();
+  let minor0, promoted0, major0 = Gc.counters () in
+  let r = Sys.opaque_identity (f ()) in
+  Gc.minor ();
+  let minor1, promoted1, major1 = Gc.counters () in
+  (r, minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0))
+
 (* ---------------- transform scripts ---------------- *)
 
 let apply ?config script payload =
