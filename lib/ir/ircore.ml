@@ -328,20 +328,33 @@ let move_to_end b op =
 (* Blocks and regions                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(** Append one argument of each type of [ts], in order, with one copy of
-    the argument array; returns the new arguments. *)
-let add_block_args b ts =
-  let base = Array.length b.b_args in
-  let added =
-    Array.of_list
-      (List.mapi
-         (fun i t ->
-           { v_id = Util.fresh_id (); v_typ = t; v_def = Block_arg (b, base + i);
-             v_uses = nil_use })
-         ts)
-  in
-  b.b_args <- Array.append b.b_args added;
-  added
+(** A fresh value for argument [i] of [b], of type [t], not yet among
+    [b]'s arguments: {!add_block_args} appends a batch of them. *)
+let new_block_arg b i t =
+  { v_id = Util.fresh_id (); v_typ = t; v_def = Block_arg (b, i);
+    v_uses = nil_use }
+
+(* store [args] at [all.(i)], [all.(i + 1)], ...; each must be that
+   argument of [b] *)
+let rec store_block_args b all i = function
+  | [] -> ()
+  | v :: rest ->
+    (match v.v_def with
+    | Block_arg (b', j) when b' == b && j = i -> all.(i) <- v
+    | _ -> invalid_arg "add_block_args: not the next argument of the block");
+    store_block_args b all (i + 1) rest
+
+(** Append [args], made by {!new_block_arg} for [b] at the indices that
+    follow its arguments, with one copy of the argument array. *)
+let add_block_args b args =
+  match args with
+  | [] -> ()
+  | first :: _ ->
+    let base = Array.length b.b_args in
+    let all = Array.make (base + List.length args) first in
+    Array.blit b.b_args 0 all 0 base;
+    store_block_args b all base args;
+    b.b_args <- all
 
 let create_block ?(args = []) () =
   let b =
@@ -356,14 +369,17 @@ let create_block ?(args = []) () =
       b_order_valid = false;
     }
   in
-  ignore (add_block_args b args);
+  add_block_args b (List.mapi (new_block_arg b) args);
   b
 
 let block_args b = Array.to_list b.b_args
 let block_arg b i = b.b_args.(i)
 let block_parent b = b.b_parent
 
-let add_block_arg b t = (add_block_args b [ t ]).(0)
+let add_block_arg b t =
+  let v = new_block_arg b (Array.length b.b_args) t in
+  add_block_args b [ v ];
+  v
 
 let create_region () =
   { r_id = Util.fresh_id (); r_first = None; r_last = None; r_parent = None }

@@ -765,6 +765,24 @@ let rec parse_result_specs lx acc =
   end
   else unexpected lx "%result"
 
+(* The arguments of [block] from index [i] on, up to and past the closing
+   parenthesis. Each is defined as it is parsed; the caller adds them all
+   to the block in one copy of its argument array. *)
+let[@tail_mod_cons] rec parse_block_args lx scope block i =
+  if at lx RPAREN then begin
+    advance lx;
+    []
+  end
+  else if at lx PCT_IDENT then begin
+    let name = take_text lx in
+    expect lx COLON;
+    let v = Ircore.new_block_arg block i (parse_type lx) in
+    define_values lx scope name [| v |];
+    if at lx COMMA then advance lx;
+    v :: parse_block_args lx scope block (i + 1)
+  end
+  else (unexpected [@tailcall false]) lx "%arg"
+
 let rec parse_operands lx scope acc =
   if at lx RPAREN then begin
     advance lx;
@@ -909,24 +927,8 @@ and parse_region lx outer_scope : Ircore.region =
       (* block arguments *)
       if at lx LPAREN then begin
         advance lx;
-        (* the (name, type) pairs, newest first *)
-        let rec args acc =
-          if at lx RPAREN then begin
-            advance lx;
-            acc
-          end
-          else if at lx PCT_IDENT then begin
-            let an = take_text lx in
-            expect lx COLON;
-            let t = parse_type lx in
-            if at lx COMMA then advance lx;
-            args ((an, t) :: acc)
-          end
-          else unexpected lx "%arg"
-        in
-        let pairs = List.rev (args []) in
-        let vs = Ircore.add_block_args block (List.map snd pairs) in
-        List.iteri (fun i (an, _) -> define_values lx scope an [| vs.(i) |]) pairs
+        Ircore.add_block_args block
+          (parse_block_args lx scope block (Array.length block.Ircore.b_args))
       end;
       expect lx COLON;
       Ircore.append_block region block;
