@@ -131,11 +131,11 @@ let count_ops_by_name op =
 
 (** Per-pass op-count deltas: returns the instrumentation plus a getter
     yielding, per executed pass in order, the op kinds whose population
-    changed (op name, signed delta). The pass manager calls the hooks of
-    one pipeline on one root and nothing edits it between one pass's
-    [after] hook and the next pass's [before] hook, so the count taken
-    after a pass is the count before the next one: each pass boundary
-    walks the module once. *)
+    changed (op name, signed delta). An instance serves one pipeline run:
+    the pass manager calls its hooks on one root, and nothing edits the
+    root between one pass's [after] hook and the next pass's [before]
+    hook, so the count taken after a pass is the count before the next
+    one and each pass boundary walks the module once. *)
 let op_count_deltas () =
   (* the root and op counts of the last [after] hook *)
   let last = ref None in
