@@ -117,8 +117,6 @@ let register_op ctx ?(summary = "") ?(traits = []) ?(verify = default_verify)
     it visits and answers every trait and interface question from it. *)
 let lookup ctx name = Util.Stbl.find_opt ctx.ops name
 
-let is_registered ctx name = Util.Stbl.mem ctx.ops name
-
 let dialect_ops ctx dialect =
   match Hashtbl.find_opt ctx.dialects dialect with
   | None -> []
