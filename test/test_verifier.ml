@@ -462,7 +462,7 @@ let () =
         ] );
       ( "symbols",
         [ Alcotest.test_case "redefinition" `Quick test_symbol_redefinition ] );
-      ( "counted allocation",
+      ( "alloc",
         [
           Alcotest.test_case "verifier words per op" `Quick test_verifier_words;
           Alcotest.test_case "linear per doubling" `Quick
