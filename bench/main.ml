@@ -328,7 +328,7 @@ let checkpoint () =
     let md = payload ~k in
     let pre = Ir.Printer.op_to_string md in
     let ops = ref 0 in
-    Ir.Ircore.walk_op md ~pre:(fun _ -> incr ops);
+    Ir.Ircore.walk (fun _ -> incr ops) md;
     let take_s = ref 0.0 and restore_s = ref 0.0 in
     for _ = 1 to reps do
       let cp = ref None in
@@ -710,7 +710,7 @@ let text_bench () =
     if not (String.equal printed (Ir.Printer.op_to_string (parse_exn printed)))
     then failwith (Fmt.str "text bench: %s is no print fixed point" name);
     let ops = ref 0 in
-    Ir.Ircore.walk_op md ~pre:(fun _ -> incr ops);
+    Ir.Ircore.walk (fun _ -> incr ops) md;
     let alloc =
       List.map
         (fun (stage, setup) -> (stage, alloc_bytes (setup ())))

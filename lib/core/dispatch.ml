@@ -74,8 +74,9 @@ let prepare_post_check st def op =
   if pre = [] && post = [] then None
   else begin
     let before = Hashtbl.create 32 in
-    Ircore.walk_op st.State.payload_root ~pre:(fun o ->
-        Hashtbl.replace before o.Ircore.op_name ());
+    Ircore.walk
+      (fun o -> Hashtbl.replace before o.Ircore.op_name ())
+      st.State.payload_root;
     (* the "left behind" half of the check only makes sense when the
        transform's scope is the whole payload (e.g. apply_registered_pass on
        the root); a loop transform targeting one loop says nothing about its
@@ -90,7 +91,8 @@ let prepare_post_check st def op =
     Some
       (fun () ->
         let violation = ref None in
-        Ircore.walk_op st.State.payload_root ~pre:(fun o ->
+        Ircore.walk
+          (fun o ->
             if !violation = None then begin
               let consumed_kind =
                 whole_payload && Opset.matches_op_name pre o.Ircore.op_name
@@ -108,7 +110,8 @@ let prepare_post_check st def op =
                        o.Ircore.op_name
                        (if fresh then "introduced" else "left behind")
                        def.Treg.t_name Opset.pp post)
-            end);
+            end)
+          st.State.payload_root;
         match !violation with
         | None -> Ok ()
         | Some msg -> Terror.definite "dynamic post-condition check: %s" msg)

@@ -24,12 +24,14 @@ let script_of_pipeline_str str =
     checker and for round-trip tests). *)
 let passes_of_script script =
   let out = ref [] in
-  Ircore.walk_op script ~pre:(fun op ->
+  Ircore.walk
+    (fun op ->
       if op.Ircore.op_name = Ops.apply_registered_pass_op then
         match Ircore.attr op "pass_name" with
         | Some (Attr.String name) -> (
           match Passes.Pass.lookup name with
           | Some p -> out := p :: !out
           | None -> ())
-        | _ -> ());
+        | _ -> ())
+    script;
   List.rev !out

@@ -39,7 +39,8 @@ let level_after current (post : Opset.t) =
 let infer_add_kinds ?(initial_dialect = "shlo") script =
   let inferred = ref [] in
   let current = ref initial_dialect in
-  Ircore.walk_op script ~pre:(fun op ->
+  Ircore.walk
+    (fun op ->
       if op.Ircore.op_name = Ops.enzyme_ad_op then begin
         let kind =
           match Ircore.attr op "add_op" with
@@ -55,7 +56,8 @@ let infer_add_kinds ?(initial_dialect = "shlo") script =
       else
         match Treg.lookup op.Ircore.op_name with
         | Some def -> current := level_after !current (Treg.post def op)
-        | None -> ());
+        | None -> ())
+    script;
   List.rev !inferred
 
 (* ------------------------------------------------------------------ *)
@@ -122,8 +124,10 @@ let register_enzyme_ad () =
 (** Number of gradient add ops of each kind in a payload (for tests). *)
 let count_gradient_adds payload =
   let counts = Hashtbl.create 4 in
-  Ircore.walk_op payload ~pre:(fun op ->
+  Ircore.walk
+    (fun op ->
       if Ircore.has_attr op "enzyme.gradient" then
         Hashtbl.replace counts op.Ircore.op_name
-          (1 + Option.value ~default:0 (Hashtbl.find_opt counts op.Ircore.op_name)));
+          (1 + Option.value ~default:0 (Hashtbl.find_opt counts op.Ircore.op_name)))
+    payload;
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) counts [] |> List.sort compare

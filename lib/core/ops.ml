@@ -201,36 +201,33 @@ let collect_patterns op =
   let patterns = ref [] in
   let missing = ref [] in
   (match op.Ircore.regions with
-  | [ r ] ->
-    List.iter
-      (fun b ->
-        List.iter
-          (fun ref_op ->
-            let pname =
-              let n = ref_op.Ircore.op_name in
-              if n = pattern_ref_op then
-                match Ircore.attr ref_op "name" with
-                | Some (Attr.String s) -> Some s
-                | _ -> None
-              else
-                let prefix = "transform.pattern." in
-                if
-                  String.length n > String.length prefix
-                  && String.sub n 0 (String.length prefix) = prefix
-                then
-                  Some
-                    (String.sub n (String.length prefix)
-                       (String.length n - String.length prefix))
-                else None
-            in
-            match pname with
-            | Some name -> (
-              match Pattern.lookup name with
-              | Some pat -> patterns := pat :: !patterns
-              | None -> missing := name :: !missing)
-            | None -> ())
-          (Ircore.block_ops b))
-      (Ircore.region_blocks r)
+  | [ _ ] ->
+    Ircore.iter_children
+      (fun ref_op ->
+        let pname =
+          let n = ref_op.Ircore.op_name in
+          if n = pattern_ref_op then
+            match Ircore.attr ref_op "name" with
+            | Some (Attr.String s) -> Some s
+            | _ -> None
+          else
+            let prefix = "transform.pattern." in
+            if
+              String.length n > String.length prefix
+              && String.sub n 0 (String.length prefix) = prefix
+            then
+              Some
+                (String.sub n (String.length prefix)
+                   (String.length n - String.length prefix))
+            else None
+        in
+        match pname with
+        | Some name -> (
+          match Pattern.lookup name with
+          | Some pat -> patterns := pat :: !patterns
+          | None -> missing := name :: !missing)
+        | None -> ())
+      op
   | _ -> ());
   (List.rev !patterns, List.rev !missing)
 

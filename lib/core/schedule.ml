@@ -142,14 +142,16 @@ let build_slot_index script callees =
   in
   List.iter
     (fun root ->
-      Ircore.walk_op root ~pre:(fun op ->
+      Ircore.walk
+        (fun op ->
           Array.iter number op.Ircore.results;
           List.iter
             (fun r ->
               List.iter
-                (fun b -> List.iter number (Ircore.block_args b))
+                (fun b -> Array.iter number b.Ircore.b_args)
                 (Ircore.region_blocks r))
-            op.Ircore.regions))
+            op.Ircore.regions)
+        root)
     (script :: callees);
   (index, !next)
 

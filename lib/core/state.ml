@@ -232,8 +232,9 @@ let snapshot_consumption t (operands : Ircore.value list) =
       | Some ops ->
         List.iter
           (fun op ->
-            Ircore.walk_op op ~pre:(fun nested ->
-                Hashtbl.replace cs_subtree nested.Ircore.op_id ()))
+            Ircore.walk
+              (fun nested -> Hashtbl.replace cs_subtree nested.Ircore.op_id ())
+              op)
           ops
       | None -> ())
     cs_operands;

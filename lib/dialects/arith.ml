@@ -196,7 +196,15 @@ let constant_int_of_value v =
 (* Canonicalization patterns                                           *)
 (* ------------------------------------------------------------------ *)
 
-let is_const_int v n = constant_int_of_value v = Some n
+(* Is [v] an [arith.constant] of integer value [n]? Matched in place, with
+   no option built: the patterns below ask twice per attempt. *)
+let is_const_int v n =
+  match v.Ircore.v_def with
+  | Op_result (op, _) when String.equal op.op_name constant_op -> (
+    match List.assoc "value" op.attrs with
+    | Attr.Int (m, _) -> Int.equal m n
+    | _ | (exception Not_found) -> false)
+  | _ -> false
 
 let () =
   (* x + 0 -> x ; 0 + x -> x *)

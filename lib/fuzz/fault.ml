@@ -65,17 +65,21 @@ let contains hay needle =
     pre-fault print, erasing the stamp. *)
 let sabotage root =
   let first = ref None in
-  Ircore.walk_op root ~pre:(fun o ->
+  Ircore.walk
+    (fun o ->
       match !first with
       | None -> if not (o == root) then first := Some o
-      | Some _ -> ());
+      | Some _ -> ())
+    root;
   let target = match !first with Some o -> o | None -> root in
   Ircore.set_attr target sabotage_attr Attr.Unit
 
 let payload_sabotaged root =
   let found = ref false in
-  Ircore.walk_op root ~pre:(fun o ->
-      if Option.is_some (Ircore.attr o sabotage_attr) then found := true);
+  Ircore.walk
+    (fun o ->
+      if Option.is_some (Ircore.attr o sabotage_attr) then found := true)
+    root;
   !found
 
 (** The interceptor body: run the real transform, then maybe inject. The

@@ -132,8 +132,9 @@ let applicable ~pipeline m =
   if not (contains ~needle:"to-llvm" pipeline) then true
   else begin
     let has_tensor = ref false in
-    Ircore.walk_op m ~pre:(fun op ->
-        if Ircore.op_dialect op = "tensor" then has_tensor := true);
+    Ircore.walk
+      (fun op -> if Ircore.op_dialect op = "tensor" then has_tensor := true)
+      m;
     not !has_tensor
   end
 

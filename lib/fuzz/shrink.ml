@@ -24,7 +24,7 @@ let is_protected op =
     be located again in a fresh clone. *)
 let enumerate m =
   let acc = ref [] in
-  Ircore.walk_op m ~pre:(fun op -> acc := op :: !acc);
+  Ircore.walk (fun op -> acc := op :: !acc) m;
   Array.of_list (List.rev !acc)
 
 let op_count m = Array.length (enumerate m)
@@ -88,10 +88,12 @@ let try_drop_function m idx =
       match Symbol.symbol_name op with
       | Some name when name <> Gen.entry_name ->
         let called = ref false in
-        Ircore.walk_op c ~pre:(fun o ->
+        Ircore.walk
+          (fun o ->
             match Ircore.attr o "callee" with
             | Some (Attr.Symbol_ref (s, _)) when s = name -> called := true
-            | _ -> ());
+            | _ -> ())
+          c;
         if !called then None
         else begin
           match Ircore.erase op with

@@ -216,14 +216,11 @@ let unit_key op =
    enclosing module (so only the changed function is shown), or the top op
    itself when it has none *)
 let snapshot_units top =
-  let named =
-    match top.Ircore.regions with
-    | r :: _ ->
-      List.concat_map Ircore.block_ops (Ircore.region_blocks r)
-      |> List.filter (fun o -> Symbol.symbol_name o <> None)
-    | [] -> []
-  in
-  if named = [] then [ top ] else named
+  let named = ref [] in
+  Ircore.iter_children
+    (fun o -> if Symbol.symbol_name o <> None then named := o :: !named)
+    top;
+  if !named = [] then [ top ] else List.rev !named
 
 let sanitize s =
   String.map
@@ -744,12 +741,7 @@ let provenance_to_json t ~root =
             ("chain", Json.List chain);
           ])
       :: !ops;
-    List.iter
-      (fun r ->
-        List.iter
-          (fun b -> List.iter (collect enclosing) (Ircore.block_ops b))
-          (Ircore.region_blocks r))
-      op.Ircore.regions
+    Ircore.iter_children (collect enclosing) op
   in
   collect None root;
   let erased = ref [] in

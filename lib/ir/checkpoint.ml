@@ -81,17 +81,6 @@ let take_clone cp what =
     c
   | None -> invalid_arg (Fmt.str "Checkpoint.%s: checkpoint already spent" what)
 
-(** Drop every use held by the ops currently inside [root]'s regions —
-    required before discarding that content, since it may reference values
-    defined outside the subtree. *)
-let drop_region_references root =
-  List.iter
-    (fun r ->
-      List.iter
-        (fun b -> List.iter Ircore.drop_all_references (Ircore.block_ops b))
-        (Ircore.region_blocks r))
-    root.Ircore.regions
-
 (** Roll the live subtree back to its checkpointed content. The current
     (mutated) regions of the root are discarded; the snapshot's regions and
     attributes are spliced in. The root op keeps its identity, position,
@@ -101,7 +90,8 @@ let restore cp =
   Profiler.span ~cat:"checkpoint" "checkpoint.restore" @@ fun () ->
   let clone = take_clone cp "restore" in
   let root = cp.cp_root in
-  drop_region_references root;
+  (* the discarded content may use values defined outside the subtree *)
+  Ircore.iter_children Ircore.drop_all_references root;
   root.Ircore.regions <- clone.Ircore.regions;
   List.iter
     (fun r -> r.Ircore.r_parent <- Some root)
@@ -118,9 +108,7 @@ let restore cp =
     snapshot is fully disconnected and collectable. *)
 let discard cp =
   if not (spent cp) then begin
-    let clone = take_clone cp "discard" in
-    drop_region_references clone;
-    Ircore.drop_all_references clone
+    Ircore.drop_all_references (take_clone cp "discard")
   end
 
 (** The restored copy of a checkpoint-time op, valid after {!restore}.

@@ -443,17 +443,50 @@ let region_with_block b =
 (* Traversal                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let rec walk_op ?(pre = ignore) ?(post = ignore) op =
-  pre op;
-  List.iter (walk_region ~pre ~post) op.regions;
-  post op
+(* One link walk serves the three traversals below. It allocates nothing
+   and reads each op's next link before calling [f] on it, so [f] may
+   detach or erase the op it is given, or insert new ops beside it (those
+   are not visited); it must not unlink any other op or block. *)
+type order = Pre | Post | Children
 
-and walk_region ~pre ~post r =
-  List.iter (walk_block ~pre ~post) (region_blocks r)
+let rec traverse order f op =
+  match order with
+  | Pre ->
+    f op;
+    traverse_regions order f op.regions
+  | Post ->
+    traverse_regions order f op.regions;
+    f op
+  | Children -> f op
 
-and walk_block ~pre ~post b =
-  (* Snapshot the op list so that callbacks may erase/move the current op. *)
-  List.iter (fun op -> walk_op ~pre ~post op) (block_ops b)
+and traverse_regions order f = function
+  | [] -> ()
+  | r :: rest ->
+    traverse_blocks order f r.r_first;
+    traverse_regions order f rest
+
+and traverse_blocks order f = function
+  | None -> ()
+  | Some b ->
+    traverse_ops order f b.b_first;
+    traverse_blocks order f b.b_next
+
+and traverse_ops order f = function
+  | None -> ()
+  | Some op ->
+    let next = op.op_next in
+    traverse order f op;
+    traverse_ops order f next
+
+(** Apply [f] to [op] and every op nested in it, in pre-order. *)
+let walk f op = traverse Pre f op
+
+(** Apply [f] to every op nested in [op], then to [op] (post-order). *)
+let walk_post f op = traverse Post f op
+
+(** Apply [f] to each op directly inside [op]'s regions, region by region
+    and block by block. *)
+let iter_children f op = traverse_regions Children f op.regions
 
 (** Parent op of [op], if attached. *)
 let parent_op op =
@@ -500,16 +533,13 @@ let replace_all_uses_with v ~with_ =
 
 (** Drop all operand uses held by [op] and, recursively, by its regions.
     Required before erasing a subtree that may contain forward references. *)
-let rec drop_all_references op =
-  Array.iter remove_use op.op_uses;
-  op.operands <- [||];
-  op.op_uses <- [||];
-  List.iter
-    (fun r ->
-      List.iter
-        (fun b -> List.iter drop_all_references (block_ops b))
-        (region_blocks r))
-    op.regions
+let drop_all_references op =
+  walk
+    (fun o ->
+      Array.iter remove_use o.op_uses;
+      o.operands <- [||];
+      o.op_uses <- [||])
+    op
 
 exception Has_live_uses of op
 
@@ -517,27 +547,15 @@ exception Has_live_uses of op
     regions). Raises [Has_live_uses] if any result still has uses outside the
     erased subtree. *)
 let erase op =
-  Array.iter
-    (iter_uses (fun u ->
-         if not (is_ancestor ~ancestor:op u.u_op) then
-           raise (Has_live_uses op)))
-    op.results;
-  (* Results of nested ops must not be used outside the subtree either. *)
-  List.iter
-    (fun r ->
-      List.iter
-        (fun b ->
-          List.iter
-            (fun nested ->
-              walk_op nested ~pre:(fun n ->
-                  Array.iter
-                    (iter_uses (fun u ->
-                         if not (is_ancestor ~ancestor:op u.u_op) then
-                           raise (Has_live_uses n)))
-                    n.results))
-            (block_ops b))
-        (region_blocks r))
-    op.regions;
+  (* results of nested ops must not be used outside the subtree either *)
+  walk
+    (fun n ->
+      Array.iter
+        (iter_uses (fun u ->
+             if not (is_ancestor ~ancestor:op u.u_op) then
+               raise (Has_live_uses n)))
+        n.results)
+    op;
   detach op;
   drop_all_references op
 
@@ -590,21 +608,14 @@ let rec clone_op ?(mapping = Mapping.create ()) op =
     (fun i r -> Mapping.map_value mapping ~from:r ~to_:cloned.results.(i))
     op.results;
   (* Remap forward references inside cloned regions now that results exist. *)
-  List.iter
-    (fun r ->
-      List.iter
-        (fun b ->
-          List.iter
-            (fun nested ->
-              walk_op nested ~pre:(fun n ->
-                  Array.iteri
-                    (fun index v ->
-                      let v' = Mapping.lookup_value mapping v in
-                      if not (v == v') then set_operand n index v')
-                    n.operands))
-            (block_ops b))
-        (region_blocks r))
-    cloned.regions;
+  iter_children
+    (walk (fun n ->
+         Array.iteri
+           (fun index v ->
+             let v' = Mapping.lookup_value mapping v in
+             if not (v == v') then set_operand n index v')
+           n.operands))
+    cloned;
   cloned
 
 and clone_region ~mapping r =

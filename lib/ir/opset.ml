@@ -124,7 +124,6 @@ let parse str : t =
 (** The op-kind set actually present in a payload subtree. *)
 let of_payload root =
   let seen = Hashtbl.create 32 in
-  Ircore.walk_op root ~pre:(fun op ->
-      Hashtbl.replace seen op.Ircore.op_name ());
+  Ircore.walk (fun op -> Hashtbl.replace seen op.Ircore.op_name ()) root;
   Hashtbl.fold (fun name () acc -> Exact name :: acc) seen []
   |> List.sort compare

@@ -30,17 +30,11 @@ let rec pp_op naming ~indent fmt op =
   match op.op_name with
   | "builtin.module" ->
     Fmt.pf fmt "%smodule {@." pad;
-    List.iter
-      (fun r ->
-        List.iter
-          (fun b ->
-            List.iter
-              (fun o ->
-                pp_op naming ~indent:(indent + 2) fmt o;
-                Fmt.pf fmt "@.")
-              (block_ops b))
-          (region_blocks r))
-      op.regions;
+    iter_children
+      (fun o ->
+        pp_op naming ~indent:(indent + 2) fmt o;
+        Fmt.pf fmt "@.")
+      op;
     Fmt.pf fmt "%s}" pad
   | "func.func" | "llvm.func" -> (
     let fname =

@@ -52,15 +52,11 @@ let all_listeners t = t.listeners @ Domain.DLS.get ambient
 let notify_inserted t op =
   List.iter (fun l -> l.on_inserted op) (all_listeners t)
 
-let rec notify_erased_tree t op =
-  (* nested ops disappear together with their parent *)
-  List.iter
-    (fun r ->
-      List.iter
-        (fun b -> List.iter (notify_erased_tree t) (Ircore.block_ops b))
-        (Ircore.region_blocks r))
-    op.Ircore.regions;
-  List.iter (fun l -> l.on_erased op) (all_listeners t)
+(* nested ops disappear together with their parent, and are reported
+   before it *)
+let notify_erased_tree t op =
+  let listeners = all_listeners t in
+  Ircore.walk_post (fun o -> List.iter (fun l -> l.on_erased o) listeners) op
 
 let insert t op =
   ignore (Builder.insert t.builder op);
@@ -81,12 +77,7 @@ let build1 t ?operands ?result_types ?attrs ?regions ?successors ?loc name =
 let replace_op t op ~with_ =
   List.iter (fun l -> l.on_replaced op with_) (all_listeners t);
   (* notify nested erasures *)
-  List.iter
-    (fun r ->
-      List.iter
-        (fun b -> List.iter (notify_erased_tree t) (Ircore.block_ops b))
-        (Ircore.region_blocks r))
-    op.Ircore.regions;
+  Ircore.iter_children (notify_erased_tree t) op;
   Ircore.replace op ~with_
 
 (** Replace [op] by a freshly built op inserted just before it. Result types

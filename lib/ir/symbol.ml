@@ -6,22 +6,21 @@ open Ircore
 let symbol_name op =
   match attr op "sym_name" with Some (Attr.String s) -> Some s | _ -> None
 
-(** Find the op named [name] among the immediate children of symbol-table op
-    [table]. *)
+exception Found of op
+
+(** Find the first op named [name] among the immediate children of
+    symbol-table op [table]. *)
 let lookup_in ~table name =
-  let found = ref None in
-  List.iter
-    (fun r ->
-      List.iter
-        (fun b ->
-          List.iter
-            (fun child ->
-              if !found = None && symbol_name child = Some name then
-                found := Some child)
-            (block_ops b))
-        (region_blocks r))
-    table.regions;
-  !found
+  match
+    iter_children
+      (fun child ->
+        match List.assoc "sym_name" child.attrs with
+        | Attr.String s when String.equal s name -> raise_notrace (Found child)
+        | _ | (exception Not_found) -> ())
+      table
+  with
+  | () -> None
+  | exception Found op -> Some op
 
 (** Nearest enclosing op with the [Symbol_table] trait. *)
 let rec nearest_symbol_table ctx op =
@@ -41,12 +40,14 @@ let resolve ctx ~from name =
     excluding [root] itself). *)
 let collect_ops ~op_name root =
   let out = ref [] in
-  walk_op root ~pre:(fun op ->
-      if (not (op == root)) && op.op_name = op_name then out := op :: !out);
+  walk
+    (fun op ->
+      if (not (op == root)) && op.op_name = op_name then out := op :: !out)
+    root;
   List.rev !out
 
 (** All ops in the subtree for which [f] holds (excluding the root). *)
 let collect ~f root =
   let out = ref [] in
-  walk_op root ~pre:(fun op -> if (not (op == root)) && f op then out := op :: !out);
+  walk (fun op -> if (not (op == root)) && f op then out := op :: !out) root;
   List.rev !out

@@ -111,24 +111,15 @@ let rec verify_terminators st ~graph_region ~parent = function
     symbol users nested in it. *)
 let verify_symbols st op =
   let seen = Hashtbl.create 8 in
-  let rec ops = function
-    | None -> ()
-    | Some nested ->
-      (match attr nested "sym_name" with
+  iter_children
+    (fun nested ->
+      match attr nested "sym_name" with
       | Some (Attr.String name) ->
         if Hashtbl.mem seen name then
           error st (diag nested "redefinition of symbol @%s" name)
         else Hashtbl.replace seen name nested
-      | _ -> ());
-      ops nested.op_next
-  in
-  let rec blocks = function
-    | None -> ()
-    | Some b ->
-      ops b.b_first;
-      blocks b.b_next
-  in
-  List.iter (fun r -> blocks r.r_first) op.regions;
+      | _ -> ())
+    op;
   seen
 
 let dominance f =

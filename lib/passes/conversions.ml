@@ -362,7 +362,8 @@ let convert_block_signature func block =
     (Ircore.block_args block);
   if !changed <> [] then
     (* adapt predecessor branch operands feeding the retyped args *)
-    Ircore.walk_op func ~pre:(fun term ->
+    Ircore.walk
+      (fun term ->
         Array.iteri
           (fun succ_idx succ ->
             if succ == block then begin
@@ -386,6 +387,7 @@ let convert_block_signature func block =
                 !changed
             end)
           term.Ircore.successors)
+      func
 
 let func_to_llvm rw fop =
   (* convert every block signature in the function body *)

@@ -194,7 +194,8 @@ let fuse_siblings rw a b =
         (* values flowing into b's body must already dominate a, otherwise
            moving the body before them would break SSA *)
         let dominance_safe = ref true in
-        Ircore.walk_op b ~pre:(fun op ->
+        Ircore.walk
+          (fun op ->
             List.iter
               (fun v ->
                 if not (Ircore.value_defined_within ~ancestor:b v) then
@@ -206,7 +207,8 @@ let fuse_siblings rw a b =
                          && Ircore.is_before_in_block a d ->
                     dominance_safe := false
                   | _ -> ())
-              (Ircore.operands op));
+              (Ircore.operands op))
+          b;
         if not !dominance_safe then
           err "fusion would move uses before their definitions"
         else begin

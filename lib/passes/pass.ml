@@ -110,23 +110,12 @@ let print_ir_after_all ?(ppf = Fmt.stderr) ?(only_changed = false) () =
 
 let count_ops_by_name op =
   let counts = Util.Stbl.create 64 in
-  let rec count (o : Ircore.op) =
-    (match Util.Stbl.find counts o.Ircore.op_name with
-    | n -> Util.Stbl.replace counts o.Ircore.op_name (n + 1)
-    | exception Not_found -> Util.Stbl.add counts o.Ircore.op_name 1);
-    List.iter (fun r -> blocks r.Ircore.r_first) o.Ircore.regions
-  and blocks = function
-    | None -> ()
-    | Some b ->
-      ops b.Ircore.b_first;
-      blocks b.Ircore.b_next
-  and ops = function
-    | None -> ()
-    | Some o ->
-      count o;
-      ops o.Ircore.op_next
-  in
-  count op;
+  Ircore.walk
+    (fun o ->
+      match Util.Stbl.find counts o.Ircore.op_name with
+      | n -> Util.Stbl.replace counts o.Ircore.op_name (n + 1)
+      | exception Not_found -> Util.Stbl.add counts o.Ircore.op_name 1)
+    op;
   counts
 
 (** Per-pass op-count deltas: returns the instrumentation plus a getter
@@ -628,11 +617,13 @@ let convert ~pass (table : table) top =
   let rewrites = Hashtbl.create (List.length table) in
   List.iter (fun (name, f) -> Hashtbl.replace rewrites name f) table;
   let matched = ref [] in
-  Ircore.walk_op top ~pre:(fun op ->
+  Ircore.walk
+    (fun op ->
       if not (op == top) then
         match Hashtbl.find_opt rewrites op.Ircore.op_name with
         | Some f -> matched := (op, f) :: !matched
-        | None -> ());
+        | None -> ())
+    top;
   let rw = Rewriter.create () in
   let rec go = function
     | [] -> Ok ()

@@ -40,7 +40,8 @@ let decompositions : Pass.table =
 (** Propagate static shapes: unranked results of elementwise ops take their
     operand's type. *)
 let run_infer_shapes _ctx top =
-  Ircore.walk_op top ~pre:(fun op ->
+  Ircore.walk
+    (fun op ->
       if Ircore.op_dialect op = "tosa" && Ircore.num_results op = 1 then
         let r = Ircore.result op in
         match Ircore.value_typ r with
@@ -51,7 +52,8 @@ let run_infer_shapes _ctx top =
             | Typ.Ranked_tensor _ as t -> r.Ircore.v_typ <- t
             | _ -> ())
           | [] -> ())
-        | _ -> ());
+        | _ -> ())
+    top;
   Ok ()
 
 (* ------------------------------------------------------------------ *)

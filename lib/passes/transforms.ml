@@ -189,7 +189,8 @@ let run_dce ctx top =
   while !changed do
     changed := false;
     let dead = ref [] in
-    Ircore.walk_op top ~post:(fun op ->
+    Ircore.walk_post
+      (fun op ->
         if
           (not (op == top))
           && Context.is_pure ctx op
@@ -197,7 +198,8 @@ let run_dce ctx top =
           && List.for_all
                (fun r -> not (Ircore.has_uses r))
                (Ircore.results op)
-        then dead := op :: !dead);
+        then dead := op :: !dead)
+      top;
     List.iter
       (fun op ->
         if Ircore.op_parent op <> None then begin
@@ -215,13 +217,15 @@ let run_dce ctx top =
 let run_symbol_dce _ctx top =
   let rw = Rewriter.create () in
   let referenced = Hashtbl.create 16 in
-  Ircore.walk_op top ~pre:(fun op ->
+  Ircore.walk
+    (fun op ->
       List.iter
         (fun (_, a) ->
           match a with
           | Attr.Symbol_ref (s, _) -> Hashtbl.replace referenced s ()
           | _ -> ())
-        op.Ircore.attrs);
+        op.Ircore.attrs)
+    top;
   List.iter
     (fun f ->
       let name = Func.name f in

@@ -164,10 +164,12 @@ let build ?(funcs = 1) spec =
     and returns) — the quantity reported in Table 1. *)
 let count_ops md =
   let n = ref 0 in
-  Ircore.walk_op md ~pre:(fun op ->
+  Ircore.walk
+    (fun op ->
       match op.Ircore.op_name with
       | "builtin.module" | "func.func" | "func.return" -> ()
-      | _ -> incr n);
+      | _ -> incr n)
+    md;
   !n
 
 (** The Case-Study-1 lowering pipeline (Section 4.1). *)

@@ -250,7 +250,7 @@ let test_provenance_canonicalize () =
   let json = Action.provenance_to_json t ~root:md in
   (* every op of the final module resolves to a record *)
   let live = ref 0 in
-  Ircore.walk_op md ~pre:(fun _ -> incr live);
+  Ircore.walk (fun _ -> incr live) md;
   let section name =
     match Ir.Json.member name json with
     | Some l -> Option.get (Ir.Json.to_list l)
@@ -279,7 +279,7 @@ let test_provenance_squeezenet () =
   Action.with_context t (fun () -> canonicalize md);
   let json = Action.provenance_to_json t ~root:md in
   let live = ref 0 in
-  Ircore.walk_op md ~pre:(fun _ -> incr live);
+  Ircore.walk (fun _ -> incr live) md;
   let ops =
     match Ir.Json.member "ops" json with
     | Some l -> Option.get (Ir.Json.to_list l)

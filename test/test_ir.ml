@@ -181,15 +181,157 @@ let nested_module () =
 let test_walk_pre_post () =
   let top = nested_module () in
   let pre = ref [] and post = ref [] in
-  Ircore.walk_op top
-    ~pre:(fun o -> pre := o.Ircore.op_name :: !pre)
-    ~post:(fun o -> post := o.Ircore.op_name :: !post);
+  Ircore.walk (fun o -> pre := o.Ircore.op_name :: !pre) top;
+  Ircore.walk_post (fun o -> post := o.Ircore.op_name :: !post) top;
   check (Alcotest.list Alcotest.string) "pre-order"
     [ "t.top"; "t.mid"; "t.leaf1"; "t.leaf2"; "t.leaf3" ]
     (List.rev !pre);
   check (Alcotest.list Alcotest.string) "post-order"
     [ "t.leaf1"; "t.leaf2"; "t.mid"; "t.leaf3"; "t.top" ]
     (List.rev !post)
+
+(* ------------------------------------------------------------------ *)
+(* walk, walk_post, iter_children                                      *)
+(* ------------------------------------------------------------------ *)
+
+let block_of ops =
+  let b = Ircore.create_block () in
+  List.iter (Ircore.insert_at_end b) ops;
+  b
+
+let region_of blocks =
+  let r = Ircore.create_region () in
+  List.iter (Ircore.append_block r) blocks;
+  r
+
+(* t.top holds two blocks; t.a holds two regions, the first of two blocks;
+   t.d holds an empty region and a region with one empty block *)
+let multi_region_module () =
+  let b = mkop ~regions:[ region_of [ block_of [ mkop "t.c" ] ] ] "t.b" in
+  let a =
+    mkop
+      ~regions:
+        [
+          region_of
+            [ block_of [ mkop "t.a1"; mkop "t.a2" ]; block_of [ mkop "t.a3" ] ];
+          region_of [ block_of [ b; mkop "t.e" ] ];
+        ]
+      "t.a"
+  in
+  let d =
+    mkop ~regions:[ Ircore.create_region (); region_of [ block_of [] ] ] "t.d"
+  in
+  let top =
+    mkop ~regions:[ region_of [ block_of [ a; d ]; block_of [ mkop "t.f" ] ] ]
+      "t.top"
+  in
+  (top, a)
+
+let names walker root =
+  let out = ref [] in
+  walker (fun o -> out := o.Ircore.op_name :: !out) root;
+  List.rev !out
+
+let cs = Alcotest.(list string)
+
+(* pass and checker output depends on these visit orders *)
+let test_walk_orders () =
+  let top, _ = multi_region_module () in
+  check cs "pre-order"
+    [ "t.top"; "t.a"; "t.a1"; "t.a2"; "t.a3"; "t.b"; "t.c"; "t.e"; "t.d"; "t.f" ]
+    (names Ircore.walk top);
+  check cs "post-order"
+    [ "t.a1"; "t.a2"; "t.a3"; "t.c"; "t.b"; "t.e"; "t.a"; "t.d"; "t.f"; "t.top" ]
+    (names Ircore.walk_post top)
+
+let test_iter_children () =
+  let top, a = multi_region_module () in
+  check cs "children of t.a" [ "t.a1"; "t.a2"; "t.a3"; "t.b"; "t.e" ]
+    (names Ircore.iter_children a);
+  check cs "children of t.top" [ "t.a"; "t.d"; "t.f" ]
+    (names Ircore.iter_children top);
+  check cs "a leaf has none" [] (names Ircore.iter_children (mkop "t.leaf"))
+
+(* dead pure ops with no dead users: one post-order sweep that erases each
+   one as it is visited removes all of them, adjacent ones included *)
+let dce_input =
+  {|"builtin.module"() ({
+  "func.func"() ({
+  ^bb0(%a: i64, %n: index):
+    %c0 = "arith.constant"() {value = 0 : index} : () -> index
+    %c1 = "arith.constant"() {value = 1 : index} : () -> index
+    %dead0 = "arith.constant"() {value = 7 : i64} : () -> i64
+    %dead1 = "arith.addi"(%a, %a) : (i64, i64) -> i64
+    %x = "arith.muli"(%a, %a) : (i64, i64) -> i64
+    "scf.for"(%c0, %n, %c1) ({
+    ^bb1(%i: index):
+      %dead2 = "arith.subi"(%x, %a) : (i64, i64) -> i64
+      %dead3 = "arith.xori"(%x, %a) : (i64, i64) -> i64
+      "scf.yield"() : () -> ()
+    }) : (index, index, index) -> ()
+    %dead4 = "arith.addi"(%x, %x) : (i64, i64) -> i64
+    "func.return"(%x) : (i64) -> ()
+  }) {sym_name = "f", function_type = (i64, index) -> i64} : () -> ()
+}) : () -> ()
+|}
+
+let test_walk_post_erase_matches_dce () =
+  let parse () =
+    match Parser.parse_module dce_input with
+    | Ok m -> m
+    | Error e -> Alcotest.fail e
+  in
+  let ctx = Testutil.ctx in
+  let swept = parse () in
+  let erased = ref 0 in
+  Ircore.walk_post
+    (fun op ->
+      if
+        (not (op == swept))
+        && Context.is_pure ctx op
+        && (not (Context.op_has_trait ctx op Context.Terminator))
+        && Array.for_all (fun r -> not (Ircore.has_uses r)) op.Ircore.results
+      then begin
+        Ircore.erase op;
+        incr erased
+      end)
+    swept;
+  check ci "dead ops erased in the sweep" 5 !erased;
+  let reference = parse () in
+  Testutil.run_pass "dce" reference;
+  check Alcotest.string "same IR as dce"
+    (Printer.op_to_string reference)
+    (Printer.op_to_string swept)
+
+(* a flat block of [n] ops under one root *)
+let flat_root n =
+  mkop
+    ~regions:[ region_of [ block_of (List.init n (fun _ -> mkop "t.x")) ] ]
+    "t.root"
+
+(* a walk builds no list of a block's ops and no closure or option per op
+   or region *)
+let test_walks_allocate_nothing () =
+  let visited = ref 0 in
+  let visit _ = incr visited in
+  let _, baseline = Testutil.alloc_words (fun () -> ()) in
+  List.iter
+    (fun n ->
+      let root = flat_root n in
+      List.iter
+        (fun (what, walker, expect) ->
+          visited := 0;
+          let (), words = Testutil.alloc_words (fun () -> walker visit root) in
+          check ci (Fmt.str "%s visits, %d ops" what n) expect !visited;
+          let per_op = (words -. baseline) /. float_of_int n in
+          if per_op <> 0. then
+            Alcotest.failf "%s over %d ops: %.4f words per op" what n per_op)
+        [
+          ("walk", Ircore.walk, n + 1);
+          ("walk_post", Ircore.walk_post, n + 1);
+          ("iter_children", Ircore.iter_children, n);
+        ])
+    [ 5_000; 10_000 ]
 
 let test_parent_and_ancestor () =
   let top = nested_module () in
@@ -552,6 +694,15 @@ let () =
             test_parent_and_ancestor;
           Alcotest.test_case "value_defined_within" `Quick
             test_value_defined_within;
+        ] );
+      ( "walk",
+        [
+          Alcotest.test_case "pre and post order" `Quick test_walk_orders;
+          Alcotest.test_case "iter_children" `Quick test_iter_children;
+          Alcotest.test_case "post-order erase is dce" `Quick
+            test_walk_post_erase_matches_dce;
+          Alcotest.test_case "no words per op" `Quick
+            test_walks_allocate_nothing;
         ] );
       ( "clone",
         [

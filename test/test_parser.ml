@@ -397,9 +397,11 @@ let test_flat_block_types_shared () =
   | Error e -> Alcotest.fail e
   | Ok m ->
     let types = ref [] in
-    Ircore.walk_op m ~pre:(fun op ->
+    Ircore.walk
+      (fun op ->
         if op.Ircore.op_name = "arith.addi" then
-          types := Ircore.value_typ (Ircore.result op) :: !types);
+          types := Ircore.value_typ (Ircore.result op) :: !types)
+      m;
     Alcotest.(check int) "addi count" 500 (List.length !types);
     let first = List.hd !types in
     Alcotest.(check bool) "one shared result type" true
@@ -486,8 +488,9 @@ let test_misleading_spellings () =
   | Error e -> Alcotest.fail e
   | Ok m ->
     let ops = ref [] in
-    Ircore.walk_op m ~pre:(fun op ->
-        if op.Ircore.op_name = "test.g" then ops := op :: !ops);
+    Ircore.walk
+      (fun op -> if op.Ircore.op_name = "test.g" then ops := op :: !ops)
+      m;
     (match List.rev !ops with
     | [ a; b; c; d ] ->
       let typ op = Ircore.value_typ (Ircore.result op) in
@@ -547,9 +550,11 @@ let test_many_block_args () =
       | Error e, _ -> Alcotest.failf "%d block arguments: %s" n e
     in
     let region = ref None in
-    Ircore.walk_op m ~pre:(fun op ->
+    Ircore.walk
+      (fun op ->
         if op.Ircore.op_name = "test.region" then
-          region := Some (List.hd op.Ircore.regions));
+          region := Some (List.hd op.Ircore.regions))
+      m;
     let block =
       match !region with
       | Some r -> Option.get (Ircore.region_first_block r)

@@ -277,8 +277,9 @@ let straightline () =
   in
   let find name =
     let found = ref None in
-    Ircore.walk_op m ~pre:(fun o ->
-        if o.Ircore.op_name = name then found := Some o);
+    Ircore.walk
+      (fun o -> if o.Ircore.op_name = name then found := Some o)
+      m;
     Option.get !found
   in
   (m, find "arith.addi", find "arith.muli")
@@ -368,7 +369,7 @@ let flat_block n =
 
 let count_ops md =
   let n = ref 0 in
-  Ircore.walk_op md ~pre:(fun _ -> incr n);
+  Ircore.walk (fun _ -> incr n) md;
   !n
 
 (* The words one verify of [flat_block n] allocates, and the words
