@@ -630,10 +630,11 @@ let alloc_bytes f =
 
 (** Per-stage cost of one module along the job path: parse time and parse
     allocation per input byte, fingerprint, verify, canonicalize, cse and
-    print time, and the bytes each middle stage allocates per op, for
-    flat blocks and the lowered Table-1 models. The printed form of each
-    parse must read back to itself, so a parser that drops or reorders
-    anything fails the run. *)
+    print time, the bytes each stage after the parse allocates per op, the
+    heap words the parsed module keeps per op, and the median time of a
+    whole job run back to back, for flat blocks and the lowered Table-1
+    models. The printed form of each parse must read back to itself, so a
+    parser that drops or reorders anything fails the run. *)
 let text_bench () =
   banner "E14 - Text path: per-stage cost of one module"
     "per-parse type sharing, an allocation-free lexer, registration \
@@ -719,6 +720,35 @@ let text_bench () =
     (name, text, md, float_of_int !ops, alloc)
   in
   let prepared = List.map prepare inputs in
+  (* the heap words a parsed module keeps: its ops, values, use nodes,
+     links, names, and the types and attributes it references *)
+  let live_words =
+    List.map
+      (fun (name, _, md, _, _) ->
+        (name, float_of_int (Obj.reachable_words (Obj.repr md))))
+      prepared
+  in
+  (* whole jobs back to back, as a compile job runs them: no collection
+     between runs, so each job pays the GC work its garbage paces *)
+  let job text () =
+    let md = parse_exn text in
+    ignore (Ir.Fingerprint.op md);
+    verify md;
+    run_pass "canonicalize" md;
+    run_pass "cse" md;
+    verify md;
+    ignore (Ir.Printer.op_to_string md)
+  in
+  let jobs = 15 in
+  let job_ms =
+    List.map
+      (fun (name, text, _, _, _) ->
+        job text ();
+        let times = Array.init jobs (fun _ -> wall (job text) *. 1000.) in
+        Array.sort Float.compare times;
+        (name, times.(jobs / 2)))
+      prepared
+  in
   let best = Hashtbl.create 32 in
   for _ = 1 to rounds do
     List.iter
@@ -734,8 +764,8 @@ let text_bench () =
   done;
   let middle = [ "fingerprint"; "verify"; "canonicalize"; "cse" ] in
   Fmt.pr "best of %d runs, ms; allocation of one run, bytes per input byte \
-          (parse) or per op@."
-    (rounds * runs);
+          (parse) or per op; live IR words per op; median of %d jobs, ms@."
+    (rounds * runs) jobs;
   Fmt.pr "  %-20s %8s %8s %10s" "input" "KB" "ops" "parse B/B";
   List.iter (fun st -> Fmt.pr " %12s" st) ("parse" :: middle @ [ "print" ]);
   Fmt.pr "@.";
@@ -752,8 +782,11 @@ let text_bench () =
       Fmt.pr "  %-20s %8s %8s %10s %12s" "" "" "" "" "B/op:";
       List.iter
         (fun st -> Fmt.pr " %12.1f" (List.assoc st alloc /. ops))
-        middle;
-      Fmt.pr "@.")
+        (middle @ [ "print" ]);
+      Fmt.pr "@.";
+      Fmt.pr "  %-20s live IR %.1f words/op, job %.2f ms@." ""
+        (List.assoc name live_words /. ops)
+        (List.assoc name job_ms))
     prepared;
   let layer = function
     | "parse" -> "parser"
@@ -788,6 +821,13 @@ let text_bench () =
          @ [
              r ~layer:"printer" "print_ms" (Hashtbl.find best (name, "print"))
                "ms";
+             r ~layer:"printer" "print_alloc_bytes_per_op"
+               (List.assoc "print" alloc /. ops)
+               "bytes";
+             r ~layer:"parser" "ir_live_words_per_op"
+               (List.assoc name live_words /. ops)
+               "words";
+             r ~layer:"job" "job_ms" (List.assoc name job_ms) "ms";
            ])
        prepared)
 

@@ -42,22 +42,22 @@ let dense_float_string f =
     in
     if integral then s ^ ".0" else s
 
+let bprint_typed typ b t =
+  Buffer.add_string b " : ";
+  typ b t
+
 (** [bprint_with typ] writes each type through [typ]: the op printer
     passes its per-print memoizing writer. *)
 let rec bprint_with typ b a =
-  let typed t =
-    Buffer.add_string b " : ";
-    typ b t
-  in
   match a with
   | Unit -> Buffer.add_string b "unit"
   | Bool v -> Buffer.add_string b (string_of_bool v)
   | Int (v, t) ->
     Util.add_int b v;
-    typed t
+    bprint_typed typ b t
   | Float (v, t) ->
     Buffer.add_string b (Printf.sprintf "%h" v);
-    typed t
+    bprint_typed typ b t
   | String s -> Util.bprint_quoted b s
   | Type t -> typ b t
   | Array xs ->
@@ -72,12 +72,12 @@ let rec bprint_with typ b a =
     Buffer.add_string b "dense<[";
     Util.bprint_list Util.add_int b xs;
     Buffer.add_string b "]>";
-    typed t
+    bprint_typed typ b t
   | Dense_float (xs, t) ->
     Buffer.add_string b "dense<[";
     Util.bprint_list (fun b f -> Buffer.add_string b (dense_float_string f)) b xs;
     Buffer.add_string b "]>";
-    typed t
+    bprint_typed typ b t
   | Dict kvs ->
     Buffer.add_char b '{';
     Util.bprint_list

@@ -92,10 +92,7 @@ let restore cp =
   let root = cp.cp_root in
   (* the discarded content may use values defined outside the subtree *)
   Ircore.iter_children Ircore.drop_all_references root;
-  root.Ircore.regions <- clone.Ircore.regions;
-  List.iter
-    (fun r -> r.Ircore.r_parent <- Some root)
-    root.Ircore.regions;
+  Ircore.set_regions root clone.Ircore.regions;
   clone.Ircore.regions <- [];
   root.Ircore.attrs <- clone.Ircore.attrs;
   (* the clone shell's operands still hold uses on the root's operand

@@ -331,7 +331,7 @@ let apply ?(config = default_config) ?stats ?rewriter ctx ~patterns root =
       if
         (not !dirty)
         || ((not (Util.Itbl.mem erased op.Ircore.op_id))
-           && op.Ircore.op_parent <> None)
+           && Option.is_some op.Ircore.op_parent)
       then begin
         incr processed;
         (* one counter sample per epoch of processed ops: the worklist
@@ -412,7 +412,7 @@ let apply ?(config = default_config) ?stats ?rewriter ctx ~patterns root =
     List.filter
       (fun (op : Ircore.op) ->
         (not (Util.Itbl.mem erased op.Ircore.op_id))
-        && Ircore.op_parent op <> None)
+        && Option.is_some (Ircore.op_parent op))
       !stack
   in
   let converged = pending = [] && !budget_stop = None in

@@ -7,7 +7,10 @@
       unlinking and retargeting a use is O(1) and allocates nothing;
     - each block keeps a lazily renumbered op order index (upstream
       [Operation::isBeforeInBlock]), so {!is_before_in_block} is two int
-      compares after at most one O(n) renumber per edited block. *)
+      compares after at most one O(n) renumber per edited block;
+    - each op, block and region owns the one [Some] cell that every link
+      to it holds ([op_self], [b_self], [r_self], made with it), so
+      linking, unlinking and moving ops and blocks allocates nothing. *)
 
 type value = {
   v_id : int;
@@ -44,6 +47,9 @@ and op = {
   mutable op_parent : block option;
   mutable op_prev : op option;
   mutable op_next : op option;
+  mutable op_self : op option;
+      (** [Some] this op, set once by the constructor: the cell its
+          neighbours, its block and its regions point to *)
   mutable op_order : int;
       (** position in the parent block; meaningful while the block's
           [b_order_valid] is set *)
@@ -58,6 +64,8 @@ and block = {
   mutable b_parent : region option;
   mutable b_prev : block option;
   mutable b_next : block option;
+  mutable b_self : block option;
+      (** [Some] this block, set once by {!create_block} *)
   mutable b_order_valid : bool;
       (** the [op_order] of this block's ops increases along the list;
           cleared by every insertion *)
@@ -68,6 +76,8 @@ and region = {
   mutable r_first : block option;
   mutable r_last : block option;
   mutable r_parent : op option;
+  mutable r_self : region option;
+      (** [Some] this region, set once by {!create_region} *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -83,8 +93,8 @@ let rec nil_use =
 and nil_op =
   { op_id = -1; op_name = ""; operands = [||]; op_uses = [||];
     results = [||]; attrs = []; regions = []; successors = [||];
-    op_parent = None; op_prev = None; op_next = None; op_order = 0;
-    op_loc = Loc.unknown }
+    op_parent = None; op_prev = None; op_next = None; op_self = None;
+    op_order = 0; op_loc = Loc.unknown }
 
 and nil_value =
   { v_id = -1; v_typ = Typ.i1; v_def = Op_result (nil_op, 0);
@@ -160,29 +170,63 @@ let new_use op index v =
 (* Op creation                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let create ?(operands = []) ?(result_types = []) ?(attrs = []) ?(regions = [])
-    ?(successors = []) ?(loc = Loc.unknown) op_name =
+(* one use node per operand slot, in a loop: no closure *)
+let new_uses op operands =
+  let n = Array.length operands in
+  if n = 0 then [||]
+  else begin
+    let uses = Array.make n nil_use in
+    for i = 0 to n - 1 do
+      uses.(i) <- new_use op i operands.(i)
+    done;
+    uses
+  end
+
+(** Make [op] the parent of [regions] and set them as its regions. *)
+let set_regions op regions =
+  op.regions <- regions;
+  List.iter (fun r -> r.r_parent <- op.op_self) regions
+
+(** The op constructor. It takes ownership of [operands] and
+    [successors]; it allocates the op, its [Some] cell, its results and
+    their array, and its use nodes and their array, nothing else. *)
+let make ~operands ~result_types ~attrs ~regions ~successors ~loc op_name =
   let op =
     {
       op_id = Util.fresh_id ();
       op_name;
-      operands = Array.of_list operands;
+      operands;
       op_uses = [||];
       results = [||];
       attrs;
-      regions;
-      successors = Array.of_list successors;
+      regions = [];
+      successors;
       op_parent = None;
       op_prev = None;
       op_next = None;
+      op_self = None;
       op_order = 0;
       op_loc = loc;
     }
   in
-  op.results <- Array.of_list (List.mapi (fun i t -> new_result op i t) result_types);
-  op.op_uses <- Array.mapi (new_use op) op.operands;
-  List.iter (fun r -> r.r_parent <- Some op) op.regions;
+  op.op_self <- Some op;
+  let n = Array.length result_types in
+  if n > 0 then begin
+    let results = Array.make n nil_value in
+    for i = 0 to n - 1 do
+      results.(i) <- new_result op i result_types.(i)
+    done;
+    op.results <- results
+  end;
+  op.op_uses <- new_uses op operands;
+  set_regions op regions;
   op
+
+let create ?(operands = []) ?(result_types = []) ?(attrs = []) ?(regions = [])
+    ?(successors = []) ?(loc = Loc.unknown) op_name =
+  make ~operands:(Array.of_list operands)
+    ~result_types:(Array.of_list result_types) ~attrs ~regions
+    ~successors:(Array.of_list successors) ~loc op_name
 
 let result ?(index = 0) op =
   if index >= Array.length op.results then
@@ -213,7 +257,7 @@ let set_operand op index v =
 let set_operands op vs =
   Array.iter remove_use op.op_uses;
   op.operands <- Array.of_list vs;
-  op.op_uses <- Array.mapi (new_use op) op.operands
+  op.op_uses <- new_uses op op.operands
 
 (* ------------------------------------------------------------------ *)
 (* Linking ops into blocks                                             *)
@@ -239,30 +283,30 @@ let block_num_ops b =
   go 0 b.b_first
 
 let assert_detached op =
-  if op.op_parent <> None then
+  if Option.is_some op.op_parent then
     invalid_arg (Fmt.str "op %s is already attached to a block" op.op_name)
 
 let insert_at_end b op =
   assert_detached op;
   b.b_order_valid <- false;
-  op.op_parent <- Some b;
+  op.op_parent <- b.b_self;
   op.op_prev <- b.b_last;
   op.op_next <- None;
   (match b.b_last with
-  | None -> b.b_first <- Some op
-  | Some last -> last.op_next <- Some op);
-  b.b_last <- Some op
+  | None -> b.b_first <- op.op_self
+  | Some last -> last.op_next <- op.op_self);
+  b.b_last <- op.op_self
 
 let insert_at_start b op =
   assert_detached op;
   b.b_order_valid <- false;
-  op.op_parent <- Some b;
+  op.op_parent <- b.b_self;
   op.op_next <- b.b_first;
   op.op_prev <- None;
   (match b.b_first with
-  | None -> b.b_last <- Some op
-  | Some first -> first.op_prev <- Some op);
-  b.b_first <- Some op
+  | None -> b.b_last <- op.op_self
+  | Some first -> first.op_prev <- op.op_self);
+  b.b_first <- op.op_self
 
 let insert_before ~anchor op =
   assert_detached op;
@@ -272,13 +316,13 @@ let insert_before ~anchor op =
     | None -> invalid_arg "insert_before: anchor is detached"
   in
   b.b_order_valid <- false;
-  op.op_parent <- Some b;
+  op.op_parent <- anchor.op_parent;
   op.op_prev <- anchor.op_prev;
-  op.op_next <- Some anchor;
+  op.op_next <- anchor.op_self;
   (match anchor.op_prev with
-  | None -> b.b_first <- Some op
-  | Some p -> p.op_next <- Some op);
-  anchor.op_prev <- Some op
+  | None -> b.b_first <- op.op_self
+  | Some p -> p.op_next <- op.op_self);
+  anchor.op_prev <- op.op_self
 
 let insert_after ~anchor op =
   assert_detached op;
@@ -288,13 +332,13 @@ let insert_after ~anchor op =
     | None -> invalid_arg "insert_after: anchor is detached"
   in
   b.b_order_valid <- false;
-  op.op_parent <- Some b;
+  op.op_parent <- anchor.op_parent;
   op.op_next <- anchor.op_next;
-  op.op_prev <- Some anchor;
+  op.op_prev <- anchor.op_self;
   (match anchor.op_next with
-  | None -> b.b_last <- Some op
-  | Some n -> n.op_prev <- Some op);
-  anchor.op_next <- Some op
+  | None -> b.b_last <- op.op_self
+  | Some n -> n.op_prev <- op.op_self);
+  anchor.op_next <- op.op_self
 
 (** Unlink [op] from its block without touching uses or nested regions.
     The block's order index stays valid: the rest keep their order. *)
@@ -366,9 +410,11 @@ let create_block ?(args = []) () =
       b_parent = None;
       b_prev = None;
       b_next = None;
+      b_self = None;
       b_order_valid = false;
     }
   in
+  b.b_self <- Some b;
   add_block_args b (List.mapi (new_block_arg b) args);
   b
 
@@ -382,7 +428,12 @@ let add_block_arg b t =
   v
 
 let create_region () =
-  { r_id = Util.fresh_id (); r_first = None; r_last = None; r_parent = None }
+  let r =
+    { r_id = Util.fresh_id (); r_first = None; r_last = None; r_parent = None;
+      r_self = None }
+  in
+  r.r_self <- Some r;
+  r
 
 let region_blocks r =
   let rec go acc = function
@@ -394,25 +445,26 @@ let region_blocks r =
 let region_first_block r = r.r_first
 
 let append_block r b =
-  if b.b_parent <> None then invalid_arg "append_block: block already attached";
-  b.b_parent <- Some r;
+  if Option.is_some b.b_parent then
+    invalid_arg "append_block: block already attached";
+  b.b_parent <- r.r_self;
   b.b_prev <- r.r_last;
   b.b_next <- None;
   (match r.r_last with
-  | None -> r.r_first <- Some b
-  | Some last -> last.b_next <- Some b);
-  r.r_last <- Some b
+  | None -> r.r_first <- b.b_self
+  | Some last -> last.b_next <- b.b_self);
+  r.r_last <- b.b_self
 
 let insert_block_after r ~anchor b =
-  if b.b_parent <> None then
+  if Option.is_some b.b_parent then
     invalid_arg "insert_block_after: block already attached";
-  b.b_parent <- Some r;
-  b.b_prev <- Some anchor;
+  b.b_parent <- r.r_self;
+  b.b_prev <- anchor.b_self;
   b.b_next <- anchor.b_next;
   (match anchor.b_next with
-  | None -> r.r_last <- Some b
-  | Some n -> n.b_prev <- Some b);
-  anchor.b_next <- Some b
+  | None -> r.r_last <- b.b_self
+  | Some n -> n.b_prev <- b.b_self);
+  anchor.b_next <- b.b_self
 
 let detach_block b =
   match b.b_parent with
@@ -592,16 +644,12 @@ module Mapping = struct
 end
 
 let rec clone_op ?(mapping = Mapping.create ()) op =
-  let operands =
-    Array.to_list (Array.map (Mapping.lookup_value mapping) op.operands)
-  in
-  let result_types = List.map (fun r -> r.v_typ) (results op) in
+  let operands = Array.map (Mapping.lookup_value mapping) op.operands in
+  let result_types = Array.map value_typ op.results in
   let regions = List.map (clone_region ~mapping) op.regions in
-  let successors =
-    Array.to_list (Array.map (Mapping.lookup_block mapping) op.successors)
-  in
+  let successors = Array.map (Mapping.lookup_block mapping) op.successors in
   let cloned =
-    create ~operands ~result_types ~attrs:op.attrs ~regions ~successors
+    make ~operands ~result_types ~attrs:op.attrs ~regions ~successors
       ~loc:op.op_loc op.op_name
   in
   Array.iteri

@@ -77,14 +77,18 @@ exception Error of string * int (* message, offset *)
 (* Tables keyed by a span of the source                              *)
 (* ---------------------------------------------------------------- *)
 
-(** A hash table keyed by a span of a string, probed without copying the
-    span. Only an insertion copies the key. *)
+(** A hash table keyed by a span of a string. Neither a probe nor an
+    insertion copies the span: an entry's key is the span of the string it
+    was added with, so that string must not change while the table lives
+    (the parser's keys are spans of its immutable source). *)
 module Span_table = struct
   type 'a bucket =
     | Empty
     | Entry of {
-        key : string;
-        hash : int;  (** of [key], so a resize never rehashes *)
+        src : string;
+        off : int;
+        len : int;  (** the key is [src.[off .. off + len - 1]] *)
+        hash : int;  (** of the key, so a resize never rehashes *)
         value : 'a;
         mutable next : 'a bucket;
       }
@@ -107,18 +111,19 @@ module Span_table = struct
 
   let hash_span s off len = hash_bytes s (off + len) 0x3f29ce484222325 off
 
-  let rec chars_match key s off i len =
+  let rec chars_match a aoff b boff i len =
     i = len
-    || String.unsafe_get key i = String.unsafe_get s (off + i)
-       && chars_match key s off (i + 1) len
+    || String.unsafe_get a (aoff + i) = String.unsafe_get b (boff + i)
+       && chars_match a aoff b boff (i + 1) len
 
   let key_matches key s off len =
-    String.length key = len && chars_match key s off 0 len
+    String.length key = len && chars_match key 0 s off 0 len
 
   let rec find_in h s off len = function
     | Empty -> raise Not_found
     | Entry e ->
-      if e.hash = h && key_matches e.key s off len then e.value
+      if e.hash = h && e.len = len && chars_match e.src e.off s off 0 len
+      then e.value
       else find_in h s off len e.next
 
   (** The value bound to [s.[off .. off + len - 1]], whose {!hash_span}
@@ -135,22 +140,25 @@ module Span_table = struct
       buckets.(i) <- entry;
       relink buckets rest
 
-  (** Bind [key], whose {!hash_span} is [h] and which must not be bound
-      yet, to [value]. *)
-  let add t h key value =
+  (** Bind [src.[off .. off + len - 1]], whose {!hash_span} is [h] and
+      which must not be bound yet, to [value]. *)
+  let add t h src off len value =
     if t.size >= Array.length t.buckets then begin
       let old = t.buckets in
       t.buckets <- Array.make (2 * Array.length old) Empty;
       Array.iter (relink t.buckets) old
     end;
     let i = h land (Array.length t.buckets - 1) in
-    t.buckets.(i) <- Entry { key; hash = h; value; next = t.buckets.(i) };
+    t.buckets.(i) <-
+      Entry { src; off; len; hash = h; value; next = t.buckets.(i) };
     t.size <- t.size + 1
 
+  (** [f src off len value] for each binding of the key
+      [src.[off .. off + len - 1]]. *)
   let rec iter_bucket f = function
     | Empty -> ()
     | Entry e ->
-      f e.key e.value;
+      f e.src e.off e.len e.value;
       iter_bucket f e.next
 
   let iter f t = Array.iter (iter_bucket f) t.buckets
@@ -176,6 +184,9 @@ type t = {
   dicts : Attr.dict Span_table.t;
       (** the parser's per-parse memo of types and attribute dictionaries,
           keyed by their source text (see [Parser.parse_type]) *)
+  names : string Span_table.t;
+      (** op names by their quoted spelling: the ops of one name share one
+          string *)
 }
 
 let create src =
@@ -191,18 +202,21 @@ let create src =
     escaped = false;
     types = Span_table.create 64;
     dicts = Span_table.create 16;
+    names = Span_table.create 16;
   }
 
-let is_id_start c =
+(* The character classes run once per character of every name, so they
+   are inlined: as calls they took a quarter of the lexing time. *)
+let[@inline] is_id_start c =
   (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
 
-let is_digit c = c >= '0' && c <= '9'
+let[@inline] is_digit c = c >= '0' && c <= '9'
 
 (** Characters after the first of a bare identifier. *)
-let is_ident_char c = is_id_start c || is_digit c || c = '.'
+let[@inline] is_ident_char c = is_id_start c || is_digit c || c = '.'
 
 (** Characters of a [%], [^] or [@] suffix identifier. *)
-let is_id_char c = is_ident_char c || c = '-' || c = '$'
+let[@inline] is_id_char c = is_ident_char c || c = '-' || c = '$'
 
 let is_hex c = is_digit c || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F')
 
@@ -605,8 +619,7 @@ let memoized t table stop parse =
       v
     | exception Not_found ->
       let v = parse t in
-      if t.pos = stop then
-        Span_table.add table h (String.sub t.src start (stop - start)) v;
+      if t.pos = stop then Span_table.add table h t.src start (stop - start) v;
       v
 
 (* ---------------------------------------------------------------- *)

@@ -4,10 +4,13 @@
     forward references to blocks via on-demand block creation.
 
     A parse allocates little beyond the IR it returns: the lexer keeps its
-    token in mutable fields, names are looked up by their span of the
-    source, and types and attribute dictionaries are memoized by their
-    source text, so a module's repeated types are one shared value. All
-    of this state belongs to one parse; concurrent parses share nothing. *)
+    token in mutable fields; value and block names are looked up and bound
+    by their span of the source, never copied; types, attribute
+    dictionaries and op names are memoized by their source text, so a
+    module's repeated types and names are one shared value; and an op's
+    operands and successors are gathered in scratch slots and copied once
+    into the arrays the op keeps. All of this state belongs to one parse;
+    concurrent parses share nothing. *)
 
 open Lexer
 
@@ -57,21 +60,48 @@ let expect_int lx =
     type. *)
 let pending_typ = Typ.Opaque ("__pending__", "")
 
+(** A growable stack of slots that one parse reuses: the operands or
+    successors of an op are pushed here as they parse and then copied, once,
+    into the array the op keeps. *)
+type 'a slots = { mutable items : 'a array; mutable len : int }
+
+let push slots x =
+  if slots.len = Array.length slots.items then begin
+    let items = Array.make (max 8 (2 * slots.len)) x in
+    Array.blit slots.items 0 items 0 slots.len;
+    slots.items <- items
+  end;
+  slots.items.(slots.len) <- x;
+  slots.len <- slots.len + 1
+
+(** The pushed slots as a fresh array; empties the stack. *)
+let take slots =
+  let n = slots.len in
+  slots.len <- 0;
+  if n = 0 then [||] else Array.sub slots.items 0 n
+
 type scope = {
   defs : Ircore.value array Span_table.t;
-      (** values by name, without the [%]; a use probes it in place, so only
-          a definition copies its name *)
+      (** values by name, without the [%], keyed by a span of the source *)
   parent : scope option;
   blocks : Ircore.block Span_table.t;  (** by name, without the [^] *)
   mutable pendings : (string, Ircore.value) Hashtbl.t option;
       (** key is "name" or "name#i"; value is the placeholder. Created by
           the first forward reference: most regions have none, and an empty
           [Hashtbl] takes 20 words *)
+  operands : Ircore.value slots;
+  successors : Ircore.block slots;
+      (** one pair of stacks for the whole parse, shared by every scope *)
 }
 
 let new_scope parent =
+  let operands, successors =
+    match parent with
+    | Some p -> (p.operands, p.successors)
+    | None -> ({ items = [||]; len = 0 }, { items = [||]; len = 0 })
+  in
   { defs = Span_table.create 8; parent; blocks = Span_table.create 4;
-    pendings = None }
+    pendings = None; operands; successors }
 
 let rec lookup_def scope src off len hash =
   try Span_table.find_hashed scope.defs hash src off len
@@ -119,14 +149,18 @@ let resolve_pending lx pendings key real =
     | None -> ());
     Hashtbl.remove pendings key
 
-let define_values lx scope name (vs : Ircore.value array) =
-  let len = String.length name in
-  let h = Span_table.hash_span name 0 len in
-  (match Span_table.find_hashed scope.defs h name 0 len with
-  | _ -> raise (Parse_error (Fmt.str "redefinition of value %%%s" name))
-  | exception Not_found -> Span_table.add scope.defs h name vs);
+(** Bind the name [src.[off .. off + len - 1]] to [vs]. *)
+let define_values lx scope src off len (vs : Ircore.value array) =
+  let h = Span_table.hash_span src off len in
+  (match Span_table.find_hashed scope.defs h src off len with
+  | _ ->
+    raise
+      (Parse_error
+         (Fmt.str "redefinition of value %%%s" (String.sub src off len)))
+  | exception Not_found -> Span_table.add scope.defs h src off len vs);
   match scope.pendings with
   | Some pendings when Hashtbl.length pendings > 0 ->
+    let name = String.sub src off len in
     Array.iteri
       (fun i v -> resolve_pending lx pendings (pending_key name i) v)
       vs
@@ -151,7 +185,7 @@ let take_block lx scope =
   | b -> b
   | exception Not_found ->
     let b = Ircore.create_block () in
-    Span_table.add scope.blocks h (String.sub src off len) b;
+    Span_table.add scope.blocks h src off len b;
     b
 
 (* ---------------------------------------------------------------- *)
@@ -669,8 +703,6 @@ and parse_attr_dict_text lx =
 (* Operations, blocks, regions                                       *)
 (* ---------------------------------------------------------------- *)
 
-type result_spec = { rs_name : string; rs_count : int }
-
 (** [loc(...)] suffix: files, names (optionally nested), fusions. *)
 let rec parse_loc lx : Loc.t =
   if ident_is lx "loc" then advance lx else unexpected lx "loc";
@@ -743,27 +775,19 @@ let parse_operand_ref lx scope =
   end
   else unexpected lx "%operand"
 
-(* [%a =] or [%a:2 =], the lookahead on the name. A list [%a, %b =] is
-   rejected at its comma, as it always was. The loops of the per-op path
-   are top-level functions, so they allocate no closure. *)
-let rec parse_result_specs lx acc =
-  if at lx PCT_IDENT then begin
-    let name = take_text lx in
-    let count =
-      if at lx COLON then begin
-        advance lx;
-        expect_int lx
-      end
-      else 1
-    in
-    let acc = { rs_name = name; rs_count = count } :: acc in
-    if at lx COMMA then parse_result_specs lx acc
-    else begin
-      expect lx EQUAL;
-      List.rev acc
+(* The count of [%a =] or [%a:2 =], the lookahead past the name. A list
+   [%a, %b =] is rejected at its comma, as it always was. The loops of the
+   per-op path are top-level functions, so they allocate no closure. *)
+let parse_result_count lx =
+  let count =
+    if at lx COLON then begin
+      advance lx;
+      expect_int lx
     end
-  end
-  else unexpected lx "%result"
+    else 1
+  in
+  if at lx COMMA then unexpected lx "%result" else expect lx EQUAL;
+  count
 
 (* The arguments of [block] from index [i] on, up to and past the closing
    parenthesis. Each is defined as it is parsed; the caller adds them all
@@ -774,85 +798,81 @@ let[@tail_mod_cons] rec parse_block_args lx scope block i =
     []
   end
   else if at lx PCT_IDENT then begin
-    let name = take_text lx in
+    let src = source lx and off = token_start lx + 1 in
+    let len = token_stop lx - off in
+    advance lx;
     expect lx COLON;
     let v = Ircore.new_block_arg block i (parse_type lx) in
-    define_values lx scope name [| v |];
+    define_values lx scope src off len [| v |];
     if at lx COMMA then advance lx;
     v :: parse_block_args lx scope block (i + 1)
   end
   else (unexpected [@tailcall false]) lx "%arg"
 
-let rec parse_operands lx scope acc =
+(* the operands up to and past the closing parenthesis *)
+let rec parse_operands lx scope =
   if at lx RPAREN then begin
     advance lx;
-    List.rev acc
+    take scope.operands
   end
   else begin
-    let v = parse_operand_ref lx scope in
+    push scope.operands (parse_operand_ref lx scope);
     if at lx COMMA then advance lx;
-    parse_operands lx scope (v :: acc)
+    parse_operands lx scope
   end
+
+(* the successors up to and past the closing bracket *)
+let rec parse_successors lx scope =
+  if at lx RBRACKET then begin
+    advance lx;
+    take scope.successors
+  end
+  else if at lx CARET_IDENT then begin
+    push scope.successors (take_block lx scope);
+    if at lx COMMA then advance lx;
+    parse_successors lx scope
+  end
+  else unexpected lx "^block"
 
 (* each operand's type must match the signature; a forward reference
    takes its type from its first use *)
-let rec check_operand_types lx op_name i vs ts =
-  match (vs, ts) with
-  | v :: vs, t :: ts ->
+let rec check_operand_types lx op_name vs i = function
+  | [] -> ()
+  | t :: ts ->
+    let v = vs.(i) in
     let vt = Ircore.value_typ v in
     if vt == pending_typ then v.Ircore.v_typ <- t
     else if not (Typ.equal vt t) then
       fail lx
         (Fmt.str "op %s: operand %d has type %a but signature says %a" op_name
            i Typ.pp vt Typ.pp t);
-    check_operand_types lx op_name (i + 1) vs ts
-  | _ -> ()
+    check_operand_types lx op_name vs (i + 1) ts
 
 let rec parse_op lx scope : Ircore.op =
-  let result_specs =
-    if at lx PCT_IDENT then parse_result_specs lx [] else []
-  in
+  (* the result name is a span of the source, bound once the op exists *)
+  let src = source lx in
+  let named = at lx PCT_IDENT in
+  let name_off = if named then token_start lx + 1 else 0 in
+  let name_len = if named then token_stop lx - name_off else 0 in
+  if named then advance lx;
+  let declared = if named then parse_result_count lx else 0 in
   let op_name =
-    if at lx STRING then take_text lx else unexpected lx "op name string"
+    if at lx STRING then memoized lx lx.names (token_stop lx) take_text
+    else unexpected lx "op name string"
   in
   expect lx LPAREN;
-  let operands = parse_operands lx scope [] in
-  (* successors *)
+  let operands = parse_operands lx scope in
   let successors =
     if at lx LBRACKET then begin
       advance lx;
-      let rec go acc =
-        if at lx RBRACKET then begin
-          advance lx;
-          List.rev acc
-        end
-        else if at lx CARET_IDENT then begin
-          let b = take_block lx scope in
-          if at lx COMMA then advance lx;
-          go (b :: acc)
-        end
-        else unexpected lx "^block"
-      in
-      go []
+      parse_successors lx scope
     end
-    else []
+    else [||]
   in
-  (* regions *)
   let regions =
     if at lx LPAREN then begin
       advance lx;
-      let rec go acc =
-        let r = parse_region lx scope in
-        if at lx COMMA then begin
-          advance lx;
-          go (r :: acc)
-        end
-        else begin
-          expect lx RPAREN;
-          List.rev (r :: acc)
-        end
-      in
-      go []
+      parse_regions lx scope
     end
     else []
   in
@@ -867,32 +887,38 @@ let rec parse_op lx scope : Ircore.op =
     | Typ.Func (ins, outs) -> (ins, outs)
     | _ -> fail lx "expected function type signature"
   in
-  if List.compare_lengths operand_types operands <> 0 then
+  if List.compare_length_with operand_types (Array.length operands) <> 0 then
     fail lx
       (Fmt.str "op %s: %d operands but %d operand types" op_name
-         (List.length operands) (List.length operand_types));
-  check_operand_types lx op_name 0 operands operand_types;
+         (Array.length operands) (List.length operand_types));
+  check_operand_types lx op_name operands 0 operand_types;
   (* optional trailing location *)
   let loc = if ident_is lx "loc" then parse_loc lx else Loc.unknown in
   let op =
-    Ircore.create ~operands ~result_types ~attrs ~regions ~successors ~loc
-      op_name
+    Ircore.make ~operands ~result_types:(Array.of_list result_types) ~attrs
+      ~regions ~successors ~loc op_name
   in
-  (* define results *)
+  (* the one result group names all the results *)
   let results = op.Ircore.results in
-  let total = List.fold_left (fun a s -> a + s.rs_count) 0 result_specs in
-  if result_specs <> [] && total <> Array.length results then
-    fail lx
-      (Fmt.str "op %s: %d results declared but signature has %d" op_name total
-         (Array.length results));
-  ignore
-    (List.fold_left
-       (fun idx spec ->
-         define_values lx scope spec.rs_name
-           (Array.sub results idx spec.rs_count);
-         idx + spec.rs_count)
-       0 result_specs);
+  if named then begin
+    if declared <> Array.length results then
+      fail lx
+        (Fmt.str "op %s: %d results declared but signature has %d" op_name
+           declared (Array.length results));
+    define_values lx scope src name_off name_len results
+  end;
   op
+
+and[@tail_mod_cons] parse_regions lx scope =
+  let r = parse_region lx scope in
+  if at lx COMMA then begin
+    advance lx;
+    r :: parse_regions lx scope
+  end
+  else begin
+    expect lx RPAREN;
+    [ r ]
+  end
 
 and parse_region lx outer_scope : Ircore.region =
   expect lx LBRACE;
@@ -920,10 +946,12 @@ and parse_region lx outer_scope : Ircore.region =
   let rec labeled () =
     match peek lx with
     | CARET_IDENT ->
-      let name = text lx in
+      let start = token_start lx and stop = token_stop lx in
       let block = take_block lx scope in
       if Option.is_some (Ircore.block_parent block) then
-        fail lx (Fmt.str "redefinition of block ^%s" name);
+        fail lx
+          (Fmt.str "redefinition of block %s"
+             (String.sub (source lx) start (stop - start)));
       (* block arguments *)
       if at lx LPAREN then begin
         advance lx;
@@ -941,9 +969,11 @@ and parse_region lx outer_scope : Ircore.region =
   check_resolved scope;
   (* unplaced forward-referenced blocks are an error *)
   Span_table.iter
-    (fun name b ->
+    (fun src off len b ->
       if Option.is_none (Ircore.block_parent b) then
-        raise (Parse_error (Fmt.str "use of undefined block ^%s" name)))
+        raise
+          (Parse_error
+             (Fmt.str "use of undefined block ^%s" (String.sub src off len))))
     scope.blocks;
   region
 

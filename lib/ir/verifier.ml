@@ -133,7 +133,9 @@ let dominance f =
 (* what [frame_of] finds for a region that encloses no op of the path: its
    op is in no block *)
 let no_frame =
-  { f_region = { r_id = -1; r_first = None; r_last = None; r_parent = None };
+  { f_region =
+      { r_id = -1; r_first = None; r_last = None; r_parent = None;
+        r_self = None };
     f_doms = None; f_errors = []; f_op = nil_op }
 
 (* The frame of [r] on [path] (innermost first). *)

@@ -402,12 +402,10 @@ let func_to_llvm rw fop =
   Rewriter.set_ip rw (Builder.Before fop);
   let regions = fop.Ircore.regions in
   fop.Ircore.regions <- [];
-  let new_fop =
-    Rewriter.build rw ~regions
-      ~attrs:(Attr.set "function_type" (Attr.Type new_type) fop.Ircore.attrs)
-      Llvm.func_op
-  in
-  List.iter (fun r -> r.Ircore.r_parent <- Some new_fop) regions;
+  ignore
+    (Rewriter.build rw ~regions
+       ~attrs:(Attr.set "function_type" (Attr.Type new_type) fop.Ircore.attrs)
+       Llvm.func_op);
   Rewriter.erase_op rw fop
 
 let func_lowering : Pass.table =

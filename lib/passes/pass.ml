@@ -596,7 +596,7 @@ let convert_op ~pass rw rewrite (op : Ircore.op) =
   Action.run ~tag:"conversion" ~desc:op.Ircore.op_name ~loc:op.Ircore.op_loc
     ~root:op ~skipped:false (fun () ->
       rewrite rw op;
-      let converted = Ircore.op_parent op = None in
+      let converted = Option.is_none (Ircore.op_parent op) in
       if converted then begin
         Stats.incr stat_ops_converted;
         if Action.enabled () then
@@ -614,13 +614,13 @@ let convert_op ~pass rw rewrite (op : Ircore.op) =
     conversion with an error, so a half-converted subtree is never
     reported as lowered. *)
 let convert ~pass (table : table) top =
-  let rewrites = Hashtbl.create (List.length table) in
-  List.iter (fun (name, f) -> Hashtbl.replace rewrites name f) table;
+  let rewrites = Util.Stbl.create (List.length table) in
+  List.iter (fun (name, f) -> Util.Stbl.replace rewrites name f) table;
   let matched = ref [] in
   Ircore.walk
     (fun op ->
       if not (op == top) then
-        match Hashtbl.find_opt rewrites op.Ircore.op_name with
+        match Util.Stbl.find_opt rewrites op.Ircore.op_name with
         | Some f -> matched := (op, f) :: !matched
         | None -> ())
     top;
@@ -631,7 +631,8 @@ let convert ~pass (table : table) top =
       match Budget.poll () with
       | Some reason -> Diag.fail "%s stopped early: %s" pass reason
       | None ->
-        if Ircore.op_parent op <> None then ignore (convert_op ~pass rw f op);
+        if Option.is_some (Ircore.op_parent op) then
+          ignore (convert_op ~pass rw f op);
         go rest)
   in
   go (List.rev !matched)

@@ -333,6 +333,249 @@ let test_walks_allocate_nothing () =
         ])
     [ 5_000; 10_000 ]
 
+(* ------------------------------------------------------------------ *)
+(* links: edits allocate nothing, and the links stay consistent        *)
+(* ------------------------------------------------------------------ *)
+
+let detached_ops n = Array.init n (fun _ -> mkop "t.x")
+
+let filled_block n =
+  let os = detached_ops n in
+  (block_of (Array.to_list os), os)
+
+let filled_region n =
+  let bs = Array.init n (fun _ -> Ircore.create_block ()) in
+  (region_of (Array.to_list bs), bs)
+
+let num_blocks r = List.length (Ircore.region_blocks r)
+
+(* Each link edit applied to all [n] ops or blocks of a fixture. [setup n]
+   builds the fixture and returns the edit loop, which must allocate
+   nothing, and a count of the fixture's container afterwards. *)
+let link_edits =
+  [
+    ( "insert_at_end",
+      (fun n ->
+        let b = Ircore.create_block () and os = detached_ops n in
+        ( (fun () ->
+            for i = 0 to n - 1 do
+              Ircore.insert_at_end b os.(i)
+            done),
+          fun () -> Ircore.block_num_ops b )),
+      Fun.id );
+    ( "insert_at_start",
+      (fun n ->
+        let b = Ircore.create_block () and os = detached_ops n in
+        ( (fun () ->
+            for i = 0 to n - 1 do
+              Ircore.insert_at_start b os.(i)
+            done),
+          fun () -> Ircore.block_num_ops b )),
+      Fun.id );
+    ( "insert_before",
+      (fun n ->
+        let b, anchor = filled_block 1 and os = detached_ops n in
+        ( (fun () ->
+            for i = 0 to n - 1 do
+              Ircore.insert_before ~anchor:anchor.(0) os.(i)
+            done),
+          fun () -> Ircore.block_num_ops b )),
+      succ );
+    ( "insert_after",
+      (fun n ->
+        let b, anchor = filled_block 1 and os = detached_ops n in
+        ( (fun () ->
+            for i = 0 to n - 1 do
+              Ircore.insert_after ~anchor:anchor.(0) os.(i)
+            done),
+          fun () -> Ircore.block_num_ops b )),
+      succ );
+    ( "detach",
+      (fun n ->
+        let b, os = filled_block n in
+        ( (fun () ->
+            for i = 0 to n - 1 do
+              Ircore.detach os.(i)
+            done),
+          fun () -> Ircore.block_num_ops b )),
+      fun _ -> 0 );
+    ( "move_before",
+      (fun n ->
+        let b, os = filled_block n in
+        let anchor = mkop "t.anchor" in
+        Ircore.insert_at_start b anchor;
+        ( (fun () ->
+            for i = 0 to n - 1 do
+              Ircore.move_before ~anchor os.(i)
+            done),
+          fun () -> Ircore.block_num_ops b )),
+      succ );
+    ( "move_after",
+      (fun n ->
+        let b, os = filled_block n in
+        let anchor = mkop "t.anchor" in
+        Ircore.insert_at_end b anchor;
+        ( (fun () ->
+            for i = 0 to n - 1 do
+              Ircore.move_after ~anchor os.(i)
+            done),
+          fun () -> Ircore.block_num_ops b )),
+      succ );
+    ( "move_to_end",
+      (fun n ->
+        let b, os = filled_block n and other = Ircore.create_block () in
+        ( (fun () ->
+            for i = 0 to n - 1 do
+              Ircore.move_to_end other os.(i)
+            done),
+          fun () -> Ircore.block_num_ops other - Ircore.block_num_ops b )),
+      Fun.id );
+    ( "append_block",
+      (fun n ->
+        let r = Ircore.create_region ()
+        and bs = Array.init n (fun _ -> Ircore.create_block ()) in
+        ( (fun () ->
+            for i = 0 to n - 1 do
+              Ircore.append_block r bs.(i)
+            done),
+          fun () -> num_blocks r )),
+      Fun.id );
+    ( "insert_block_after",
+      (fun n ->
+        let r, anchor = filled_region 1
+        and bs = Array.init n (fun _ -> Ircore.create_block ()) in
+        ( (fun () ->
+            for i = 0 to n - 1 do
+              Ircore.insert_block_after r ~anchor:anchor.(0) bs.(i)
+            done),
+          fun () -> num_blocks r )),
+      succ );
+    ( "detach_block",
+      (fun n ->
+        let r, bs = filled_region n in
+        ( (fun () ->
+            for i = 0 to n - 1 do
+              Ircore.detach_block bs.(i)
+            done),
+          fun () -> num_blocks r )),
+      fun _ -> 0 );
+  ]
+
+(* every link to an op or block holds the one [Some] cell it owns, so an
+   edit allocates nothing *)
+let test_link_edits_allocate_nothing () =
+  let _, baseline = Testutil.alloc_words (fun () -> ()) in
+  List.iter
+    (fun n ->
+      List.iter
+        (fun (what, setup, expect) ->
+          let edit, count = setup n in
+          let (), words = Testutil.alloc_words edit in
+          check ci (Fmt.str "%s, %d: count after" what n) (expect n) (count ());
+          let per_op = (words -. baseline) /. float_of_int n in
+          if per_op <> 0. then
+            Alcotest.failf "%s over %d: %.4f words per edit" what n per_op)
+        link_edits)
+    [ 5_000; 10_000 ]
+
+(* The ops of [b] along [op_next] from its first op, and along [op_prev]
+   from its last, reversed. *)
+let forward_ops b =
+  let rec go acc = function
+    | None -> List.rev acc
+    | Some o -> go (o :: acc) (Ircore.op_next o)
+  in
+  go [] (Ircore.block_first_op b)
+
+let backward_ops b =
+  let rec go acc = function
+    | None -> acc
+    | Some o -> go (o :: acc) (Ircore.op_prev o)
+  in
+  go [] (Ircore.block_last_op b)
+
+(* A seeded sequence of op and block moves and detaches over a region of
+   three blocks. After each step, the walk from the root, the forward and
+   the backward link walks of every block and region, and every parent
+   link agree; a detached op has no links at all. *)
+let test_links_agree () =
+  let rng = Random.State.make [| 0x11e5 |] in
+  let r, blocks = filled_region 3 in
+  let root = mkop ~regions:[ r ] "t.root" in
+  let pool = Array.init 40 (fun i -> mkop (Fmt.str "t.o%d" i)) in
+  Array.iteri (fun i o -> Ircore.insert_at_end blocks.(i mod 3) o) pool;
+  let pick a = a.(Random.State.int rng (Array.length a)) in
+  let attached o = Option.is_some (Ircore.op_parent o) in
+  let same a b = match a with Some x -> x == b | None -> false in
+  let check_links step =
+    let fail fmt = Alcotest.failf ("step %d: " ^^ fmt) step in
+    let rec fwd acc = function
+      | None -> List.rev acc
+      | Some b -> fwd (b :: acc) b.Ircore.b_next
+    and bwd acc = function
+      | None -> acc
+      | Some b -> bwd (b :: acc) b.Ircore.b_prev
+    in
+    let order = fwd [] (Ircore.region_first_block r) in
+    if not (List.equal ( == ) order (bwd [] r.Ircore.r_last)) then
+      fail "the region's backward walk differs";
+    if List.length order <> 3 then fail "%d blocks" (List.length order);
+    let walked = ref [] in
+    Ircore.iter_children (fun o -> walked := o :: !walked) root;
+    let linked =
+      List.concat_map
+        (fun b ->
+          if not (same (Ircore.block_parent b) r) then
+            fail "a block's parent is not the region";
+          let ops = forward_ops b in
+          if not (List.equal ( == ) ops (backward_ops b)) then
+            fail "a block's backward walk differs";
+          List.iter
+            (fun o ->
+              if not (same (Ircore.op_parent o) b) then
+                fail "%s has another parent" o.Ircore.op_name;
+              if not (same (Ircore.parent_op o) root) then
+                fail "%s is not under the root" o.Ircore.op_name)
+            ops;
+          ops)
+        order
+    in
+    if not (List.equal ( == ) linked (List.rev !walked)) then
+      fail "the walk from the root differs";
+    Array.iter
+      (fun o ->
+        let n = List.length (List.filter (( == ) o) linked) in
+        if attached o then (if n <> 1 then fail "%s linked %d times" o.Ircore.op_name n)
+        else if
+          n <> 0
+          || Option.is_some (Ircore.op_prev o)
+          || Option.is_some (Ircore.op_next o)
+        then fail "detached %s still linked" o.Ircore.op_name)
+      pool
+  in
+  for step = 1 to 3000 do
+    let o = pick pool and anchor = pick pool and b = pick blocks in
+    let movable = (not (o == anchor)) && attached anchor in
+    (match Random.State.int rng 8 with
+    | 0 -> Ircore.detach o
+    | 1 when movable -> Ircore.move_before ~anchor o
+    | 2 when movable -> Ircore.move_after ~anchor o
+    | 3 -> Ircore.move_to_end b o
+    | 4 ->
+      Ircore.detach o;
+      Ircore.insert_at_start b o
+    | 5 ->
+      let other = pick blocks in
+      Ircore.detach_block b;
+      if other == b then Ircore.append_block r b
+      else Ircore.insert_block_after r ~anchor:other b
+    | 6 ->
+      Ircore.detach_block b;
+      Ircore.append_block r b
+    | _ -> ());
+    check_links step
+  done
+
 let test_parent_and_ancestor () =
   let top = nested_module () in
   let leaf1 = List.hd (Symbol.collect_ops ~op_name:"t.leaf1" top) in
@@ -694,6 +937,12 @@ let () =
             test_parent_and_ancestor;
           Alcotest.test_case "value_defined_within" `Quick
             test_value_defined_within;
+        ] );
+      ( "links",
+        [
+          Alcotest.test_case "no words per edit" `Quick
+            test_link_edits_allocate_nothing;
+          Alcotest.test_case "walks and parents agree" `Quick test_links_agree;
         ] );
       ( "walk",
         [

@@ -407,6 +407,22 @@ let test_flat_block_types_shared () =
     Alcotest.(check bool) "one shared result type" true
       (List.for_all (fun t -> t == first) !types)
 
+(* ops of one name share one name string, however many the parse makes *)
+let test_op_names_shared () =
+  match Parser.parse_module (flat_block 100) with
+  | Error e -> Alcotest.fail e
+  | Ok m ->
+    let names = ref [] in
+    Ircore.walk
+      (fun op ->
+        if String.equal op.Ircore.op_name "arith.addi" then
+          names := op.Ircore.op_name :: !names)
+      m;
+    Alcotest.(check int) "addi count" 100 (List.length !names);
+    let first = List.hd !names in
+    Alcotest.(check bool) "one shared name" true
+      (List.for_all (fun n -> n == first) !names)
+
 (* near-identical spellings must not be taken for one another: a "->"
    inside an affine-map layout, opaque bodies, unranked tensors, a
    function type returning one, a space before an opaque body, and one
@@ -577,6 +593,37 @@ let test_many_block_args () =
     Alcotest.failf "10k -> 20k block arguments: %.0f -> %.0f words (%.2fx)" w10
       w20 (w20 /. w10)
 
+(* The words a parse of a flat block allocates and the words the module
+   it returns keeps, per op, counted (not timed). The bounds sit just
+   above the measured 66.4 and 45.0: a parse builds the IR and little
+   else (operands gathered in reused slots, the result group bound
+   without a copy, op names shared, table keys that point into the
+   source), and an op keeps one [Some] cell for all its links. *)
+let max_parse_words_per_op = 68.
+let max_live_words_per_op = 45.5
+
+let test_counted_allocation () =
+  List.iter
+    (fun n ->
+      let src = flat_block n in
+      let m, words =
+        match Testutil.alloc_words (fun () -> Parser.parse_module src) with
+        | Ok m, words -> (m, words)
+        | Error e, _ -> Alcotest.failf "%d ops: %s" n e
+      in
+      let ops = ref 0 in
+      Ircore.walk (fun _ -> incr ops) m;
+      let per_op w = w /. float_of_int !ops in
+      let parse = per_op words
+      and live = per_op (float_of_int (Obj.reachable_words (Obj.repr m))) in
+      if parse > max_parse_words_per_op then
+        Alcotest.failf "%d ops: a parse allocates %.2f words per op (> %.1f)" n
+          parse max_parse_words_per_op;
+      if live > max_live_words_per_op then
+        Alcotest.failf "%d ops: the module keeps %.2f words per op (> %.1f)" n
+          live max_live_words_per_op)
+    [ 5_000; 10_000 ]
+
 let () =
   Alcotest.run "parser"
     [
@@ -629,5 +676,11 @@ let () =
             test_misleading_spellings;
           Alcotest.test_case "wide ops" `Quick test_wide_ops;
           Alcotest.test_case "many block arguments" `Quick test_many_block_args;
+          Alcotest.test_case "op names shared" `Quick test_op_names_shared;
+        ] );
+      ( "alloc",
+        [
+          Alcotest.test_case "flat block parse and live IR" `Quick
+            test_counted_allocation;
         ] );
     ]

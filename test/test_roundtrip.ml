@@ -257,6 +257,43 @@ let test_domain_safe () =
         (Domain.join dom))
     printers
 
+(* A print borrows its domain's output buffer. Two systhreads printing on
+   one domain at once must each produce the sequential bytes, whichever
+   of them finds the buffer lent; so must a print made while the buffer
+   is lent to a caller of [with_buffer], which keeps what it wrote. *)
+let test_thread_safe () =
+  let gpt2 =
+    List.find
+      (fun (s : Workloads.Models.spec) -> s.sp_name = "gpt2")
+      Workloads.Models.paper_models
+  in
+  let md = lowered_model gpt2 in
+  let expected = Printer.op_to_string md in
+  let printed = Array.make 2 [] in
+  let printer i =
+    Thread.create
+      (fun () -> printed.(i) <- List.init 30 (fun _ -> Printer.op_to_string md))
+      ()
+  in
+  List.iter Thread.join [ printer 0; printer 1 ];
+  Array.iteri
+    (fun i texts ->
+      check ci (Fmt.str "thread %d prints" i) 30 (List.length texts);
+      List.iter
+        (fun s ->
+          check cb (Fmt.str "thread %d prints the sequential bytes" i) true
+            (String.equal s expected))
+        texts)
+    printed;
+  let inner, outer =
+    Printer.with_buffer (fun buf ->
+        Buffer.add_string buf "held";
+        let inner = Printer.op_to_string md in
+        (inner, Buffer.contents buf))
+  in
+  check cb "a print while the buffer is lent" true (String.equal inner expected);
+  check Alcotest.string "the lent buffer keeps its text" "held" outer
+
 (* The parser's type memo and name tables belong to one parse: four
    domains parsing lowered GPT-2 at once must each read back the text
    they were given. *)
@@ -302,6 +339,7 @@ let () =
           Alcotest.test_case "models-fixed-point" `Quick
             test_models_fixed_point;
           Alcotest.test_case "domain-safe" `Quick test_domain_safe;
+          Alcotest.test_case "thread-safe" `Quick test_thread_safe;
           Alcotest.test_case "parse-domain-safe" `Quick test_parse_domain_safe;
         ] );
     ]
