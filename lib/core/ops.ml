@@ -777,16 +777,25 @@ let register_impls () =
         let live target =
           Ircore.is_ancestor ~ancestor:st.State.payload_root target
         in
+        let in_pass d =
+          Diag.add_note d (Diag.note "in registered pass '%s'" pass_name)
+        in
+        (* each target runs through the pass manager's own runner: budget
+           checkpoint, span, [pass] action, fan-out over the target's
+           functions and exception barrier. A failing pass is silenceable;
+           a raising one stays definite, so [alternatives] cannot roll a
+           crash back and hide it. *)
         let rec go = function
           | [] -> Ok ()
           | target :: rest when not (live target) -> go rest
           | target :: rest -> (
-            match pass.Passes.Pass.run st.State.ctx target with
+            match
+              Passes.Pass.run_one ~verify:false pass st.State.ctx target
+            with
             | Ok () -> go rest
-            | Error d ->
-              Terror.silenceable_diag
-                (Diag.add_note d
-                   (Diag.note "in registered pass '%s'" pass_name)))
+            | Error (Passes.Pass.Failed d) ->
+              Terror.silenceable_diag (in_pass d)
+            | Error (Passes.Pass.Raised d) -> Terror.definite_diag (in_pass d))
         in
         let* () = go targets in
         State.prune st;

@@ -235,7 +235,10 @@ let sanitize s =
     when an action actually changed one ({!Fingerprint} inequality), emit
     either a line diff of the changed units ([Snap_print]) or a snapshot
     file under the directory ([Snap_dir]). Actions that change nothing
-    emit nothing. *)
+    emit nothing. When tagged actions on one module nest ([pattern] inside
+    [pass] under custom tags), each change is emitted once, by the
+    innermost action that made it: a nested dump re-bases the enclosing
+    open actions on the units it showed. *)
 let snapshot_handler cfg =
   let stack = ref [] in
   let matches info = List.mem info.i_tag cfg.sn_tags in
@@ -246,21 +249,26 @@ let snapshot_handler cfg =
         (fun u -> (unit_key u, Fingerprint.op u, Printer.op_to_string u))
         (snapshot_units top) )
   in
-  let emit info before after =
-    let changed_or_new =
-      List.filter
+  let has k units = List.exists (fun (k0, _, _) -> String.equal k0 k) units in
+  (* the units [after] changed or added, and the units it removed *)
+  let changes before after =
+    ( List.filter
         (fun (k, fp, _) ->
           match List.find_opt (fun (k0, _, _) -> String.equal k0 k) before with
           | Some (_, fp0, _) -> not (Fingerprint.equal fp fp0)
           | None -> true)
-        after
-    in
-    let removed =
-      List.filter
-        (fun (k, _, _) ->
-          not (List.exists (fun (k0, _, _) -> String.equal k0 k) after))
-        before
-    in
+        after,
+      List.filter (fun (k, _, _) -> not (has k after)) before )
+  in
+  (* an enclosing frame, re-based on a nested action's dump: the units the
+     dump showed take their dumped state, so the enclosing action shows only
+     what it changed besides *)
+  let rebase (changed, removed) (top, before) =
+    ( top,
+      List.filter (fun (k, _, _) -> not (has k changed || has k removed)) before
+      @ changed )
+  in
+  let emit info before (changed_or_new, removed) =
     if changed_or_new <> [] || removed <> [] then begin
       let label =
         if info.i_desc = "" then info.i_tag
@@ -337,7 +345,15 @@ let snapshot_handler cfg =
                     (unit_key u, Fingerprint.op u, Printer.op_to_string u))
                   (snapshot_units top)
               in
-              emit info before after
+              let ch = changes before after in
+              emit info before ch;
+              (* each change is dumped once, by the innermost tagged action
+                 that made it *)
+              stack :=
+                List.map
+                  (fun ((top', _) as frame) ->
+                    if top' == top then rebase ch frame else frame)
+                  !stack
             end);
   }
 

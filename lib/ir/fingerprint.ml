@@ -89,6 +89,28 @@ let mix_typ c t =
   end;
   mix c c.last_typ_hash
 
+(* The traversal below is top-level loops rather than [List.iter] and
+   [Array.iter] over closures, so that a fingerprint allocates only its
+   numbering tables. *)
+
+let rec mix_ints c = function
+  | [] -> ()
+  | x :: rest ->
+    mix c x;
+    mix_ints c rest
+
+let rec mix_floats c = function
+  | [] -> ()
+  | f :: rest ->
+    mix c (Int64.to_int (Int64.bits_of_float f));
+    mix_floats c rest
+
+let rec mix_strings c = function
+  | [] -> ()
+  | s :: rest ->
+    mix_string c s;
+    mix_strings c rest
+
 let rec mix_attr c (a : Attr.t) =
   match a with
   | Attr.Unit -> mix c 1
@@ -109,36 +131,45 @@ let rec mix_attr c (a : Attr.t) =
     mix_typ c t
   | Attr.Array xs ->
     mix c 8;
-    List.iter (mix_attr c) xs;
+    mix_attrs c xs;
     mix c (List.length xs)
   | Attr.Int_array xs ->
     mix c 9;
-    List.iter (mix c) xs;
+    mix_ints c xs;
     mix c (List.length xs)
   | Attr.Dense_int (xs, t) ->
     mix c 10;
-    List.iter (mix c) xs;
+    mix_ints c xs;
     mix c (List.length xs);
     mix_typ c t
   | Attr.Dense_float (xs, t) ->
     mix c 11;
-    List.iter (fun f -> mix c (Int64.to_int (Int64.bits_of_float f))) xs;
+    mix_floats c xs;
     mix c (List.length xs);
     mix_typ c t
   | Attr.Dict kvs ->
     mix c 12;
-    List.iter
-      (fun (k, v) ->
-        mix_string c k;
-        mix_attr c v)
-      kvs
+    mix_named c kvs
   | Attr.Symbol_ref (root, nested) ->
     mix c 13;
     mix_string c root;
-    List.iter (mix_string c) nested
+    mix_strings c nested
   | Attr.Affine_map m ->
     mix c 14;
     mix_string c (Affine.map_to_string m)
+
+and mix_attrs c = function
+  | [] -> ()
+  | a :: rest ->
+    mix_attr c a;
+    mix_attrs c rest
+
+and mix_named c = function
+  | [] -> ()
+  | (k, v) :: rest ->
+    mix_string c k;
+    mix_attr c v;
+    mix_named c rest
 
 let rec mix_op c (op : Ircore.op) =
   mix c 0x0b;
@@ -154,40 +185,43 @@ let rec mix_op c (op : Ircore.op) =
     ignore (value_num c v)
   done;
   mix c (Array.length results);
-  List.iter
-    (fun (k, v) ->
-      mix_string c k;
-      mix_attr c v)
-    op.Ircore.attrs;
-  Array.iter (fun b -> mix c (block_num c b)) op.Ircore.successors;
-  List.iter (mix_region c) op.Ircore.regions;
+  mix_named c op.Ircore.attrs;
+  let successors = op.Ircore.successors in
+  for i = 0 to Array.length successors - 1 do
+    mix c (block_num c successors.(i))
+  done;
+  mix_regions c op.Ircore.regions;
   mix c (List.length op.Ircore.regions)
 
-and mix_region c r =
-  mix c 0x17;
-  let rec blocks = function
-    | None -> ()
-    | Some b ->
-      mix_block c b;
-      blocks b.Ircore.b_next
-  in
-  blocks r.Ircore.r_first
+and mix_regions c = function
+  | [] -> ()
+  | r :: rest ->
+    mix c 0x17;
+    mix_blocks c r.Ircore.r_first;
+    mix_regions c rest
+
+and mix_blocks c = function
+  | None -> ()
+  | Some b ->
+    mix_block c b;
+    mix_blocks c b.Ircore.b_next
 
 and mix_block c b =
   mix c 0x1d;
   ignore (block_num c b);
-  Array.iter
-    (fun (v : Ircore.value) ->
-      mix_typ c v.Ircore.v_typ;
-      ignore (value_num c v))
-    b.Ircore.b_args;
-  let rec ops = function
-    | None -> ()
-    | Some op ->
-      mix_op c op;
-      ops op.Ircore.op_next
-  in
-  ops b.Ircore.b_first
+  let args = b.Ircore.b_args in
+  for i = 0 to Array.length args - 1 do
+    let v = args.(i) in
+    mix_typ c v.Ircore.v_typ;
+    ignore (value_num c v)
+  done;
+  mix_ops c b.Ircore.b_first
+
+and mix_ops c = function
+  | None -> ()
+  | Some op ->
+    mix_op c op;
+    mix_ops c op.Ircore.op_next
 
 (** Structural fingerprint of [op] and everything nested under it. *)
 let op (root : Ircore.op) : t =

@@ -300,6 +300,14 @@ let set_float t pos stop =
     set t FLOATLIT stop
   | None -> raise (Error ("invalid numeric literal", pos))
 
+(* the end of the run of digits (hex digits) of [src] from [p], short of
+   [n]; top level, so that scanning a number allocates nothing *)
+let rec digits_end src n p =
+  if p < n && is_digit src.[p] then digits_end src n (p + 1) else p
+
+let rec hex_end src n p =
+  if p < n && is_hex src.[p] then hex_end src n (p + 1) else p
+
 let scan_number t pos =
   let src = t.src in
   let n = String.length src in
@@ -313,21 +321,19 @@ let scan_number t pos =
     && (src.[dstart + 1] = 'x' || src.[dstart + 1] = 'X')
   then begin
     (* hex integer or hex float *)
-    let rec hexrun p = if p < n && is_hex src.[p] then hexrun (p + 1) else p in
-    let p1 = hexrun (dstart + 2) in
+    let p1 = hex_end src n (dstart + 2) in
     let is_float =
       (p1 < n && src.[p1] = '.')
       || (p1 < n && (src.[p1] = 'p' || src.[p1] = 'P'))
     in
     if not is_float then set_int t pos p1
     else begin
-      let p2 = if p1 < n && src.[p1] = '.' then hexrun (p1 + 1) else p1 in
+      let p2 = if p1 < n && src.[p1] = '.' then hex_end src n (p1 + 1) else p1 in
       let p3 =
         if p2 < n && (src.[p2] = 'p' || src.[p2] = 'P') then begin
           let p = p2 + 1 in
           let p = if p < n && (src.[p] = '+' || src.[p] = '-') then p + 1 else p in
-          let rec digs q = if q < n && is_digit src.[q] then digs (q + 1) else q in
-          let stop = digs p in
+          let stop = digits_end src n p in
           (* exponent marker without digits is not part of the literal *)
           if stop = p then p2 else stop
         end
@@ -337,15 +343,14 @@ let scan_number t pos =
     end
   end
   else begin
-    let rec digits p = if p < n && is_digit src.[p] then digits (p + 1) else p in
-    let p1 = digits dstart in
+    let p1 = digits_end src n dstart in
     let has_frac = p1 < n && src.[p1] = '.' && p1 + 1 < n && is_digit src.[p1 + 1] in
-    let p2 = if has_frac then digits (p1 + 1) else p1 in
+    let p2 = if has_frac then digits_end src n (p1 + 1) else p1 in
     let p3 =
       if p2 < n && (src.[p2] = 'e' || src.[p2] = 'E') then begin
         let p = p2 + 1 in
         let p = if p < n && (src.[p] = '+' || src.[p] = '-') then p + 1 else p in
-        let stop = digits p in
+        let stop = digits_end src n p in
         (* "9E" / "9e+" are the integer/fraction followed by an identifier *)
         if stop = p then p2 else stop
       end

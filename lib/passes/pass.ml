@@ -224,18 +224,26 @@ let stat_exceptions_contained =
   Stats.counter ~component:"pass" "exceptions_contained"
     ~desc:"OCaml exceptions converted to pass failures by the barrier"
 
+(** Why one pass run failed: the pass (or the budget, or the verifier
+    after it) reported an error, or the pass raised and the barrier
+    contained the exception. Callers that tell recoverable failures from
+    crashes, such as [transform.apply_registered_pass], match on it. *)
+type failure = Failed of Diag.t | Raised of Diag.t
+
 (** Run a single pass behind an exception barrier: a raised OCaml exception
     becomes a structured pass-failure diagnostic carrying the backtrace as
     notes, so the failure drives the crash-reproducer instrumentation
-    instead of unwinding with the IR in an arbitrary state. *)
+    instead of unwinding with the IR in an arbitrary state. This is the one
+    call of a pass's [run]. *)
 let run_contained p ctx op =
   match p.run ctx op with
-  | (Ok () | Error _) as r -> r
+  | Ok () -> Ok ()
+  | Error d -> Stdlib.Error (Failed d)
   | exception e when not (Diag.fatal_exn e) ->
     let bt = Printexc.get_raw_backtrace () in
     Stats.incr stat_exceptions_contained;
     Stdlib.Error
-      (Diag.of_exn ~context:(Fmt.str "pass '%s'" p.name) e bt)
+      (Raised (Diag.of_exn ~context:(Fmt.str "pass '%s'" p.name) e bt))
 
 (* ------------------------------------------------------------------ *)
 (* Function-at-a-time parallel scheduling                              *)
@@ -427,17 +435,77 @@ let run_scheduled ~track p ctx op =
   | Some funcs -> run_parallel ~track p ctx funcs
   | None -> run_sequential ~track p ctx op
 
-(** Run a pipeline of passes over [op], driving the given
+(* what the post-pass verifier found, as a pass failure *)
+let verify_after ctx p op dirty =
+  let verified =
+    Profiler.span ~cat:"pass" "verify" (fun () ->
+        match dirty with
+        | All ->
+          Stats.incr stat_full_verifies;
+          Verifier.verify ctx op
+        | Funcs fns ->
+          (* re-verify only what the pass touched; clean passes verify
+             nothing *)
+          Stats.incr stat_incremental_verifies;
+          let rec check = function
+            | [] -> Ok ()
+            | f :: rest -> (
+              match Verifier.verify ctx f with
+              | Ok () -> check rest
+              | Error _ as e -> e)
+          in
+          check fns)
+  in
+  Result.map_error
+    (fun diags ->
+      Failed
+        (Diag.error
+           ~notes:(List.map (fun d -> Diag.{ d with severity = Note }) diags)
+           "verification failed after pass '%s'" p.name))
+    verified
+
+(** Run one pass over [op]: the one runner behind both the pass manager
+    and [transform.apply_registered_pass], so every pass run is budgeted,
+    observed and scheduled the same way. In order:
+
+    - a forced {!Ir.Budget.checkpoint}: a pass boundary is a safe point to
+      give up, and an exhausted budget fails the pass before it starts;
+    - an {!Ir.Profiler} span named after the pass, around a [pass] action
+      ({!Ir.Action.run}) around {!run_scheduled}, which fans the pass
+      across a module's functions when it allows it and contains raised
+      exceptions;
+    - the [pass/passes_run] count of a pass that succeeded;
+    - with [verify], the incremental post-pass verifier: only the
+      functions the pass touched are re-walked. *)
+let run_one ~verify p ctx op : (unit, failure) result =
+  match Budget.checkpoint () with
+  | Some reason ->
+    Stdlib.Error
+      (Failed (Diag.error "pass pipeline stopped before '%s': %s" p.name reason))
+  | None -> (
+    match
+      Profiler.span ~cat:"pass" p.name (fun () ->
+          (* the pass-level action: a vetoed pass reports success with
+             nothing dirty, exactly like a pass that matched nothing *)
+          Action.run ~tag:"pass" ~desc:p.name ~loc:op.Ircore.op_loc ~root:op
+            ~skipped:(Ok (), Funcs [])
+            (fun () -> run_scheduled ~track:verify p ctx op))
+    with
+    | (Error _ as e), _ -> e
+    | Ok (), dirty ->
+      Stats.incr stat_passes;
+      if verify then verify_after ctx p op dirty else Ok ())
+
+(** Run a pipeline of passes over [op] with {!run_one}, driving the given
     instrumentations and reporting to the ambient observability channels:
-    a nested {!Ir.Profiler} span per pipeline/pass/verify and the [pass]
-    statistics of {!Ir.Stats}. Passes declared [function_parallel] are
-    fanned across a module's functions on the {!Ir.Pool} domain pool (when
-    [Pool.jobs () > 1]) with deterministic, source-ordered merging of
-    diagnostics, trace events and remarks. With [verify_each], the
-    post-pass verifier is incremental: rewriter listener events record
-    which functions a pass touched and only those are re-walked. Returns
-    the first failure as a structured diagnostic (with a note naming the
-    failing pass). *)
+    an {!Ir.Profiler} span around the pipeline (the passes' spans nest in
+    it) and the [pass] statistics of {!Ir.Stats}. Passes declared
+    [function_parallel] are fanned across a module's functions on the
+    {!Ir.Pool} domain pool (when [Pool.jobs () > 1]) with deterministic,
+    source-ordered merging of diagnostics, trace events and remarks. With
+    [verify_each], the post-pass verifier is incremental. Returns the first
+    failure as a structured diagnostic (with a note naming the failing
+    pass). *)
 let run_pipeline ?(verify_each = false) ?(instrumentations = []) ctx passes op
     : (unit, Diag.t) result =
   Stats.incr stat_pipelines;
@@ -445,70 +513,22 @@ let run_pipeline ?(verify_each = false) ?(instrumentations = []) ctx passes op
     ~args:[ ("passes", Profiler.Aint (List.length passes)) ]
     "pipeline"
   @@ fun () ->
-  let fail p remaining d =
-    Stats.incr stat_failures;
-    let d = Diag.add_note d (Diag.note "while running pass '%s'" p.name) in
-    List.iter (fun i -> i.i_on_failure p op ~remaining d) instrumentations;
-    Stdlib.Error d
-  in
-  let verify p dirty =
-    if not verify_each then Ok ()
-    else
-      let verified =
-        Profiler.span ~cat:"pass" "verify" (fun () ->
-            match dirty with
-            | All ->
-              Stats.incr stat_full_verifies;
-              Verifier.verify ctx op
-            | Funcs fns ->
-              (* re-verify only what the pass touched; clean passes verify
-                 nothing *)
-              Stats.incr stat_incremental_verifies;
-              let rec check = function
-                | [] -> Ok ()
-                | f :: rest -> (
-                  match Verifier.verify ctx f with
-                  | Ok () -> check rest
-                  | Error _ as e -> e)
-              in
-              check fns)
-      in
-      Result.map_error
-        (fun diags ->
-          Diag.error
-            ~notes:(List.map (fun d -> Diag.{ d with severity = Note }) diags)
-            "verification failed after pass '%s'" p.name)
-        verified
-  in
   let rec go = function
     | [] -> Ok ()
     | p :: rest -> (
-      (* cooperative budget: a pass boundary is a safe point to give up,
-         and routing exhaustion through [fail] produces a reproducer with
-         exactly the unfinished pipeline suffix *)
-      match Budget.checkpoint () with
-      | Some reason ->
-        fail p (p :: rest)
-          (Diag.error "pass pipeline stopped before '%s': %s" p.name reason)
-      | None -> (
-        List.iter (fun i -> i.i_before_pass p op) instrumentations;
-        match
-          Profiler.span ~cat:"pass" p.name (fun () ->
-              (* the pass-level action: a vetoed pass reports success with
-                 nothing dirty, exactly like a pass that matched nothing *)
-              Action.run ~tag:"pass" ~desc:p.name ~loc:op.Ircore.op_loc
-                ~root:op
-                ~skipped:(Ok (), Funcs [])
-                (fun () -> run_scheduled ~track:verify_each p ctx op))
-        with
-        | Error d, _ -> fail p (p :: rest) d
-        | Ok (), dirty -> (
-          Stats.incr stat_passes;
-          match verify p dirty with
-          | Error d -> fail p (p :: rest) d
-          | Ok () ->
-            List.iter (fun i -> i.i_after_pass p op) instrumentations;
-            go rest)))
+      List.iter (fun i -> i.i_before_pass p op) instrumentations;
+      match run_one ~verify:verify_each p ctx op with
+      | Ok () ->
+        List.iter (fun i -> i.i_after_pass p op) instrumentations;
+        go rest
+      | Error (Failed d | Raised d) ->
+        (* the failing pass and the unfinished suffix are exactly what a
+           reproducer must re-run *)
+        Stats.incr stat_failures;
+        let d = Diag.add_note d (Diag.note "while running pass '%s'" p.name) in
+        List.iter (fun i -> i.i_on_failure p op ~remaining:(p :: rest) d)
+          instrumentations;
+        Stdlib.Error d)
   in
   go passes
 

@@ -235,7 +235,52 @@ let test_snapshot_gating () =
   Buffer.clear buf;
   Action.with_context t (fun () -> canonicalize md);
   Format.pp_print_flush ppf ();
-  check cs "no-change pass prints nothing" "" (Buffer.contents buf)
+  check cs "no-change pass prints nothing" "" (Buffer.contents buf);
+  (* nested tagged actions dump each change once, in the innermost
+     action: a script's registered pass runs as a [pass] action inside
+     its [transform] action, and under [pass,pattern,fold,dce] the folds
+     and erasures inside canonicalize leave the pass nothing to dump *)
+  let dumps tags run =
+    let buf = Buffer.create 256 in
+    let ppf = Format.formatter_of_buffer buf in
+    let md = Builtin.create_module () in
+    foldable_func md ~name:"hot" 3;
+    identity_func md ~name:"cold";
+    let t =
+      Action.create
+        ~snapshot:{ Action.sn_tags = tags; sn_mode = Action.Snap_print ppf }
+        ()
+    in
+    Action.with_context t (fun () -> run md);
+    Format.pp_print_flush ppf ();
+    let out = Buffer.contents buf in
+    let headers =
+      List.filter
+        (fun l -> contains l "IR dump after action")
+        (String.split_on_char '\n' out)
+    in
+    (out, headers)
+  in
+  let script =
+    Transform.Build.script (fun rw root ->
+        ignore
+          (Transform.Build.apply_registered_pass rw ~pass_name:"canonicalize"
+             root))
+  in
+  let out, headers =
+    dumps Action.default_snapshot_tags (fun md ->
+        match Transform.Schedule.run ctx ~script ~payload:md with
+        | Ok _ -> ()
+        | Error e -> Alcotest.fail (Transform.Terror.to_string e))
+  in
+  check ci "script: one dump" 1 (List.length headers);
+  check cb "script: dumped by the pass" true
+    (contains out "pass 'canonicalize' (@hot)");
+  let _, headers = dumps [ "pass"; "pattern"; "fold"; "dce" ] canonicalize in
+  check cb "nested tags: the folds are dumped" true
+    (List.exists (fun l -> contains l "fold 'arith.addi'") headers);
+  check cb "nested tags: the pass repeats none of them" false
+    (List.exists (fun l -> contains l "pass 'canonicalize'") headers)
 
 (* ------------------------------------------------------------------ *)
 (* provenance                                                          *)

@@ -210,6 +210,42 @@ let test_transform_timing () =
   check cb "timing header" true (contains stderr "// -----// timing //----- //");
   check cb "schedule.apply node" true (contains stderr "%)  schedule.apply")
 
+(* examples/scripts/tosa_pipeline.mlir is the E1 script of the TOSA
+   pipeline, printed; the committed text must not drift from the
+   generator, and on the text path it lowers a model exactly as the pass
+   manager does *)
+let tosa_script =
+  Filename.concat ".."
+    (Filename.concat "examples"
+       (Filename.concat "scripts" "tosa_pipeline.mlir"))
+
+let test_tosa_pipeline_script () =
+  ignore (Transform.Register.full_context ());
+  let generated =
+    match
+      Transform.From_pipeline.script_of_pipeline_str
+        Workloads.Models.tosa_pipeline_str
+    with
+    | Ok script -> Printer.op_to_string script ^ "\n"
+    | Error d -> Alcotest.fail (Diag.to_string d)
+  in
+  check cs "committed script = generated script" generated
+    (read_file tosa_script);
+  let squeezenet =
+    Filename.concat ".."
+      (Filename.concat "examples"
+         (Filename.concat "scripts" "payload_squeezenet.mlir"))
+  in
+  let pm_code, pm_out, _ =
+    run_otd_opt [ squeezenet; "-p"; Workloads.Models.tosa_pipeline_str ]
+  in
+  let tf_code, tf_out, _ =
+    run_otd_opt [ squeezenet; "--transform"; tosa_script ]
+  in
+  check Alcotest.int "pass manager exit code" 0 pm_code;
+  check Alcotest.int "transform exit code" 0 tf_code;
+  check cs "transform output = pass-manager output" pm_out tf_out
+
 let run_otd_check args =
   let out = Filename.temp_file "otd_check_out" ".txt" in
   let err = Filename.temp_file "otd_check_err" ".txt" in
@@ -269,6 +305,8 @@ let () =
           Alcotest.test_case "transform-timing" `Quick test_transform_timing;
           Alcotest.test_case "plain-run-no-journal" `Quick
             test_plain_run_no_journal;
+          Alcotest.test_case "tosa-pipeline-script" `Quick
+            test_tosa_pipeline_script;
         ] );
       ( "otd-check",
         [

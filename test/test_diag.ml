@@ -261,6 +261,62 @@ let test_reproducer () =
   | Ok m -> check cs "module root" "builtin.module" m.Ircore.op_name
   | Error e -> Alcotest.failf "reproducer does not re-parse: %s" e
 
+(* A budget that runs out inside canonicalize stops the pipeline at the
+   boundary before cse. The hooks see that boundary as cse's start: the
+   reproducer holds the IR as it stood before cse (canonicalize's partial
+   work included) with the pipeline "cse", and cse's op-count delta is
+   empty rather than a copy of canonicalize's. *)
+let test_budget_stop_hooks () =
+  let md =
+    match
+      Ir.Parser.parse_module
+        {|"builtin.module"() ({
+  "func.func"() ({
+    %0 = "arith.constant"() {value = 1 : i64} : () -> i64
+    %1 = "arith.addi"(%0, %0) : (i64, i64) -> i64
+    %2 = "arith.addi"(%1, %1) : (i64, i64) -> i64
+    %3 = "arith.addi"(%2, %2) : (i64, i64) -> i64
+    "func.return"(%3) : (i64) -> ()
+  }) {sym_name = "main", function_type = () -> i64} : () -> ()
+}) : () -> ()|}
+    with
+    | Ok m -> m
+    | Error e -> Alcotest.fail e
+  in
+  let path = Filename.temp_file "otd_repro" ".mlir" in
+  let deltas, get = Passes.Pass.op_count_deltas () in
+  let passes = List.map Passes.Pass.lookup_exn [ "canonicalize"; "cse" ] in
+  let budget = Budget.create ~max_rewrites:1 () in
+  (match
+     Context.with_diag_handler ctx ignore (fun () ->
+         Budget.with_budget budget (fun () ->
+             Passes.Pass.run_pipeline
+               ~instrumentations:[ Passes.Pass.reproducer ~path; deltas ]
+               ctx passes md))
+   with
+  | Ok () -> Alcotest.fail "expected the budget to stop the pipeline"
+  | Error d ->
+    check cb "stopped before cse" true
+      (contains (Diag.message d) "stopped before 'cse'"));
+  let content =
+    let ic = open_in path in
+    Fun.protect
+      ~finally:(fun () -> close_in ic)
+      (fun () -> really_input_string ic (in_channel_length ic))
+  in
+  Sys.remove path;
+  check cb "reproducer names cse" true
+    (contains content "// failing pass: cse");
+  check cb "reproducer replays cse" true
+    (contains content "// configuration: --pass-pipeline=cse\n");
+  check cb "reproducer holds the IR before cse" true
+    (contains content (Printer.op_to_string md));
+  match get () with
+  | [ ("canonicalize", canon); ("cse", cse) ] ->
+    check cb "canonicalize changed op counts" true (canon <> []);
+    check cb "cse changed nothing" true (cse = [])
+  | ds -> Alcotest.failf "expected two delta entries, got %d" (List.length ds)
+
 let test_parse_pipeline_accumulates () =
   match Passes.Pass.parse_pipeline "canonicalize,bogus-one, bogus-two,cse" with
   | Ok _ -> Alcotest.fail "expected unknown-pass diagnostic"
@@ -363,6 +419,7 @@ let () =
           Alcotest.test_case "op-count-deltas" `Quick test_op_count_deltas;
           Alcotest.test_case "timing-tree" `Quick test_timing_tree;
           Alcotest.test_case "reproducer" `Quick test_reproducer;
+          Alcotest.test_case "budget-stop-hooks" `Quick test_budget_stop_hooks;
           Alcotest.test_case "parse-accumulates" `Quick
             test_parse_pipeline_accumulates;
         ] );

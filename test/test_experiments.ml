@@ -150,6 +150,107 @@ let test_table1_runs () =
       check cb (r.E.Table1.model ^ " identical IR") true r.E.Table1.identical_ir)
     rows
 
+(* E1 as counted work: the transform path runs the pipeline's passes
+   through the pass manager's runner, so the two paths do the same work
+   and differ only in the interpreter's own counters. Counters are exact,
+   so this holds at any [--jobs], where a wall-time ratio on a small box
+   cannot tell a few percent from noise. *)
+
+let tosa_passes () =
+  match Passes.Pass.parse_pipeline Workloads.Models.tosa_pipeline_str with
+  | Ok ps -> ps
+  | Error d -> Alcotest.fail (Ir.Diag.to_string d)
+
+(* every counter's value after [f], from zero *)
+let counted f =
+  Ir.Stats.reset ();
+  f ();
+  List.filter_map
+    (function
+      | Ir.Stats.Counter c ->
+        Some ((c.Ir.Stats.c_component, c.Ir.Stats.c_name), Ir.Stats.value c)
+      | Ir.Stats.Histogram _ -> None)
+    (Ir.Stats.snapshot ())
+
+(* the counters only the transform path may move *)
+let interpreter_only (component, name) =
+  component = "transform" || component = "schedule"
+  || (component = "pass" && name = "pipelines_run")
+
+let counter stats component name =
+  Option.value ~default:0 (List.assoc_opt (component, name) stats)
+
+(* the (tag, desc) sequence of a journaled run, interpreter units dropped *)
+let journal f =
+  let t = Ir.Action.create () in
+  Ir.Action.with_context t f;
+  List.filter_map
+    (fun e ->
+      match e.Ir.Action.e_tag with
+      | "transform" | "schedule" -> None
+      | tag -> Some (tag, e.Ir.Action.e_desc))
+    (Ir.Action.entries t)
+
+let test_table1_counted () =
+  let passes = tosa_passes () in
+  let script = Transform.From_pipeline.script_of_pipeline passes in
+  let saved = Ir.Pool.jobs () in
+  Fun.protect ~finally:(fun () -> Ir.Pool.set_jobs saved) @@ fun () ->
+  List.iter
+    (fun (spec, funcs, jobs) ->
+      Ir.Pool.set_jobs jobs;
+      let label =
+        Fmt.str "%s, %d function(s), jobs %d" spec.Workloads.Models.sp_name
+          funcs jobs
+      in
+      let pm md =
+        match Passes.Pass.run_pipeline ctx passes md with
+        | Ok () -> ()
+        | Error d -> Alcotest.failf "%s: %s" label (Ir.Diag.to_string d)
+      in
+      let tf md =
+        Transform.Schedule.clear_cache ();
+        match Transform.Schedule.run ctx ~script ~payload:md with
+        | Ok _ -> ()
+        | Error e -> Alcotest.failf "%s: %s" label (Transform.Terror.to_string e)
+      in
+      let build () = Workloads.Models.build ~funcs spec in
+      let md_pm = build () and md_tf = build () in
+      let s_pm = counted (fun () -> pm md_pm) in
+      let s_tf = counted (fun () -> tf md_tf) in
+      check Alcotest.string (label ^ ": same output IR")
+        (Ir.Printer.op_to_string md_pm)
+        (Ir.Printer.op_to_string md_tf);
+      let shared stats =
+        List.filter_map
+          (fun (((c, n) as key), v) ->
+            if interpreter_only key then None else Some (c ^ "/" ^ n, v))
+          stats
+      in
+      check
+        Alcotest.(list (pair string int))
+        (label ^ ": same counters") (shared s_pm) (shared s_tf);
+      check ci (label ^ ": one transform op per pass") (List.length passes)
+        (counter s_tf "transform" "ops_executed");
+      if jobs = 2 && funcs = 3 then begin
+        (* eight function-parallel passes over three functions *)
+        check ci (label ^ ": pool tasks") 24 (counter s_tf "pool" "tasks");
+        check ci (label ^ ": greedy invocations") 3
+          (counter s_tf "greedy" "invocations")
+      end;
+      if jobs <= 2 then
+        check
+          Alcotest.(list (pair string string))
+          (label ^ ": same journal")
+          (journal (fun () -> pm (build ())))
+          (journal (fun () -> tf (build ()))))
+    (List.concat_map
+       (fun spec ->
+         List.concat_map
+           (fun funcs -> List.map (fun j -> (spec, funcs, j)) [ 1; 2; 4 ])
+           [ 1; 3 ])
+       Workloads.Models.paper_models)
+
 let () =
   Alcotest.run "experiments"
     [
@@ -169,5 +270,9 @@ let () =
       ("s34", [ Alcotest.test_case "AD add kinds" `Quick test_s34_add_kinds ]);
       ( "ablations",
         [ Alcotest.test_case "all configurations ok" `Quick test_ablations_all_ok ] );
-      ("table1", [ Alcotest.test_case "runs" `Slow test_table1_runs ]);
+      ( "table1",
+        [
+          Alcotest.test_case "runs" `Slow test_table1_runs;
+          Alcotest.test_case "counted work" `Quick test_table1_counted;
+        ] );
     ]

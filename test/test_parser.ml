@@ -624,6 +624,53 @@ let test_counted_allocation () =
           live max_live_words_per_op)
     [ 5_000; 10_000 ]
 
+(* Lexing decimal integer literals allocates nothing: the number
+   scanners are top-level functions of the source and its length, so a
+   token builds no closure. *)
+let test_number_tokens_alloc () =
+  let _, baseline = Testutil.alloc_words (fun () -> ()) in
+  let n = 10_000 in
+  let buf = Buffer.create (n * 8) in
+  for i = 1 to n do
+    (* positive and signed literals, 1 to 8 digits *)
+    let v = if i land 1 = 0 then i * 7919 else -i in
+    Buffer.add_string buf (string_of_int v);
+    Buffer.add_char buf ' '
+  done;
+  let lx = Lexer.create (Buffer.contents buf) in
+  let tokens = ref 0 in
+  let (), words =
+    Testutil.alloc_words (fun () ->
+        while Lexer.peek lx != Lexer.EOF do
+          if Lexer.peek lx != Lexer.INT then Alcotest.fail "expected INT";
+          incr tokens;
+          Lexer.advance lx
+        done)
+  in
+  Alcotest.(check int) "every literal is one token" n !tokens;
+  let per_token = (words -. baseline) /. float_of_int n in
+  if per_token <> 0. then
+    Alcotest.failf "lexing %d integers: %.4f words per token" n per_token
+
+(* The words a fingerprint of a flat block allocates per op, counted: the
+   traversal is top-level loops, so what remains is the value-numbering
+   table's buckets and bucket arrays. The bound sits 0.5 above the
+   measured 7.3. *)
+let max_fingerprint_words_per_op = 7.8
+
+let test_fingerprint_alloc () =
+  let n = 5_000 in
+  match Parser.parse_module (flat_block n) with
+  | Error e -> Alcotest.fail e
+  | Ok m ->
+    let ops = ref 0 in
+    Ircore.walk (fun _ -> incr ops) m;
+    let _, words = Testutil.alloc_words (fun () -> Fingerprint.op m) in
+    let per_op = words /. float_of_int !ops in
+    if per_op > max_fingerprint_words_per_op then
+      Alcotest.failf "%d ops: a fingerprint allocates %.2f words per op (> %.1f)"
+        n per_op max_fingerprint_words_per_op
+
 let () =
   Alcotest.run "parser"
     [
@@ -682,5 +729,9 @@ let () =
         [
           Alcotest.test_case "flat block parse and live IR" `Quick
             test_counted_allocation;
+          Alcotest.test_case "number tokens allocate 0 words" `Quick
+            test_number_tokens_alloc;
+          Alcotest.test_case "fingerprint words per op" `Quick
+            test_fingerprint_alloc;
         ] );
     ]

@@ -50,6 +50,34 @@ let () =
       | _ -> ());
       failwith "boom: deliberate test exception")
 
+(* test-only passes, run through [transform.apply_registered_pass]: one
+   raises, one outlives a short deadline, one counts its runs *)
+let raising_pass = "test-raising-pass"
+let sleeping_pass = "test-sleeping-pass"
+let counting_pass = "test-counting-pass"
+let counted_runs = ref 0
+
+let () =
+  List.iter Passes.Pass.register
+    [
+      Passes.Pass.make ~name:raising_pass (fun _ _ ->
+          failwith ("boom: deliberate exception in " ^ raising_pass));
+      Passes.Pass.make ~name:sleeping_pass (fun _ _ ->
+          Unix.sleepf 0.05;
+          Ok ());
+      Passes.Pass.make ~name:counting_pass (fun _ _ ->
+          incr counted_runs;
+          Ok ());
+    ]
+
+let registered_passes names =
+  T.Build.script (fun rw root ->
+      ignore
+        (List.fold_left
+           (fun target pass_name ->
+             T.Build.apply_registered_pass rw ~pass_name target)
+           root names))
+
 let mutate_then_fail rw target =
   ignore (Rewriter.build rw ~operands:[ target ] mutate_then_fail_op)
 
@@ -254,6 +282,33 @@ let test_exception_inside_alternatives_rolls_back () =
     Alcotest.failf "expected definite error: %s" (Diag.message d));
   check_verifies "payload after aborted alternatives" md
 
+let test_registered_pass_raise_is_definite () =
+  (* the pass runner's barrier contains the raise; the crash must stay a
+     definite error, so [alternatives] does not roll it back and hide it *)
+  let plain = registered_passes [ raising_pass ] in
+  let wrapped =
+    T.Build.script (fun rw root ->
+        T.Build.alternatives rw
+          [
+            (fun brw ->
+              ignore
+                (T.Build.apply_registered_pass brw ~pass_name:raising_pass
+                   root));
+          ])
+  in
+  List.iter
+    (fun (label, script) ->
+      match apply_err script (matmul ()) with
+      | T.Terror.Definite d ->
+        let text = Diag.to_string d in
+        check cb (label ^ ": names the pass") true (contains text raising_pass);
+        check cb (label ^ ": reports the raise") true
+          (contains text "raised an exception")
+      | T.Terror.Silenceable d ->
+        Alcotest.failf "%s: expected definite error: %s" label
+          (Diag.message d))
+    [ ("plain", plain); ("in alternatives", wrapped) ]
+
 (* ------------------------------------------------------------------ *)
 (* foreach over erased payload                                         *)
 (* ------------------------------------------------------------------ *)
@@ -363,6 +418,21 @@ let test_deadline_exhaustion () =
     Alcotest.failf "expected silenceable deadline stop: %s" (Diag.message d)
   | Ok _ -> Alcotest.fail "expected the deadline to trip"
 
+let test_deadline_at_pass_boundary () =
+  (* the first pass outlives the deadline; the boundary before the second
+     samples the clock, so the second never starts *)
+  let script = registered_passes [ sleeping_pass; counting_pass ] in
+  counted_runs := 0;
+  let b = Budget.create ~deadline_ms:20 () in
+  (match Budget.with_budget b (fun () -> apply script (matmul ())) with
+  | Error (T.Terror.Silenceable d) ->
+    check cb "diagnostic names the deadline" true
+      (contains (Diag.message d) "deadline")
+  | Error (T.Terror.Definite d) ->
+    Alcotest.failf "expected silenceable deadline stop: %s" (Diag.message d)
+  | Ok _ -> Alcotest.fail "expected the deadline to stop the script");
+  check ci "the pass after the boundary did not run" 0 !counted_runs
+
 (* ------------------------------------------------------------------ *)
 (* fault-injection smoke run                                           *)
 (* ------------------------------------------------------------------ *)
@@ -409,6 +479,8 @@ let () =
             test_exception_becomes_definite_with_backtrace;
           Alcotest.test_case "exception inside alternatives" `Quick
             test_exception_inside_alternatives_rolls_back;
+          Alcotest.test_case "pass raise is definite" `Quick
+            test_registered_pass_raise_is_definite;
         ] );
       ( "foreach",
         [
@@ -421,6 +493,8 @@ let () =
           Alcotest.test_case "rewrite budget on fold chain" `Quick
             test_rewrite_budget_on_unrolled_fold_chain;
           Alcotest.test_case "deadline" `Quick test_deadline_exhaustion;
+          Alcotest.test_case "deadline at pass boundary" `Quick
+            test_deadline_at_pass_boundary;
         ] );
       ( "fault-injection",
         [
