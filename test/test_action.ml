@@ -262,10 +262,7 @@ let test_snapshot_gating () =
     (out, headers)
   in
   let script =
-    Transform.Build.script (fun rw root ->
-        ignore
-          (Transform.Build.apply_registered_pass rw ~pass_name:"canonicalize"
-             root))
+    Result.get_ok (Transform.From_pipeline.script_of_pipeline_str "canonicalize")
   in
   let out, headers =
     dumps Action.default_snapshot_tags (fun md ->

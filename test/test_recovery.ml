@@ -71,12 +71,9 @@ let () =
     ]
 
 let registered_passes names =
-  T.Build.script (fun rw root ->
-      ignore
-        (List.fold_left
-           (fun target pass_name ->
-             T.Build.apply_registered_pass rw ~pass_name target)
-           root names))
+  match T.From_pipeline.script_of_pipeline_str (String.concat "," names) with
+  | Ok script -> script
+  | Error d -> Alcotest.fail (Diag.to_string d)
 
 let mutate_then_fail rw target =
   ignore (Rewriter.build rw ~operands:[ target ] mutate_then_fail_op)
