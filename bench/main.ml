@@ -633,8 +633,10 @@ let alloc_bytes f =
     print time, the bytes each stage after the parse allocates per op, the
     heap words the parsed module keeps per op, and the median time of a
     whole job run back to back, for flat blocks and the lowered Table-1
-    models. The printed form of each parse must read back to itself, so a
-    parser that drops or reorders anything fails the run. *)
+    models; for the models also the bytes the TOSA lowering that produced
+    them allocates per output op. The printed form of each parse must read
+    back to itself, so a parser that drops or reorders anything fails the
+    run. *)
 let text_bench () =
   banner "E14 - Text path: per-stage cost of one module"
     "per-parse type sharing, an allocation-free lexer, registration \
@@ -646,21 +648,33 @@ let text_bench () =
         Workloads.Models.paper_models
     in
     let md = Workloads.Models.build spec in
-    (match
-       Passes.Pass.parse_pipeline Workloads.Models.tosa_pipeline_str
-       |> Result.map (fun ps -> Passes.Pass.run_pipeline ctx ps md)
-     with
-    | Ok (Ok ()) -> ()
-    | Ok (Error e) | Error e -> failwith (Ir.Diag.to_string e));
-    (name ^ "/lowered", Ir.Printer.op_to_string md)
+    let passes =
+      match Passes.Pass.parse_pipeline Workloads.Models.tosa_pipeline_str with
+      | Ok ps -> ps
+      | Error e -> failwith (Ir.Diag.to_string e)
+    in
+    (* one job, so every op the lowering builds is built on this domain *)
+    let saved_jobs = Ir.Pool.jobs () in
+    Ir.Pool.set_jobs 1;
+    let bytes =
+      Fun.protect
+        ~finally:(fun () -> Ir.Pool.set_jobs saved_jobs)
+        (fun () ->
+          alloc_bytes (fun () ->
+              match Passes.Pass.run_pipeline ctx passes md with
+              | Ok () -> ()
+              | Error e -> failwith (Ir.Diag.to_string e)))
+    in
+    let ops = ref 0 in
+    Ir.Ircore.walk (fun _ -> incr ops) md;
+    let name = name ^ "/lowered" in
+    ((name, Ir.Printer.op_to_string md), (name, bytes /. float_of_int !ops))
   in
+  let lowered = [ lowered "gpt2"; lowered "mobilebert" ] in
   let inputs =
-    [
-      ("flat-10k", flat_block_text ~ops:10_000);
-      lowered "gpt2";
-      lowered "mobilebert";
-    ]
+    ("flat-10k", flat_block_text ~ops:10_000) :: List.map fst lowered
   in
+  let tosa_lower_alloc = List.map snd lowered in
   let run_pass name md =
     match (Passes.Pass.lookup_exn name).Passes.Pass.run ctx md with
     | Ok () -> ()
@@ -786,7 +800,10 @@ let text_bench () =
       Fmt.pr "@.";
       Fmt.pr "  %-20s live IR %.1f words/op, job %.2f ms@." ""
         (List.assoc name live_words /. ops)
-        (List.assoc name job_ms))
+        (List.assoc name job_ms);
+      Option.iter
+        (Fmt.pr "  %-20s TOSA lowering %.1f B per output op@." "")
+        (List.assoc_opt name tosa_lower_alloc))
     prepared;
   let layer = function
     | "parse" -> "parser"
@@ -828,7 +845,12 @@ let text_bench () =
                (List.assoc name live_words /. ops)
                "words";
              r ~layer:"job" "job_ms" (List.assoc name job_ms) "ms";
-           ])
+           ]
+         @
+         match List.assoc_opt name tosa_lower_alloc with
+         | Some b ->
+           [ r ~layer:"pass" "tosa_lower_alloc_bytes_per_op" b "bytes" ]
+         | None -> [])
        prepared)
 
 (* ------------------------------------------------------------------ *)

@@ -247,13 +247,15 @@ let dispatch_registered ~consumed st (def : Treg.def) (op : Ircore.op) :
   (* the single action site for registered transforms, so a
      [--debug-counter=transform:…] bisection sees every transform op. A
      skipped dispatch succeeds vacuously (its result handles stay empty),
-     like a transform whose pre-condition matched nothing. *)
+     like a transform whose pre-condition matched nothing. The action is
+     anchored at the payload the op rewrites, so IR-change snapshots see
+     its changes. *)
   match Action.active () with
   | None -> dispatch_impl ~tracing:false ~consumed st def op
   | Some a ->
     Action.run_on a ~tag:"transform" ~desc:def.Treg.t_name
-      ~loc:op.Ircore.op_loc ~root:op ~skipped:(Ok ()) (fun () ->
-        dispatch_impl ~tracing:true ~consumed st def op)
+      ~loc:op.Ircore.op_loc ~root:st.State.payload_root ~skipped:(Ok ())
+      (fun () -> dispatch_impl ~tracing:true ~consumed st def op)
 
 (** Find the main entry of a transform script: either the op itself if it is
     a sequence/named_sequence, or a [@__transform_main] named sequence

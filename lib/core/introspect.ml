@@ -110,8 +110,8 @@ let register_enzyme_ad () =
                 let y = Ircore.operand ~index:1 mul in
                 ignore r;
                 let grad =
-                  Rewriter.build1 rw ~operands:[ x; y ]
-                    ~result_types:[ Ircore.value_typ x ]
+                  Rewriter.build1 rw ~operands:[| x; y |]
+                    ~result_types:[| Ircore.value_typ x |]
                     add_kind
                 in
                 Ircore.set_attr

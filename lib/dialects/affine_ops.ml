@@ -55,11 +55,13 @@ let register ctx =
   reg max_op (fun xs -> List.fold_left max min_int xs)
 
 let apply rw map operands =
-  Rewriter.build1 rw ~operands ~result_types:[ Typ.index ]
+  Rewriter.build1 rw ~operands:(Array.of_list operands)
+    ~result_types:[| Typ.index |]
     ~attrs:[ ("map", Attr.Affine_map map) ]
     apply_op
 
 let min_ rw map operands =
-  Rewriter.build1 rw ~operands ~result_types:[ Typ.index ]
+  Rewriter.build1 rw ~operands:(Array.of_list operands)
+    ~result_types:[| Typ.index |]
     ~attrs:[ ("map", Attr.Affine_map map) ]
     min_op

@@ -151,13 +151,14 @@ let register ctx =
 (* ------------------------------------------------------------------ *)
 
 let constant rw (v : Attr.t) (t : Typ.t) =
-  Rewriter.build1 rw ~result_types:[ t ] ~attrs:[ ("value", v) ] constant_op
+  Rewriter.build1 rw ~operands:[||] ~result_types:[| t |]
+    ~attrs:[ ("value", v) ] constant_op
 
 let const_index rw v = Dutil.const_int rw ~typ:Typ.index v
 
 let binop rw name a b =
-  Rewriter.build1 rw ~operands:[ a; b ]
-    ~result_types:[ Ircore.value_typ a ]
+  Rewriter.build1 rw ~operands:[| a; b |]
+    ~result_types:[| Ircore.value_typ a |]
     ("arith." ^ name)
 
 let addi rw a b = binop rw "addi" a b
@@ -169,17 +170,17 @@ let addf rw a b = binop rw "addf" a b
 let mulf rw a b = binop rw "mulf" a b
 
 let cmpi rw pred a b =
-  Rewriter.build1 rw ~operands:[ a; b ] ~result_types:[ Typ.i1 ]
+  Rewriter.build1 rw ~operands:[| a; b |] ~result_types:[| Typ.i1 |]
     ~attrs:[ ("predicate", Attr.String (ipred_to_string pred)) ]
     "arith.cmpi"
 
 let select rw c a b =
-  Rewriter.build1 rw ~operands:[ c; a; b ]
-    ~result_types:[ Ircore.value_typ a ]
+  Rewriter.build1 rw ~operands:[| c; a; b |]
+    ~result_types:[| Ircore.value_typ a |]
     "arith.select"
 
 let index_cast rw v t =
-  Rewriter.build1 rw ~operands:[ v ] ~result_types:[ t ] "arith.index_cast"
+  Rewriter.build1 rw ~operands:[| v |] ~result_types:[| t |] "arith.index_cast"
 
 let constant_value op =
   if op.Ircore.op_name = constant_op then Ircore.attr op "value" else None

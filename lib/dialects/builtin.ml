@@ -23,7 +23,9 @@ let register ctx =
 
 (** Create an empty module. *)
 let create_module () =
-  Ircore.create ~regions:[ Ircore.single_block_region () ] module_op
+  Ircore.make ~operands:[||] ~result_types:[||] ~attrs:[]
+    ~regions:[ Ircore.single_block_region () ] ~successors:[||]
+    ~loc:Loc.unknown module_op
 
 let body_block m =
   match m.Ircore.regions with
@@ -34,4 +36,4 @@ let body_block m =
   | _ -> invalid_arg "not a module"
 
 let cast rw v t =
-  Rewriter.build1 rw ~operands:[ v ] ~result_types:[ t ] cast_op
+  Rewriter.build1 rw ~operands:[| v |] ~result_types:[| t |] cast_op

@@ -41,18 +41,17 @@ let register ctx =
     ~verify:(Verifier.expect_operands 1)
 
 let br rw ~dest ?(args = []) () =
-  ignore (Rewriter.build rw ~operands:args ~successors:[ dest ] br_op)
+  Rewriter.build0 rw ~operands:(Array.of_list args) ~successors:[| dest |]
+    br_op
 
 let cond_br rw ~cond ~true_dest ?(true_args = []) ~false_dest
     ?(false_args = []) () =
-  ignore
-    (Rewriter.build rw
-       ~operands:((cond :: true_args) @ false_args)
-       ~successors:[ true_dest; false_dest ]
-       ~attrs:
-         [
-           ( "operand_segment_sizes",
-             Attr.Int_array [ 1; List.length true_args; List.length false_args ]
-           );
-         ]
-       cond_br_op)
+  Rewriter.build0 rw
+    ~operands:(Array.of_list ((cond :: true_args) @ false_args))
+    ~successors:[| true_dest; false_dest |]
+    ~attrs:
+      [
+        ( "operand_segment_sizes",
+          Attr.Int_array [ 1; List.length true_args; List.length false_args ] );
+      ]
+    cond_br_op

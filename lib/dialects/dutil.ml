@@ -31,12 +31,12 @@ let register_binary ctx ?(traits = []) ?fold_int ?fold_float name =
 
 (** Build an [arith.constant]. *)
 let const_int rw ?(typ = Typ.index) v =
-  Rewriter.build1 rw ~result_types:[ typ ]
+  Rewriter.build1 rw ~operands:[||] ~result_types:[| typ |]
     ~attrs:[ ("value", Attr.Int (v, typ)) ]
     "arith.constant"
 
 let const_float rw ?(typ = Typ.f32) v =
-  Rewriter.build1 rw ~result_types:[ typ ]
+  Rewriter.build1 rw ~operands:[||] ~result_types:[| typ |]
     ~attrs:[ ("value", Attr.Float (v, typ)) ]
     "arith.constant"
 
@@ -45,8 +45,8 @@ let materialize_arith_constant rw (attr : Attr.t) (t : Typ.t) =
   match attr with
   | Attr.Int _ | Attr.Float _ | Attr.Bool _ ->
     Some
-      (Rewriter.build1 rw ~result_types:[ t ] ~attrs:[ ("value", attr) ]
-         "arith.constant")
+      (Rewriter.build1 rw ~operands:[||] ~result_types:[| t |]
+         ~attrs:[ ("value", attr) ] "arith.constant")
   | _ -> None
 
 (** Greedy config preloaded with the arith constant materializer. *)

@@ -137,7 +137,8 @@ let create ~name ~arg_types ~result_types () =
   let entry = Ircore.create_block ~args:arg_types () in
   let region = Ircore.region_with_block entry in
   let op =
-    Ircore.create ~regions:[ region ]
+    Ircore.make ~operands:[||] ~result_types:[||] ~regions:[ region ]
+      ~successors:[||] ~loc:Loc.unknown
       ~attrs:
         [
           ("sym_name", Attr.String name);
@@ -148,9 +149,10 @@ let create ~name ~arg_types ~result_types () =
   (op, entry)
 
 let return rw ?(operands = []) () =
-  Rewriter.build rw ~operands return_op |> ignore
+  Rewriter.build0 rw ~operands:(Array.of_list operands) return_op
 
 let call rw ~callee ~operands ~result_types =
-  Rewriter.build rw ~operands ~result_types
+  Rewriter.build rw ~operands:(Array.of_list operands)
+    ~result_types:(Array.of_list result_types)
     ~attrs:[ ("callee", Attr.Symbol_ref (callee, [])) ]
     call_op

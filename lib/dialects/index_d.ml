@@ -31,6 +31,6 @@ let register ctx =
       (Verifier.all [ Verifier.expect_operands 1; Verifier.expect_results 1 ])
 
 let constant rw v =
-  Rewriter.build1 rw ~result_types:[ Typ.index ]
+  Rewriter.build1 rw ~operands:[||] ~result_types:[| Typ.index |]
     ~attrs:[ ("value", Attr.Int (v, Typ.index)) ]
     "index.constant"

@@ -61,8 +61,8 @@ let register ctx =
 
 let structured rw name ~ins ~outs ~result_types =
   Rewriter.build rw
-    ~operands:(ins @ outs)
-    ~result_types
+    ~operands:(Array.of_list (ins @ outs))
+    ~result_types:(Array.of_list result_types)
     ~attrs:
       [
         ( "operand_segment_sizes",
@@ -96,8 +96,8 @@ let generic rw ~ins ~outs ~result_types ?(attrs = []) body =
   let region = Ircore.region_with_block block in
   let op =
     Rewriter.build rw
-      ~operands:(ins @ outs)
-      ~result_types ~regions:[ region ]
+      ~operands:(Array.of_list (ins @ outs))
+      ~result_types:(Array.of_list result_types) ~regions:[ region ]
       ~attrs:
         (attrs
         @ [
@@ -108,5 +108,5 @@ let generic rw ~ins ~outs ~result_types ?(attrs = []) body =
   in
   let brw = Dutil.rw_at_end block in
   let yielded = body brw (Ircore.block_args block) in
-  ignore (Rewriter.build brw ~operands:yielded "linalg.yield");
+  Rewriter.build0 brw ~operands:(Array.of_list yielded) "linalg.yield";
   op

@@ -91,9 +91,10 @@ let register ctx =
 (* ------------------------------------------------------------------ *)
 
 let alloc rw ?(dynamic_sizes = []) typ =
-  Rewriter.build1 rw ~operands:dynamic_sizes ~result_types:[ typ ] alloc_op
+  Rewriter.build1 rw ~operands:(Array.of_list dynamic_sizes)
+    ~result_types:[| typ |] alloc_op
 
-let dealloc rw m = ignore (Rewriter.build rw ~operands:[ m ] dealloc_op)
+let dealloc rw m = Rewriter.build0 rw ~operands:[| m |] dealloc_op
 
 let load rw m indices =
   let elt =
@@ -101,13 +102,14 @@ let load rw m indices =
     | Some t -> t
     | None -> invalid_arg "memref.load on non-memref"
   in
-  Rewriter.build1 rw ~operands:(m :: indices) ~result_types:[ elt ] load_op
+  Rewriter.build1 rw ~operands:(Array.of_list (m :: indices))
+    ~result_types:[| elt |] load_op
 
 let store rw v m indices =
-  ignore (Rewriter.build rw ~operands:(v :: m :: indices) store_op)
+  Rewriter.build0 rw ~operands:(Array.of_list (v :: m :: indices)) store_op
 
 let dim rw m i =
-  Rewriter.build1 rw ~operands:[ m; i ] ~result_types:[ Typ.index ] dim_op
+  Rewriter.build1 rw ~operands:[| m; i |] ~result_types:[| Typ.index |] dim_op
 
 (** Mixed static/dynamic operand lists, as in MLIR: statics go into an
     attribute with a sentinel where a dynamic value is provided. *)
@@ -183,8 +185,8 @@ let subview rw m ~offsets ~sizes ~strides =
   in
   let result_typ = Typ.Memref (result_dims, elt, layout) in
   Rewriter.build1 rw
-    ~operands:((m :: d_offs) @ ds @ dt)
-    ~result_types:[ result_typ ]
+    ~operands:(Array.of_list ((m :: d_offs) @ ds @ dt))
+    ~result_types:[| result_typ |]
     ~attrs:
       [
         ("static_offsets", Attr.Int_array so);

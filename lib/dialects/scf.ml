@@ -76,6 +76,9 @@ let register ctx =
 (* Builders                                                            *)
 (* ------------------------------------------------------------------ *)
 
+let yield rw ?(operands = []) () =
+  Rewriter.build0 rw ~operands:(Array.of_list operands) yield_op
+
 (** Build [scf.for %iv = lb to ub step step iter_args(...)], populating the
     body via [body : rw -> iv -> iter_args -> yielded values]. *)
 let build_for rw ~lb ~ub ~step ?(iter_args = []) body =
@@ -84,35 +87,33 @@ let build_for rw ~lb ~ub ~step ?(iter_args = []) body =
   let region = Ircore.region_with_block block in
   let op =
     Rewriter.build rw
-      ~operands:([ lb; ub; step ] @ iter_args)
-      ~result_types:iter_types ~regions:[ region ] for_op
+      ~operands:(Array.of_list (lb :: ub :: step :: iter_args))
+      ~result_types:(Array.of_list iter_types) ~regions:[ region ] for_op
   in
   let body_rw = Dutil.rw_at_end block in
   let iv = Ircore.block_arg block 0 in
   let iters = List.tl (Ircore.block_args block) in
   let yielded = body body_rw iv iters in
-  ignore (Rewriter.build body_rw ~operands:yielded yield_op);
+  yield body_rw ~operands:yielded ();
   op
-
-let yield rw ?(operands = []) () =
-  ignore (Rewriter.build rw ~operands yield_op)
 
 (** Build [scf.if] with optional else region. *)
 let build_if rw ~cond ~result_types ~then_ ~else_ =
   let then_block = Ircore.create_block () in
   let else_block = Ircore.create_block () in
   let op =
-    Rewriter.build rw ~operands:[ cond ] ~result_types
+    Rewriter.build rw ~operands:[| cond |]
+      ~result_types:(Array.of_list result_types)
       ~regions:
         [ Ircore.region_with_block then_block; Ircore.region_with_block else_block ]
       if_op
   in
   let trw = Dutil.rw_at_end then_block in
   let tv = then_ trw in
-  ignore (Rewriter.build trw ~operands:tv yield_op);
+  yield trw ~operands:tv ();
   let erw = Dutil.rw_at_end else_block in
   let ev = else_ erw in
-  ignore (Rewriter.build erw ~operands:ev yield_op);
+  yield erw ~operands:ev ();
   op
 
 (* ------------------------------------------------------------------ *)

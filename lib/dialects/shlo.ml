@@ -97,42 +97,43 @@ let register ctx =
 (* ------------------------------------------------------------------ *)
 
 let binary rw name a b =
-  Rewriter.build1 rw ~operands:[ a; b ]
-    ~result_types:[ Ircore.value_typ a ]
+  Rewriter.build1 rw ~operands:[| a; b |]
+    ~result_types:[| Ircore.value_typ a |]
     name
 
 let add rw a b = binary rw add_op a b
 let multiply rw a b = binary rw multiply_op a b
 
 let unary rw name a =
-  Rewriter.build1 rw ~operands:[ a ] ~result_types:[ Ircore.value_typ a ] name
+  Rewriter.build1 rw ~operands:[| a |] ~result_types:[| Ircore.value_typ a |]
+    name
 
 let constant rw ~typ value =
-  Rewriter.build1 rw ~result_types:[ typ ] ~attrs:[ ("value", value) ]
-    constant_op
+  Rewriter.build1 rw ~operands:[||] ~result_types:[| typ |]
+    ~attrs:[ ("value", value) ] constant_op
 
 (** [dot_general a b]: contract the last dim of [a] with the first (or
     second-to-last for batched) dim of [b]; shapes tracked statically. *)
 let dot_general rw a b ~result_typ =
-  Rewriter.build1 rw ~operands:[ a; b ] ~result_types:[ result_typ ]
+  Rewriter.build1 rw ~operands:[| a; b |] ~result_types:[| result_typ |]
     dot_general_op
 
 let transpose rw a ~permutation ~result_typ =
-  Rewriter.build1 rw ~operands:[ a ] ~result_types:[ result_typ ]
+  Rewriter.build1 rw ~operands:[| a |] ~result_types:[| result_typ |]
     ~attrs:[ ("permutation", Attr.Int_array permutation) ]
     transpose_op
 
 let reshape rw a ~result_typ =
-  Rewriter.build1 rw ~operands:[ a ] ~result_types:[ result_typ ] reshape_op
+  Rewriter.build1 rw ~operands:[| a |] ~result_types:[| result_typ |] reshape_op
 
 let reduce rw a ~init ~dimensions ~kind ~result_typ =
-  Rewriter.build1 rw ~operands:[ a; init ] ~result_types:[ result_typ ]
+  Rewriter.build1 rw ~operands:[| a; init |] ~result_types:[| result_typ |]
     ~attrs:
       [ ("dimensions", Attr.Int_array dimensions); ("kind", Attr.String kind) ]
     reduce_op
 
 let pad rw a ~pad_value ~low ~high ~result_typ =
-  Rewriter.build1 rw ~operands:[ a; pad_value ] ~result_types:[ result_typ ]
+  Rewriter.build1 rw ~operands:[| a; pad_value |] ~result_types:[| result_typ |]
     ~attrs:
       [
         ("edge_padding_low", Attr.Int_array low);

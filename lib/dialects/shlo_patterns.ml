@@ -96,16 +96,16 @@ let () =
         Rewriter.set_ip rw (Builder.Before op);
         let x = operand ~index:0 tr in
         let neg =
-          Rewriter.build1 rw ~operands:[ x ]
-            ~result_types:[ Ircore.value_typ x ]
+          Rewriter.build1 rw ~operands:[| x |]
+            ~result_types:[| Ircore.value_typ x |]
             Shlo.negate_op
         in
         let perm =
           match Shlo.permutation_of tr with Some p -> p | None -> []
         in
         let new_tr =
-          Rewriter.build1 rw ~operands:[ neg ]
-            ~result_types:[ Ircore.value_typ (result op) ]
+          Rewriter.build1 rw ~operands:[| neg |]
+            ~result_types:[| Ircore.value_typ (result op) |]
             ~attrs:[ ("permutation", Attr.Int_array perm) ]
             Shlo.transpose_op
         in
@@ -124,8 +124,8 @@ let () =
             Rewriter.set_ip rw (Builder.Before op);
             let t =
               Rewriter.build1 rw
-                ~operands:[ operand ~index:0 inner ]
-                ~result_types:[ Ircore.value_typ (result op) ]
+                ~operands:[| operand ~index:0 inner |]
+                ~result_types:[| Ircore.value_typ (result op) |]
                 ~attrs:[ ("permutation", Attr.Int_array p) ]
                 Shlo.transpose_op
             in
@@ -214,8 +214,8 @@ let () =
       if operand ~index:0 op == operand ~index:1 op then begin
         Rewriter.set_ip rw (Builder.Before op);
         let z =
-          Rewriter.build1 rw
-            ~result_types:[ Ircore.value_typ (result op) ]
+          Rewriter.build1 rw ~operands:[||]
+            ~result_types:[| Ircore.value_typ (result op) |]
             ~attrs:[ ("value", Attr.Float (0.0, Typ.f32)) ]
             Shlo.constant_op
         in

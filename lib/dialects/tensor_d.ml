@@ -11,6 +11,10 @@ let ops =
     "tensor.insert_slice";
   ]
 
+(** Build [tensor.empty] of type [t]. *)
+let empty rw t =
+  Rewriter.build1 rw ~operands:[||] ~result_types:[| t |] "tensor.empty"
+
 let register ctx =
   List.iter
     (fun name ->

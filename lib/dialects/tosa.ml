@@ -57,10 +57,11 @@ let register ctx =
     (structured @ shape_ops)
 
 let binary rw name a b ~result_typ =
-  Rewriter.build1 rw ~operands:[ a; b ] ~result_types:[ result_typ ] name
+  Rewriter.build1 rw ~operands:[| a; b |] ~result_types:[| result_typ |] name
 
 let unary rw name a ~result_typ =
-  Rewriter.build1 rw ~operands:[ a ] ~result_types:[ result_typ ] name
+  Rewriter.build1 rw ~operands:[| a |] ~result_types:[| result_typ |] name
 
 let const rw ~typ value =
-  Rewriter.build1 rw ~result_types:[ typ ] ~attrs:[ ("value", value) ] const_op
+  Rewriter.build1 rw ~operands:[||] ~result_types:[| typ |]
+    ~attrs:[ ("value", value) ] const_op

@@ -39,14 +39,14 @@ let register ctx =
       (Verifier.all [ Verifier.expect_operands 3; Verifier.expect_results 1 ])
 
 let load rw ~vector_typ m indices =
-  Rewriter.build1 rw ~operands:(m :: indices) ~result_types:[ vector_typ ]
-    load_op
+  Rewriter.build1 rw ~operands:(Array.of_list (m :: indices))
+    ~result_types:[| vector_typ |] load_op
 
 let store rw v m indices =
-  ignore (Rewriter.build rw ~operands:(v :: m :: indices) store_op)
+  Rewriter.build0 rw ~operands:(Array.of_list (v :: m :: indices)) store_op
 
 let splat rw v ~vector_typ =
-  Rewriter.build1 rw ~operands:[ v ] ~result_types:[ vector_typ ] splat_op
+  Rewriter.build1 rw ~operands:[| v |] ~result_types:[| vector_typ |] splat_op
 
 let reduction rw ~kind v =
   let elt =
@@ -54,6 +54,6 @@ let reduction rw ~kind v =
     | Typ.Vector (_, t) -> t
     | t -> t
   in
-  Rewriter.build1 rw ~operands:[ v ] ~result_types:[ elt ]
+  Rewriter.build1 rw ~operands:[| v |] ~result_types:[| elt |]
     ~attrs:[ ("kind", Attr.String kind) ]
     reduction_op

@@ -129,11 +129,11 @@ let ilist_ablation ?(reps = 50_000) () =
   List.map
     (fun block_size ->
       let block = Ir.Ircore.create_block () in
+      let rw = Ir.Rewriter.create ~ip:(Ir.Builder.At_end block) () in
       let ops =
         Array.init block_size (fun i ->
-            let o = Ir.Ircore.create (Fmt.str "test.o%d" (i land 7)) in
-            Ir.Ircore.insert_at_end block o;
-            o)
+            Ir.Rewriter.build rw ~operands:[||] ~result_types:[||]
+              (Fmt.str "test.o%d" (i land 7)))
       in
       let victim = ops.(block_size / 2) in
       let anchor = ops.((block_size / 2) + 1) in

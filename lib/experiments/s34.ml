@@ -16,7 +16,9 @@ let register_shlo_to_arith () =
   if not !registered then begin
     registered := true;
     let rename to_ rw op =
-      ignore (Rewriter.replace_op_with rw op ~operands:(Ircore.operands op) to_)
+      let operands = Array.copy op.Ircore.operands in
+      let result_types = Array.map Ircore.value_typ op.results in
+      ignore (Rewriter.replace_op_with rw op ~operands ~result_types to_)
     in
     Passes.Pass.register
       (Passes.Pass.conversion ~name:"convert-shlo-to-arith"
@@ -58,8 +60,7 @@ let script_for level =
   Transform.Build.script (fun rw root ->
       let f = Transform.Build.match_op rw ~name:"func.func" root in
       let ad target =
-        ignore
-          (Rewriter.build rw ~operands:[ target ] Transform.Ops.enzyme_ad_op)
+        Rewriter.build0 rw ~operands:[| target |] Transform.Ops.enzyme_ad_op
       in
       match level with
       | Before_lowering ->

@@ -140,7 +140,7 @@ let gen_cmp rng rw pool =
   | _, _, (_ :: _ as fs) ->
     let a = pick rng fs and b = pick rng fs in
     add_value pool
-      (Rewriter.build1 rw ~operands:[ a; b ] ~result_types:[ Typ.i1 ]
+      (Rewriter.build1 rw ~operands:[| a; b |] ~result_types:[| Typ.i1 |]
          ~attrs:[ ("predicate", Attr.String (pick rng fpreds)) ]
          "arith.cmpf")
 
@@ -161,8 +161,8 @@ let gen_cast rng rw pool =
     add_value pool (Arith.index_cast rw (pick rng pool.indices) Typ.i64)
   | _ when pool.ints <> [] ->
     add_value pool
-      (Rewriter.build1 rw ~operands:[ pick rng pool.ints ]
-         ~result_types:[ Typ.f64 ] "arith.sitofp")
+      (Rewriter.build1 rw ~operands:[| pick rng pool.ints |]
+         ~result_types:[| Typ.f64 |] "arith.sitofp")
   | _ -> gen_const rng rw pool
 
 (* ------------------------------------------------------------------ *)
@@ -275,7 +275,7 @@ and gen_while rng rw pool =
   let before = Ircore.create_block ~args:[ Typ.i64 ] () in
   let after = Ircore.create_block ~args:[ Typ.i64 ] () in
   let w =
-    Rewriter.build rw ~operands:[ x0 ] ~result_types:[ Typ.i64 ]
+    Rewriter.build rw ~operands:[| x0 |] ~result_types:[| Typ.i64 |]
       ~regions:
         [ Ircore.region_with_block before; Ircore.region_with_block after ]
       Scf.while_op
@@ -283,10 +283,8 @@ and gen_while rng rw pool =
   let brw = Dutil.rw_at_end before in
   let b = Dutil.const_int brw ~typ:Typ.i64 bound in
   let c = Arith.cmpi brw Arith.Slt (Ircore.block_arg before 0) b in
-  ignore
-    (Rewriter.build brw
-       ~operands:[ c; Ircore.block_arg before 0 ]
-       Scf.condition_op);
+  Rewriter.build0 brw ~operands:[| c; Ircore.block_arg before 0 |]
+    Scf.condition_op;
   let arw = Dutil.rw_at_end after in
   let x = Ircore.block_arg after 0 in
   let next =
@@ -359,18 +357,18 @@ let gen_tensor_function rng name =
   let tt = Typ.tensor (Typ.static_dims [ n ]) Typ.f64 in
   let f, entry = Func.create ~name ~arg_types:[ tt ] ~result_types:[ Typ.f64 ] () in
   let rw = Dutil.rw_at_end entry in
-  let e = Rewriter.build1 rw ~result_types:[ tt ] "tensor.empty" in
+  let e = Tensor_d.empty rw tt in
   let x = Dutil.const_float rw ~typ:Typ.f64 (small_float rng) in
   let i = Arith.const_index rw (Random.State.int rng n) in
   let ins =
-    Rewriter.build1 rw ~operands:[ x; e; i ] ~result_types:[ tt ]
+    Rewriter.build1 rw ~operands:[| x; e; i |] ~result_types:[| tt |]
       "tensor.insert"
   in
   let src = if Random.State.bool rng then ins else Ircore.block_arg entry 0 in
   let v =
     Rewriter.build1 rw
-      ~operands:[ src; i ]
-      ~result_types:[ Typ.f64 ] "tensor.extract"
+      ~operands:[| src; i |]
+      ~result_types:[| Typ.f64 |] "tensor.extract"
   in
   Func.return rw ~operands:[ v ] ();
   f

@@ -222,12 +222,6 @@ let make ~operands ~result_types ~attrs ~regions ~successors ~loc op_name =
   set_regions op regions;
   op
 
-let create ?(operands = []) ?(result_types = []) ?(attrs = []) ?(regions = [])
-    ?(successors = []) ?(loc = Loc.unknown) op_name =
-  make ~operands:(Array.of_list operands)
-    ~result_types:(Array.of_list result_types) ~attrs ~regions
-    ~successors:(Array.of_list successors) ~loc op_name
-
 let result ?(index = 0) op =
   if index >= Array.length op.results then
     invalid_arg
@@ -495,50 +489,56 @@ let region_with_block b =
 (* Traversal                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* One link walk serves the three traversals below. It allocates nothing
-   and reads each op's next link before calling [f] on it, so [f] may
-   detach or erase the op it is given, or insert new ops beside it (those
-   are not visited); it must not unlink any other op or block. *)
+(* One link walk serves the traversals below. It calls [f x] on each op,
+   so a caller passing its state as [x] needs no closure, and allocates
+   nothing. It reads each op's next link before calling [f] on it, so [f]
+   may detach or erase the op it is given, or insert new ops beside it
+   (those are not visited); it must not unlink any other op or block. *)
 type order = Pre | Post | Children
 
-let rec traverse order f op =
+let rec traverse order f x op =
   match order with
   | Pre ->
-    f op;
-    traverse_regions order f op.regions
+    f x op;
+    traverse_regions order f x op.regions
   | Post ->
-    traverse_regions order f op.regions;
-    f op
-  | Children -> f op
+    traverse_regions order f x op.regions;
+    f x op
+  | Children -> f x op
 
-and traverse_regions order f = function
+and traverse_regions order f x = function
   | [] -> ()
   | r :: rest ->
-    traverse_blocks order f r.r_first;
-    traverse_regions order f rest
+    traverse_blocks order f x r.r_first;
+    traverse_regions order f x rest
 
-and traverse_blocks order f = function
+and traverse_blocks order f x = function
   | None -> ()
   | Some b ->
-    traverse_ops order f b.b_first;
-    traverse_blocks order f b.b_next
+    traverse_ops order f x b.b_first;
+    traverse_blocks order f x b.b_next
 
-and traverse_ops order f = function
+and traverse_ops order f x = function
   | None -> ()
   | Some op ->
     let next = op.op_next in
-    traverse order f op;
-    traverse_ops order f next
+    traverse order f x op;
+    traverse_ops order f x next
+
+let apply f op = f op
 
 (** Apply [f] to [op] and every op nested in it, in pre-order. *)
-let walk f op = traverse Pre f op
+let walk f op = traverse Pre apply f op
 
 (** Apply [f] to every op nested in [op], then to [op] (post-order). *)
-let walk_post f op = traverse Post f op
+let walk_post f op = traverse Post apply f op
+
+(** [f x] on every op nested in [op], in post-order, but not on [op]. *)
+let walk_nested_post f x op = traverse_regions Post f x op.regions
 
 (** Apply [f] to each op directly inside [op]'s regions, region by region
     and block by block. *)
-let iter_children f op = traverse_regions Children f op.regions
+let iter_children f op = traverse_regions Children apply f op.regions
 
 (** Parent op of [op], if attached. *)
 let parent_op op =

@@ -81,7 +81,7 @@ let materialize t rw materialize_fn ~anchor attr typ =
       t.reused <- t.reused + 1;
       Some e.cv
     | _ ->
-      let saved = Builder.ip (Rewriter.builder rw) in
+      let saved = Rewriter.ip rw in
       Rewriter.set_ip rw (Builder.At_start block);
       let v = materialize_fn rw attr typ in
       Rewriter.set_ip rw saved;

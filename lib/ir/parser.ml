@@ -125,7 +125,10 @@ let make_pending scope key =
   match Hashtbl.find_opt pendings key with
   | Some v -> v
   | None ->
-    let op = Ircore.create ~result_types:[ pending_typ ] "__pending__" in
+    let op =
+      Ircore.make ~operands:[||] ~result_types:[| pending_typ |] ~attrs:[]
+        ~regions:[] ~successors:[||] ~loc:Loc.unknown "__pending__"
+    in
     let v = Ircore.result op in
     Hashtbl.replace pendings key v;
     v
@@ -1004,7 +1007,10 @@ let parse_module src : (Ircore.op, string) result =
       let block = Ircore.create_block () in
       List.iter (Ircore.insert_at_end block) ops;
       let region = Ircore.region_with_block block in
-      Ok (Ircore.create ~regions:[ region ] "builtin.module")
+      Ok
+        (Ircore.make ~operands:[||] ~result_types:[||] ~attrs:[]
+           ~regions:[ region ] ~successors:[||] ~loc:Loc.unknown
+           "builtin.module")
   with
   | Parse_error msg -> Error msg
   | Lexer.Error (msg, off) ->

@@ -21,10 +21,9 @@ let null_listener =
     on_modified = ignore;
   }
 
-type t = { builder : Builder.t; mutable listeners : listener list }
+type t = { mutable ip : Builder.ip; mutable listeners : listener list }
 
-let create ?(ip = Builder.Detached) () =
-  { builder = Builder.create ~ip (); listeners = [] }
+let create ?(ip = Builder.Detached) () = { ip; listeners = [] }
 
 let add_listener t l = t.listeners <- l :: t.listeners
 
@@ -32,8 +31,8 @@ let add_listener t l = t.listeners <- l :: t.listeners
     physical identity). *)
 let remove_listener t l =
   t.listeners <- List.filter (fun x -> not (x == l)) t.listeners
-let builder t = t.builder
-let set_ip t ip = Builder.set_ip t.builder ip
+let ip t = t.ip
+let set_ip t ip = t.ip <- ip
 
 (* Ambient (domain-local) listeners, observing every rewriter on this
    domain for a dynamic extent. Passes create their own rewriter instances
@@ -47,60 +46,84 @@ let with_listener l f =
   Domain.DLS.set ambient (l :: saved);
   Fun.protect ~finally:(fun () -> Domain.DLS.set ambient saved) f
 
-let all_listeners t = t.listeners @ Domain.DLS.get ambient
+type event = Inserted | Replaced | Erased | Modified
 
-let notify_inserted t op =
-  List.iter (fun l -> l.on_inserted op) (all_listeners t)
+(* Report [ev] on [op] to each of [ls] in order ([with_] only for
+   [Replaced]): a top-level loop, so a notification allocates nothing. *)
+let rec each ev op with_ = function
+  | [] -> ()
+  | l :: ls ->
+    (match ev with
+    | Inserted -> l.on_inserted op
+    | Replaced -> l.on_replaced op with_
+    | Erased -> l.on_erased op
+    | Modified -> l.on_modified op);
+    each ev op with_ ls
 
-(* nested ops disappear together with their parent, and are reported
-   before it *)
-let notify_erased_tree t op =
-  let listeners = all_listeners t in
-  Ircore.walk_post (fun o -> List.iter (fun l -> l.on_erased o) listeners) op
+(* the rewriter's own listeners first, then the ambient ones *)
+let notify t ev op with_ =
+  each ev op with_ t.listeners;
+  each ev op with_ (Domain.DLS.get ambient)
+
+let notify_erased t op = notify t Erased op []
 
 let insert t op =
-  ignore (Builder.insert t.builder op);
-  notify_inserted t op
+  (match t.ip with
+  | Builder.Detached -> ()
+  | At_end b -> Ircore.insert_at_end b op
+  | At_start b -> Ircore.insert_at_start b op
+  | Before anchor -> Ircore.insert_before ~anchor op
+  | After anchor ->
+    Ircore.insert_after ~anchor op;
+    (* keep building after the op just inserted *)
+    t.ip <- After op);
+  notify t Inserted op []
 
-(** Create an op at the current insertion point and notify listeners. *)
-let build t ?operands ?result_types ?attrs ?regions ?successors ?loc name =
+(** Build an op with {!Ircore.make}, which takes ownership of [operands],
+    insert it at the insertion point and notify listeners. *)
+let build t ~operands ~result_types ?(attrs = []) ?(regions = [])
+    ?(successors = [||]) ?(loc = Loc.unknown) name =
   let op =
-    Ircore.create ?operands ?result_types ?attrs ?regions ?successors ?loc name
+    Ircore.make ~operands ~result_types ~attrs ~regions ~successors ~loc name
   in
   insert t op;
   op
 
-let build1 t ?operands ?result_types ?attrs ?regions ?successors ?loc name =
-  Ircore.result (build t ?operands ?result_types ?attrs ?regions ?successors ?loc name)
+(** Like {!build} for an op with no results. *)
+let build0 t ~operands ?attrs ?regions ?successors ?loc name =
+  ignore
+    (build t ~operands ~result_types:[||] ?attrs ?regions ?successors ?loc name)
 
-(** Replace [op]'s results by [with_] and erase it. *)
+(** Like {!build} but returns the single result value. *)
+let build1 t ~operands ~result_types ?attrs ?regions ?successors ?loc name =
+  Ircore.result
+    (build t ~operands ~result_types ?attrs ?regions ?successors ?loc name)
+
+(** Replace [op]'s results by [with_] and erase it. Nested ops disappear
+    with it and are reported as erased after it, innermost first. *)
 let replace_op t op ~with_ =
-  List.iter (fun l -> l.on_replaced op with_) (all_listeners t);
-  (* notify nested erasures *)
-  Ircore.iter_children (notify_erased_tree t) op;
+  notify t Replaced op with_;
+  Ircore.walk_nested_post notify_erased t op;
   Ircore.replace op ~with_
 
-(** Replace [op] by a freshly built op inserted just before it. Result types
-    and attributes default to those of [op]. *)
-let replace_op_with t op ?operands ?result_types ?attrs ?regions ?successors
+(** Replace [op] by a freshly built op inserted just before it. Attributes
+    default to those of [op]. [operands] must not be [op]'s own array. *)
+let replace_op_with t op ~operands ~result_types ?attrs ?regions ?successors
     name =
-  let saved = Builder.ip t.builder in
-  Builder.set_ip t.builder (Builder.Before op);
-  let result_types =
-    match result_types with
-    | Some ts -> ts
-    | None -> List.map Ircore.value_typ (Ircore.results op)
+  let saved = t.ip in
+  t.ip <- Before op;
+  let attrs = match attrs with Some a -> a | None -> op.Ircore.attrs in
+  let new_op =
+    build t ~operands ~result_types ~attrs ?regions ?successors name
   in
-  let attrs =
-    match attrs with Some a -> a | None -> op.Ircore.attrs
-  in
-  let new_op = build t ?operands ~result_types ~attrs ?regions ?successors name in
   replace_op t op ~with_:(Ircore.results new_op);
-  Builder.set_ip t.builder saved;
+  t.ip <- saved;
   new_op
 
+(** Erase [op]; nested ops are reported before it, innermost first. *)
 let erase_op t op =
-  notify_erased_tree t op;
+  Ircore.walk_nested_post notify_erased t op;
+  notify_erased t op;
   Ircore.erase op
 
 (** In-place modification bracket: notifies listeners through [on_modified]
@@ -108,7 +131,7 @@ let erase_op t op =
     treating the op as erased. *)
 let modify_in_place t op f =
   let r = f () in
-  List.iter (fun l -> l.on_modified op) (all_listeners t);
+  notify t Modified op [];
   r
 
 (** Inline all ops of [block] before [anchor], replacing uses of the block's
@@ -124,7 +147,7 @@ let inline_block_before t ~anchor ~arg_values block =
     (fun op ->
       Ircore.detach op;
       Ircore.insert_before ~anchor op;
-      notify_inserted t op)
+      notify t Inserted op [])
     (Ircore.block_ops block);
   Ircore.detach_block block
 

@@ -40,9 +40,9 @@ let replace_as rw op ~name ~operand_types ~result_types =
     List.map2 (fun v t -> adapt rw v t) (Ircore.operands op) operand_types
   in
   let new_op =
-    Rewriter.build rw ~operands ~result_types ~attrs:op.Ircore.attrs
-      ~successors:(Array.to_list op.Ircore.successors)
-      name
+    Rewriter.build rw ~operands:(Array.of_list operands)
+      ~result_types:(Array.of_list result_types) ~attrs:op.Ircore.attrs
+      ~successors:(Array.copy op.Ircore.successors) name
   in
   let replacements =
     List.map2
@@ -402,10 +402,9 @@ let func_to_llvm rw fop =
   Rewriter.set_ip rw (Builder.Before fop);
   let regions = fop.Ircore.regions in
   fop.Ircore.regions <- [];
-  ignore
-    (Rewriter.build rw ~regions
-       ~attrs:(Attr.set "function_type" (Attr.Type new_type) fop.Ircore.attrs)
-       Llvm.func_op);
+  Rewriter.build0 rw ~operands:[||] ~regions
+    ~attrs:(Attr.set "function_type" (Attr.Type new_type) fop.Ircore.attrs)
+    Llvm.func_op;
   Rewriter.erase_op rw fop
 
 let func_lowering : Pass.table =
@@ -452,11 +451,10 @@ let expand_subview rw op =
       | t -> t
     in
     let meta =
-      Rewriter.build rw ~operands:[ src ]
+      Rewriter.build rw ~operands:[| src |]
         ~result_types:
-          (base_typ :: Typ.index
-           :: (List.init rank (fun _ -> Typ.index)
-              @ List.init rank (fun _ -> Typ.index)))
+          (Array.init (2 + (2 * rank)) (fun i ->
+               if i = 0 then base_typ else Typ.index))
         Memref.extract_strided_metadata_op
     in
     let src_offset = Ircore.result ~index:1 meta in
@@ -623,8 +621,8 @@ let expand_subview rw op =
     in
     let new_op =
       Rewriter.build rw
-        ~operands:((base :: offset_operands) @ stride_operands)
-        ~result_types:[ Ircore.value_typ (Ircore.result op) ]
+        ~operands:(Array.of_list ((base :: offset_operands) @ stride_operands))
+        ~result_types:[| Ircore.value_typ (Ircore.result op) |]
         ~attrs:
           [
             ("static_offsets", Attr.Int_array offset_attr);
@@ -660,16 +658,16 @@ let alloc_to_llvm rw op =
     | _ -> (1, Typ.i64)
   in
   let size =
-    Rewriter.build1 rw ~result_types:[ Typ.i64 ]
+    Rewriter.build1 rw ~operands:[||] ~result_types:[| Typ.i64 |]
       ~attrs:[ ("value", Attr.Int (static_count, Typ.i64)) ]
       Llvm.constant_op
   in
   let size =
     List.fold_left
       (fun acc v ->
-        Rewriter.build1 rw
-          ~operands:[ acc; adapt rw v Typ.i64 ]
-          ~result_types:[ Typ.i64 ] "llvm.mul")
+        let v = adapt rw v Typ.i64 in
+        Rewriter.build1 rw ~operands:[| acc; v |] ~result_types:[| Typ.i64 |]
+          "llvm.mul")
       size (Ircore.operands op)
   in
   let elem_bytes =
@@ -680,9 +678,9 @@ let alloc_to_llvm rw op =
     | _ -> 8
   in
   let a =
-    Rewriter.build1 rw ~operands:[ size ]
+    Rewriter.build1 rw ~operands:[| size |]
       ~attrs:[ ("elem_bytes", Attr.Int (elem_bytes, Typ.i64)) ]
-      ~result_types:[ ptr ] Llvm.alloca_op
+      ~result_types:[| ptr |] Llvm.alloca_op
   in
   let back = adapt rw a (Ircore.value_typ res) in
   Rewriter.replace_op rw op ~with_:[ back ]
@@ -690,10 +688,9 @@ let alloc_to_llvm rw op =
 let dealloc_to_llvm rw op =
   Rewriter.set_ip rw (Builder.Before op);
   let m = adapt rw (Ircore.operand ~index:0 op) ptr in
-  ignore
-    (Rewriter.build rw ~operands:[ m ]
-       ~attrs:[ ("callee", Attr.Symbol_ref ("free", [])) ]
-       Llvm.call_op);
+  Rewriter.build0 rw ~operands:[| m |]
+    ~attrs:[ ("callee", Attr.Symbol_ref ("free", [])) ]
+    Llvm.call_op;
   Rewriter.erase_op rw op
 
 let load_to_llvm rw op =
@@ -705,11 +702,12 @@ let load_to_llvm rw op =
     List.map2 (fun v t -> adapt rw v t) (Ircore.operands op) tys
   in
   let gep =
-    Rewriter.build1 rw ~operands ~result_types:[ ptr ] Llvm.getelementptr_op
+    Rewriter.build1 rw ~operands:(Array.of_list operands)
+      ~result_types:[| ptr |] Llvm.getelementptr_op
   in
   let loaded =
-    Rewriter.build1 rw ~operands:[ gep ]
-      ~result_types:[ llvm_typ (Ircore.value_typ (Ircore.result op)) ]
+    Rewriter.build1 rw ~operands:[| gep |]
+      ~result_types:[| llvm_typ (Ircore.value_typ (Ircore.result op)) |]
       Llvm.load_op
   in
   let back = adapt rw loaded (Ircore.value_typ (Ircore.result op)) in
@@ -725,11 +723,11 @@ let store_to_llvm rw op =
       (List.filteri (fun i _ -> i >= 2) (Ircore.operands op))
   in
   let gep =
-    Rewriter.build1 rw ~operands:(m :: idx) ~result_types:[ ptr ]
-      Llvm.getelementptr_op
+    Rewriter.build1 rw ~operands:(Array.of_list (m :: idx))
+      ~result_types:[| ptr |] Llvm.getelementptr_op
   in
   let v' = adapt rw v (llvm_typ (Ircore.value_typ v)) in
-  ignore (Rewriter.build rw ~operands:[ v'; gep ] Llvm.store_op);
+  Rewriter.build0 rw ~operands:[| v'; gep |] Llvm.store_op;
   Rewriter.erase_op rw op
 
 (* reinterpret_cast / cast: address computation, where dynamic offsets come
@@ -744,7 +742,7 @@ let view_to_llvm rw op =
     match Ircore.attr op "static_offsets" with
     | Some (Attr.Int_array [ off ])
       when off <> 0 && off <> Memref.dynamic_sentinel ->
-      Rewriter.build1 rw ~result_types:[ Typ.i64 ]
+      Rewriter.build1 rw ~operands:[||] ~result_types:[| Typ.i64 |]
         ~attrs:[ ("value", Attr.Int (off, Typ.i64)) ]
         Llvm.constant_op
       :: extra
@@ -753,8 +751,8 @@ let view_to_llvm rw op =
   let g =
     if extra = [] then m
     else
-      Rewriter.build1 rw ~operands:(m :: extra) ~result_types:[ ptr ]
-        Llvm.getelementptr_op
+      Rewriter.build1 rw ~operands:(Array.of_list (m :: extra))
+        ~result_types:[| ptr |] Llvm.getelementptr_op
   in
   let back = adapt rw g (Ircore.value_typ (Ircore.result op)) in
   Rewriter.replace_op rw op ~with_:[ back ]
@@ -770,7 +768,7 @@ let metadata_to_llvm rw op =
         if i = 0 then adapt rw m (Ircore.value_typ r)
         else begin
           let v =
-            Rewriter.build1 rw ~operands:[ m ] ~result_types:[ Typ.i64 ]
+            Rewriter.build1 rw ~operands:[| m |] ~result_types:[| Typ.i64 |]
               Llvm.ptrtoint_op
           in
           adapt rw v (Ircore.value_typ r)
@@ -784,7 +782,7 @@ let ptrtoint_to_llvm rw op =
   Rewriter.set_ip rw (Builder.Before op);
   let m = adapt rw (Ircore.operand ~index:0 op) ptr in
   let v =
-    Rewriter.build1 rw ~operands:[ m ] ~result_types:[ Typ.i64 ]
+    Rewriter.build1 rw ~operands:[| m |] ~result_types:[| Typ.i64 |]
       Llvm.ptrtoint_op
   in
   let back = adapt rw v (Ircore.value_typ (Ircore.result op)) in
@@ -917,14 +915,14 @@ let affine_to_arith rw op =
       | "affine.min", v :: rest ->
         List.fold_left
           (fun acc x ->
-            Rewriter.build1 rw ~operands:[ acc; x ]
-              ~result_types:[ Typ.index ] "arith.minsi")
+            Rewriter.build1 rw ~operands:[| acc; x |]
+              ~result_types:[| Typ.index |] "arith.minsi")
           v rest
       | "affine.max", v :: rest ->
         List.fold_left
           (fun acc x ->
-            Rewriter.build1 rw ~operands:[ acc; x ]
-              ~result_types:[ Typ.index ] "arith.maxsi")
+            Rewriter.build1 rw ~operands:[| acc; x |]
+              ~result_types:[| Typ.index |] "arith.maxsi")
           v rest
       | _, v :: _ -> v
       | _, [] -> failwith "affine op with empty map"

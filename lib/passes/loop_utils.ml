@@ -307,8 +307,8 @@ let tile rw loop ~sizes =
         let point_ub =
           if divisible then span
           else
-            Rewriter.build1 brw ~operands:[ span; ub_i ]
-              ~result_types:[ Typ.index ] "arith.minsi"
+            Rewriter.build1 brw ~operands:[| span; ub_i |]
+              ~result_types:[| Typ.index |] "arith.minsi"
         in
         let l =
           Scf.build_for brw ~lb:tile_iv ~ub:point_ub ~step:step_v
@@ -667,8 +667,8 @@ let vectorize rw loop ~width =
                   let a = as_vector (Ircore.operand ~index:0 op) in
                   let b = as_vector (Ircore.operand ~index:1 op) in
                   let v =
-                    Rewriter.build1 brw ~operands:[ a; b ]
-                      ~result_types:[ Ircore.value_typ a ]
+                    Rewriter.build1 brw ~operands:[| a; b |]
+                      ~result_types:[| Ircore.value_typ a |]
                       op.Ircore.op_name
                   in
                   Hashtbl.replace mapping (Ircore.result op).Ircore.v_id v

@@ -66,7 +66,7 @@ let to_named linalg_name rw op =
   Rewriter.set_ip rw (Builder.Before op);
   let out_t = Ircore.value_typ (Ircore.result op) in
   let zero = Dutil.const_float rw 0.0 in
-  let empty = Rewriter.build1 rw ~result_types:[ out_t ] "tensor.empty" in
+  let empty = Tensor_d.empty rw out_t in
   let filled = Ircore.result (Linalg.fill rw ~value:zero ~dest:empty) in
   let new_op =
     Linalg.structured rw linalg_name ~ins:(Ircore.operands op)
@@ -110,15 +110,15 @@ let elementwise_payloads =
 let to_generic payload_name rw op =
   Rewriter.set_ip rw (Builder.Before op);
   let out_t = Ircore.value_typ (Ircore.result op) in
-  let empty = Rewriter.build1 rw ~result_types:[ out_t ] "tensor.empty" in
+  let empty = Tensor_d.empty rw out_t in
   let ins = Ircore.operands op in
   let generic =
     Linalg.generic rw ~ins ~outs:[ empty ] ~result_types:[ out_t ]
       (fun brw args ->
         let scalar_args = List.filteri (fun i _ -> i < List.length ins) args in
         let binary a b =
-          Rewriter.build1 brw ~operands:[ a; b ]
-            ~result_types:[ Ircore.value_typ a ]
+          Rewriter.build1 brw ~operands:[| a; b |]
+            ~result_types:[| Ircore.value_typ a |]
             payload_name
         in
         let payload =
@@ -130,8 +130,8 @@ let to_generic payload_name rw op =
             let zero = Dutil.const_float brw ~typ:(Ircore.value_typ a) 0.0 in
             binary a zero
           | _, [ a ] ->
-            Rewriter.build1 brw ~operands:[ a ]
-              ~result_types:[ Ircore.value_typ a ]
+            Rewriter.build1 brw ~operands:[| a |]
+              ~result_types:[| Ircore.value_typ a |]
               payload_name
           | _, [ a; b ] -> binary a b
           | _ -> failwith "unexpected payload arity"
@@ -143,11 +143,11 @@ let to_generic payload_name rw op =
 let to_reduce rw op =
   Rewriter.set_ip rw (Builder.Before op);
   let out_t = Ircore.value_typ (Ircore.result op) in
-  let empty = Rewriter.build1 rw ~result_types:[ out_t ] "tensor.empty" in
+  let empty = Tensor_d.empty rw out_t in
   let red =
     Rewriter.build rw
-      ~operands:(Ircore.operands op @ [ empty ])
-      ~result_types:[ out_t ]
+      ~operands:(Array.append op.Ircore.operands [| empty |])
+      ~result_types:[| out_t |]
       ~regions:[ Ircore.single_block_region () ]
       Linalg.reduce_op
   in
@@ -160,7 +160,7 @@ let to_reduce rw op =
       let a2 = Ircore.add_block_arg b Typ.f32 in
       let brw = Dutil.rw_at_end b in
       let combined = Arith.addf brw a1 a2 in
-      ignore (Rewriter.build brw ~operands:[ combined ] "linalg.yield")
+      Rewriter.build0 brw ~operands:[| combined |] "linalg.yield"
     | None -> ())
   | _ -> ());
   Rewriter.replace_op rw op ~with_:(Ircore.results red)
@@ -195,8 +195,10 @@ let shape_lowering : Pass.table =
     (fun name ->
       ( name,
         fun rw op ->
+          let operands = Array.copy op.Ircore.operands in
+          let result_types = Array.map Ircore.value_typ op.results in
           ignore
-            (Rewriter.replace_op_with rw op ~operands:(Ircore.operands op)
+            (Rewriter.replace_op_with rw op ~operands ~result_types
                ("tensor." ^ snd (Util.split_op_name name))) ))
     [
       "tosa.reshape"; "tosa.concat"; "tosa.pad"; "tosa.slice"; "tosa.gather";

@@ -47,7 +47,7 @@ let block rw x =
       ~result_typ:(tv seq 1)
   in
   let db =
-    Rewriter.build1 rw ~operands:[ denom ] ~result_types:[ tv seq seq ]
+    Rewriter.build1 rw ~operands:[| denom |] ~result_types:[| tv seq seq |]
       Shlo.broadcast_op
   in
   let probs = Shlo.binary rw Shlo.divide_op ex db in
@@ -71,7 +71,7 @@ let block rw x =
       ~result_typ:(tv 1 1)
   in
   let statb =
-    Rewriter.build1 rw ~operands:[ stat ] ~result_types:[ tx ]
+    Rewriter.build1 rw ~operands:[| stat |] ~result_types:[| tx |]
       Shlo.broadcast_op
   in
   let scaled = Shlo.multiply rw summed statb in

@@ -47,11 +47,10 @@ let build variant =
   let brw = Dutil.rw_at_end body in
   Memref.store brw c42 view
     [ Ircore.block_arg body 0; Ircore.block_arg body 1 ];
-  ignore
-    (Rewriter.build rw
-       ~regions:[ Ircore.region_with_block body ]
-       ~attrs:[ ("static_upper_bound", Attr.Int_array [ 4; 4 ]) ]
-       Scf.forall_op);
+  Rewriter.build0 rw ~operands:[||]
+    ~regions:[ Ircore.region_with_block body ]
+    ~attrs:[ ("static_upper_bound", Attr.Int_array [ 4; 4 ]) ]
+    Scf.forall_op;
   Func.return rw ();
   md
 

@@ -121,7 +121,7 @@ let named_cases =
       matmul );
     ( "unknown-op",
       script (fun rw root ->
-          ignore (Rewriter.build rw ~operands:[ root ] "transform.no_such_op")),
+          Rewriter.build0 rw ~operands:[| root |] "transform.no_such_op"),
       matmul );
     ("include-missing", include_script ~target:"nowhere" 1, matmul);
     ("include-arity", include_script 2, matmul);

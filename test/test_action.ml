@@ -279,6 +279,47 @@ let test_snapshot_gating () =
   check cb "nested tags: the pass repeats none of them" false
     (List.exists (fun l -> contains l "pass 'canonicalize'") headers)
 
+(* a script's own transforms dump the payload changes they make: each
+   [transform] action is anchored at the payload root, not at the script
+   op, whose module never changes *)
+let test_snapshot_transforms () =
+  let buf = Buffer.create 256 in
+  let ppf = Format.formatter_of_buffer buf in
+  let md = Workloads.Matmul.build_module ~m:8 ~n:8 ~k:8 () in
+  let script =
+    Transform.Build.script (fun rw root ->
+        let loop =
+          Transform.Build.match_op rw ~select:"first" ~name:"scf.for" root
+        in
+        let _tiles, points = Transform.Build.loop_tile rw ~sizes:[ 4 ] loop in
+        Transform.Build.loop_unroll rw ~factor:2 points)
+  in
+  let t =
+    Action.create
+      ~snapshot:
+        { Action.sn_tags = Action.default_snapshot_tags;
+          sn_mode = Action.Snap_print ppf }
+      ()
+  in
+  Action.with_context t (fun () ->
+      match Transform.Schedule.run ctx ~script ~payload:md with
+      | Ok _ -> ()
+      | Error e -> Alcotest.fail (Transform.Terror.to_string e));
+  Format.pp_print_flush ppf ();
+  let headers =
+    List.filter
+      (fun l -> contains l "IR dump after action")
+      (String.split_on_char '\n' (Buffer.contents buf))
+  in
+  let dumped name =
+    List.length
+      (List.filter (fun l -> contains l ("transform '" ^ name ^ "'")) headers)
+  in
+  check ci "loop_tile dumps its change" 1 (dumped Transform.Ops.loop_tile_op);
+  check ci "loop_unroll dumps its change" 1
+    (dumped Transform.Ops.loop_unroll_op);
+  check ci "match_op changes nothing" 0 (dumped Transform.Ops.match_op)
+
 (* ------------------------------------------------------------------ *)
 (* provenance                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -495,7 +536,11 @@ let () =
           Alcotest.test_case "skip-count-window" `Quick test_counter_semantics;
         ] );
       ( "snapshots",
-        [ Alcotest.test_case "fingerprint-gated" `Quick test_snapshot_gating ] );
+        [
+          Alcotest.test_case "fingerprint-gated" `Quick test_snapshot_gating;
+          Alcotest.test_case "script transforms" `Quick
+            test_snapshot_transforms;
+        ] );
       ( "provenance",
         [
           Alcotest.test_case "through-canonicalize" `Quick

@@ -112,7 +112,7 @@ let test_verifier_emits_diags () =
   (* an unregistered op makes the verifier report a structured error *)
   let md = Dialects.Builtin.create_module () in
   let rw = Dialects.Dutil.rw_at_end (Dialects.Builtin.body_block md) in
-  ignore (Ir.Rewriter.build rw "nosuch.op");
+  Ir.Rewriter.build0 rw ~operands:[||] "nosuch.op";
   match Verifier.verify ctx md with
   | Ok () -> Alcotest.fail "expected verification failure"
   | Error diags ->

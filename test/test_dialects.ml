@@ -57,7 +57,7 @@ let test_effects () =
 let fold_of name operands =
   match Context.interface ctx name Context.folder_key with
   | Some { Context.fold } ->
-    let op = Ircore.create ~result_types:[ Typ.i64 ] name in
+    let op = Testutil.mkop ~result_types:[| Typ.i64 |] name in
     fold op operands
   | None -> None
 

@@ -102,7 +102,7 @@ let alternatives_script ~second_branch =
           (fun brw -> B.annotate brw ~name:"alt.a" l);
           (fun brw -> B.annotate brw ~name:second_branch l);
         ];
-      ignore (Ir.Rewriter.build rw ~operands:[ l ] require_alt_a))
+      Ir.Rewriter.build0 rw ~operands:[| l |] require_alt_a)
 
 let test_alternatives_must_join () =
   (* both branches establish alt.a -> it survives the must-join *)

@@ -60,9 +60,9 @@ let test_subquadratic_attempts () =
 let test_root_index_skips_foreign_ops () =
   let b = Ircore.create_block () in
   for _ = 1 to 50 do
-    Ircore.insert_at_end b (Ircore.create "t.other")
+    Ircore.insert_at_end b (Testutil.mkop "t.other")
   done;
-  let top = Ircore.create ~regions:[ Ircore.region_with_block b ] "t.top" in
+  let top = Testutil.mkop ~regions:[ Ircore.region_with_block b ] "t.top" in
   let p =
     Pattern.make ~root:"t.target" ~name:"never" (fun _ _ -> false)
   in
@@ -81,11 +81,11 @@ let test_root_index_skips_foreign_ops () =
    t.user so it can finally fire on the t.b-defined operand. *)
 let test_pushback_revisits_users_after_replace () =
   let b = Ircore.create_block () in
-  let a = Ircore.create ~result_types:[ Typ.i32 ] "t.a" in
-  let user = Ircore.create ~operands:[ Ircore.result a ] "t.user" in
-  let marker = Ircore.create "t.marker" in
+  let a = Testutil.mkop ~result_types:[| Typ.i32 |] "t.a" in
+  let user = Testutil.mkop ~operands:[| Ircore.result a |] "t.user" in
+  let marker = Testutil.mkop "t.marker" in
   List.iter (Ircore.insert_at_end b) [ a; user; marker ];
-  let top = Ircore.create ~regions:[ Ircore.region_with_block b ] "t.top" in
+  let top = Testutil.mkop ~regions:[ Ircore.region_with_block b ] "t.top" in
   let armed = ref false in
   let user_saw = ref [] in
   let p_user =
@@ -105,7 +105,9 @@ let test_pushback_revisits_users_after_replace () =
   let p_a =
     Pattern.make ~root:"t.a" ~name:"a-to-b" (fun rw op ->
         if !armed then begin
-          ignore (Rewriter.replace_op_with rw op ~operands:[] "t.b");
+          let result_types = (Array.map Ircore.value_typ op.Ircore.results) in
+          ignore
+            (Rewriter.replace_op_with rw op ~operands:[||] ~result_types "t.b");
           true
         end
         else false)
@@ -226,12 +228,14 @@ let test_folder_keeps_signed_zeros_apart () =
 let test_warns_on_max_iterations () =
   let p =
     Pattern.make ~root:"t.spin" ~name:"spin2" (fun rw op ->
-        ignore (Rewriter.replace_op_with rw op ~operands:[] "t.spin");
+        let result_types = (Array.map Ircore.value_typ op.Ircore.results) in
+        ignore
+          (Rewriter.replace_op_with rw op ~operands:[||] ~result_types "t.spin");
         true)
   in
   let b = Ircore.create_block () in
-  Ircore.insert_at_end b (Ircore.create "t.spin");
-  let top = Ircore.create ~regions:[ Ircore.region_with_block b ] "t.top" in
+  Ircore.insert_at_end b (Testutil.mkop "t.spin");
+  let top = Testutil.mkop ~regions:[ Ircore.region_with_block b ] "t.top" in
   let converged, diags =
     Context.capture_diags ctx (fun () ->
         Greedy.apply

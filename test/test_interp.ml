@@ -169,18 +169,16 @@ let test_scf_while_exec () =
   let after = Ircore.create_block ~args:[ Typ.index ] () in
   let w =
     Rewriter.build rw
-      ~operands:[ Ircore.block_arg entry 0 ]
-      ~result_types:[ Typ.index ]
+      ~operands:[| Ircore.block_arg entry 0 |]
+      ~result_types:[| Typ.index |]
       ~regions:[ Ircore.region_with_block before; Ircore.region_with_block after ]
       "scf.while"
   in
   let brw = Dutil.rw_at_end before in
   let hundred = Dutil.const_int brw 100 in
   let c = Arith.cmpi brw Arith.Slt (Ircore.block_arg before 0) hundred in
-  ignore
-    (Rewriter.build brw
-       ~operands:[ c; Ircore.block_arg before 0 ]
-       "scf.condition");
+  Rewriter.build0 brw ~operands:[| c; Ircore.block_arg before 0 |]
+    "scf.condition";
   let arw = Dutil.rw_at_end after in
   let two = Dutil.const_int arw 2 in
   let doubled = Arith.muli arw (Ircore.block_arg after 0) two in
@@ -242,10 +240,10 @@ let test_subview_and_metadata_exec () =
                 []));
          []));
   let meta =
-    Rewriter.build rw ~operands:[ view ]
+    Rewriter.build rw ~operands:[| view |]
       ~result_types:
-        [ Typ.memref [] Typ.f32; Typ.index; Typ.index; Typ.index; Typ.index;
-          Typ.index ]
+        [| Typ.memref [] Typ.f32; Typ.index; Typ.index; Typ.index; Typ.index;
+           Typ.index |]
       Memref.extract_strided_metadata_op
   in
   Func.return rw ~operands:[ Ircore.result ~index:1 meta ] ();
@@ -272,10 +270,9 @@ let test_memref_copy_exec () =
   let f, entry = Func.create ~name:"k" ~arg_types:[ mt; mt ] ~result_types:[] () in
   Ircore.insert_at_end (Builtin.body_block md) f;
   let rw = Dutil.rw_at_end entry in
-  ignore
-    (Rewriter.build rw
-       ~operands:[ Ircore.block_arg entry 0; Ircore.block_arg entry 1 ]
-       "memref.copy");
+  Rewriter.build0 rw
+    ~operands:[| Ircore.block_arg entry 0; Ircore.block_arg entry 1 |]
+    "memref.copy";
   Func.return rw ();
   let machine = Interp.Machine.create () in
   let src = Workloads.Matmul.make_matrix machine ~rows:3 ~cols:3 ~seed:5 in
@@ -311,7 +308,7 @@ let test_unsupported_op_reported () =
   let md =
     simple_fn ~arg_types:[] ~result_types:[]
       (fun rw _ ->
-        ignore (Rewriter.build rw "tosa.exp" ~operands:[] ~result_types:[]);
+        Rewriter.build0 rw ~operands:[||] "tosa.exp";
         [])
   in
   match Interp.Compile.run_function ~ir_ctx:ctx ~module_:md ~name:"k" [] with
@@ -411,11 +408,10 @@ let forall_module n =
   let x = Arith.mulf brw v v in
   let y = Arith.addf brw x v in
   Memref.store brw y out [ Ircore.block_arg body 0 ];
-  ignore
-    (Rewriter.build rw
-       ~regions:[ Ircore.region_with_block body ]
-       ~attrs:[ ("static_upper_bound", Attr.Int_array [ n ]) ]
-       "scf.forall");
+  Rewriter.build0 rw ~operands:[||]
+    ~regions:[ Ircore.region_with_block body ]
+    ~attrs:[ ("static_upper_bound", Attr.Int_array [ n ]) ]
+    "scf.forall";
   Func.return rw ();
   md
 
@@ -474,8 +470,8 @@ let rec build_expr rw xv yv = function
   | Mul (a, b) -> Arith.mulf rw (build_expr rw xv yv a) (build_expr rw xv yv b)
   | Sub (a, b) ->
     Rewriter.build1 rw
-      ~operands:[ build_expr rw xv yv a; build_expr rw xv yv b ]
-      ~result_types:[ Typ.f32 ] "arith.subf"
+      ~operands:[| build_expr rw xv yv a; build_expr rw xv yv b |]
+      ~result_types:[| Typ.f32 |] "arith.subf"
 
 let gen_expr =
   let open QCheck.Gen in

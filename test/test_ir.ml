@@ -6,25 +6,24 @@ let check = Alcotest.check
 let cb = Alcotest.bool
 let ci = Alcotest.int
 
-let mkop ?operands ?result_types ?attrs ?regions name =
-  Ircore.create ?operands ?result_types ?attrs ?regions name
+let mkop = Testutil.mkop
 
 (* ------------------------------------------------------------------ *)
 (* values and uses                                                     *)
 (* ------------------------------------------------------------------ *)
 
 let test_results_and_uses () =
-  let a = mkop ~result_types:[ Typ.i32 ] "t.a" in
-  let b = mkop ~result_types:[ Typ.i32 ] "t.b" in
+  let a = mkop ~result_types:[| Typ.i32 |] "t.a" in
+  let b = mkop ~result_types:[| Typ.i32 |] "t.b" in
   let add =
-    mkop ~operands:[ Ircore.result a; Ircore.result b ] ~result_types:[ Typ.i32 ]
-      "t.add"
+    mkop ~operands:[| Ircore.result a; Ircore.result b |]
+      ~result_types:[| Typ.i32 |] "t.add"
   in
   check ci "a has one use" 1 (Ircore.num_uses (Ircore.result a));
   check cb "a has exactly one use" true (Ircore.has_one_use (Ircore.result a));
   check cb "unused has no single use" false
     (Ircore.has_one_use (Ircore.result add));
-  let both = mkop ~operands:[ Ircore.result a ] "t.second_user" in
+  let both = mkop ~operands:[| Ircore.result a |] "t.second_user" in
   ignore both;
   check cb "two uses is not one" false (Ircore.has_one_use (Ircore.result a));
   check ci "add has two operands" 2 (Ircore.num_operands add);
@@ -34,26 +33,26 @@ let test_results_and_uses () =
        (Ircore.value_uses (Ircore.result a)))
 
 let test_set_operand_updates_uses () =
-  let a = mkop ~result_types:[ Typ.i32 ] "t.a" in
-  let b = mkop ~result_types:[ Typ.i32 ] "t.b" in
-  let use = mkop ~operands:[ Ircore.result a ] "t.use" in
+  let a = mkop ~result_types:[| Typ.i32 |] "t.a" in
+  let b = mkop ~result_types:[| Typ.i32 |] "t.b" in
+  let use = mkop ~operands:[| Ircore.result a |] "t.use" in
   Ircore.set_operand use 0 (Ircore.result b);
   check ci "a now unused" 0 (Ircore.num_uses (Ircore.result a));
   check ci "b now used" 1 (Ircore.num_uses (Ircore.result b))
 
 let test_same_value_twice () =
-  let a = mkop ~result_types:[ Typ.i32 ] "t.a" in
+  let a = mkop ~result_types:[| Typ.i32 |] "t.a" in
   let v = Ircore.result a in
-  let use = mkop ~operands:[ v; v ] "t.use2" in
+  let use = mkop ~operands:[| v; v |] "t.use2" in
   check ci "two uses recorded" 2 (Ircore.num_uses v);
   Ircore.set_operand use 0 v;
   check ci "idempotent set keeps both" 2 (Ircore.num_uses v)
 
 let test_rauw () =
-  let a = mkop ~result_types:[ Typ.i32 ] "t.a" in
-  let b = mkop ~result_types:[ Typ.i32 ] "t.b" in
-  let u1 = mkop ~operands:[ Ircore.result a ] "t.u1" in
-  let u2 = mkop ~operands:[ Ircore.result a; Ircore.result a ] "t.u2" in
+  let a = mkop ~result_types:[| Typ.i32 |] "t.a" in
+  let b = mkop ~result_types:[| Typ.i32 |] "t.b" in
+  let u1 = mkop ~operands:[| Ircore.result a |] "t.u1" in
+  let u2 = mkop ~operands:[| Ircore.result a; Ircore.result a |] "t.u2" in
   Ircore.replace_all_uses_with (Ircore.result a) ~with_:(Ircore.result b);
   check ci "a unused" 0 (Ircore.num_uses (Ircore.result a));
   check ci "b has 3 uses" 3 (Ircore.num_uses (Ircore.result b));
@@ -121,9 +120,9 @@ let test_double_attach_rejected () =
 
 let test_erase_simple () =
   let b = Ircore.create_block () in
-  let a = mkop ~result_types:[ Typ.i32 ] "t.a" in
+  let a = mkop ~result_types:[| Typ.i32 |] "t.a" in
   Ircore.insert_at_end b a;
-  let use = mkop ~operands:[ Ircore.result a ] "t.use" in
+  let use = mkop ~operands:[| Ircore.result a |] "t.use" in
   Ircore.insert_at_end b use;
   Ircore.erase use;
   check ci "a unused after erasing its user" 0 (Ircore.num_uses (Ircore.result a));
@@ -131,9 +130,9 @@ let test_erase_simple () =
 
 let test_erase_with_live_uses_raises () =
   let b = Ircore.create_block () in
-  let a = mkop ~result_types:[ Typ.i32 ] "t.a" in
+  let a = mkop ~result_types:[| Typ.i32 |] "t.a" in
   Ircore.insert_at_end b a;
-  let use = mkop ~operands:[ Ircore.result a ] "t.use" in
+  let use = mkop ~operands:[| Ircore.result a |] "t.use" in
   Ircore.insert_at_end b use;
   (match Ircore.erase a with
   | () -> Alcotest.fail "expected Has_live_uses"
@@ -141,9 +140,9 @@ let test_erase_with_live_uses_raises () =
   check ci "nothing erased" 2 (Ircore.block_num_ops b)
 
 let test_erase_region_drops_nested_uses () =
-  let outer_def = mkop ~result_types:[ Typ.i32 ] "t.def" in
+  let outer_def = mkop ~result_types:[| Typ.i32 |] "t.def" in
   let inner_block = Ircore.create_block () in
-  let user = mkop ~operands:[ Ircore.result outer_def ] "t.inner_use" in
+  let user = mkop ~operands:[| Ircore.result outer_def |] "t.inner_use" in
   Ircore.insert_at_end inner_block user;
   let region_op =
     mkop ~regions:[ Ircore.region_with_block inner_block ] "t.region"
@@ -154,11 +153,11 @@ let test_erase_region_drops_nested_uses () =
 
 let test_replace () =
   let b = Ircore.create_block () in
-  let a = mkop ~result_types:[ Typ.i32 ] "t.a" in
-  let a2 = mkop ~result_types:[ Typ.i32 ] "t.a2" in
+  let a = mkop ~result_types:[| Typ.i32 |] "t.a" in
+  let a2 = mkop ~result_types:[| Typ.i32 |] "t.a2" in
   Ircore.insert_at_end b a;
   Ircore.insert_at_end b a2;
-  let use = mkop ~operands:[ Ircore.result a ] "t.use" in
+  let use = mkop ~operands:[| Ircore.result a |] "t.use" in
   Ircore.insert_at_end b use;
   Ircore.replace a ~with_:[ Ircore.result a2 ];
   check cb "use rewired to a2" true (Ircore.operand use == Ircore.result a2);
@@ -591,7 +590,7 @@ let test_value_defined_within () =
   let mid = mkop ~regions:[ Ircore.region_with_block inner ] "t.mid" in
   check cb "block arg defined within region op" true
     (Ircore.value_defined_within ~ancestor:mid (Ircore.block_arg inner 0));
-  let free = mkop ~result_types:[ Typ.i32 ] "t.free" in
+  let free = mkop ~result_types:[| Typ.i32 |] "t.free" in
   check cb "free value not within" false
     (Ircore.value_defined_within ~ancestor:mid (Ircore.result free))
 
@@ -601,9 +600,11 @@ let test_value_defined_within () =
 
 let test_clone_remaps_internal_uses () =
   let b = Ircore.create_block () in
-  let a = mkop ~result_types:[ Typ.i32 ] "t.a" in
+  let a = mkop ~result_types:[| Typ.i32 |] "t.a" in
   Ircore.insert_at_end b a;
-  let u = mkop ~operands:[ Ircore.result a ] ~result_types:[ Typ.i32 ] "t.u" in
+  let u =
+    mkop ~operands:[| Ircore.result a |] ~result_types:[| Typ.i32 |] "t.u"
+  in
   Ircore.insert_at_end b u;
   let top = mkop ~regions:[ Ircore.region_with_block b ] "t.top" in
   let cloned = Ircore.clone_op top in
@@ -614,9 +615,9 @@ let test_clone_remaps_internal_uses () =
   check ci "original def uses unchanged" 1 (Ircore.num_uses (Ircore.result orig_a))
 
 let test_clone_keeps_external_uses () =
-  let ext = mkop ~result_types:[ Typ.i32 ] "t.ext" in
+  let ext = mkop ~result_types:[| Typ.i32 |] "t.ext" in
   let b = Ircore.create_block () in
-  Ircore.insert_at_end b (mkop ~operands:[ Ircore.result ext ] "t.use");
+  Ircore.insert_at_end b (mkop ~operands:[| Ircore.result ext |] "t.use");
   let top = mkop ~regions:[ Ircore.region_with_block b ] "t.top" in
   let cloned = Ircore.clone_op top in
   let new_use = List.hd (Symbol.collect_ops ~op_name:"t.use" cloned) in
@@ -625,9 +626,9 @@ let test_clone_keeps_external_uses () =
   check ci "ext now has two uses" 2 (Ircore.num_uses (Ircore.result ext))
 
 let test_clone_with_mapping () =
-  let a = mkop ~result_types:[ Typ.i32 ] "t.a" in
-  let b = mkop ~result_types:[ Typ.i32 ] "t.b" in
-  let u = mkop ~operands:[ Ircore.result a ] "t.u" in
+  let a = mkop ~result_types:[| Typ.i32 |] "t.a" in
+  let b = mkop ~result_types:[| Typ.i32 |] "t.b" in
+  let u = mkop ~operands:[| Ircore.result a |] "t.u" in
   let mapping = Ircore.Mapping.create () in
   Ircore.Mapping.map_value mapping ~from:(Ircore.result a) ~to_:(Ircore.result b);
   let u' = Ircore.clone_op ~mapping u in
@@ -669,12 +670,15 @@ let prop_use_def_consistent =
     QCheck.(list (pair small_nat small_nat))
     (fun moves ->
       let b = Ircore.create_block () in
-      let defs = Array.init 8 (fun i -> mkop ~result_types:[ Typ.i32 ] (Fmt.str "t.d%d" i)) in
+      let defs =
+        Array.init 8 (fun i ->
+            mkop ~result_types:[| Typ.i32 |] (Fmt.str "t.d%d" i))
+      in
       Array.iter (Ircore.insert_at_end b) defs;
       let users =
         Array.init 8 (fun i ->
             let o =
-              mkop ~operands:[ Ircore.result defs.(i) ] (Fmt.str "t.u%d" i)
+              mkop ~operands:[| Ircore.result defs.(i) |] (Fmt.str "t.u%d" i)
             in
             Ircore.insert_at_end b o;
             o)
@@ -809,7 +813,10 @@ let test_use_lists_match_model () =
   in
   let create () =
     let operands = random_operands () in
-    let op = mkop ~operands ~result_types:[ Typ.i32; Typ.i32 ] "t.op" in
+    let op =
+      mkop ~operands:(Array.of_list operands)
+        ~result_types:[| Typ.i32; Typ.i32 |] "t.op"
+    in
     List.iteri (fun i v -> model_add v op i) operands;
     ops := !ops @ [ op ]
   in

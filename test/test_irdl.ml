@@ -10,8 +10,8 @@ let check = Alcotest.check
 let cb = Alcotest.bool
 
 let trivial_subview rw m =
-  Rewriter.build1 rw ~operands:[ m ]
-    ~result_types:[ Ircore.value_typ m ]
+  Rewriter.build1 rw ~operands:[| m |]
+    ~result_types:[| Ircore.value_typ m |]
     ~attrs:
       [
         ("static_offsets", Attr.Int_array []);
@@ -91,7 +91,7 @@ let test_attr_constraints () =
 
 let test_missing_required_attr () =
   let op =
-    Ircore.create
+    Testutil.mkop
       ~attrs:[ ("static_offsets", Attr.Int_array []) ]
       "memref.subview"
   in
@@ -178,8 +178,8 @@ let register_buggy_pass () =
                | Some first ->
                  Rewriter.set_ip rw (Builder.Before first);
                  ignore
-                   (Rewriter.build1 rw ~result_types:[ Typ.llvm_ptr ]
-                      "llvm.mlir.undef")
+                   (Rewriter.build1 rw ~operands:[||]
+                      ~result_types:[| Typ.llvm_ptr |] "llvm.mlir.undef")
                | None -> ())
              | None -> ())
            | [] -> ());

@@ -25,7 +25,7 @@ let build_1d_kernel n =
     (Scf.build_for rw ~lb:zero ~ub ~step:one (fun brw i _ ->
          let fi = Arith.index_cast brw i Typ.i64 in
          let ff =
-           Rewriter.build1 brw ~operands:[ fi ] ~result_types:[ Typ.f32 ]
+           Rewriter.build1 brw ~operands:[| fi |] ~result_types:[| Typ.f32 |]
              "arith.sitofp"
          in
          let c3 = Dutil.const_float brw 3.0 in
@@ -143,7 +143,7 @@ let test_unroll_full_with_iter_args () =
       (fun brw iv iters ->
         let fi = Arith.index_cast brw iv Typ.i64 in
         let ff =
-          Rewriter.build1 brw ~operands:[ fi ] ~result_types:[ Typ.f32 ]
+          Rewriter.build1 brw ~operands:[| fi |] ~result_types:[| Typ.f32 |]
             "arith.sitofp"
         in
         [ Arith.addf brw (List.hd iters) ff ])

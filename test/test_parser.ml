@@ -230,7 +230,8 @@ let build_random_module spec =
         match item with
         | `Def (t, attrs) ->
           let o =
-            Ircore.create ~result_types:[ t ] ~attrs (Fmt.str "test.def%d" !fresh)
+            Testutil.mkop ~result_types:[| t |] ~attrs
+              (Fmt.str "test.def%d" !fresh)
           in
           Ircore.insert_at_end block o;
           defs := Ircore.result o :: !defs
@@ -239,7 +240,7 @@ let build_random_module spec =
           if ds <> [] then begin
             let v = List.nth ds (i mod List.length ds) in
             Ircore.insert_at_end block
-              (Ircore.create ~operands:[ v ] (Fmt.str "test.use%d" !fresh))
+              (Testutil.mkop ~operands:[| v |] (Fmt.str "test.use%d" !fresh))
           end
         | `Region body ->
           let inner = Ircore.create_block () in
@@ -247,13 +248,13 @@ let build_random_module spec =
           build_into inner body;
           defs := saved;
           Ircore.insert_at_end block
-            (Ircore.create
+            (Testutil.mkop
                ~regions:[ Ircore.region_with_block inner ]
                (Fmt.str "test.region%d" !fresh)))
       spec
   in
   build_into block spec;
-  Ircore.create ~regions:[ Ircore.region_with_block block ] "builtin.module"
+  Testutil.mkop ~regions:[ Ircore.region_with_block block ] "builtin.module"
 
 let prop_roundtrip =
   QCheck.Test.make ~count:100 ~name:"random module print/parse round-trip"

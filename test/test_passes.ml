@@ -80,16 +80,16 @@ let build_while_module () =
   let after = Ircore.create_block ~args:[ Typ.index ] () in
   let w =
     Rewriter.build rw
-      ~operands:[ Ircore.block_arg entry 0 ]
-      ~result_types:[ Typ.index ]
+      ~operands:[| Ircore.block_arg entry 0 |]
+      ~result_types:[| Typ.index |]
       ~regions:[ Ircore.region_with_block before; Ircore.region_with_block after ]
       "scf.while"
   in
   let brw = Dutil.rw_at_end before in
   let hundred = Dutil.const_int brw 100 in
   let c = Arith.cmpi brw Arith.Slt (Ircore.block_arg before 0) hundred in
-  ignore
-    (Rewriter.build brw ~operands:[ c; Ircore.block_arg before 0 ] "scf.condition");
+  Rewriter.build0 brw ~operands:[| c; Ircore.block_arg before 0 |]
+    "scf.condition";
   let arw = Dutil.rw_at_end after in
   let two = Dutil.const_int arw 2 in
   Scf.yield arw ~operands:[ Arith.muli arw (Ircore.block_arg after 0) two ] ();
@@ -531,7 +531,7 @@ let alternating_module ~funcs =
           ("i", Attr.Int ((10 * fi) + i, Typ.i64))
           :: (if i = 3 then [ ("kill_next", Attr.Unit) ] else [])
         in
-        ignore (Rewriter.build rw ~attrs name))
+        Rewriter.build0 rw ~operands:[||] ~attrs name)
       [ "test.a"; "test.b"; "test.a"; "test.b"; "test.a" ];
     Func.return rw ()
   done;
@@ -547,7 +547,9 @@ let logging_table log : Passes.Pass.table =
     (match (Ircore.attr op "kill_next", op.Ircore.op_next) with
     | Some _, Some next -> Rewriter.erase_op rw next
     | _ -> ());
-    ignore (Rewriter.replace_op_with rw op ~attrs:[] to_)
+    let result_types = (Array.map Ircore.value_typ op.Ircore.results) in
+    ignore
+      (Rewriter.replace_op_with rw op ~operands:[||] ~result_types ~attrs:[] to_)
   in
   [ ("test.a", rewrite "test.a_done"); ("test.b", rewrite "test.b_done") ]
 

@@ -76,10 +76,10 @@ let registered_passes names =
   | Error d -> Alcotest.fail (Diag.to_string d)
 
 let mutate_then_fail rw target =
-  ignore (Rewriter.build rw ~operands:[ target ] mutate_then_fail_op)
+  Rewriter.build0 rw ~operands:[| target |] mutate_then_fail_op
 
 let raise_transform rw target =
-  ignore (Rewriter.build rw ~operands:[ target ] raise_op)
+  Rewriter.build0 rw ~operands:[| target |] raise_op
 
 let mutated_count md =
   List.length (Symbol.collect md ~f:(fun o -> Ircore.has_attr o "test.mutated"))
@@ -320,10 +320,9 @@ let test_foreach_dangling_payload_is_silenceable () =
         let body = Ircore.create_block ~args:[ Typ.transform_any_op ] () in
         let brw = Rewriter.create ~ip:(Builder.At_end body) () in
         T.Build.loop_unroll_full brw (Ircore.block_arg body 0);
-        ignore
-          (Rewriter.build rw ~operands:[ loops ]
-             ~regions:[ Ircore.region_with_block body ]
-             T.Ops.foreach_op))
+        Rewriter.build0 rw ~operands:[| loops |]
+          ~regions:[ Ircore.region_with_block body ]
+          T.Ops.foreach_op)
   in
   match apply_err script md with
   | T.Terror.Silenceable d ->

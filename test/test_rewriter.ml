@@ -41,11 +41,11 @@ let test_listener_events () =
     };
   let b = Ircore.create_block () in
   Rewriter.set_ip rw (Builder.At_end b);
-  let a = Rewriter.build rw ~result_types:[ Typ.i32 ] "t.a" in
-  let a2 = Rewriter.build rw ~result_types:[ Typ.i32 ] "t.b" in
+  let a = Rewriter.build rw ~operands:[||] ~result_types:[| Typ.i32 |] "t.a" in
+  let a2 = Rewriter.build rw ~operands:[||] ~result_types:[| Typ.i32 |] "t.b" in
   Rewriter.modify_in_place rw a2 (fun () -> Ircore.set_attr a2 "tag" (Attr.Bool true));
   Rewriter.replace_op rw a ~with_:(Ircore.results a2);
-  let dead = Rewriter.build rw "t.dead" in
+  let dead = Rewriter.build rw ~operands:[||] ~result_types:[||] "t.dead" in
   Rewriter.erase_op rw dead;
   check (Alcotest.list Alcotest.string) "inserted" [ "t.a"; "t.b"; "t.dead" ]
     (List.rev !inserted);
@@ -59,14 +59,98 @@ let test_nested_erase_notifies () =
   Rewriter.add_listener rw
     { Rewriter.null_listener with Rewriter.on_erased = (fun _ -> incr erased) };
   let inner = Ircore.create_block () in
-  Ircore.insert_at_end inner (Ircore.create "t.leaf");
+  Ircore.insert_at_end inner (Testutil.mkop "t.leaf");
   let region_op =
-    Ircore.create ~regions:[ Ircore.region_with_block inner ] "t.region"
+    Testutil.mkop ~regions:[ Ircore.region_with_block inner ] "t.region"
   in
   let b = Ircore.create_block () in
   Ircore.insert_at_end b region_op;
   Rewriter.erase_op rw region_op;
   check ci "both ops notified" 2 !erased
+
+(* ------------------------------------------------------------------ *)
+(* allocation                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* a block with two i32 arguments *)
+let two_arg_block () =
+  let b = Ircore.create_block ~args:[ Typ.i32; Typ.i32 ] () in
+  (b, Ircore.block_arg b 0, Ircore.block_arg b 1)
+
+(* a build allocates the op [Ircore.make] allocates and nothing else: no
+   option box, list or closure *)
+let test_build_costs_a_make () =
+  let b, x, y = two_arg_block () in
+  let rw = Rewriter.create ~ip:(Builder.At_end b) () in
+  let _, baseline = Testutil.alloc_words (fun () -> ()) in
+  let _, built =
+    Testutil.alloc_words (fun () ->
+        Rewriter.build1 rw ~operands:[| x; y |] ~result_types:[| Typ.i32 |]
+          "arith.addi")
+  in
+  let _, made =
+    Testutil.alloc_words (fun () ->
+        let op =
+          Ircore.make ~operands:[| x; y |] ~result_types:[| Typ.i32 |]
+            ~attrs:[] ~regions:[] ~successors:[||] ~loc:Loc.unknown
+            "arith.addi"
+        in
+        Ircore.insert_at_end b op;
+        Ircore.result op)
+  in
+  check (Alcotest.float 0.) "words of a build" (made -. baseline)
+    (built -. baseline)
+
+let counting_listener n =
+  {
+    Rewriter.on_inserted = (fun _ -> incr n);
+    on_replaced = (fun _ _ -> incr n);
+    on_erased = (fun _ -> incr n);
+    on_modified = (fun _ -> incr n);
+  }
+
+(* the words of a build, a replace_op and an erase_op of an op with a
+   nested op, made by [rw] in a fresh block *)
+let edit_words rw =
+  let b, x, y = two_arg_block () in
+  Rewriter.set_ip rw (Builder.At_end b);
+  let _, build =
+    Testutil.alloc_words (fun () ->
+        Rewriter.build rw ~operands:[| x; y |] ~result_types:[| Typ.i32 |]
+          "t.a")
+  in
+  let old =
+    Rewriter.build rw ~operands:[||] ~result_types:[| Typ.i32 |] "t.b"
+  in
+  let with_ = [ x ] in
+  let _, replace =
+    Testutil.alloc_words (fun () -> Rewriter.replace_op rw old ~with_)
+  in
+  let inner = Ircore.create_block () in
+  Ircore.insert_at_end inner (Testutil.mkop "t.leaf");
+  let outer =
+    Testutil.mkop ~regions:[ Ircore.region_with_block inner ] "t.region"
+  in
+  Ircore.insert_at_end b outer;
+  let _, erase = Testutil.alloc_words (fun () -> Rewriter.erase_op rw outer) in
+  [ ("build", build); ("replace_op", replace); ("erase_op", erase) ]
+
+(* with one listener on the rewriter and one ambient listener, each
+   notification allocates nothing *)
+let test_notify_allocates_nothing () =
+  let quiet = edit_words (Rewriter.create ()) in
+  let heard = ref 0 in
+  let rw = Rewriter.create () in
+  Rewriter.add_listener rw (counting_listener heard);
+  let loud =
+    Rewriter.with_listener (counting_listener heard) (fun () -> edit_words rw)
+  in
+  (* two builds, a replacement and two erasures, each heard twice *)
+  check ci "events heard" 10 !heard;
+  List.iter2
+    (fun (what, q) (_, l) ->
+      check (Alcotest.float 0.) (what ^ " words with two listeners") q l)
+    quiet loud
 
 (* ------------------------------------------------------------------ *)
 (* block surgery                                                       *)
@@ -75,8 +159,8 @@ let test_nested_erase_notifies () =
 let test_split_block () =
   let rw = Rewriter.create () in
   let b = Ircore.create_block () in
-  let o1 = Ircore.create "t.o1" and o2 = Ircore.create "t.o2" in
-  let o3 = Ircore.create "t.o3" in
+  let o1 = Testutil.mkop "t.o1" and o2 = Testutil.mkop "t.o2" in
+  let o3 = Testutil.mkop "t.o3" in
   List.iter (Ircore.insert_at_end b) [ o1; o2; o3 ];
   let region = Ircore.region_with_block b in
   ignore region;
@@ -90,13 +174,13 @@ let test_inline_block_before () =
   let rw = Rewriter.create () in
   let src = Ircore.create_block ~args:[ Typ.i32 ] () in
   let user =
-    Ircore.create ~operands:[ Ircore.block_arg src 0 ] "t.user"
+    Testutil.mkop ~operands:[| Ircore.block_arg src 0 |] "t.user"
   in
   Ircore.insert_at_end src user;
   let dst = Ircore.create_block () in
-  let anchor = Ircore.create "t.anchor" in
+  let anchor = Testutil.mkop "t.anchor" in
   Ircore.insert_at_end dst anchor;
-  let v = Ircore.create ~result_types:[ Typ.i32 ] "t.v" in
+  let v = Testutil.mkop ~result_types:[| Typ.i32 |] "t.v" in
   Rewriter.inline_block_before rw ~anchor ~arg_values:[ Ircore.result v ] src;
   check ci "dst has 2 ops" 2 (Ircore.block_num_ops dst);
   check cb "arg replaced" true (Ircore.operand user == Ircore.result v)
@@ -157,8 +241,8 @@ let test_greedy_respects_benefit () =
         true)
   in
   let b = Ircore.create_block () in
-  Ircore.insert_at_end b (Ircore.create "t.target");
-  let top = Ircore.create ~regions:[ Ircore.region_with_block b ] "t.top" in
+  Ircore.insert_at_end b (Testutil.mkop "t.target");
+  let top = Testutil.mkop ~regions:[ Ircore.region_with_block b ] "t.top" in
   ignore
     (Greedy.apply ctx ~patterns:(Frozen_patterns.freeze [ p_low; p_high ]) top);
   check (Alcotest.list Alcotest.string) "high benefit first" [ "high" ] !hits
@@ -168,13 +252,14 @@ let test_greedy_converges_flag () =
      max_iterations and report non-convergence *)
   let p =
     Pattern.make ~root:"t.spin" ~name:"spin" (fun rw op ->
+        let result_types = (Array.map Ircore.value_typ op.Ircore.results) in
         ignore
-          (Rewriter.replace_op_with rw op ~operands:[] "t.spin");
+          (Rewriter.replace_op_with rw op ~operands:[||] ~result_types "t.spin");
         true)
   in
   let b = Ircore.create_block () in
-  Ircore.insert_at_end b (Ircore.create "t.spin");
-  let top = Ircore.create ~regions:[ Ircore.region_with_block b ] "t.top" in
+  Ircore.insert_at_end b (Testutil.mkop "t.spin");
+  let top = Testutil.mkop ~regions:[ Ircore.region_with_block b ] "t.top" in
   let converged =
     Greedy.apply
       ~config:{ Greedy.default_config with max_iterations = 3; fold = false; remove_dead = false }
@@ -282,6 +367,13 @@ let () =
           Alcotest.test_case "events fire" `Quick test_listener_events;
           Alcotest.test_case "nested erase notifies" `Quick
             test_nested_erase_notifies;
+        ] );
+      ( "alloc",
+        [
+          Alcotest.test_case "build costs a make" `Quick
+            test_build_costs_a_make;
+          Alcotest.test_case "notifications allocate nothing" `Quick
+            test_notify_allocates_nothing;
         ] );
       ( "surgery",
         [

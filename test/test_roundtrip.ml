@@ -57,7 +57,9 @@ let misc_module () =
   Ircore.insert_at_end (Builtin.body_block md) f;
   let rw = Dutil.rw_at_end entry in
   let x = Dutil.const_float rw ~typ:Typ.f64 2.0 in
-  let s = Rewriter.build1 rw ~operands:[ x ] ~result_types:[ Typ.f64 ] "math.sqrt" in
+  let s =
+    Rewriter.build1 rw ~operands:[| x |] ~result_types:[| Typ.f64 |] "math.sqrt"
+  in
   let _i = Index_d.constant rw 3 in
   let v = Vector.splat rw s ~vector_typ:(Typ.Vector ([ 4 ], Typ.f64)) in
   let r = Vector.reduction rw ~kind:"add" v in

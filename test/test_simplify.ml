@@ -160,10 +160,9 @@ let test_explicit_add_kind_respected () =
   let script =
     T.Build.script (fun rw root ->
         let f = T.Build.match_op rw ~name:"func.func" root in
-        ignore
-          (Rewriter.build rw ~operands:[ f ]
-             ~attrs:[ ("add_op", Attr.str "tosa.add") ]
-             T.Ops.enzyme_ad_op))
+        Rewriter.build0 rw ~operands:[| f |]
+          ~attrs:[ ("add_op", Attr.str "tosa.add") ]
+          T.Ops.enzyme_ad_op)
   in
   let kinds = T.Introspect.infer_add_kinds script in
   check (Alcotest.list Alcotest.string) "explicit kept" [ "tosa.add" ] kinds

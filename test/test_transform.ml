@@ -111,8 +111,8 @@ let test_get_parent () =
     T.Build.script (fun rw root ->
         let store = T.Build.match_op rw ~name:"memref.store" root in
         let f =
-          Rewriter.build1 rw ~operands:[ store ]
-            ~result_types:[ Typ.transform_any_op ]
+          Rewriter.build1 rw ~operands:[| store |]
+            ~result_types:[| Typ.transform_any_op |]
             ~attrs:[ ("op_name", Attr.str "func.func") ]
             T.Ops.get_parent_op
         in
@@ -130,8 +130,8 @@ let test_merge_handles () =
         let loads = T.Build.match_op rw ~name:"memref.load" root in
         let stores = T.Build.match_op rw ~name:"memref.store" root in
         let both =
-          Rewriter.build1 rw ~operands:[ loads; stores ]
-            ~result_types:[ Typ.transform_any_op ]
+          Rewriter.build1 rw ~operands:[| loads; stores |]
+            ~result_types:[| Typ.transform_any_op |]
             T.Ops.merge_handles_op
         in
         T.Build.annotate rw ~name:"mem" both)
@@ -266,10 +266,9 @@ let test_foreach () =
         let body = Ircore.create_block ~args:[ Typ.transform_any_op ] () in
         let brw = Rewriter.create ~ip:(Builder.At_end body) () in
         T.Build.annotate brw ~name:"visited" (Ircore.block_arg body 0);
-        ignore
-          (Rewriter.build rw ~operands:[ loops ]
-             ~regions:[ Ircore.region_with_block body ]
-             T.Ops.foreach_op))
+        Rewriter.build0 rw ~operands:[| loops |]
+          ~regions:[ Ircore.region_with_block body ]
+          T.Ops.foreach_op)
   in
   ignore (apply_ok script md);
   check ci "all loops visited individually" 3

@@ -102,18 +102,18 @@ let test_unregistered_rejected () =
 let test_dominance_straightline () =
   (* use before def in the same block *)
   let b = Ircore.create_block () in
-  let def = Ircore.create ~result_types:[ Typ.i32 ] "arith.constant" in
+  let def = Testutil.mkop ~result_types:[| Typ.i32 |] "arith.constant" in
   Ircore.set_attr def "value" (Attr.int 1);
   let use =
-    Ircore.create ~operands:[ Ircore.result def ] ~result_types:[ Typ.i32 ]
+    Testutil.mkop ~operands:[| Ircore.result def |] ~result_types:[| Typ.i32 |]
       "arith.addi"
   in
   Ircore.set_operands use [ Ircore.result def; Ircore.result def ];
   Ircore.insert_at_end b use;
   Ircore.insert_at_end b def;
-  Ircore.insert_at_end b (Ircore.create "func.return");
+  Ircore.insert_at_end b (Testutil.mkop "func.return");
   let f =
-    Ircore.create
+    Testutil.mkop
       ~regions:[ Ircore.region_with_block b ]
       ~attrs:
         [
@@ -316,7 +316,7 @@ let test_renumber_counted_once () =
   let prev = ref a in
   for _ = 1 to n - 1 do
     let op =
-      Ircore.create ~operands:[ !prev; a ] ~result_types:[ Typ.i64 ]
+      Testutil.mkop ~operands:[| !prev; a |] ~result_types:[| Typ.i64 |]
         "arith.addi"
     in
     Ircore.insert_at_end entry op;

@@ -24,6 +24,15 @@ let run_pipeline names md =
   | Ok () -> Ok ()
   | Error d -> Error (Diag.to_string d)
 
+(* ---------------- IR construction ---------------- *)
+
+(* A detached op built by [Ircore.make], which owns [operands]; the parts
+   not given are empty. *)
+let mkop ?(operands = [||]) ?(result_types = [||]) ?(attrs = []) ?(regions = [])
+    name =
+  Ircore.make ~operands ~result_types ~attrs ~regions ~successors:[||]
+    ~loc:Loc.unknown name
+
 (* ---------------- structural queries ---------------- *)
 
 let count name md = List.length (Symbol.collect_ops ~op_name:name md)
