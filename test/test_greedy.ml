@@ -105,7 +105,7 @@ let test_pushback_revisits_users_after_replace () =
   let p_a =
     Pattern.make ~root:"t.a" ~name:"a-to-b" (fun rw op ->
         if !armed then begin
-          let result_types = (Array.map Ircore.value_typ op.Ircore.results) in
+          let result_types = Array.map Ircore.value_typ op.Ircore.results in
           ignore
             (Rewriter.replace_op_with rw op ~operands:[||] ~result_types "t.b");
           true
@@ -228,7 +228,7 @@ let test_folder_keeps_signed_zeros_apart () =
 let test_warns_on_max_iterations () =
   let p =
     Pattern.make ~root:"t.spin" ~name:"spin2" (fun rw op ->
-        let result_types = (Array.map Ircore.value_typ op.Ircore.results) in
+        let result_types = Array.map Ircore.value_typ op.Ircore.results in
         ignore
           (Rewriter.replace_op_with rw op ~operands:[||] ~result_types "t.spin");
         true)

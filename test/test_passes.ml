@@ -547,7 +547,7 @@ let logging_table log : Passes.Pass.table =
     (match (Ircore.attr op "kill_next", op.Ircore.op_next) with
     | Some _, Some next -> Rewriter.erase_op rw next
     | _ -> ());
-    let result_types = (Array.map Ircore.value_typ op.Ircore.results) in
+    let result_types = Array.map Ircore.value_typ op.Ircore.results in
     ignore
       (Rewriter.replace_op_with rw op ~operands:[||] ~result_types ~attrs:[] to_)
   in

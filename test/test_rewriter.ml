@@ -252,7 +252,7 @@ let test_greedy_converges_flag () =
      max_iterations and report non-convergence *)
   let p =
     Pattern.make ~root:"t.spin" ~name:"spin" (fun rw op ->
-        let result_types = (Array.map Ircore.value_typ op.Ircore.results) in
+        let result_types = Array.map Ircore.value_typ op.Ircore.results in
         ignore
           (Rewriter.replace_op_with rw op ~operands:[||] ~result_types "t.spin");
         true)
