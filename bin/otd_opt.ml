@@ -6,7 +6,7 @@
     sequence), and prints the result.
 
     Observability flags:
-    - [--timing] prints the pipeline → pass → verify and schedule
+    - [--timing] prints the pipeline → pass and schedule
       compile/apply spans as a timing tree ({!Ir.Profiler.timing}), plus
       per-pass op-count deltas; it records into the [--profile] profiler
       when both are given;
@@ -156,11 +156,12 @@ let run input pipeline transform_file flow_check no_verify list_passes timing
         let op_count_instr, op_deltas = Passes.Pass.op_count_deltas () in
         let snapshot_instr =
           (* capture per-pass IR snapshots for the JSON report *)
-          Passes.Pass.instrumentation "json-ir-snapshots"
+          Passes.Pass.instrumentation
             ~after_pass:(fun p op ->
               report.j_ir_after <-
                 report.j_ir_after
                 @ [ (p.Passes.Pass.name, Ir.Printer.op_to_string op) ])
+            ()
         in
         let instrumentations =
           (match print_ir_after_all with

@@ -789,9 +789,7 @@ let register_impls () =
           | [] -> Ok ()
           | target :: rest when not (live target) -> go rest
           | target :: rest -> (
-            match
-              Passes.Pass.run_one ~verify:false pass st.State.ctx target
-            with
+            match Passes.Pass.run_one pass st.State.ctx target with
             | Ok () -> go rest
             | Error (Passes.Pass.Failed d) ->
               Terror.silenceable_diag (in_pass d)

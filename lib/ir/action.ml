@@ -72,7 +72,6 @@ type info = {
 }
 
 type handler = {
-  h_name : string;
   h_decide : info -> bool;  (** [false] vetoes execution (unit is skipped) *)
   h_enter : info -> unit;  (** before the unit runs (outermost first) *)
   h_exit : info -> ok:bool -> unit;
@@ -181,7 +180,6 @@ let counters_handler specs =
   let tbl = Hashtbl.create 8 in
   List.iter (fun cs -> Hashtbl.replace tbl cs.cs_tag cs) specs;
   {
-    h_name = "debug-counter";
     h_decide =
       (fun info ->
         match Hashtbl.find_opt tbl info.i_tag with
@@ -327,7 +325,6 @@ let snapshot_handler cfg =
     end
   in
   {
-    h_name = "snapshot";
     h_decide = (fun _ -> true);
     h_enter =
       (fun info -> if matches info then stack := capture info.i_root :: !stack);
@@ -589,9 +586,7 @@ let revert_since c =
 (** A per-task child context for the parallel pass manager: workers record
     into their own capture and the parent {!replay}s them in source order,
     so journals, notes and provenance are deterministic at any job count. *)
-type capture = t
-
-let capture parent : capture =
+let capture parent : t =
   {
     a_entries = [];
     a_notes = [];
@@ -607,13 +602,10 @@ let capture parent : capture =
       | None -> None);
   }
 
-(** Install capture [c] as the worker's ambient context while [f] runs. *)
-let with_capture (c : capture) f = with_context c f
-
 (** Merge [c]'s journal, notes and provenance into [parent], re-assigning
     global and per-tag indices in arrival order. Call once per task, in
     source order, after the parallel barrier. *)
-let replay parent (c : capture) =
+let replay parent c =
   (* captured entries ran with an empty stack; re-base their depth under
      whatever the parent has open (the enclosing pass action), so replayed
      journals match what a sequential run would have recorded *)

@@ -566,21 +566,22 @@ let value_defined_within ~ancestor v =
 (* Replacement and erasure                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* move the use list starting at [u] onto [with_], node by node *)
+let rec move_uses with_ u =
+  if u != nil_use then begin
+    let next = u.u_next in
+    u.u_op.operands.(u.u_index) <- with_;
+    add_use with_ u;
+    move_uses with_ next
+  end
+
 (** Retarget every use of [v] to [with_]. The nodes move newest first, each
     to the head of [with_]'s list, so they end up there in reverse order. *)
 let replace_all_uses_with v ~with_ =
   if not (v == with_) then begin
-    let rec go u =
-      if u != nil_use then begin
-        let next = u.u_next in
-        u.u_op.operands.(u.u_index) <- with_;
-        add_use with_ u;
-        go next
-      end
-    in
     let first = v.v_uses in
     v.v_uses <- nil_use;
-    go first
+    move_uses with_ first
   end
 
 (** Drop all operand uses held by [op] and, recursively, by its regions.
@@ -595,19 +596,27 @@ let drop_all_references op =
 
 exception Has_live_uses of op
 
+(* raise [Has_live_uses n] at the first use from [u] on, newest first, that
+   lies outside [root]'s subtree *)
+let rec check_uses_within root n u =
+  if u != nil_use then begin
+    if not (is_ancestor ~ancestor:root u.u_op) then raise (Has_live_uses n);
+    check_uses_within root n u.u_next
+  end
+
+(* the uses of [n]'s results, result by result, must lie within [root] *)
+let check_results_within root n =
+  for i = 0 to Array.length n.results - 1 do
+    check_uses_within root n n.results.(i).v_uses
+  done
+
 (** Erase [op]: unlink it, drop its operand uses (recursively through
     regions). Raises [Has_live_uses] if any result still has uses outside the
     erased subtree. *)
 let erase op =
-  (* results of nested ops must not be used outside the subtree either *)
-  walk
-    (fun n ->
-      Array.iter
-        (iter_uses (fun u ->
-             if not (is_ancestor ~ancestor:op u.u_op) then
-               raise (Has_live_uses n)))
-        n.results)
-    op;
+  (* results of nested ops must not be used outside the subtree either;
+     the erased op is the walk's state, so no closure is built *)
+  traverse Pre check_results_within op op;
   detach op;
   drop_all_references op
 
@@ -616,13 +625,18 @@ let erase_unchecked op =
   detach op;
   drop_all_references op
 
+(* retarget the uses of [results.(i + k)] to the list's [k]th value *)
+let rec replace_results results i = function
+  | [] -> ()
+  | v :: rest ->
+    replace_all_uses_with results.(i) ~with_:v;
+    replace_results results (i + 1) rest
+
 (** Replace [op] by [values] (one per result) and erase it. *)
 let replace op ~with_ =
   if List.length with_ <> Array.length op.results then
     invalid_arg "replace: result arity mismatch";
-  List.iteri
-    (fun i v -> replace_all_uses_with op.results.(i) ~with_:v)
-    with_;
+  replace_results op.results 0 with_;
   erase op
 
 (* ------------------------------------------------------------------ *)

@@ -270,7 +270,7 @@ let write p ~path =
 type timing = { name : string; seconds : float; children : timing list }
 
 (** The calling domain's [pass] and [schedule] spans, nested by
-    containment: pipeline → pass → verify, and schedule compile and apply.
+    containment: pipeline → pass, and schedule compile and apply.
     Spans of other categories are skipped and their kept descendants
     attach to the nearest kept ancestor. The pass manager records these
     spans on the domain that runs the pipeline, while a fanned-out pass's

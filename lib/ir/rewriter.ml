@@ -37,7 +37,7 @@ let set_ip t ip = t.ip <- ip
 (* Ambient (domain-local) listeners, observing every rewriter on this
    domain for a dynamic extent. Passes create their own rewriter instances
    internally, so observers that cannot thread a listener into them — the
-   incremental verifier's dirty tracking — attach here instead. *)
+   action framework's provenance recording — attach here instead. *)
 let ambient : listener list Domain.DLS.key = Domain.DLS.new_key (fun () -> [])
 
 (** Observe every rewriter notification on this domain while [f] runs. *)

@@ -28,9 +28,6 @@ type event =
       gr_match_attempts : int;  (** pattern/fold candidates tried *)
       gr_pushes : int;  (** worklist pushes (incl. the initial seeding) *)
     }
-(* the deprecated [Pass] flat-timing event was removed: pass timing flows
-   through {!Profiler} spans (pipeline → pass → greedy / transform op),
-   which carry timestamps and nest *)
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)

@@ -10,8 +10,11 @@
     instrumentations for IR printing after each pass, per-pass op-count
     deltas, and a crash reproducer. Failures are structured {!Ir.Diag.t}
     diagnostics rather than strings or exceptions. Time is measured only by
-    the {!Ir.Profiler} span around each pipeline, pass and verification;
-    {!Ir.Profiler.timing} renders those spans as a tree.
+    the {!Ir.Profiler} span around each pipeline and pass;
+    {!Ir.Profiler.timing} renders those spans as a tree. Every pass run,
+    in a pipeline or from a transform script, goes through {!run_one};
+    the pass manager does not verify between passes, since a job verifies
+    its whole input and output.
 
     Lowering passes declare a conversion {!table} (op name → rewrite) and
     run on the one conversion driver, {!convert}: a single snapshot walk,
@@ -67,7 +70,6 @@ let pipeline_str passes = String.concat "," (List.map (fun p -> p.name) passes)
 (* ------------------------------------------------------------------ *)
 
 type instrumentation = {
-  i_name : string;
   i_before_pass : t -> Ircore.op -> unit;
   i_after_pass : t -> Ircore.op -> unit;
   i_on_failure : t -> Ircore.op -> remaining:t list -> Diag.t -> unit;
@@ -79,9 +81,8 @@ let nop2 _ _ = ()
 let nop_failure _ _ ~remaining:_ _ = ()
 
 let instrumentation ?(before_pass = nop2) ?(after_pass = nop2)
-    ?(on_failure = nop_failure) name =
+    ?(on_failure = nop_failure) () =
   {
-    i_name = name;
     i_before_pass = before_pass;
     i_after_pass = after_pass;
     i_on_failure = on_failure;
@@ -93,7 +94,7 @@ let instrumentation ?(before_pass = nop2) ?(after_pass = nop2)
     ([--print-ir-after-all=always] restores the old behavior). *)
 let print_ir_after_all ?(ppf = Fmt.stderr) ?(only_changed = false) () =
   let before = ref None in
-  instrumentation "print-ir-after-all"
+  instrumentation
     ~before_pass:(fun _ op ->
       if only_changed then before := Some (Fingerprint.op op))
     ~after_pass:(fun p op ->
@@ -107,6 +108,7 @@ let print_ir_after_all ?(ppf = Fmt.stderr) ?(only_changed = false) () =
       if changed then
         Fmt.pf ppf "// -----// IR dump after pass '%s' //----- //@.%a@." p.name
           Printer.pp_op op)
+    ()
 
 let count_ops_by_name op =
   let counts = Util.Stbl.create 64 in
@@ -150,7 +152,7 @@ let op_count_deltas () =
     last := Some (op, after)
   in
   let instr =
-    instrumentation "op-count-deltas"
+    instrumentation
       ~before_pass:(fun _ op ->
         before :=
           match !last with
@@ -158,6 +160,7 @@ let op_count_deltas () =
           | _ -> count_ops_by_name op)
       ~after_pass:record
       ~on_failure:(fun p op ~remaining:_ _ -> record p op)
+      ()
   in
   (instr, fun () -> List.rev !deltas)
 
@@ -192,7 +195,7 @@ let op_deltas_to_json deltas =
     [otd-opt <path>] replays the failure. *)
 let reproducer ~path =
   let last_ir = ref None in
-  instrumentation "crash-reproducer"
+  instrumentation
     ~before_pass:(fun _ op -> last_ir := Some (Printer.op_to_string op))
     ~on_failure:(fun p _op ~remaining d ->
       match !last_ir with
@@ -206,6 +209,7 @@ let reproducer ~path =
                Reproducer.pipeline_note (pipeline_str remaining);
              ]
              ir))
+    ()
 
 (* ------------------------------------------------------------------ *)
 (* Pass manager                                                        *)
@@ -224,10 +228,10 @@ let stat_exceptions_contained =
   Stats.counter ~component:"pass" "exceptions_contained"
     ~desc:"OCaml exceptions converted to pass failures by the barrier"
 
-(** Why one pass run failed: the pass (or the budget, or the verifier
-    after it) reported an error, or the pass raised and the barrier
-    contained the exception. Callers that tell recoverable failures from
-    crashes, such as [transform.apply_registered_pass], match on it. *)
+(** Why one pass run failed: the pass (or the budget) reported an error,
+    or the pass raised and the barrier contained the exception. Callers
+    that tell recoverable failures from crashes, such as
+    [transform.apply_registered_pass], match on it. *)
 type failure = Failed of Diag.t | Raised of Diag.t
 
 (** Run a single pass behind an exception barrier: a raised OCaml exception
@@ -253,14 +257,6 @@ let stat_parallel_fanouts =
   Stats.counter ~component:"pass" "parallel_fanouts"
     ~desc:"passes fanned across module functions on the domain pool"
 
-let stat_full_verifies =
-  Stats.counter ~component:"pass" "full_verifies"
-    ~desc:"post-pass verifications that re-walked the whole module"
-
-let stat_incremental_verifies =
-  Stats.counter ~component:"pass" "incremental_verifies"
-    ~desc:"post-pass verifications restricted to pass-touched functions"
-
 (** The isolated-from-above ops a per-function pass may be fanned over:
     the direct children of a [builtin.module] whose single block consists
     solely of [func.func] ops (two or more — one function has nothing to
@@ -282,52 +278,6 @@ let isolated_funcs op =
       | _ -> None)
     | _ -> None
 
-(** What the post-pass verifier must re-check. *)
-type dirty = All | Funcs of Ircore.op list
-
-(** Run [p] sequentially on [op]. When [track], an ambient rewriter
-    listener records which top-level children the pass touched, so
-    [verify_each] can re-verify only those; any event on the root, on a
-    direct child itself (function added/erased/renamed), or in a detached
-    tree degrades to a full re-verify. *)
-let run_sequential ~track p ctx op =
-  if not track then (run_contained p ctx op, All)
-  else begin
-    let dirty : (int, Ircore.op) Hashtbl.t = Hashtbl.create 16 in
-    let structural = ref false in
-    let note o =
-      if o == op then structural := true
-      else begin
-        (* the direct child of [op] enclosing [o], if [o] is attached *)
-        let rec climb o =
-          match Ircore.parent_op o with
-          | None -> None
-          | Some parent -> if parent == op then Some o else climb parent
-        in
-        match climb o with
-        | Some c when c != o -> Hashtbl.replace dirty c.Ircore.op_id c
-        | _ -> structural := true
-      end
-    in
-    let listener =
-      Rewriter.
-        {
-          on_inserted = note;
-          on_replaced = (fun o _ -> note o);
-          on_erased = note;
-          on_modified = note;
-        }
-    in
-    let r =
-      Rewriter.with_listener listener (fun () -> run_contained p ctx op)
-    in
-    let d =
-      if !structural || Result.is_error r then All
-      else Funcs (Hashtbl.fold (fun _ o acc -> o :: acc) dirty [])
-    in
-    (r, d)
-  end
-
 (** Fan [p] across [funcs] on the domain pool, one task per function.
 
     Determinism: each task runs with its own ambient captures — a per-task
@@ -341,13 +291,12 @@ let run_sequential ~track p ctx op =
     domain, and the reported failure is the first failing function in
     source order — byte-identical output to the sequential schedule
     regardless of interleaving. *)
-let run_parallel ~track p ctx funcs =
+let run_parallel p ctx funcs =
   Stats.incr stat_parallel_fanouts;
   let arr = Array.of_list funcs in
   let n = Array.length arr in
   let results = Array.make n (Ok ()) in
   let diags = Array.make n [] in
-  let changed = Array.make n false in
   let captures = Array.make n None in
   let parent_budget = Budget.active () in
   let parent_profiler = Profiler.active () in
@@ -373,28 +322,13 @@ let run_parallel ~track p ctx funcs =
         | Some a ->
           let c = Action.capture a in
           captures.(i) <- Some c;
-          Action.with_capture c f
-      in
-      let with_track f =
-        if not track then f ()
-        else
-          let mark _ = changed.(i) <- true in
-          Rewriter.with_listener
-            Rewriter.
-              {
-                on_inserted = mark;
-                on_replaced = (fun _ _ -> changed.(i) <- true);
-                on_erased = mark;
-                on_modified = mark;
-              }
-            f
+          Action.with_context c f
       in
       let r =
         Diag.with_domain_capture (fun d -> dbuf := d :: !dbuf) @@ fun () ->
         with_budget @@ fun () ->
         with_prof @@ fun () ->
-        with_action @@ fun () ->
-        with_track @@ fun () -> run_contained p ctx func
+        with_action @@ fun () -> run_contained p ctx func
       in
       results.(i) <- r;
       diags.(i) <- List.rev !dbuf);
@@ -410,19 +344,11 @@ let run_parallel ~track p ctx funcs =
     | Stdlib.Error d, None -> first_error := Some d
     | _ -> ()
   done;
-  match !first_error with
-  | Some d -> (Stdlib.Error d, All)
-  | None ->
-    let dirty = ref [] in
-    for i = n - 1 downto 0 do
-      if changed.(i) then dirty := arr.(i) :: !dirty
-    done;
-    (Ok (), if track then Funcs !dirty else All)
+  match !first_error with Some d -> Stdlib.Error d | None -> Ok ()
 
 (** Run one pass over [op], parallelizing across module functions when the
-    pass allows it and more than one domain is configured. Returns the
-    result plus what the incremental verifier must re-check ([track]). *)
-let run_scheduled ~track p ctx op =
+    pass allows it and more than one domain is configured. *)
+let run_scheduled p ctx op =
   match
     (* action handlers (debug counters, snapshots) steer a globally ordered
        action stream; with one installed the fan-out must not happen *)
@@ -432,37 +358,8 @@ let run_scheduled ~track p ctx op =
     then isolated_funcs op
     else None
   with
-  | Some funcs -> run_parallel ~track p ctx funcs
-  | None -> run_sequential ~track p ctx op
-
-(* what the post-pass verifier found, as a pass failure *)
-let verify_after ctx p op dirty =
-  let verified =
-    Profiler.span ~cat:"pass" "verify" (fun () ->
-        match dirty with
-        | All ->
-          Stats.incr stat_full_verifies;
-          Verifier.verify ctx op
-        | Funcs fns ->
-          (* re-verify only what the pass touched; clean passes verify
-             nothing *)
-          Stats.incr stat_incremental_verifies;
-          let rec check = function
-            | [] -> Ok ()
-            | f :: rest -> (
-              match Verifier.verify ctx f with
-              | Ok () -> check rest
-              | Error _ as e -> e)
-          in
-          check fns)
-  in
-  Result.map_error
-    (fun diags ->
-      Failed
-        (Diag.error
-           ~notes:(List.map (fun d -> Diag.{ d with severity = Note }) diags)
-           "verification failed after pass '%s'" p.name))
-    verified
+  | Some funcs -> run_parallel p ctx funcs
+  | None -> run_contained p ctx op
 
 (** Run one pass over [op]: the one runner behind both the pass manager
     and [transform.apply_registered_pass], so every pass run is budgeted,
@@ -474,27 +371,25 @@ let verify_after ctx p op dirty =
       ({!Ir.Action.run}) around {!run_scheduled}, which fans the pass
       across a module's functions when it allows it and contains raised
       exceptions;
-    - the [pass/passes_run] count of a pass that succeeded;
-    - with [verify], the incremental post-pass verifier: only the
-      functions the pass touched are re-walked. *)
-let run_one ~verify p ctx op : (unit, failure) result =
+    - the [pass/passes_run] count of a pass that succeeded.
+
+    It does not verify: a job verifies its whole input and output. *)
+let run_one p ctx op : (unit, failure) result =
   match Budget.checkpoint () with
   | Some reason ->
     Stdlib.Error
       (Failed (Diag.error "pass pipeline stopped before '%s': %s" p.name reason))
-  | None -> (
-    match
+  | None ->
+    let r =
       Profiler.span ~cat:"pass" p.name (fun () ->
-          (* the pass-level action: a vetoed pass reports success with
-             nothing dirty, exactly like a pass that matched nothing *)
+          (* the pass-level action: a vetoed pass reports success, exactly
+             like a pass that matched nothing *)
           Action.run ~tag:"pass" ~desc:p.name ~loc:op.Ircore.op_loc ~root:op
-            ~skipped:(Ok (), Funcs [])
-            (fun () -> run_scheduled ~track:verify p ctx op))
-    with
-    | (Error _ as e), _ -> e
-    | Ok (), dirty ->
-      Stats.incr stat_passes;
-      if verify then verify_after ctx p op dirty else Ok ())
+            ~skipped:(Ok ())
+            (fun () -> run_scheduled p ctx op))
+    in
+    if Result.is_ok r then Stats.incr stat_passes;
+    r
 
 (** Run a pipeline of passes over [op] with {!run_one}, driving the given
     instrumentations and reporting to the ambient observability channels:
@@ -502,11 +397,10 @@ let run_one ~verify p ctx op : (unit, failure) result =
     it) and the [pass] statistics of {!Ir.Stats}. Passes declared
     [function_parallel] are fanned across a module's functions on the
     {!Ir.Pool} domain pool (when [Pool.jobs () > 1]) with deterministic,
-    source-ordered merging of diagnostics, trace events and remarks. With
-    [verify_each], the post-pass verifier is incremental. Returns the first
-    failure as a structured diagnostic (with a note naming the failing
-    pass). *)
-let run_pipeline ?(verify_each = false) ?(instrumentations = []) ctx passes op
+    source-ordered merging of diagnostics, trace events and remarks.
+    Returns the first failure as a structured diagnostic (with a note
+    naming the failing pass). *)
+let run_pipeline ?(instrumentations = []) ctx passes op
     : (unit, Diag.t) result =
   Stats.incr stat_pipelines;
   Profiler.span ~cat:"pass"
@@ -517,7 +411,7 @@ let run_pipeline ?(verify_each = false) ?(instrumentations = []) ctx passes op
     | [] -> Ok ()
     | p :: rest -> (
       List.iter (fun i -> i.i_before_pass p op) instrumentations;
-      match run_one ~verify:verify_each p ctx op with
+      match run_one p ctx op with
       | Ok () ->
         List.iter (fun i -> i.i_after_pass p op) instrumentations;
         go rest

@@ -110,8 +110,7 @@ let test_handler_stack_and_exceptions () =
   let events = ref [] in
   let h name =
     {
-      Action.h_name = name;
-      h_decide = (fun _ -> true);
+      Action.h_decide = (fun _ -> true);
       h_enter = (fun _ -> events := (name ^ ":enter") :: !events);
       h_exit =
         (fun _ ~ok -> events := Fmt.str "%s:exit(%b)" name ok :: !events);

@@ -135,9 +135,10 @@ let test_hook_ordering () =
   let md = Workloads.Matmul.build_module ~m:4 ~n:4 ~k:2 () in
   let events = ref [] in
   let instr =
-    Passes.Pass.instrumentation "recorder"
+    Passes.Pass.instrumentation
       ~before_pass:(fun p _ -> events := ("before:" ^ p.Passes.Pass.name) :: !events)
       ~after_pass:(fun p _ -> events := ("after:" ^ p.Passes.Pass.name) :: !events)
+      ()
   in
   let passes = List.map Passes.Pass.lookup_exn [ "canonicalize"; "cse" ] in
   (match Passes.Pass.run_pipeline ~instrumentations:[ instr ] ctx passes md with
@@ -153,9 +154,10 @@ let test_failure_hook_and_diag () =
   let md = Workloads.Matmul.build_module ~m:4 ~n:4 ~k:2 () in
   let seen = ref None in
   let instr =
-    Passes.Pass.instrumentation "failure-recorder"
+    Passes.Pass.instrumentation
       ~on_failure:(fun p _ ~remaining d ->
         seen := Some (p.Passes.Pass.name, List.map (fun q -> q.Passes.Pass.name) remaining, d))
+      ()
   in
   let passes =
     List.map Passes.Pass.lookup_exn
@@ -201,7 +203,7 @@ let test_timing_tree () =
   let p = Profiler.create () in
   (match
      Profiler.with_profiler p (fun () ->
-         Passes.Pass.run_pipeline ~verify_each:true ctx passes md)
+         Passes.Pass.run_pipeline ctx passes md)
    with
   | Ok () -> ()
   | Error d -> Alcotest.fail (Diag.to_string d));
@@ -209,12 +211,11 @@ let test_timing_tree () =
   match roots with
   | [ t ] -> (
     check cs "root" "pipeline" t.Profiler.name;
-    (* the greedy driver's spans are not part of the view; verify_each
-       records a verify span after each pass *)
+    (* the greedy driver's spans are not part of the view *)
     check
       Alcotest.(list string)
-      "a verify node follows each pass"
-      [ "canonicalize"; "verify"; "cse"; "verify" ]
+      "one node per pass"
+      [ "canonicalize"; "cse" ]
       (List.map (fun n -> n.Profiler.name) t.Profiler.children);
     check cb "children fit in the root" true
       (List.fold_left (fun acc n -> acc +. n.Profiler.seconds) 0.

@@ -48,12 +48,8 @@ let test_models_ir_equal () =
       let run jobs =
         let ctx = Transform.Register.full_context () in
         let md = Workloads.Models.build ~funcs:8 spec in
-        with_jobs jobs (fun () ->
-            match
-              Passes.Pass.run_pipeline ~verify_each:true ctx passes md
-            with
-            | Ok () -> Printer.op_to_string md
-            | Error d -> Alcotest.fail (Diag.to_string d))
+        with_jobs jobs (fun () -> Testutil.run_verifying ctx passes md);
+        Printer.op_to_string md
       in
       let seq = run 1 and par = run 4 in
       check cs
@@ -228,7 +224,7 @@ let test_timing_view_shape () =
     (match
        with_jobs jobs (fun () ->
            Profiler.with_profiler p (fun () ->
-               Passes.Pass.run_pipeline ~verify_each:true ctx
+               Passes.Pass.run_pipeline ctx
                  (List.map Passes.Pass.lookup_exn
                     [ "canonicalize"; "cse"; "canonicalize" ])
                  md))
@@ -239,7 +235,7 @@ let test_timing_view_shape () =
   in
   let seq = run 1 in
   check cs "jobs=1 view"
-    "pipeline(canonicalize(),verify(),cse(),verify(),canonicalize(),verify())"
+    "pipeline(canonicalize(),cse(),canonicalize())"
     seq;
   List.iter
     (fun jobs -> check cs (Fmt.str "jobs=%d view = jobs=1 view" jobs) seq (run jobs))
@@ -322,12 +318,10 @@ let test_canonicalize_stress_64 () =
   let canon jobs =
     let md = stress () in
     with_jobs jobs (fun () ->
-        match
-          Passes.Pass.run_pipeline ~verify_each:true ctx
-            [ Passes.Pass.lookup_exn "canonicalize" ] md
-        with
-        | Ok () -> Printer.op_to_string md
-        | Error d -> Alcotest.fail (Diag.to_string d))
+        Testutil.run_verifying ctx
+          [ Passes.Pass.lookup_exn "canonicalize" ]
+          md);
+    Printer.op_to_string md
   in
   check cs "64-func canonicalize, jobs=4 = jobs=1" (canon 1) (canon 4);
   (* the fuzz oracle families (print-parse fixpoint, verifier, clone
@@ -365,28 +359,6 @@ let test_fuzz_campaign_parity () =
     Alcotest.(list (pair int bool))
     "case order and verdicts identical" seq_order par_order
 
-(* ------------------------------------------------------------------ *)
-(* incremental verification only re-walks touched functions             *)
-(* ------------------------------------------------------------------ *)
-
-let test_incremental_verify () =
-  let value c =
-    match Stats.find_counter ~component:"pass" c with
-    | Some c -> Stats.value c
-    | None -> 0
-  in
-  let ctx = Transform.Register.full_context () in
-  let md = eight_funcs () in
-  let before = value "incremental_verifies" in
-  (match
-     Passes.Pass.run_pipeline ~verify_each:true ctx
-       [ Passes.Pass.lookup_exn "canonicalize" ] md
-   with
-  | Ok () -> ()
-  | Error d -> Alcotest.fail (Diag.to_string d));
-  check cb "incremental verifier engaged" true
-    (value "incremental_verifies" > before)
-
 let () =
   Alcotest.run "parallel"
     [
@@ -395,8 +367,6 @@ let () =
           Alcotest.test_case "models-ir-equal" `Quick test_models_ir_equal;
           Alcotest.test_case "multi-func-op-count" `Quick
             test_multi_func_op_count;
-          Alcotest.test_case "incremental-verify" `Quick
-            test_incremental_verify;
         ] );
       ( "determinism",
         [

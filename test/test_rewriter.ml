@@ -136,9 +136,16 @@ let edit_words rw =
   [ ("build", build); ("replace_op", replace); ("erase_op", erase) ]
 
 (* with one listener on the rewriter and one ambient listener, each
-   notification allocates nothing *)
+   notification allocates nothing; with none, neither does a replace_op
+   or an erase_op *)
 let test_notify_allocates_nothing () =
+  let _, baseline = Testutil.alloc_words (fun () -> ()) in
   let quiet = edit_words (Rewriter.create ()) in
+  List.iter
+    (fun what ->
+      check (Alcotest.float 0.) (what ^ " words") 0.
+        (List.assoc what quiet -. baseline))
+    [ "replace_op"; "erase_op" ];
   let heard = ref 0 in
   let rw = Rewriter.create () in
   Rewriter.add_listener rw (counting_listener heard);

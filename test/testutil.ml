@@ -45,13 +45,25 @@ let contains s sub =
 let dialect_gone d md =
   Symbol.collect md ~f:(fun o -> Ircore.op_dialect o = d) = []
 
-let check_verifies what m =
+let check_verifies ?(ctx = ctx) what m =
   match Verifier.verify ctx m with
   | Ok () -> ()
   | Error diags ->
     Alcotest.failf "%s: verification failed: %a" what
       (Fmt.list ~sep:Fmt.comma Diag.pp)
       diags
+
+(* Run [passes] over [md] one pipeline per pass, verifying the whole
+   module after each: the pass manager itself verifies nothing. *)
+let run_verifying ctx passes md =
+  List.iter
+    (fun p ->
+      let name = p.Passes.Pass.name in
+      (match Passes.Pass.run_pipeline ctx [ p ] md with
+      | Ok () -> ()
+      | Error d -> Alcotest.failf "pass %s: %s" name (Diag.to_string d));
+      check_verifies ~ctx ("after pass " ^ name) md)
+    passes
 
 (* ---------------- counted allocation ---------------- *)
 
