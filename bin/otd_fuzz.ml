@@ -122,7 +122,7 @@ let run seed cases max_ops max_depth pipeline no_shrink no_bisect out_dir
   if server_faults then run_server_faults cases out_dir
   else
   let ctx = Transform.Register.full_context () in
-  let config = { Fuzz.Gen.default_config with max_ops; max_depth } in
+  let config = { Fuzz.Gen.max_ops; max_depth } in
   match print_case with
   | Some case ->
     let m = Fuzz.Driver.module_for ~config ~seed ~case () in
@@ -253,10 +253,6 @@ let no_shrink =
     value & flag
     & info [ "no-shrink" ] ~doc:"Report failures without minimizing them.")
 
-let shrink =
-  (* --shrink is the default; the flag exists so scripts can be explicit *)
-  Arg.(value & flag & info [ "shrink" ] ~doc:"Minimize failures (default).")
-
 let no_bisect =
   Arg.(
     value & flag
@@ -323,14 +319,7 @@ let cmd =
     (Cmd.info "otd-fuzz" ~doc)
     Term.(
       ret
-        (const
-           (fun seed cases max_ops max_depth pipeline no_shrink _shrink
-                no_bisect out_dir print_case quiet profile faults flow_diff
-                server_faults jobs ->
-             run seed cases max_ops max_depth pipeline no_shrink no_bisect
-               out_dir print_case quiet profile faults flow_diff server_faults
-               jobs)
-        $ seed $ cases $ max_ops $ max_depth $ pipeline $ no_shrink $ shrink
+        (const run $ seed $ cases $ max_ops $ max_depth $ pipeline $ no_shrink
         $ no_bisect $ out_dir $ print_case $ quiet $ profile $ faults
         $ flow_diff $ server_faults $ jobs))
 

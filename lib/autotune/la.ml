@@ -8,7 +8,8 @@ let make n m v : mat = Array.make_matrix n m v
 (** Cholesky factorization A = L L^T (lower triangular). [A] must be SPD;
     a small jitter is added to the diagonal for numerical stability.
     Returns L, or [None] if the matrix is not positive definite. *)
-let cholesky ?(jitter = 1e-9) (a : mat) : mat option =
+let cholesky (a : mat) : mat option =
+  let jitter = 1e-9 in
   let n = Array.length a in
   let l = make n n 0.0 in
   let ok = ref true in

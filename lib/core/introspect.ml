@@ -36,9 +36,9 @@ let level_after current (post : Opset.t) =
 (** Walk the script's entry sequence; set the [add_op] attribute of every
     [transform.enzyme_ad] op that does not already have one. Returns the
     inferred kinds in order. *)
-let infer_add_kinds ?(initial_dialect = "shlo") script =
+let infer_add_kinds script =
   let inferred = ref [] in
-  let current = ref initial_dialect in
+  let current = ref "shlo" in
   Ircore.walk
     (fun op ->
       if op.Ircore.op_name = Ops.enzyme_ad_op then begin

@@ -239,7 +239,7 @@ let apply_frozen_patterns st op frozen =
   List.iter
     (fun target ->
       ignore
-        (Greedy.apply ~config:Dutil.greedy_config
+        (Greedy.apply ~materialize:Dutil.materialize_arith_constant
            ~rewriter:(State.rewriter st) st.State.ctx ~patterns:frozen target))
     targets;
   Ok ()

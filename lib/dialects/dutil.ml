@@ -1,4 +1,5 @@
-(** Shared helpers for dialect definitions. *)
+(** Shared helpers for dialect definitions, including the arith constant
+    materializer that greedy folding builds its results with. *)
 
 open Ir
 
@@ -40,7 +41,8 @@ let const_float rw ?(typ = Typ.f32) v =
     ~attrs:[ ("value", Attr.Float (v, typ)) ]
     "arith.constant"
 
-(** Materialize-constant hook for greedy folding: builds [arith.constant]. *)
+(** Materialize-constant hook for greedy folding ([Greedy.apply
+    ~materialize]): builds [arith.constant]. *)
 let materialize_arith_constant rw (attr : Attr.t) (t : Typ.t) =
   match attr with
   | Attr.Int _ | Attr.Float _ | Attr.Bool _ ->
@@ -48,20 +50,6 @@ let materialize_arith_constant rw (attr : Attr.t) (t : Typ.t) =
       (Rewriter.build1 rw ~operands:[||] ~result_types:[| t |]
          ~attrs:[ ("value", attr) ] "arith.constant")
   | _ -> None
-
-(** Greedy config preloaded with the arith constant materializer. *)
-let greedy_config =
-  { Greedy.default_config with
-    materialize_constant = Some materialize_arith_constant }
-
-(** Freeze [patterns] and run the worklist greedy driver with
-    {!greedy_config} — the common one-shot entry point for dialect code and
-    tests. Callers that reuse a pattern set across payloads should freeze
-    once with {!Frozen_patterns.freeze} and call {!Greedy.apply} directly. *)
-let apply_greedy ?(config = greedy_config) ?stats ?rewriter ctx ~patterns root
-    =
-  Greedy.apply ~config ?stats ?rewriter ctx
-    ~patterns:(Frozen_patterns.freeze patterns) root
 
 let str_attr_of op name =
   match Ircore.attr op name with Some (Attr.String s) -> Some s | _ -> None

@@ -90,9 +90,8 @@ let register ctx =
 (* Builders                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let alloc rw ?(dynamic_sizes = []) typ =
-  Rewriter.build1 rw ~operands:(Array.of_list dynamic_sizes)
-    ~result_types:[| typ |] alloc_op
+let alloc rw typ =
+  Rewriter.build1 rw ~operands:[||] ~result_types:[| typ |] alloc_op
 
 let dealloc rw m = Rewriter.build0 rw ~operands:[| m |] dealloc_op
 

@@ -206,13 +206,6 @@ let () =
         | None -> false)
       | _ -> false)
 
-let canonicalization_patterns () =
-  [
-    Pattern.lookup_exn "scf.for_zero_trip";
-    Pattern.lookup_exn "scf.for_single_trip";
-    Pattern.lookup_exn "scf.if_constant_cond";
-  ]
-
 (* ------------------------------------------------------------------ *)
 (* Accessors                                                           *)
 (* ------------------------------------------------------------------ *)

@@ -82,13 +82,13 @@ type outcome = {
   random_evals_to_95 : int;
 }
 
-(** Iteration at which best-so-far first comes within [tolerance] of
+(** Iteration at which best-so-far first comes within 5% of
     [target] (a search-efficiency measure for Figure 11). *)
-let evals_to_within ?(tolerance = 0.05) target (r : Autotune.Search.result) =
+let evals_to_within target (r : Autotune.Search.result) =
   let rec go = function
     | [] -> r.Autotune.Search.history |> List.length
     | e :: rest ->
-      if e.Autotune.Search.e_best_so_far <= target *. (1.0 +. tolerance) then
+      if e.Autotune.Search.e_best_so_far <= target *. 1.05 then
         e.Autotune.Search.e_iteration
       else go rest
   in

@@ -187,12 +187,12 @@ let stat_flow_rejected =
     files whose body is the {e script} (replayable under
     [otd_opt --transform ... --flow-check]). No shrinking: the script is
     the witness and is already small. *)
-let run_flow_diff ?config ?out_dir ?(max_failures = 10)
-    ?(on_case = fun _ ~failed:_ -> ()) ctx ~seed ~cases () =
+let run_flow_diff ?config ?out_dir ?(on_case = fun _ ~failed:_ -> ()) ctx
+    ~seed ~cases () =
   let t0 = Unix.gettimeofday () in
   let failures = ref [] in
   let case = ref 0 in
-  while !case < cases && List.length !failures < max_failures do
+  while !case < cases && List.length !failures < 10 do
     let i = !case in
     let rng = case_rng ~seed ~case:i in
     let m = Gen.generate ?config rng in

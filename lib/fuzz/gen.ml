@@ -20,14 +20,9 @@ open Dialects
 type config = {
   max_ops : int;  (** op budget for the main function body *)
   max_depth : int;  (** maximum region-nesting depth below the function *)
-  gen_memref : bool;
-  gen_cf : bool;  (** emit cf-diamond helper functions + calls *)
-  gen_tensor : bool;  (** emit a non-executed tensor function *)
 }
 
-let default_config =
-  { max_ops = 40; max_depth = 3; gen_memref = true; gen_cf = true;
-    gen_tensor = true }
+let default_config = { max_ops = 40; max_depth = 3 }
 
 (** The function executed by the differential oracle. *)
 let entry_name = "main"
@@ -215,7 +210,7 @@ let rec gen_ops rng cfg rw pool ~depth ~budget =
       | 7 -> gen_cmp rng rw pool
       | 8 -> gen_select rng rw pool
       | 9 -> gen_cast rng rw pool
-      | 10 | 11 when cfg.gen_memref -> gen_memref rng rw pool
+      | 10 | 11 -> gen_memref rng rw pool
       | 12 | 13 when depth < cfg.max_depth -> gen_if rng cfg rw pool ~depth ~budget
       | 14 when depth < cfg.max_depth -> gen_for rng cfg rw pool ~depth ~budget
       | 15 when depth < cfg.max_depth -> gen_while rng rw pool
@@ -384,12 +379,12 @@ let generate ?(config = default_config) rng =
   let md = Builtin.create_module () in
   let body = Builtin.body_block md in
   (* helper functions first so main's calls resolve in symbol order *)
-  let n_cf = if config.gen_cf then Random.State.int rng 3 else 0 in
+  let n_cf = Random.State.int rng 3 in
   let cf_names = List.init n_cf (fun i -> Fmt.str "cf%d" i) in
   List.iter
     (fun name -> Ircore.insert_at_end body (gen_cf_function rng name))
     cf_names;
-  if config.gen_tensor && Random.State.bool rng then
+  if Random.State.bool rng then
     Ircore.insert_at_end body (gen_tensor_function rng "tensorfn");
   (* main *)
   let f, entry = Func.create ~name:entry_name ~arg_types:[] ~result_types:[] () in

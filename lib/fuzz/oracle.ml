@@ -109,6 +109,7 @@ let default_pipelines =
     "canonicalize";
     "cse";
     "licm";
+    "dce";
     "canonicalize,cse,licm";
     "inline";
     "convert-scf-to-cf";

@@ -1,6 +1,8 @@
 (** Greedy pattern application driver: applies a set of rewrite patterns to
-    a payload subtree until fixpoint, folding constants and eliminating dead
-    pure ops along the way — MLIR's [applyPatternsAndFoldGreedily].
+    a payload subtree until fixpoint, erasing dead pure ops and, given a
+    [~materialize] hook, folding constants along the way — MLIR's
+    [applyPatternsAndFoldGreedily]. With no patterns and no hook it is the
+    [dce] pass.
 
     The engine is worklist-driven: the payload subtree is seeded once in
     post-order, and after every change the {!Rewriter} listener events push
@@ -11,24 +13,8 @@
     candidate patterns, and folded constants are uniqued per block through
     an {!Op_folder}. *)
 
-type config = {
-  max_iterations : int;
-      (** work budget: at most [max_iterations * (seeded op count)] op
-          visits *)
-  fold : bool;  (** use registered {!Context.folder} hooks *)
-  remove_dead : bool;  (** erase pure ops with no uses *)
-  materialize_constant :
-    (Rewriter.t -> Attr.t -> Typ.t -> Ircore.value option) option;
-      (** hook to build a constant op for folded results *)
-}
-
-let default_config =
-  {
-    max_iterations = 10;
-    fold = true;
-    remove_dead = true;
-    materialize_constant = None;
-  }
+(** Work budget: at most [max_iterations * (seeded op count)] op visits. *)
+let max_iterations = 10
 
 type stats = {
   mutable rewrites : int;
@@ -74,12 +60,12 @@ let operand_constants ctx (op : Ircore.op) =
   go (Array.length operands - 1) []
 
 (** Try to constant-fold [op], registered as [def], in place; returns true
-    on success. Folded results are materialized through [folder], which
-    uniques constants per block and hoists them to the block start. Ops
+    on success. Folded results are built by [materialize] through [folder],
+    which uniques constants per block and hoists them to the block start. Ops
     that already are constants are uniqued through the same table (MLIR's
     [insertKnownConstant]): a duplicate of an earlier constant is replaced
     by it. *)
-let try_fold ctx def rewriter config folder stats (op : Ircore.op) =
+let try_fold ctx def rewriter materialize folder stats (op : Ircore.op) =
   match constant_value def op with
   | Some attr -> (
     stats.match_attempts <- stats.match_attempts + 1;
@@ -89,8 +75,8 @@ let try_fold ctx def rewriter config folder stats (op : Ircore.op) =
       true
     | None -> false)
   | None -> (
-  match def, config.materialize_constant with
-  | Some d, Some materialize -> (
+  match def with
+  | Some d -> (
     match Context.def_interface d Context.folder_key with
     | None -> false
     | Some { Context.fold } -> (
@@ -110,7 +96,7 @@ let try_fold ctx def rewriter config folder stats (op : Ircore.op) =
         true
       end
       else false))
-  | _ -> false)
+  | None -> false)
 
 (* Is [op], registered as [def], pure, no terminator, and unused? *)
 let is_trivially_dead def (op : Ircore.op) =
@@ -208,14 +194,14 @@ let rewrite_contained ctx rewriter (p : Pattern.t) (op : Ircore.op) =
     false
 
 (** Same barrier around the fold/constant-uniquing path. *)
-let fold_contained ctx def rewriter config folder stats (op : Ircore.op) =
+let fold_contained ctx def rewriter materialize folder stats (op : Ircore.op) =
   match
     match Action.active () with
-    | None -> try_fold ctx def rewriter config folder stats op
+    | None -> try_fold ctx def rewriter materialize folder stats op
     | Some a ->
       Action.run_on a ~tag:"fold" ~desc:op.Ircore.op_name
         ~loc:op.Ircore.op_loc ~root:op ~skipped:false (fun () ->
-          try_fold ctx def rewriter config folder stats op)
+          try_fold ctx def rewriter materialize folder stats op)
   with
   | folded -> folded
   | exception e when not (Diag.fatal_exn e) ->
@@ -228,10 +214,13 @@ let fold_contained ctx def rewriter config folder stats (op : Ircore.op) =
     false
 
 (** Apply [patterns] greedily to the subtree rooted at [root] (the root op
-    itself is not rewritten). Returns [true] if the IR converged — the
-    worklist drained — within the [config.max_iterations] work budget; a
-    [Diag] warning is emitted against [ctx] otherwise. *)
-let apply ?(config = default_config) ?stats ?rewriter ctx ~patterns root =
+    itself is not rewritten), erasing trivially dead ops. With
+    [~materialize], registered {!Context.folder} hooks fold ops and their
+    results are built as constants through it; constant ops are uniqued per
+    block along the way. Returns [true] if the IR converged — the worklist
+    drained — within the {!max_iterations} work budget; a [Diag] warning is
+    emitted against [ctx] otherwise. *)
+let apply ?materialize ?stats ?rewriter ctx ~patterns root =
   Profiler.span ~cat:"greedy"
     ~args:[ ("root", Profiler.Astr root.Ircore.op_name) ]
     "greedy.apply"
@@ -306,7 +295,7 @@ let apply ?(config = default_config) ?stats ?rewriter ctx ~patterns root =
   stack := seed;
   stats.worklist_pushes <- stats.worklist_pushes + seed_size;
   let epoch = max 1 seed_size in
-  let budget = config.max_iterations * epoch in
+  let budget = max_iterations * epoch in
   let processed = ref 0 in
   let continue_ = ref true in
   (* ambient Ir.Budget: each rewrite/fold/dce is one unit of cooperative
@@ -340,7 +329,7 @@ let apply ?(config = default_config) ?stats ?rewriter ctx ~patterns root =
           Profiler.counter "greedy.worklist"
             (float_of_int (List.length !stack));
         let def = Context.lookup ctx op.Ircore.op_name in
-        if config.remove_dead && is_trivially_dead def op then begin
+        if is_trivially_dead def op then begin
           let erased_now =
             match Action.active () with
             | None ->
@@ -358,8 +347,9 @@ let apply ?(config = default_config) ?stats ?rewriter ctx ~patterns root =
           end
         end
         else if
-          config.fold
-          && fold_contained ctx def rewriter config folder stats op
+          match materialize with
+          | Some m -> fold_contained ctx def rewriter m folder stats op
+          | None -> false
         then begin
           stats.folds <- stats.folds + 1;
           charge ()
@@ -429,6 +419,6 @@ let apply ?(config = default_config) ?stats ?rewriter ctx ~patterns root =
         (Diag.warning ~loc:root.Ircore.op_loc
            "greedy rewrite on '%s' failed to converge within %d iterations \
             (%d ops still pending)"
-           root.Ircore.op_name config.max_iterations (List.length pending)));
+           root.Ircore.op_name max_iterations (List.length pending)));
   record_trace root stats converged;
   converged

@@ -8,7 +8,7 @@ type t =
 
 let unknown = Unknown
 let file ?(line = 0) ?(col = 0) file = File { file; line; col }
-let name ?(child = Unknown) n = Name (n, child)
+let name n = Name (n, Unknown)
 
 (** [loc(...)], as the parser reads it back. *)
 let rec bprint b l =

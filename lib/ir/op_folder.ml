@@ -30,16 +30,9 @@ type entry = {
           they only dominate ops that come after them. *)
 }
 
-type t = {
-  constants : entry Key.t;
-  mutable materialized : int;  (** constants actually built *)
-  mutable reused : int;  (** cache hits that avoided a duplicate op *)
-}
+type t = entry Key.t
 
-let create () = { constants = Key.create 32; materialized = 0; reused = 0 }
-
-let materialized t = t.materialized
-let reused t = t.reused
+let create () : t = Key.create 32
 
 (** Is the cached [v] still a valid uniqued constant for block [b]? The
     defining op may have been erased (dropping its parent) or moved to a
@@ -74,22 +67,18 @@ let materialize t rw materialize_fn ~anchor attr typ =
     materialize_fn rw attr typ
   | Some block -> (
     let key = (block.Ircore.b_id, attr, typ) in
-    match Key.find_opt t.constants key with
+    match Key.find_opt t key with
     (* only hoisted entries are safe to reuse from an arbitrary anchor: an
        in-place known constant may sit after the anchor in the block *)
-    | Some e when e.hoisted && still_valid block e.cv ->
-      t.reused <- t.reused + 1;
-      Some e.cv
+    | Some e when e.hoisted && still_valid block e.cv -> Some e.cv
     | _ ->
       let saved = Rewriter.ip rw in
       Rewriter.set_ip rw (Builder.At_start block);
       let v = materialize_fn rw attr typ in
       Rewriter.set_ip rw saved;
       (match v with
-      | Some v ->
-        t.materialized <- t.materialized + 1;
-        Key.replace t.constants key { cv = v; hoisted = true }
-      | None -> Key.remove t.constants key);
+      | Some v -> Key.replace t key { cv = v; hoisted = true }
+      | None -> Key.remove t key);
       v)
 
 (** Record the existing constant-like [op] (with value [attr] and a single
@@ -103,14 +92,10 @@ let insert_known_constant t (op : Ircore.op) attr =
   match (Ircore.op_parent op, op.Ircore.results) with
   | Some block, [| r |] -> (
     let key = (block.Ircore.b_id, attr, Ircore.value_typ r) in
-    match Key.find_opt t.constants key with
+    match Key.find_opt t key with
     | Some e when still_valid block e.cv ->
-      if e.cv == r then None
-      else begin
-        t.reused <- t.reused + 1;
-        Some e.cv
-      end
+      if e.cv == r then None else Some e.cv
     | _ ->
-      Key.replace t.constants key { cv = r; hoisted = false };
+      Key.replace t key { cv = r; hoisted = false };
       None)
   | _ -> None

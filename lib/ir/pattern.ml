@@ -38,18 +38,3 @@ let lookup_exn name =
   match lookup name with
   | Some p -> p
   | None -> invalid_arg (Fmt.str "unknown pattern %s" name)
-
-let all_registered () =
-  Hashtbl.fold (fun _ p acc -> p :: acc) registry []
-  |> List.sort (fun a b -> compare a.name b.name)
-
-(** Patterns whose name starts with [prefix ^ "."]. The ['.'] separator is
-    required, so prefix ["arith"] matches ["arith.addi_zero"] but not a
-    pattern of a dialect whose name merely extends it (["arithmetic.x"]). *)
-let registered_with_prefix prefix =
-  let plen = String.length prefix in
-  all_registered ()
-  |> List.filter (fun p ->
-         String.length p.name > plen
-         && p.name.[plen] = '.'
-         && String.sub p.name 0 plen = prefix)

@@ -301,9 +301,9 @@ let pp_op_with ?(locs = false) naming ~indent fmt op =
 
 let pp_op fmt op = Format.pp_print_string fmt (op_to_string op)
 
-let print_op ?(oc = stdout) op =
+let print_op op =
   with_buffer (fun buf ->
       bprint_op ~locs:false (fresh_naming ()) ~indent:0 buf op;
       Buffer.add_char buf '\n';
-      Buffer.output_buffer oc buf);
-  flush oc
+      Buffer.output_buffer stdout buf);
+  flush stdout

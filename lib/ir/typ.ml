@@ -38,7 +38,7 @@ let bf16 = Float BF16
 let f32 = Float F32
 let f64 = Float F64
 
-let memref ?(layout = Identity) dims elt = Memref (dims, elt, layout)
+let memref dims elt = Memref (dims, elt, Identity)
 let tensor dims elt = Ranked_tensor (dims, elt)
 let static_dims ns = List.map (fun n -> Static n) ns
 

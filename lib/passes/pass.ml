@@ -92,7 +92,7 @@ let instrumentation ?(before_pass = nop2) ?(after_pass = nop2)
     [only_changed], dumps are gated on {!Ir.Fingerprint} inequality: a pass
     that left the module structurally identical prints nothing
     ([--print-ir-after-all=always] restores the old behavior). *)
-let print_ir_after_all ?(ppf = Fmt.stderr) ?(only_changed = false) () =
+let print_ir_after_all ?(only_changed = false) () =
   let before = ref None in
   instrumentation
     ~before_pass:(fun _ op ->
@@ -106,7 +106,7 @@ let print_ir_after_all ?(ppf = Fmt.stderr) ?(only_changed = false) () =
         | None -> true
       in
       if changed then
-        Fmt.pf ppf "// -----// IR dump after pass '%s' //----- //@.%a@." p.name
+        Fmt.epr "// -----// IR dump after pass '%s' //----- //@.%a@." p.name
           Printer.pp_op op)
     ()
 

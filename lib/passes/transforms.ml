@@ -37,7 +37,9 @@ let frozen_canonicalization_patterns ctx =
 
 let run_canonicalize ctx top =
   let patterns = frozen_canonicalization_patterns ctx in
-  ignore (Greedy.apply ~config:Dutil.greedy_config ctx ~patterns top);
+  ignore
+    (Greedy.apply ~materialize:Dutil.materialize_arith_constant ctx ~patterns
+       top);
   Ok ()
 
 (* ------------------------------------------------------------------ *)
@@ -183,31 +185,10 @@ let run_licm ctx top =
 (* DCE (standalone)                                                    *)
 (* ------------------------------------------------------------------ *)
 
+(* no patterns and no materializer: the greedy driver only erases dead
+   ops, re-pushing the defs of an erased op's operands *)
 let run_dce ctx top =
-  let rw = Rewriter.create () in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    let dead = ref [] in
-    Ircore.walk_post
-      (fun op ->
-        if
-          (not (op == top))
-          && Context.is_pure ctx op
-          && (not (Context.op_has_trait ctx op Context.Terminator))
-          && List.for_all
-               (fun r -> not (Ircore.has_uses r))
-               (Ircore.results op)
-        then dead := op :: !dead)
-      top;
-    List.iter
-      (fun op ->
-        if Ircore.op_parent op <> None then begin
-          Rewriter.erase_op rw op;
-          changed := true
-        end)
-      !dead
-  done;
+  ignore (Greedy.apply ctx ~patterns:Frozen_patterns.empty top);
   Ok ()
 
 (* ------------------------------------------------------------------ *)

@@ -154,7 +154,7 @@ let connect path =
   fd
 
 (** Connect, retrying briefly while the daemon is still binding. *)
-let connect_retry ?(tries = 50) path =
+let connect_retry path =
   let rec go n =
     match connect path with
     | fd -> fd
@@ -163,7 +163,7 @@ let connect_retry ?(tries = 50) path =
       Unix.sleepf 0.05;
       go (n - 1)
   in
-  go tries
+  go 50
 
 let send_request fd (j : Json.t) = send fd j
 

@@ -3,8 +3,8 @@
    driver converged, the diagnostic count, the driver's counted work
    (rewrites, folds, dce, match attempts, worklist pushes, iterations) and
    the fingerprint of the payload after the run. Every case runs
-   [Greedy.apply] with [Dutil.greedy_config] and the canonicalize pattern
-   set. *)
+   [Greedy.apply] with [Dutil.materialize_arith_constant] and the
+   canonicalize pattern set. *)
 
 open Ir
 open Dialects
@@ -20,7 +20,8 @@ let record id ~seed ~case md =
   let stats = Greedy.create_stats () in
   let converged, diags =
     Context.capture_diags ctx (fun () ->
-        Greedy.apply ~config:Dutil.greedy_config ~stats ctx ~patterns md)
+        Greedy.apply ~materialize:Dutil.materialize_arith_constant ~stats ctx
+          ~patterns md)
   in
   Fmt.pr "%s %s %s %s diags=%d rewrites=%d folds=%d dce=%d attempts=%d \
           pushes=%d iterations=%d %s@."

@@ -209,6 +209,26 @@ let test_counter_semantics () =
   in
   check cb "unrelated tag unaffected" true (v <> -1)
 
+(* the dce pass journals one [dce] action per erased op, so a [dce:0,0]
+   counter vetoes every erasure *)
+let test_dce_pass_counter () =
+  let run counters =
+    let md, entry = Testutil.dead_chain 10 in
+    let t = Action.create ~counters () in
+    Action.with_context t (fun () -> Testutil.run_pass "dce" md);
+    (t, Ircore.block_num_ops entry - 1)
+  in
+  let t, left = run [] in
+  let dce_entries =
+    List.filter (fun e -> e.Action.e_tag = "dce") (Action.entries t)
+  in
+  check ci "ten dce actions journaled" 10 (List.length dce_entries);
+  check ci "chain erased" 0 left;
+  let _, left =
+    run [ { Action.cs_tag = "dce"; cs_skip = 0; cs_count = 0 } ]
+  in
+  check ci "dce:0,0 keeps the chain" 10 left
+
 (* ------------------------------------------------------------------ *)
 (* IR change snapshots                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -495,7 +515,7 @@ let test_bisect_localizes_miscompile () =
     let md = build () in
     let t = Action.create ~counters () in
     Action.with_context t (fun () ->
-        ignore (Dutil.apply_greedy ctx ~patterns:[ evil ] md : bool));
+        ignore (Testutil.greedy ctx ~patterns:[ evil ] md : bool));
     (* the injected 999 constant-folds with the remaining chain (999 * 5 =
        4995), so the miscompile witness is either form *)
     let out = Printer.op_to_string md in
@@ -533,6 +553,7 @@ let () =
         [
           Alcotest.test_case "parse" `Quick test_parse_counter;
           Alcotest.test_case "skip-count-window" `Quick test_counter_semantics;
+          Alcotest.test_case "dce-pass" `Quick test_dce_pass_counter;
         ] );
       ( "snapshots",
         [

@@ -135,7 +135,7 @@ let shlo_func body =
 
 let apply_patterns names md =
   let patterns = List.map Pattern.lookup_exn names in
-  ignore (Dutil.apply_greedy ctx ~patterns md)
+  ignore (Testutil.greedy ctx ~patterns md)
 
 let count name md = List.length (Symbol.collect_ops ~op_name:name md)
 

@@ -37,7 +37,7 @@ let addi_chain n =
 let attempts_for n =
   let md = addi_chain n in
   let stats = Greedy.create_stats () in
-  let converged = Dutil.apply_greedy ~stats ctx ~patterns:[] md in
+  let converged = Testutil.greedy ~stats ctx ~patterns:[] md in
   check cb (Fmt.str "chain %d converges" n) true converged;
   check ci (Fmt.str "chain %d fully folded" n) 0 (count_ops "arith.addi" md);
   stats.Greedy.match_attempts
@@ -121,9 +121,7 @@ let test_pushback_revisits_users_after_replace () =
         true)
   in
   let converged =
-    Greedy.apply
-      ~config:{ Greedy.default_config with fold = false; remove_dead = false }
-      ctx
+    Greedy.apply ctx
       ~patterns:(Frozen_patterns.freeze [ p_user; p_a; p_marker ])
       top
   in
@@ -154,9 +152,35 @@ let test_pushback_collects_newly_dead_defs () =
   (* u is unused: erasing it makes m newly dead *)
   Func.return rw ~operands:[ x ] ();
   let stats = Greedy.create_stats () in
-  ignore (Dutil.apply_greedy ~stats ctx ~patterns:[] md);
+  ignore (Testutil.greedy ~stats ctx ~patterns:[] md);
   check ci "whole dead chain erased" 0 (count_ops "arith.muli" md);
   check ci "two dce erasures" 2 stats.Greedy.dce
+
+(* The dce pass is the greedy driver with no patterns: a dead chain is
+   collected from one seeding, one erasure per op, and the worklist grows
+   linearly with the chain. *)
+let test_dce_pass_dead_chains () =
+  let counter name =
+    match Stats.find_counter ~component:"greedy" name with
+    | Some c -> Stats.value c
+    | None -> Alcotest.failf "greedy/%s not registered" name
+  in
+  let pushes_for n =
+    let md, entry = Testutil.dead_chain n in
+    let dce0 = counter "dce" and pushes0 = counter "worklist_pushes" in
+    Testutil.run_pass "dce" md;
+    check ci (Fmt.str "chain %d: only the return is left" n) 1
+      (Ircore.block_num_ops entry);
+    check ci (Fmt.str "chain %d: one erasure per op" n) n
+      (counter "dce" - dce0);
+    counter "worklist_pushes" - pushes0
+  in
+  let p2k = pushes_for 2000 in
+  let p4k = pushes_for 4000 in
+  check cb
+    (Fmt.str "pushes grow at most 2.5x per doubling (%d -> %d)" p2k p4k)
+    true
+    (2 * p4k <= 5 * p2k)
 
 (* ------------------------------------------------------------------ *)
 (* folder-level constant uniquing                                      *)
@@ -178,7 +202,7 @@ let test_folder_uniques_constants () =
   let r1 = mk () in
   let r2 = mk () in
   Func.return rw ~operands:[ r1; r2 ] ();
-  ignore (Dutil.apply_greedy ctx ~patterns:[] md);
+  ignore (Testutil.greedy ctx ~patterns:[] md);
   check ci "both addi folded" 0 (count_ops "arith.addi" md);
   (* one uniqued 42, not one per folded op; the 20/22 operands are dce'd *)
   check ci "single uniqued constant" 1 (count_ops "arith.constant" md);
@@ -204,7 +228,7 @@ let test_folder_keeps_signed_zeros_apart () =
   let pos = Arith.constant rw (Attr.Float (0.0, Typ.f32)) Typ.f32 in
   let neg = Arith.constant rw (Attr.Float (-0.0, Typ.f32)) Typ.f32 in
   Func.return rw ~operands:[ pos; neg ] ();
-  ignore (Dutil.apply_greedy ctx ~patterns:[] md);
+  ignore (Testutil.greedy ctx ~patterns:[] md);
   check ci "both constants kept" 2 (count_ops "arith.constant" md);
   match Symbol.collect_ops ~op_name:"func.return" md with
   | [ ret ] ->
@@ -238,15 +262,7 @@ let test_warns_on_max_iterations () =
   let top = Testutil.mkop ~regions:[ Ircore.region_with_block b ] "t.top" in
   let converged, diags =
     Context.capture_diags ctx (fun () ->
-        Greedy.apply
-          ~config:
-            {
-              Greedy.default_config with
-              max_iterations = 1;
-              fold = false;
-              remove_dead = false;
-            }
-          ctx
+        Greedy.apply ctx
           ~patterns:(Frozen_patterns.freeze [ p ])
           top)
   in
@@ -261,24 +277,6 @@ let test_warns_on_max_iterations () =
   in
   check cb "mentions convergence" true (contains (Diag.message d) "converge")
 
-(* ------------------------------------------------------------------ *)
-(* pattern registry prefix lookup                                      *)
-(* ------------------------------------------------------------------ *)
-
-let test_prefix_requires_separator () =
-  Pattern.register_make ~root:"t.x" ~name:"pfx.a" (fun _ _ -> false);
-  Pattern.register_make ~root:"t.x" ~name:"pfxtra.b" (fun _ _ -> false);
-  let names =
-    Pattern.registered_with_prefix "pfx"
-    |> List.map (fun p -> p.Pattern.name)
-  in
-  check (Alcotest.list Alcotest.string) "dot separator required" [ "pfx.a" ]
-    names;
-  check cb "longer dialect name still found" true
-    (List.exists
-       (fun p -> p.Pattern.name = "pfxtra.b")
-       (Pattern.registered_with_prefix "pfxtra"))
-
 let () =
   Alcotest.run "greedy"
     [
@@ -292,6 +290,8 @@ let () =
             test_pushback_revisits_users_after_replace;
           Alcotest.test_case "push-back collects dead defs" `Quick
             test_pushback_collects_newly_dead_defs;
+          Alcotest.test_case "dce pass on dead chains" `Quick
+            test_dce_pass_dead_chains;
         ] );
       ( "folder",
         [
@@ -304,10 +304,5 @@ let () =
         [
           Alcotest.test_case "warns at max_iterations" `Quick
             test_warns_on_max_iterations;
-        ] );
-      ( "patterns",
-        [
-          Alcotest.test_case "prefix requires separator" `Quick
-            test_prefix_requires_separator;
         ] );
     ]

@@ -394,6 +394,23 @@ let test_rewrite_budget_on_unrolled_fold_chain () =
   check cb "budget counted past the limit" true (Budget.rewrites b > 3);
   check_verifies "payload after budget stop" md
 
+(* the dce pass charges one rewrite per erased op *)
+let test_rewrite_budget_on_dce_chain () =
+  let md, _ = dead_chain 100 in
+  let b = Budget.create ~max_rewrites:10 () in
+  let (), diags =
+    Context.capture_diags ctx (fun () ->
+        Budget.with_budget b (fun () -> run_pass "dce" md))
+  in
+  check cb "budget exhausted" true (Budget.exhausted b <> None);
+  check cb "stopped-early warning" true
+    (List.exists
+       (fun d ->
+         Diag.severity d = Diag.Warning
+         && contains (Diag.message d) "stopped early")
+       diags);
+  check_verifies "payload after budget stop" md
+
 let test_deadline_exhaustion () =
   let md = matmul () in
   let script =
@@ -488,6 +505,8 @@ let () =
           Alcotest.test_case "step budget" `Quick test_step_budget_exhaustion;
           Alcotest.test_case "rewrite budget on fold chain" `Quick
             test_rewrite_budget_on_unrolled_fold_chain;
+          Alcotest.test_case "rewrite budget on dce chain" `Quick
+            test_rewrite_budget_on_dce_chain;
           Alcotest.test_case "deadline" `Quick test_deadline_exhaustion;
           Alcotest.test_case "deadline at pass boundary" `Quick
             test_deadline_at_pass_boundary;

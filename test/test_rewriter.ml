@@ -203,7 +203,7 @@ let test_greedy_folds_constants () =
         let b = Dutil.const_int rw ~typ:Typ.i32 22 in
         Arith.addi rw a b)
   in
-  ignore (Dutil.apply_greedy ctx ~patterns:[] md);
+  ignore (Testutil.greedy ctx ~patterns:[] md);
   check ci "addi folded away" 0 (count_ops "arith.addi" md);
   (* result must be a constant 42 *)
   let consts = Symbol.collect_ops ~op_name:"arith.constant" md in
@@ -217,7 +217,7 @@ let test_greedy_dce () =
         (* dead *)
         x)
   in
-  ignore (Dutil.apply_greedy ctx ~patterns:[] md);
+  ignore (Testutil.greedy ctx ~patterns:[] md);
   check ci "dead mul removed" 0 (count_ops "arith.muli" md)
 
 let test_greedy_patterns_fixpoint () =
@@ -229,7 +229,7 @@ let test_greedy_patterns_fixpoint () =
         Arith.addi rw b zero)
   in
   ignore
-    (Dutil.apply_greedy ctx ~patterns:(Arith.canonicalization_patterns ()) md);
+    (Testutil.greedy ctx ~patterns:(Arith.canonicalization_patterns ()) md);
   check ci "all addi-zero chains gone" 0 (count_ops "arith.addi" md)
 
 let test_greedy_respects_benefit () =
@@ -268,9 +268,7 @@ let test_greedy_converges_flag () =
   Ircore.insert_at_end b (Testutil.mkop "t.spin");
   let top = Testutil.mkop ~regions:[ Ircore.region_with_block b ] "t.top" in
   let converged =
-    Greedy.apply
-      ~config:{ Greedy.default_config with max_iterations = 3; fold = false; remove_dead = false }
-      ctx ~patterns:(Frozen_patterns.freeze [ p ]) top
+    Greedy.apply ctx ~patterns:(Frozen_patterns.freeze [ p ]) top
   in
   check cb "reports non-convergence" false converged
 

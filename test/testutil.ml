@@ -24,6 +24,12 @@ let run_pipeline names md =
   | Ok () -> Ok ()
   | Error d -> Error (Diag.to_string d)
 
+(* Freeze [patterns] and run the greedy driver on [root] with the arith
+   constant materializer, as the canonicalize pass does. *)
+let greedy ?stats ctx ~patterns root =
+  Greedy.apply ~materialize:Dialects.Dutil.materialize_arith_constant ?stats
+    ctx ~patterns:(Frozen_patterns.freeze patterns) root
+
 (* ---------------- IR construction ---------------- *)
 
 (* A detached op built by [Ircore.make], which owns [operands]; the parts
@@ -32,6 +38,26 @@ let mkop ?(operands = [||]) ?(result_types = [||]) ?(attrs = []) ?(regions = [])
     name =
   Ircore.make ~operands ~result_types ~attrs ~regions ~successors:[||]
     ~loc:Loc.unknown name
+
+(* A module with one function that returns its argument [x] below a dead
+   chain of [n] arith.addi ops (a_1 = x + x, a_i = a_{i-1} + x), and the
+   function's entry block. *)
+let dead_chain n =
+  let open Dialects in
+  let md = Builtin.create_module () in
+  let f, entry =
+    Func.create ~name:"chain" ~arg_types:[ Typ.i32 ] ~result_types:[ Typ.i32 ]
+      ()
+  in
+  Ircore.insert_at_end (Builtin.body_block md) f;
+  let rw = Dutil.rw_at_end entry in
+  let x = Ircore.block_arg entry 0 in
+  let acc = ref x in
+  for _ = 1 to n do
+    acc := Arith.addi rw !acc x
+  done;
+  Func.return rw ~operands:[ x ] ();
+  (md, entry)
 
 (* ---------------- structural queries ---------------- *)
 
