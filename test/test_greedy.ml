@@ -1,6 +1,7 @@
 (* Worklist-driven greedy engine: pattern indexing, listener push-back,
-   folder uniquing and convergence diagnostics. The driver's output on the
-   canonicalize set is pinned by test/golden/greedy_outcomes.expected. *)
+   the dce pass, folder uniquing and convergence diagnostics. The driver's
+   output on the canonicalize set is pinned by
+   test/golden/greedy_outcomes.expected. *)
 
 open Ir
 open Dialects

@@ -39,7 +39,7 @@ let mkop ?(operands = [||]) ?(result_types = [||]) ?(attrs = []) ?(regions = [])
   Ircore.make ~operands ~result_types ~attrs ~regions ~successors:[||]
     ~loc:Loc.unknown name
 
-(* A module with one function that returns its argument [x] below a dead
+(* A module with one function that returns its argument [x] after a dead
    chain of [n] arith.addi ops (a_1 = x + x, a_i = a_{i-1} + x), and the
    function's entry block. *)
 let dead_chain n =
